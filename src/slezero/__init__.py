@@ -6,106 +6,4 @@ differential, traces its horizontal trajectories, and cross-checks the two
 pictures against each other.
 """
 
-from .divisors import (
-    Charge,
-    DISK,
-    HALF_PLANE,
-    INFINITY,
-    MoebiusMap,
-    SPHERE,
-    SpherePoint,
-    SymmetricDivisor,
-    conformal_dimension,
-    coulomb_correlation_abs,
-    dlog_Z,
-    moebius_invariance_gap,
-    moebius_pushforward,
-    partition_Z_abs,
-    partition_Z_log_abs,
-    validate,
-)
-from .quadratic import (
-    QuadDifferential,
-    build_Q,
-    classify_singularities,
-    direction_field,
-    normalize_phase,
-    pullback,
-)
-from .tracing import (
-    AsymptoticReport,
-    TraceParams,
-    Trajectory,
-    analyze,
-    launch_all,
-    trace,
-    winding_angle,
-)
-from .loewner import (
-    Evolution,
-    LoewnerState,
-    MotionIntegralReport,
-    Parametrization,
-    evolve,
-    motion_integral,
-    step,
-    trace_hull,
-)
-from .conformal import DomainMap, map_divisor, map_quadratic_differential, transport
-from .scene import SceneConfig, parse_config, preset, serialize_config
-from .runner import run, verify
-from . import errors
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Charge",
-    "DISK",
-    "HALF_PLANE",
-    "INFINITY",
-    "MoebiusMap",
-    "SPHERE",
-    "SpherePoint",
-    "SymmetricDivisor",
-    "conformal_dimension",
-    "coulomb_correlation_abs",
-    "dlog_Z",
-    "moebius_invariance_gap",
-    "moebius_pushforward",
-    "partition_Z_abs",
-    "partition_Z_log_abs",
-    "validate",
-    "QuadDifferential",
-    "build_Q",
-    "classify_singularities",
-    "direction_field",
-    "normalize_phase",
-    "pullback",
-    "AsymptoticReport",
-    "TraceParams",
-    "Trajectory",
-    "analyze",
-    "launch_all",
-    "trace",
-    "winding_angle",
-    "Evolution",
-    "LoewnerState",
-    "MotionIntegralReport",
-    "Parametrization",
-    "evolve",
-    "motion_integral",
-    "step",
-    "trace_hull",
-    "DomainMap",
-    "map_divisor",
-    "map_quadratic_differential",
-    "transport",
-    "SceneConfig",
-    "parse_config",
-    "preset",
-    "serialize_config",
-    "run",
-    "verify",
-    "errors",
-    "__version__",
-]

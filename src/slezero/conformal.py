@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from . import divisors, quadratic
+from . import divisors
 from .divisors import (
     DISK,
     HALF_PLANE,
@@ -25,10 +25,9 @@ from .divisors import (
     SymmetricDivisor,
 )
 from .errors import DegenerateConfigurationError, InvalidReferenceError
-from .quadratic import QuadDifferential
+from .quadratic import TWO_PI
 
 POLE_TOL = 1e-9
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -163,45 +162,3 @@ def transport(divisor: SymmetricDivisor, target: str) -> tuple[SymmetricDivisor,
     """Divisor transported to ``target`` together with the map used."""
     dm = transport_map(divisor, target)
     return map_divisor(dm, divisor), dm
-
-
-def map_quadratic_differential(dm: DomainMap, qd: QuadDifferential) -> QuadDifferential:
-    """Transport Q dz^2 through the domain map.
-
-    Factor points are mapped; a factor at the map pole moves to infinity and
-    is absorbed by the induced order there, while a nonzero induced order at
-    the source infinity reappears as a factor at the image of infinity. The
-    phase is re-derived on the image boundary.
-    """
-    if qd.domain != dm.source:
-        raise InvalidReferenceError(
-            f"differential domain {qd.domain!r} does not match map source {dm.source!r}"
-        )
-    growth_factors: list[quadratic.Factor] = []
-    marked_factors: list[quadratic.Factor] = []
-    for i, (p, order) in enumerate(qd.factors):
-        image = map_point(dm, p)
-        bucket = growth_factors if i < qd.n_growth else marked_factors
-        if not image.finite:
-            if i < qd.n_growth:
-                raise DegenerateConfigurationError(
-                    "growth factor maps to infinity; rotate the map"
-                )
-            continue
-        bucket.append((_snap_to_boundary(image, dm.target).value, order))
-    inf_order = qd.infinity_order
-    if inf_order != 0:
-        image_of_inf = map_point(dm, INFINITY)
-        if image_of_inf.finite:
-            marked_factors.append(
-                (_snap_to_boundary(image_of_inf, dm.target).value, inf_order)
-            )
-    factors = tuple(growth_factors + marked_factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if abs(factors[i][0] - factors[j][0]) <= divisors.DISTINCT_TOL:
-                raise DegenerateConfigurationError(
-                    "transported factor points coincide"
-                )
-    moved = QuadDifferential(dm.target, factors, len(growth_factors))
-    return replace(moved, phase=quadratic.normalize_phase(moved))

@@ -167,9 +167,6 @@ class SymmetricDivisor:
         pts.extend((q, float(s)) for q, s in self.marked)
         return pts
 
-    def finite_weighted(self) -> list[tuple[complex, float]]:
-        return [(p.value, s) for p, s in self.weighted_points() if p.finite]
-
     def charge_sum(self) -> float:
         return len(self.growth) + math.fsum(float(s) for _, s in self.marked)
 
@@ -271,12 +268,27 @@ def validate(divisor: SymmetricDivisor) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _log_abs_pair_products(points: Sequence[tuple[complex, float]]) -> float:
+def _marked_values(marked: Iterable) -> list[tuple[SpherePoint, float]]:
+    return [(SpherePoint.of(q), float(s)) for q, s in marked]
+
+
+def partition_Z_log_abs(x: Iterable, marked: Iterable) -> float:
+    """log |Z| for growth points ``x`` and marked ``(point, charge)`` pairs.
+
+    Z = prod_{i<j} (x_i-x_j)^2 * prod_{i<j} (q_i-q_j)^(2 s_i s_j)
+        * prod_{i,j} (x_i-q_j)^(2 s_j), factors at infinity dropped.
+
+    Growth points are anything ``SpherePoint.of`` takes. With the full
+    divisor this is the log of the Coulomb correlation |prod over finite
+    pairs of (z_i - z_j)^(2 s_i s_j)| in the standard chart.
+    """
+    pts = [(p.value, 1.0) for p in map(SpherePoint.of, x) if p.finite]
+    pts.extend((q.value, s) for q, s in _marked_values(marked) if q.finite)
     terms = []
-    for i in range(len(points)):
-        zi, si = points[i]
-        for j in range(i + 1, len(points)):
-            zj, sj = points[j]
+    for i in range(len(pts)):
+        zi, si = pts[i]
+        for j in range(i + 1, len(pts)):
+            zj, sj = pts[j]
             d = abs(zi - zj)
             if d <= DISTINCT_TOL:
                 raise DegenerateConfigurationError(
@@ -284,38 +296,6 @@ def _log_abs_pair_products(points: Sequence[tuple[complex, float]]) -> float:
                 )
             terms.append(2.0 * si * sj * math.log(d))
     return math.fsum(terms)
-
-
-def coulomb_correlation_log_abs(divisor: SymmetricDivisor) -> float:
-    """log of |product over finite pairs of (z_i - z_j)^(2 s_i s_j)|.
-
-    Factors involving the point at infinity are dropped; this is the value
-    of the correlation in the standard chart.
-    """
-    return _log_abs_pair_products(divisor.finite_weighted())
-
-
-def coulomb_correlation_abs(divisor: SymmetricDivisor) -> float:
-    return math.exp(coulomb_correlation_log_abs(divisor))
-
-
-def _marked_values(marked: Iterable) -> list[tuple[SpherePoint, float]]:
-    return [(SpherePoint.of(q), float(s)) for q, s in marked]
-
-
-def partition_Z_log_abs(x: Sequence[complex], marked: Iterable) -> float:
-    """log |Z| for growth points ``x`` and marked ``(point, charge)`` pairs.
-
-    Z = prod_{i<j} (x_i-x_j)^2 * prod_{i<j} (q_i-q_j)^(2 s_i s_j)
-        * prod_{i,j} (x_i-q_j)^(2 s_j), factors at infinity dropped.
-    """
-    pts: list[tuple[complex, float]] = [(complex(xi), 1.0) for xi in x]
-    pts.extend((q.value, s) for q, s in _marked_values(marked) if q.finite)
-    return _log_abs_pair_products(pts)
-
-
-def partition_Z_abs(x: Sequence[complex], marked: Iterable) -> float:
-    return math.exp(partition_Z_log_abs(x, marked))
 
 
 def dlog_Z(x: Sequence[float], marked: Iterable, j: int) -> float:
@@ -380,10 +360,6 @@ class MoebiusMap:
             return INFINITY
         return SpherePoint((self.a * p.value + self.b) / denom)
 
-    def derivative(self, z: complex) -> complex:
-        denom = self.c * z + self.d
-        return self.determinant / (denom * denom)
-
     def chart_derivative_abs(self, p: Union[SpherePoint, complex]) -> float:
         """|derivative| in the standard charts (1/z at infinity, both ends)."""
         p = SpherePoint.of(p)
@@ -400,15 +376,6 @@ class MoebiusMap:
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 def moebius_pushforward(divisor: SymmetricDivisor, m: MoebiusMap) -> SymmetricDivisor:
@@ -438,10 +405,10 @@ def moebius_invariance_gap(divisor: SymmetricDivisor, m: MoebiusMap) -> float:
     every neutral divisor, up to rounding.
     """
     image = moebius_pushforward(divisor, m)
-    lhs = coulomb_correlation_log_abs(image)
+    lhs = partition_Z_log_abs(image.growth, image.marked)
     for p, s in divisor.weighted_points():
         lhs += conformal_dimension(s) * math.log(m.chart_derivative_abs(p))
-    return abs(lhs - coulomb_correlation_log_abs(divisor))
+    return abs(lhs - partition_Z_log_abs(divisor.growth, divisor.marked))
 
 
 def format_complex(z: complex) -> str:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import divisors
-from .divisors import Charge, HALF_PLANE, MarkedPoint, SpherePoint, SymmetricDivisor
+from .divisors import HALF_PLANE, MarkedPoint, SpherePoint, SymmetricDivisor
 from .errors import (
     CollisionError,
     DegenerateConfigurationError,
@@ -421,19 +421,13 @@ def _reverse_point(
             raise InversionFailureError(
                 f"reverse solve stalled at s={s:.3e} (gap {gap:.3e})"
             )
-
-        def f(ss: float, zz: complex) -> complex:
-            xs = interp(t - ss)
-            rs = nu.rates(t - ss)
-            out = 0j
-            for xj, rj in zip(xs, rs):
-                out -= 2.0 * rj / (zz - xj)
-            return out
-
-        k1 = f(s, z)
-        k2 = f(s + ds / 2, z + ds / 2 * k1)
-        k3 = f(s + ds / 2, z + ds / 2 * k2)
-        k4 = f(s + ds, z + ds * k3)
+        t_mid = t - (s + ds / 2)
+        x_mid, rates_mid = interp(t_mid), nu.rates(t_mid)
+        t_end = t - (s + ds)
+        k1 = -_common_velocity(z, x_here, rates)
+        k2 = -_common_velocity(z + ds / 2 * k1, x_mid, rates_mid)
+        k3 = -_common_velocity(z + ds / 2 * k2, x_mid, rates_mid)
+        k4 = -_common_velocity(z + ds * k3, interp(t_end), nu.rates(t_end))
         z = z + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += ds
         guard += 1

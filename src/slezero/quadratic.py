@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import divisors
@@ -31,6 +32,40 @@ PROXIMITY_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
 Factor = tuple[complex, int]
+LineField = Callable[[float, float, float, float], tuple[float, float, float]]
+
+
+def line_field(factors: Sequence[Factor], phase_arg: float) -> LineField:
+    """Evaluator of the horizontal line field of phase * prod (z - p)^order.
+
+    The returned function maps (zr, zi, ref_r, ref_i) to (angle, ur, ui):
+    angle = phase_arg + sum (order/2) arg(z - p), and (ur, ui) is the unit
+    direction +-(cos angle, -sin angle), signed to have a non-negative inner
+    product with the reference direction. With phase_arg = arg(phase) it
+    solves Q(z) u^2 > 0. Raises SingularityProximityError within
+    PROXIMITY_TOL of a factor point. The tracer calls it once per RK stage,
+    so the factor data is unpacked here, once.
+    """
+    factor_data = [(p.real, p.imag, 0.5 * order) for p, order in factors]
+    prox_sq = PROXIMITY_TOL * PROXIMITY_TOL
+
+    def evaluate(zr: float, zi: float, ref_r: float, ref_i: float) -> tuple[float, float, float]:
+        total = phase_arg
+        for pr, pi_, half in factor_data:
+            dr = zr - pr
+            di = zi - pi_
+            if dr * dr + di * di < prox_sq:
+                raise SingularityProximityError(
+                    f"field evaluation at {complex(zr, zi)} within {PROXIMITY_TOL:.0e} of {complex(pr, pi_)}"
+                )
+            total += half * math.atan2(di, dr)
+        ur = math.cos(total)
+        ui = -math.sin(total)
+        if ur * ref_r + ui * ref_i < 0.0:
+            return total, -ur, -ui
+        return total, ur, ui
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -64,34 +99,10 @@ class QuadDifferential:
                 return order
         raise KeyError(f"{point} is not a singular point")
 
-    def sqrt_log(self, z: complex) -> complex:
-        """Principal-branch log of prod (z - p)^(order/2)."""
-        total = 0j
-        for p, order in self.factors:
-            total += 0.5 * order * cmath.log(z - p)
-        return total
-
-    def eval_abs(self, z: complex) -> float:
-        """|Q(z)|."""
-        return math.exp(2.0 * self.sqrt_log(z).real)
-
-
-def _field_angle(factors: Sequence[Factor], phase_arg: float, z: complex) -> float:
-    """Angle of the horizontal direction at z, before sign resolution.
-
-    The unit field is conj(phase * prod (z-p)^(order/2)) normalized, so its
-    angle is -(arg(phase) + sum (order/2) arg(z - p)).
-    """
-    total = phase_arg
-    for p, order in factors:
-        d = z - p
-        dr, di = d.real, d.imag
-        if dr * dr + di * di < PROXIMITY_TOL * PROXIMITY_TOL:
-            raise SingularityProximityError(
-                f"field evaluation at {z} within {PROXIMITY_TOL:.0e} of {p}"
-            )
-        total += 0.5 * order * math.atan2(di, dr)
-    return -total
+    @cached_property
+    def field(self) -> LineField:
+        """Evaluator of the horizontal line field (see ``line_field``)."""
+        return line_field(self.factors, cmath.phase(self.phase))
 
 
 def _boundary_arcs(domain: str, factors: Sequence[Factor]) -> list[tuple[complex, complex]]:
@@ -151,7 +162,8 @@ def normalize_phase(qd: QuadDifferential, reference_arc: int = 0) -> complex:
     for p, _ in qd.factors:
         if abs(z0 - p) <= PROXIMITY_TOL:
             raise InvalidReferenceError(f"arc midpoint {z0} is singular")
-    arg_q = 2.0 * qd.sqrt_log(z0).imag + 2.0 * cmath.phase(qd.phase)
+    angle, _, _ = line_field(qd.factors, 0.0)(z0.real, z0.imag, 1.0, 0.0)
+    arg_q = 2.0 * angle + 2.0 * cmath.phase(qd.phase)
     arg_tau = cmath.phase(tau)
     c = cmath.exp(-0.5j * (arg_q + 2.0 * arg_tau))
     # canonical representative of the +-c pair
@@ -196,14 +208,11 @@ def direction_field(
     Re(u * conj(prev_dir)) >= 0 when prev_dir is given, else the one with
     argument in [0, pi).
     """
-    angle = _field_angle(qd.factors, cmath.phase(qd.phase), z)
-    u = complex(math.cos(angle), math.sin(angle))
-    if prev_dir is not None:
-        if u.real * prev_dir.real + u.imag * prev_dir.imag < 0:
-            u = -u
-    elif u.imag < 0 or (u.imag == 0 and u.real < 0):
-        u = -u
-    return u
+    ref = 0j if prev_dir is None else prev_dir
+    _, ur, ui = qd.field(z.real, z.imag, ref.real, ref.imag)
+    if prev_dir is None and (ui < 0 or (ui == 0 and ur < 0)):
+        ur, ui = -ur, -ui
+    return complex(ur, ui)
 
 
 @dataclass(frozen=True)

@@ -207,19 +207,14 @@ def _polyline_distance(z: complex, points: np.ndarray) -> float:
     return float(np.min(np.abs(z - proj)))
 
 
-def _suite_invariance(scene: SceneConfig, seed: int) -> list[Check]:
-    flow_divisor = _flow_divisor(scene)
+def _suite_invariance(scene: SceneConfig, flow_divisor: SymmetricDivisor, seed: int) -> list[Check]:
     return [
         _moebius_check(scene.divisor, seed),
         _dlog_fd_check(flow_divisor),
     ]
 
 
-def _suite_motion(scene: SceneConfig) -> list[Check]:
-    flow_divisor = _flow_divisor(scene)
-    lo = scene.loewner
-    tracked = lo.tracked or (2j,)
-    evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene), tracked)
+def _suite_motion(evolution: Evolution, tracked: tuple[complex, ...]) -> list[Check]:
     checks = []
     for z in tracked:
         report = loewner.motion_integral(evolution, z)
@@ -229,13 +224,12 @@ def _suite_motion(scene: SceneConfig) -> list[Check]:
     return checks
 
 
-def _suite_equivalence(scene: SceneConfig) -> list[Check]:
-    flow_divisor = _flow_divisor(scene)
-    lo = scene.loewner
-    evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene))
+def _suite_equivalence(
+    scene: SceneConfig, flow_divisor: SymmetricDivisor, evolution: Evolution
+) -> list[Check]:
     qd = quadratic.build_Q(flow_divisor)
     trajectories = tracing.launch_all(qd, scene.trace)
-    hull = loewner.trace_hull(evolution, _hull_times(evolution.final.t), lo.lift)
+    hull = loewner.trace_hull(evolution, _hull_times(evolution.final.t), scene.loewner.lift)
     polylines = [np.array(t.points) for t in trajectories]
     worst = [0.0] * len(polylines)
     for sample in hull:
@@ -254,13 +248,20 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
     """Run the selected verification suites; returns (all passed, lines)."""
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
+    flow_divisor = _flow_divisor(scene)
     checks: list[Check] = []
     if suite in ("all", "invariance"):
-        checks.extend(_suite_invariance(scene, seed))
-    if suite in ("all", "motion"):
-        checks.extend(_suite_motion(scene))
-    if suite in ("all", "equivalence"):
-        checks.extend(_suite_equivalence(scene))
+        checks.extend(_suite_invariance(scene, flow_divisor, seed))
+    if suite in ("all", "motion", "equivalence"):
+        # one evolution serves both suites; the observers ride along, and
+        # their step cap can only refine the grid the hull interpolates
+        lo = scene.loewner
+        tracked = lo.tracked or (2j,)
+        evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene), tracked)
+        if suite in ("all", "motion"):
+            checks.extend(_suite_motion(evolution, tracked))
+        if suite in ("all", "equivalence"):
+            checks.extend(_suite_equivalence(scene, flow_divisor, evolution))
     lines = [c.line() for c in checks]
     gated = [c for c in checks if c.limit is not None]
     ok = all(c.ok for c in gated)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .divisors import DISK, HALF_PLANE
-from .errors import LaunchError, SingularityProximityError, SleZeroError, WindingUndefinedError
-from .quadratic import PROXIMITY_TOL, QuadDifferential, classify_singularities
+from .errors import LaunchError, SingularityProximityError, WindingUndefinedError
+from .quadratic import TWO_PI, QuadDifferential, classify_singularities
 
-TWO_PI = 2.0 * math.pi
 SEPARATRIX_TOL = 1e-3
 MAX_TURN = 0.2
 REGROW_TURN = 0.05
@@ -51,12 +50,6 @@ class Trajectory:
     @property
     def arc_length(self) -> float:
         return self.arc_lengths[-1]
-
-    def winding_about(self, q: complex) -> float:
-        for point, total in self.windings:
-            if point == q:
-                return total
-        raise KeyError(f"{q} is not a marked point of this trajectory")
 
 
 def winding_angle(trajectory: Union["Trajectory", Sequence[complex]], base: complex) -> float:
@@ -140,26 +133,7 @@ def trace(
         arcs = [0.0]
         escaped = True
 
-    phase_arg = cmath.phase(qd.phase)
-    factor_data = [(p.real, p.imag, 0.5 * order) for p, order in qd.factors]
-    prox_sq = PROXIMITY_TOL * PROXIMITY_TOL
-
-    def stage_dir(zr: float, zi: float, ref_r: float, ref_i: float) -> tuple[float, float]:
-        total = phase_arg
-        for pr, pi_, half in factor_data:
-            dr = zr - pr
-            di = zi - pi_
-            if dr * dr + di * di < prox_sq:
-                raise SingularityProximityError(
-                    f"stage point {complex(zr, zi)} within {PROXIMITY_TOL:.0e} of {complex(pr, pi_)}"
-                )
-            total += half * math.atan2(di, dr)
-        ur = math.cos(total)
-        ui = -math.sin(total)
-        if ur * ref_r + ui * ref_i < 0.0:
-            return -ur, -ui
-        return ur, ui
-
+    field = qd.field
     h = params.step
     h_min = params.step * 2.0**-20
     dir_r, dir_i = direction.real, direction.imag
@@ -173,10 +147,10 @@ def trace(
         zr, zi = z.real, z.imag
         try:
             while True:
-                k1r, k1i = stage_dir(zr, zi, dir_r, dir_i)
-                k2r, k2i = stage_dir(zr + 0.5 * h * k1r, zi + 0.5 * h * k1i, dir_r, dir_i)
-                k3r, k3i = stage_dir(zr + 0.5 * h * k2r, zi + 0.5 * h * k2i, dir_r, dir_i)
-                k4r, k4i = stage_dir(zr + h * k3r, zi + h * k3i, dir_r, dir_i)
+                _, k1r, k1i = field(zr, zi, dir_r, dir_i)
+                _, k2r, k2i = field(zr + 0.5 * h * k1r, zi + 0.5 * h * k1i, dir_r, dir_i)
+                _, k3r, k3i = field(zr + 0.5 * h * k2r, zi + 0.5 * h * k2i, dir_r, dir_i)
+                _, k4r, k4i = field(zr + h * k3r, zi + h * k3i, dir_r, dir_i)
                 turn = abs(math.atan2(k1r * k4i - k1i * k4r, k1r * k4r + k1i * k4i))
                 if params.adaptive and turn > MAX_TURN and h > h_min:
                     h *= 0.5

@@ -113,3 +113,11 @@ def mod_pi_gap(alpha: float, beta: float) -> float:
     """Distance between two angles identified modulo pi."""
     d = (alpha - beta) % math.pi
     return min(d, math.pi - d)
+
+
+def q_value(qd, z: complex) -> complex:
+    """Q(z) = phase^2 * prod (z - p)^order by direct multiplication."""
+    value = qd.phase * qd.phase
+    for p, order in qd.factors:
+        value *= (z - p) ** order
+    return value

@@ -108,11 +108,19 @@ def test_criterion_3_fig3_spiral_and_pair():
 
 
 def test_criterion_4_phase_constants():
-    # published normalization constants, identified mod pi; the first is
-    # compared with its real and imaginary parts transposed (see the
-    # project decision log), the second in direction only
+    # published normalization constants, identified mod pi. The published
+    # fig1 value -0.5003+0.8662i is the mirror image of the computed phase
+    # in the line arg = pi/4: arg(published) = pi/2 - arg(computed). So it
+    # is compared with its real and imaginary parts swapped, a+bi -> b+ai =
+    # i*conj(a+bi), which is that reflection. fig2 is compared in direction
+    # only (the published value is not unimodular).
+    fig1_published = complex(-0.5003, 0.8662)
+    fig1_swapped = complex(fig1_published.imag, fig1_published.real)
+    assert fig1_swapped == 1j * fig1_published.conjugate()
+    fig1_phase = build_Q(preset("fig1").divisor).phase
+    assert abs(cmath.phase(fig1_phase) + cmath.phase(fig1_published) - math.pi / 2) < 2e-3
     expected = {
-        "fig1": math.atan2(-0.5003, 0.8662),
+        "fig1": cmath.phase(fig1_swapped),
         "fig2": cmath.phase(complex(-1.2071, -0.5)),
         "fig3": cmath.phase(1j * cmath.exp(-1j * math.pi / 6)),
     }

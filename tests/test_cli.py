@@ -1,10 +1,11 @@
 """End-to-end command-line behavior and exit-code contract."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from slezero import runner
+from slezero import conformal, loewner, runner
 from slezero.cli import main
 from slezero.errors import CollisionError, DegenerateConfigurationError
 from slezero.scene import parse_config, preset
@@ -130,6 +131,34 @@ class TestVerify:
         code, stdout, _ = cli(capsys, "verify", "--suite", "motion")
         assert code == 0
         assert "motion" in stdout
+
+    def test_all_suites_share_one_evolution_and_one_transport(self, monkeypatch):
+        calls = {"evolve": 0, "transport": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(loewner, "evolve", counted("evolve", loewner.evolve))
+        monkeypatch.setattr(conformal, "transport", counted("transport", conformal.transport))
+        # a short horizon and a large lift keep the flow cheap: only the
+        # call counts matter here
+        scene = preset("fig1")
+        scene = replace(scene, loewner=replace(scene.loewner, T=0.002, dt=1e-4, lift=1e-2))
+        runner.verify(scene, "all")
+        assert calls["evolve"] == 1
+        assert calls["transport"] <= 1
+
+    def test_all_prints_the_lines_of_each_suite_run_alone(self, capsys):
+        _, together, _ = cli(capsys, "verify", "--suite", "all", "--T", "0.1")
+        alone = []
+        for suite in runner.SUITES:
+            _, stdout, _ = cli(capsys, "verify", "--suite", suite, "--T", "0.1")
+            alone.extend(stdout.splitlines()[:-1])
+        assert together.splitlines()[:-1] == alone
 
     def test_tolerance_breach_exits_2(self, tmp_path, capsys):
         # an absurd boundary lift drags the hull samples off the curves

@@ -28,7 +28,6 @@ from slezero.divisors import (
     moebius_pushforward,
     parse_complex,
     parse_point,
-    partition_Z_abs,
     partition_Z_log_abs,
     validate,
 )
@@ -56,13 +55,13 @@ class TestPartitionFunction:
         # |x1-x2|^2 = 4, |q-conj(q)|^2 = 4, four cross factors |sqrt2|^-2 each
         x = (0.0, 2.0)
         marked = ((1 + 1j, -1), (1 - 1j, -1))
-        assert partition_Z_abs(x, marked) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(partition_Z_log_abs(x, marked)) == pytest.approx(1.0, rel=1e-12)
         assert partition_Z_log_abs(x, marked) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_curve_conjugate_pair_value(self):
         x = (0.0,)
         marked = ((1j, -1), (-1j, -1), ("inf", -1))
-        assert partition_Z_abs(x, marked) == pytest.approx(4.0, rel=1e-12)
+        assert math.exp(partition_Z_log_abs(x, marked)) == pytest.approx(4.0, rel=1e-12)
 
     def test_factors_at_infinity_are_dropped(self):
         x = (0.0, 2.0)
@@ -70,6 +69,8 @@ class TestPartitionFunction:
         assert partition_Z_log_abs(x, base + (("inf", -2),)) == pytest.approx(
             partition_Z_log_abs(x, base), abs=0
         )
+        # growth points too, as a Moebius image can carry one to infinity
+        assert partition_Z_log_abs(x + ("inf",), base) == partition_Z_log_abs(x, base)
 
     def test_matches_product_oracle(self):
         rng = random.Random(101)
@@ -234,7 +235,7 @@ class TestMoebius:
         with pytest.raises(DegenerateConfigurationError):
             MoebiusMap(1, 2, 2, 4)
 
-    def test_compose_and_inverse(self):
+    def test_inverse_roundtrip(self):
         rng = random.Random(707)
         for _ in range(20):
             m = random_moebius(rng)
@@ -242,10 +243,6 @@ class TestMoebius:
             w = m.apply(z)
             back = m.inverse().apply(w)
             assert back.finite and back.value == pytest.approx(z, abs=1e-9)
-            n = random_moebius(rng)
-            both = m.compose(n).apply(z)
-            seq = m.apply(n.apply(z).value)
-            assert both.value == pytest.approx(seq.value, rel=1e-9)
 
 
 class TestConformalDimension:

@@ -92,9 +92,7 @@ class TestTrace:
         qd = QuadDifferential(HALF_PLANE, ((-1j, 2),), 0)
         traj = trace(qd, 0.5 + 0.1j, 0.5 - 1.1j, TraceParams(max_arc_length=5.0))
         assert [q for q, _ in traj.windings] == [-1j]
-        assert isinstance(traj.winding_about(-1j), float)
-        with pytest.raises(KeyError):
-            traj.winding_about(5.0)
+        assert traj.windings[0][1] == pytest.approx(winding_angle(traj, -1j), abs=1e-12)
 
 
 class TestLaunch:
