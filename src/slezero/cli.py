@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import runner, scene as scene_mod
 from .errors import (
-    CollisionError,
     ConfigError,
     InversionFailureError,
     LaunchError,
@@ -33,7 +32,6 @@ EXIT_TOLERANCE = 2
 EXIT_RUNTIME = 3
 
 _RUNTIME_ERRORS = (
-    CollisionError,
     InversionFailureError,
     LaunchError,
     SingularityProximityError,

@@ -167,6 +167,11 @@ class SymmetricDivisor:
         pts.extend((q, float(s)) for q, s in self.marked)
         return pts
 
+    def finite_marked(self) -> tuple[list[complex], list[float]]:
+        """Positions and float charges of the finite marked points, in order."""
+        finite = [(q.value, float(s)) for q, s in self.marked if q.finite]
+        return [q for q, _ in finite], [s for _, s in finite]
+
     def charge_sum(self) -> float:
         return len(self.growth) + math.fsum(float(s) for _, s in self.marked)
 
@@ -298,38 +303,38 @@ def partition_Z_log_abs(x: Iterable, marked: Iterable) -> float:
     return math.fsum(terms)
 
 
-def dlog_Z(x: Sequence[float], marked: Iterable, j: int) -> float:
-    """Logarithmic derivative of Z in the j-th growth point (0-based).
+def dlog_Z(x: Sequence[float], q: Sequence[complex], s: Sequence[float]) -> list[float]:
+    """Logarithmic derivatives of Z in every growth point.
 
-    Equals sum_{k != j} 2/(x_j - x_k) + sum_l 2 s_l/(x_j - q_l), each term
-    the derivative of the corresponding log factor of Z; the marked sum
-    skips infinity. The result must be real for boundary configurations: an
-    imaginary residue above ``IMAG_RESIDUE_TOL`` is an error, below it is
-    truncated.
+    Component j is sum_{k != j} 2/(x_j - x_k) + sum_l 2 s_l/(x_j - q_l), each
+    term the derivative of the corresponding log factor of Z, for finite
+    marked points ``q`` with charges ``s``. The result must be real for
+    boundary configurations: an imaginary residue above ``IMAG_RESIDUE_TOL``
+    is an error, below it is truncated.
     """
-    if not 0 <= j < len(x):
-        raise IndexError(f"growth index {j} out of range")
-    xj = complex(x[j])
-    total = 0j
-    for k, xk in enumerate(x):
-        if k == j:
-            continue
-        d = xj - complex(xk)
-        if abs(d) <= DISTINCT_TOL:
-            raise DegenerateConfigurationError(f"growth points {xj} and {xk} coincide")
-        total += 2.0 / d
-    for q, s in _marked_values(marked):
-        if q.is_infinity:
-            continue
-        d = xj - q.value
-        if abs(d) <= DISTINCT_TOL:
-            raise DegenerateConfigurationError(f"growth point {xj} hits marked point {q}")
-        total += 2.0 * s / d
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
-        raise DegenerateConfigurationError(
-            f"dlog_Z imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}"
-        )
-    return total.real
+    out = []
+    for j, xj in enumerate(x):
+        total = 0j
+        for k, xk in enumerate(x):
+            if k == j:
+                continue
+            d = xj - xk
+            if abs(d) <= DISTINCT_TOL:
+                raise DegenerateConfigurationError(f"growth points {xj} and {xk} coincide")
+            total += 2.0 / d
+        for ql, sl in zip(q, s):
+            d = xj - ql
+            if abs(d) <= DISTINCT_TOL:
+                raise DegenerateConfigurationError(
+                    f"growth point {xj} hits marked point {format_complex(ql)}"
+                )
+            total += 2.0 * sl / d
+        if abs(total.imag) > IMAG_RESIDUE_TOL:
+            raise DegenerateConfigurationError(
+                f"dlog_Z imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}"
+            )
+        out.append(total.real)
+    return out
 
 
 @dataclass(frozen=True)

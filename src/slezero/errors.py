@@ -31,18 +31,6 @@ class WindingUndefinedError(SleZeroError):
     """Winding angle requested for a polyline passing through the base point."""
 
 
-class CollisionError(SleZeroError):
-    """Driving points (or a driving and a marked point) collided.
-
-    Carries a bracketing estimate of the collision time.
-    """
-
-    def __init__(self, message: str, t_lo: float, t_hi: float):
-        super().__init__(message)
-        self.t_lo = t_lo
-        self.t_hi = t_hi
-
-
 class InversionFailureError(SleZeroError):
     """Reverse-time solve for an inverse Loewner map did not converge."""
 

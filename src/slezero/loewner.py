@@ -12,7 +12,7 @@ while marked points and tracked observers z are carried by the common field
 and log g'(z) by its derivative flow. Everything is integrated together with
 a classical 4th-order step; the step size is capped quadratically in the
 smallest point gap so that collisions are approached geometrically instead
-of being overshot.
+of being overshot, and steps end exactly on the breakpoints of the rates.
 """
 
 from __future__ import annotations
@@ -20,18 +20,14 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import divisors
-from .divisors import HALF_PLANE, MarkedPoint, SpherePoint, SymmetricDivisor
-from .errors import (
-    CollisionError,
-    DegenerateConfigurationError,
-    InversionFailureError,
-)
+from .divisors import HALF_PLANE, SymmetricDivisor, format_complex
+from .errors import DegenerateConfigurationError, InversionFailureError
 
 COLLISION_TOL = 1e-8
 GAP_CAP_SAFETY = 0.125  # of the gap^2/(8 sum nu) stiffness bound
@@ -51,6 +47,7 @@ class Parametrization:
     schedules: tuple[tuple[tuple[float, float], ...], ...]
 
     def __post_init__(self) -> None:
+        starts = []
         for sched in self.schedules:
             if not sched or sched[0][0] != 0.0:
                 raise ValueError("each rate schedule must start at t=0")
@@ -59,6 +56,9 @@ class Parametrization:
                 raise ValueError("rate breakpoints must increase")
             if any(r <= 0.0 for _, r in sched):
                 raise ValueError("growth rates must be positive")
+            starts.append(times)
+        # not a field: derived from the schedules, for the lookups in `rates`
+        object.__setattr__(self, "_starts", tuple(starts))
 
     @classmethod
     def constant(cls, rates: Sequence[float]) -> "Parametrization":
@@ -69,11 +69,14 @@ class Parametrization:
         return len(self.schedules)
 
     def rates(self, t: float) -> tuple[float, ...]:
-        out = []
-        for sched in self.schedules:
-            i = bisect.bisect_right([s for s, _ in sched], t) - 1
-            out.append(sched[max(i, 0)][1])
-        return tuple(out)
+        return tuple([
+            sched[max(bisect.bisect_right(starts, t) - 1, 0)][1]
+            for sched, starts in zip(self.schedules, self._starts)
+        ])
+
+    def breakpoints(self) -> list[float]:
+        """The times after 0 at which some rate changes, increasing."""
+        return sorted({t for starts in self._starts for t in starts[1:]})
 
     def integrated_total(self, t: float) -> float:
         """Integral over [0, t] of the summed rates (twice this is the capacity)."""
@@ -87,58 +90,39 @@ class Parametrization:
         return total
 
 
-@dataclass(frozen=True)
-class TrackedPoint:
-    z0: complex
-    g: complex
-    log_gprime: complex = 0j
-    alive: bool = True
-    death_time: float | None = None
+class LoewnerState(NamedTuple):
+    """The flow at time t.
 
+    ``x`` and ``dx`` are the driving points and their velocities, ``q`` the
+    finite marked points in divisor order, and ``g`` and ``log_gprime`` hold
+    one entry per observer (frozen from its death on).
+    """
 
-@dataclass(frozen=True)
-class LoewnerState:
     t: float
     x: tuple[float, ...]
-    marked: tuple[MarkedPoint, ...]
-    tracked: tuple[TrackedPoint, ...]
-    dx: tuple[float, ...] = ()
+    dx: tuple[float, ...]
+    q: tuple[complex, ...]
+    g: tuple[complex, ...]
+    log_gprime: tuple[complex, ...]
 
 
 @dataclass
 class Evolution:
+    """The recorded states of one flow; ``tracked`` holds the observers'
+    start points and ``death_times`` the time each was swallowed (None
+    while alive)."""
+
     divisor: SymmetricDivisor
     nu: Parametrization
     states: list[LoewnerState]
+    tracked: tuple[complex, ...]
+    death_times: list[float | None]
     collision: tuple[float, float] | None = None
     collision_note: str | None = None
 
     @property
     def final(self) -> LoewnerState:
         return self.states[-1]
-
-
-def _finite_marked(marked: Sequence[MarkedPoint]) -> list[tuple[int, complex, float]]:
-    return [
-        (i, q.value, float(s)) for i, (q, s) in enumerate(marked) if q.finite
-    ]
-
-
-def _driving_velocities(
-    x: Sequence[float],
-    marked: Sequence[MarkedPoint],
-    rates: Sequence[float],
-) -> list[float]:
-    n = len(x)
-    out = []
-    for j in range(n):
-        drift = rates[j] * divisors.dlog_Z(x, marked, j)
-        inter = 0.0
-        for k in range(n):
-            if k != j:
-                inter += 2.0 * rates[k] / (x[j] - x[k])
-        out.append(drift + inter)
-    return out
 
 
 def _common_velocity(z: complex, x: Sequence[float], rates: Sequence[float]) -> complex:
@@ -156,107 +140,41 @@ def _log_gprime_velocity(g: complex, x: Sequence[float], rates: Sequence[float])
     return total
 
 
-def _with_marked_positions(
-    template: Sequence[MarkedPoint], finite: Sequence[tuple[int, complex, float]], values: Sequence[complex]
-) -> tuple[MarkedPoint, ...]:
-    out = list(template)
-    for (idx, _, _), v in zip(finite, values):
-        q, s = out[idx]
-        out[idx] = (SpherePoint(v), s)
-    return tuple(out)
-
-
-def step(state: LoewnerState, dt: float, nu: Parametrization) -> LoewnerState:
-    """One 4th-order step of the coupled driving/marked/tracked system.
-
-    Raises CollisionError if two driving points (or a driving and a marked
-    point) are within the collision tolerance before stepping.
-    """
-    gap, note = _min_gap(state.x, state.marked)
-    if gap < COLLISION_TOL:
-        raise CollisionError(
-            f"collision at t={state.t:.12g}: {note}", state.t, state.t + gap
-        )
-    t = state.t
-    x0 = list(state.x)
-    finite = _finite_marked(state.marked)
-    q0 = [q for _, q, _ in finite]
-    live = [tp for tp in state.tracked if tp.alive]
-    g0 = [tp.g for tp in live]
-    w0 = [tp.log_gprime for tp in live]
-
-    def rhs(ts: float, x: list[float], q: list[complex], g: list[complex]):
-        rates = nu.rates(ts)
-        marked_now = _with_marked_positions(state.marked, finite, q)
-        dx = _driving_velocities(x, marked_now, rates)
-        dq = [_common_velocity(qi, x, rates) for qi in q]
-        dg = [_common_velocity(gi, x, rates) for gi in g]
-        dw = [_log_gprime_velocity(gi, x, rates) for gi in g]
-        return dx, dq, dg, dw
-
-    k1 = rhs(t, x0, q0, g0)
-    k2 = rhs(
-        t + dt / 2,
-        [a + dt / 2 * b for a, b in zip(x0, k1[0])],
-        [a + dt / 2 * b for a, b in zip(q0, k1[1])],
-        [a + dt / 2 * b for a, b in zip(g0, k1[2])],
-    )
-    k3 = rhs(
-        t + dt / 2,
-        [a + dt / 2 * b for a, b in zip(x0, k2[0])],
-        [a + dt / 2 * b for a, b in zip(q0, k2[1])],
-        [a + dt / 2 * b for a, b in zip(g0, k2[2])],
-    )
-    k4 = rhs(
-        t + dt,
-        [a + dt * b for a, b in zip(x0, k3[0])],
-        [a + dt * b for a, b in zip(q0, k3[1])],
-        [a + dt * b for a, b in zip(g0, k3[2])],
-    )
-
-    def combine(y0, i):
-        return [
-            y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for y, a, b, c, d in zip(y0, k1[i], k2[i], k3[i], k4[i])
-        ]
-
-    x1 = combine(x0, 0)
-    q1 = combine(q0, 1)
-    g1 = combine(g0, 2)
-    w1 = combine(w0, 3)
-    t1 = t + dt
-
-    tracked = []
-    idx = 0
-    for tp in state.tracked:
-        if not tp.alive:
-            tracked.append(tp)
-            continue
-        g_new, w_new = g1[idx], w1[idx]
-        idx += 1
-        dead = min(abs(g_new - xj) for xj in x1) < COLLISION_TOL
-        tracked.append(
-            replace(
-                tp,
-                g=g_new,
-                log_gprime=w_new,
-                alive=not dead,
-                death_time=t1 if dead else None,
-            )
-        )
-
-    rates1 = nu.rates(t1)
-    marked1 = _with_marked_positions(state.marked, finite, q1)
-    return LoewnerState(
-        t=t1,
-        x=tuple(x1),
-        marked=marked1,
-        tracked=tuple(tracked),
-        dx=tuple(_driving_velocities(x1, marked1, rates1)),
+def _velocities(
+    x: Sequence[float],
+    q: Sequence[complex],
+    s: Sequence[float],
+    g: Sequence[complex],
+    rates: Sequence[float],
+) -> tuple[list[float], list[complex], list[complex], list[complex]]:
+    """d/dt of the driving points, the marked points, the observers' images
+    and their log g', with charges ``s`` on the marked points."""
+    dlog = divisors.dlog_Z(x, q, s)
+    dx = []
+    for j, xj in enumerate(x):
+        inter = 0.0
+        for k, xk in enumerate(x):
+            if k != j:
+                inter += 2.0 * rates[k] / (xj - xk)
+        dx.append(rates[j] * dlog[j] + inter)
+    return (
+        dx,
+        [_common_velocity(z, x, rates) for z in q],
+        [_common_velocity(z, x, rates) for z in g],
+        [_log_gprime_velocity(z, x, rates) for z in g],
     )
 
 
-def _min_gap(x: Sequence[float], marked: Sequence[MarkedPoint]) -> tuple[float, str]:
+def _shift(y: list, k: list, h: float) -> list:
+    return [a + h * b for a, b in zip(y, k)]
+
+
+def _rk4(y: list, k1: list, k2: list, k3: list, k4: list, h: float) -> list:
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, str]:
     best = math.inf
     note = ""
     for j in range(len(x)):
@@ -264,27 +182,11 @@ def _min_gap(x: Sequence[float], marked: Sequence[MarkedPoint]) -> tuple[float, 
             d = abs(x[j] - x[k])
             if d < best:
                 best, note = d, f"driving points {j} and {k}"
-        for q, _ in marked:
-            if q.finite:
-                d = abs(x[j] - q.value)
-                if d < best:
-                    best, note = d, f"driving point {j} and marked point {q}"
+        for ql in q:
+            d = abs(x[j] - ql)
+            if d < best:
+                best, note = d, f"driving point {j} and marked point {format_complex(ql)}"
     return best, note
-
-
-def _dt_cap(state: LoewnerState, dt: float, nu: Parametrization) -> float:
-    rates = nu.rates(state.t)
-    total = sum(rates)
-    gap, _ = _min_gap(state.x, state.marked)
-    cap = GAP_CAP_SAFETY * gap * gap / (8.0 * total)
-    out = min(dt, cap)
-    for tp in state.tracked:
-        if not tp.alive:
-            continue
-        d = min(abs(tp.g - xj) for xj in state.x)
-        if d < 1.0:
-            out = min(out, TRACK_CAP_COEFF * d * d)
-    return out
 
 
 def evolve(
@@ -296,10 +198,11 @@ def evolve(
 ) -> Evolution:
     """Integrate the system to time T (or to just before a collision).
 
-    States are recorded at every accepted step. Tracked observers that come
-    within the collision tolerance of a driving point are marked dead and
-    frozen; a driving collision stops the evolution and is reported as a
-    time bracket.
+    States are recorded at every accepted step, and twice at a rate
+    breakpoint before T: first with the velocities under the old rates, then
+    under the new ones. Tracked observers that come within the collision
+    tolerance of a driving point are marked dead and frozen; a driving
+    collision stops the evolution and is reported as a time bracket.
     """
     report = divisors.validate(divisor)
     if not report.ok:
@@ -313,53 +216,80 @@ def evolve(
     if nu.n_curves != len(divisor.growth):
         raise ValueError("one rate schedule per growth point required")
 
-    x0 = tuple(p.value.real for p in divisor.growth)
-    state = LoewnerState(
-        t=0.0,
-        x=x0,
-        marked=divisor.marked,
-        tracked=tuple(TrackedPoint(z0=z, g=z) for z in tracked),
-        dx=tuple(_driving_velocities(x0, divisor.marked, nu.rates(0.0))),
-    )
-    evolution = Evolution(divisor=divisor, nu=nu, states=[state])
-
+    x = [p.value.real for p in divisor.growth]
+    q, s = divisor.finite_marked()
+    g = list(tracked)
+    w = [0j] * len(g)
+    # an observer on a driving point is swallowed at once
+    death_times: list[float | None] = [
+        0.0 if min(abs(z - xj) for xj in x) < COLLISION_TOL else None for z in g
+    ]
+    live = [i for i, death in enumerate(death_times) if death is None]
+    breaks = [b for b in nu.breakpoints() if b < T]
+    next_break = 0
     t = 0.0
+    rates = nu.rates(t)
+    # the velocities at the latest state: its dx, and the next step's k1
+    vel = _velocities(x, q, s, [g[i] for i in live], rates)
+    states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q), tuple(g), tuple(w))]
+    evolution = Evolution(divisor, nu, states, tuple(tracked), death_times)
+
     while t < T:
-        remaining = T - t
-        dt_eff = min(_dt_cap(state, dt, nu), remaining)
-        if dt_eff < remaining and remaining - dt_eff < 1e-6 * dt_eff:
-            dt_eff = remaining  # absorb the rounding tail into the last step
-        if t + dt_eff == t:
+        gap, note = _min_gap(x, q)
+        stop = breaks[next_break] if next_break < len(breaks) else T
+        remaining = stop - t
+        h = min(dt, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
+        dists = [min(abs(g[i] - xj) for xj in x) for i in live]
+        for d in dists:
+            if d < 1.0:
+                h = min(h, TRACK_CAP_COEFF * d * d)
+        h = min(h, remaining)
+        if h < remaining and remaining - h < 1e-6 * h:
+            h = remaining  # absorb the rounding tail into the step that reaches stop
+        if t + h == t:
             # the cap has collapsed below time resolution: either a tracked
             # point is being swallowed (freeze it) or a collision is here
-            limiting = None
-            limiting_gap = 1.0
-            for i, tp in enumerate(state.tracked):
-                if not tp.alive:
-                    continue
-                d = min(abs(tp.g - xj) for xj in state.x)
-                if d < limiting_gap:
-                    limiting, limiting_gap = i, d
-            if limiting is not None:
-                tracked_new = list(state.tracked)
-                tracked_new[limiting] = replace(
-                    state.tracked[limiting], alive=False, death_time=t
-                )
-                state = replace(state, tracked=tuple(tracked_new))
-                evolution.states[-1] = state
+            nearest = min(dists, default=1.0)
+            if nearest < 1.0:
+                pos = dists.index(nearest)
+                death_times[live.pop(pos)] = t
+                del vel[2][pos], vel[3][pos]
                 continue
-            gap, note = _min_gap(state.x, state.marked)
             evolution.collision = (t, t + gap)
             evolution.collision_note = note
             break
-        try:
-            state = step(state, dt_eff, nu)
-        except CollisionError as exc:
-            evolution.collision = (exc.t_lo, exc.t_hi)
-            evolution.collision_note = str(exc)
+        if gap < COLLISION_TOL:
+            evolution.collision = (t, t + gap)
+            evolution.collision_note = f"collision at t={t:.12g}: {note}"
             break
-        evolution.states.append(state)
-        t = state.t
+
+        g0 = [g[i] for i in live]
+        h2 = h / 2
+        k1 = vel
+        k2 = _velocities(_shift(x, k1[0], h2), _shift(q, k1[1], h2), s, _shift(g0, k1[2], h2), rates)
+        k3 = _velocities(_shift(x, k2[0], h2), _shift(q, k2[1], h2), s, _shift(g0, k2[2], h2), rates)
+        k4 = _velocities(_shift(x, k3[0], h), _shift(q, k3[1], h), s, _shift(g0, k3[2], h), rates)
+        x, q, g1, w1 = (
+            _rk4(y, k1[i], k2[i], k3[i], k4[i], h)
+            for i, y in enumerate((x, q, g0, [w[i] for i in live]))
+        )
+        t1 = t + h
+        at_break = stop < T and (h == remaining or t1 >= stop)
+        if at_break:
+            t1 = stop
+            next_break += 1
+        for i, gi, wi in zip(live, g1, w1):
+            g[i], w[i] = gi, wi
+            if min(abs(gi - xj) for xj in x) < COLLISION_TOL:
+                death_times[i] = t1
+        live = [i for i in live if death_times[i] is None]
+        row = (tuple(q), tuple(g), tuple(w))
+        if at_break:
+            states.append(LoewnerState(t1, tuple(x), tuple(_velocities(x, q, s, (), rates)[0]), *row))
+        rates = nu.rates(t1)
+        vel = _velocities(x, q, s, [g[i] for i in live], rates)
+        states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), *row))
+        t = t1
     return evolution
 
 
@@ -480,93 +410,56 @@ class MotionIntegralReport:
     death_time: float | None
 
 
-def motion_integral(
-    evolution: Evolution, z: complex, times: Sequence[float] | None = None
-) -> MotionIntegralReport:
+def motion_integral(evolution: Evolution, z: complex) -> MotionIntegralReport:
     """Drift report for the conserved observable attached to a tracked point.
 
     The observable is g'(z)^2 prod_k (g(z)-x_k)^2 prod_l (g(z)-q_l)^(2 s_l)
     (marked factors at infinity dropped). Its modulus is computed in log
     space from the integrated log g'; its argument is tracked continuously
     by unwrapping each factor's phase along the state sequence. If z dies
-    before the last requested time the report covers the alive range and is
-    flagged.
+    before the last state the report covers the alive range and is flagged.
     """
-    index = None
-    for i, tp in enumerate(evolution.states[0].tracked):
-        if abs(tp.z0 - z) <= 1e-12:
-            index = i
-            break
+    index = next(
+        (i for i, z0 in enumerate(evolution.tracked) if abs(z0 - z) <= 1e-12), None
+    )
     if index is None:
         raise ValueError(f"{z} was not tracked by this evolution")
 
-    wanted = None
-    if times is not None:
-        wanted = sorted(times)
-
+    _, charges = evolution.divisor.finite_marked()
+    weights = [2.0] * len(evolution.states[0].x) + [2.0 * s for s in charges]
+    death = evolution.death_times[index]
     ts: list[float] = []
     log_abs: list[float] = []
-    factor_phases: list[list[float]] = []
-    weights: list[float] = []
+    phases: list[list[float]] = []
     arg_smooth: list[float] = []
-
-    first = True
-    death = None
     for state in evolution.states:
-        tp = state.tracked[index]
-        if not tp.alive:
-            death = tp.death_time if death is None else death
+        if death is not None and state.t >= death:
             break
-        g = tp.g
-        vals: list[complex] = []
-        wts: list[float] = []
-        for xj in state.x:
-            vals.append(g - xj)
-            wts.append(2.0)
-        for q, s in state.marked:
-            if q.finite:
-                vals.append(g - q.value)
-                wts.append(2.0 * float(s))
-        if first:
-            weights = wts
-            factor_phases = [[] for _ in vals]
-            first = False
-        la = 2.0 * tp.log_gprime.real
-        for v, w_ in zip(vals, wts):
+        g = state.g[index]
+        vals = [g - xj for xj in state.x] + [g - ql for ql in state.q]
+        log_gprime = state.log_gprime[index]
+        la = 2.0 * log_gprime.real
+        for v, w_ in zip(vals, weights):
             la += w_ * math.log(abs(v))
         ts.append(state.t)
         log_abs.append(la)
-        for buf, v in zip(factor_phases, vals):
-            buf.append(cmath.phase(v))
-        arg_smooth.append(2.0 * tp.log_gprime.imag)
+        phases.append([cmath.phase(v) for v in vals])
+        arg_smooth.append(2.0 * log_gprime.imag)
 
     if not ts:
-        raise ValueError("tracked point dead from the start")
+        raise DegenerateConfigurationError(
+            f"tracked point {format_complex(z)} starts on a driving point"
+        )
 
     args = np.asarray(arg_smooth)
-    for buf, w_ in zip(factor_phases, weights):
-        args = args + w_ * np.unwrap(np.asarray(buf))
-
-    if wanted is not None:
-        keep = []
-        k = 0
-        arr = ts
-        for target in wanted:
-            pos = bisect.bisect_right(arr, target + 1e-15) - 1
-            if pos >= 0:
-                keep.append(pos)
-        keep = sorted(set(keep))
-        ts = [ts[i] for i in keep]
-        log_abs = [log_abs[i] for i in keep]
-        args = args[keep]
+    columns = np.asarray(phases)
+    for f, w_ in enumerate(weights):
+        args = args + w_ * np.unwrap(columns[:, f])
 
     la0 = log_abs[0]
     max_rel = max(abs(math.expm1(la - la0)) for la in log_abs)
     a0 = float(args[0])
-    max_arg = float(np.max(np.abs(args - a0))) if len(args) else 0.0
-
-    requested_end = wanted[-1] if wanted else evolution.states[-1].t
-    alive = death is None or death > requested_end
+    max_arg = float(np.max(np.abs(args - a0)))
     return MotionIntegralReport(
         z=z,
         n_samples=len(ts),
@@ -575,6 +468,6 @@ def motion_integral(
         log_abs_initial=la0,
         max_rel_drift=max_rel,
         max_arg_drift=max_arg,
-        alive=alive,
+        alive=death is None or death > evolution.final.t,
         death_time=death,
     )

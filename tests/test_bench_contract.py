@@ -1,0 +1,66 @@
+"""What the benchmark in bench/ reads of the package.
+
+The benchmark interpolates recorded states, rebinds module attributes to
+trace them, and reports counts taken from a traced command. A change that
+breaks any of these fails here in about a second.
+"""
+
+import pathlib
+import sys
+from dataclasses import replace
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import run as bench_run  # noqa: E402
+import tracer as bench_tracer  # noqa: E402
+from slezero import cli, conformal, divisors, loewner, outputs, quadratic, runner, scene, tracing  # noqa: E402
+from slezero.divisors import SymmetricDivisor  # noqa: E402
+from slezero.loewner import Parametrization, evolve  # noqa: E402
+
+TRACED = (cli, conformal, divisors, loewner, outputs, quadratic, runner, scene, tracing)
+
+
+def test_x_at_reproduces_the_recorded_states():
+    pair = SymmetricDivisor.half_plane([-1.0, 1.0], [("inf", -4)])
+    # a rate breakpoint records its state twice, with the same time
+    nu = Parametrization((((0.0, 1.0), (0.1234567, 2.0)), ((0.0, 1.0),)))
+    ev = evolve(pair, 0.2, 1e-3, nu)
+    assert len({s.t for s in ev.states}) == len(ev.states) - 1
+    for state in ev.states:
+        assert bench_run.x_at(ev, state.t) == list(state.x)
+
+
+def test_tracer_install_and_uninstall_restore_every_attribute():
+    before = [dict(vars(m)) for m in TRACED]
+    rates = vars(loewner.Parametrization)["rates"]
+    write_text = vars(pathlib.Path)["write_text"]
+    t = bench_tracer.Tracer()
+    t.install()
+    try:
+        assert loewner.evolve is not before[TRACED.index(loewner)]["evolve"]
+        assert divisors.dlog_Z is not before[TRACED.index(divisors)]["dlog_Z"]
+    finally:
+        t.uninstall()
+    for module, attrs in zip(TRACED, before):
+        assert vars(module) == attrs, module.__name__
+    assert vars(loewner.Parametrization)["rates"] is rates
+    assert vars(pathlib.Path)["write_text"] is write_text
+
+
+def test_traced_verify_counts_one_evolution():
+    sc = scene.single_curve_scene()
+    sc = replace(sc, loewner=replace(sc.loewner, T=0.05))
+    t = bench_tracer.Tracer()
+    t.install()
+    try:
+        ok, _ = runner.verify(sc, "all")
+        t.end_command()
+    finally:
+        t.uninstall()
+    assert ok
+    metrics = t.take_pass(0)["metrics"]
+    assert metrics["loewner.evolve_calls"] == 1
+    assert metrics["divisors.dlog_Z_calls"] > 0
+    # four velocity evaluations per step
+    assert metrics["divisors.dlog_Z_calls_per_state"] < 4.5

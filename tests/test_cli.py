@@ -7,7 +7,7 @@ import pytest
 
 from slezero import conformal, loewner, runner
 from slezero.cli import main
-from slezero.errors import CollisionError, DegenerateConfigurationError
+from slezero.errors import DegenerateConfigurationError, InversionFailureError
 from slezero.scene import parse_config, preset
 
 SINGLE = """\
@@ -196,7 +196,7 @@ class TestPreset:
 class TestExitCodes:
     def test_integration_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(scene, out_dir):
-            raise CollisionError("collision at t=0.1: driving points 0 and 1", 0.1, 0.11)
+            raise InversionFailureError("reverse solve stalled at s=1.000e-03 (gap 1.000e-12)")
 
         monkeypatch.setattr(runner, "run", boom)
         cfg = tmp_path / "scene.yaml"
@@ -204,6 +204,19 @@ class TestExitCodes:
         code, _, stderr = cli(capsys, "run", "--config", str(cfg))
         assert code == 3
         assert "integration failure" in stderr
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(
+            'domain: half_plane\ngrowth: ["0"]\nmarked:\n  - point: inf\n    charge: "-3"\n'
+            'loewner:\n  tracked: ["0"]\noutputs: [motion_report]\n'
+        )
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        code, _, stderr = cli(capsys, command, "--config", str(cfg), "--T", "0.01", *out)
+        assert code == 1
+        assert "invalid scene: tracked point 0.0 starts on a driving point" in stderr
+        assert "Traceback" not in stderr
 
     def test_other_domain_errors_exit_1(self, tmp_path, capsys, monkeypatch):
         def boom(scene, out_dir):

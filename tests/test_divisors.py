@@ -89,10 +89,10 @@ class TestPartitionFunction:
 class TestDlogZ:
     def test_closed_form_attracting_pair(self):
         # symmetric pair straddling a charge -2 at the origin
-        x = (-1.0, 1.0)
-        marked = ((0.0, -2), ("inf", -2))
-        assert dlog_Z(x, marked, 1) == pytest.approx(-3.0, abs=1e-14)
-        assert dlog_Z(x, marked, 0) == pytest.approx(3.0, abs=1e-14)
+        div = SymmetricDivisor.half_plane([-1.0, 1.0], [(0.0, -2), ("inf", -2)])
+        assert div.finite_marked() == ([0j], [-2.0])
+        got = dlog_Z([-1.0, 1.0], *div.finite_marked())
+        assert got == pytest.approx([3.0, -3.0], abs=1e-14)
 
     def test_matches_finite_difference(self):
         rng = random.Random(202)
@@ -109,16 +109,12 @@ class TestDlogZ:
                 partition_Z_log_abs(up, div.marked)
                 - partition_Z_log_abs(dn, div.marked)
             ) / (2.0 * h)
-            got = dlog_Z(x, div.marked, j)
+            got = dlog_Z(x, *div.finite_marked())[j]
             assert got == pytest.approx(fd, rel=1e-6, abs=1e-6)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            dlog_Z((0.0,), (), 1)
 
     def test_growth_collision_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
-            dlog_Z((0.0, 1e-13), (), 0)
+            dlog_Z((0.0, 1e-13), (), ())
 
 
 class TestValidate:

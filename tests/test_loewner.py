@@ -5,21 +5,11 @@ import math
 
 import pytest
 
+from slezero import divisors
 from slezero.conformal import transport
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
-from slezero.errors import (
-    CollisionError,
-    DegenerateConfigurationError,
-    InversionFailureError,
-)
-from slezero.loewner import (
-    LoewnerState,
-    Parametrization,
-    evolve,
-    motion_integral,
-    step,
-    trace_hull,
-)
+from slezero.errors import DegenerateConfigurationError, InversionFailureError
+from slezero.loewner import Parametrization, evolve, motion_integral, trace_hull
 from slezero.scene import preset
 
 
@@ -37,6 +27,16 @@ def colliding_pair() -> SymmetricDivisor:
     return SymmetricDivisor.half_plane([-1.0, 1.0], [(0.0, -2), ("inf", -2)])
 
 
+# curve 0 of the repelling pair doubles its rate at a time no step grid hits
+BREAK = 0.1234567
+BREAK_RATES = Parametrization((((0.0, 1.0), (BREAK, 2.0)), ((0.0, 1.0),)))
+
+
+@pytest.fixture(scope="module")
+def break_reference():
+    return evolve(repelling_pair(), 0.25, 1e-5, BREAK_RATES)
+
+
 class TestParametrization:
     def test_constant(self):
         nu = Parametrization.constant([1.0, 2.0])
@@ -51,6 +51,11 @@ class TestParametrization:
         assert nu.rates(0.9) == (2.0,)
         assert nu.integrated_total(1.0) == pytest.approx(1.5)
         assert nu.integrated_total(0.25) == pytest.approx(0.25)
+
+    def test_breakpoints_of_all_schedules(self):
+        nu = Parametrization((((0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.2, 3.0), (0.5, 1.0))))
+        assert nu.breakpoints() == [0.2, 0.5]
+        assert Parametrization.constant([1.0, 2.0]).breakpoints() == []
 
     def test_schedule_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -71,12 +76,12 @@ class TestSingleCurve:
         ev = evolve(single_curve(), 0.25, 1e-4, tracked=(z,))
         assert all(s.x == (0.0,) for s in ev.states)
         expected = cmath.sqrt(z * z + 4 * 0.25)
-        assert ev.final.tracked[0].g == pytest.approx(expected, abs=1e-12)
+        assert ev.final.g[0] == pytest.approx(expected, abs=1e-12)
 
     def test_half_plane_capacity(self):
         z = 1000j
         ev = evolve(single_curve(), 0.1, 1e-3, tracked=(z,))
-        probe = (ev.final.tracked[0].g - z) * z
+        probe = (ev.final.g[0] - z) * z
         assert probe.real == pytest.approx(2 * ev.nu.integrated_total(0.1), abs=1e-6)
 
     def test_hull_is_a_vertical_slit(self):
@@ -95,12 +100,11 @@ class TestSingleCurve:
     def test_tracked_point_death(self):
         # g(2i, t) = sqrt(4t - 4) hits the driving point at t = 1
         ev = evolve(single_curve(), 1.0, 1e-4, tracked=(2j,))
-        tp = ev.final.tracked[0]
-        assert not tp.alive
-        assert tp.death_time == pytest.approx(1.0, abs=1e-9)
+        death = ev.death_times[0]
+        assert death == pytest.approx(1.0, abs=1e-9)
         rep = motion_integral(ev, 2j)
         assert not rep.alive
-        assert rep.death_time == tp.death_time
+        assert rep.death_time == death
         assert rep.max_rel_drift < 1e-6
         assert rep.t_last < 1.0
 
@@ -111,6 +115,13 @@ class TestSingleCurve:
         assert rep.n_samples == len(ev.states)
         assert rep.max_rel_drift < 1e-10
         assert rep.max_arg_drift < 1e-10
+
+    def test_observer_on_the_driving_point_is_dead_from_the_start(self):
+        ev = evolve(single_curve(), 0.1, 1e-3, tracked=(0j, 4j))
+        assert ev.death_times == [0.0, None]
+        with pytest.raises(DegenerateConfigurationError, match="starts on a driving point"):
+            motion_integral(ev, 0j)
+        assert motion_integral(ev, 4j).alive
 
     def test_motion_integral_requires_tracked_point(self):
         ev = evolve(single_curve(), 0.1, 1e-3, tracked=(4j,))
@@ -136,6 +147,43 @@ class TestTwoSlit:
         order = math.log2(errs[0] / errs[1])
         assert order > 3.5
 
+    def test_fourth_order_convergence_across_a_rate_breakpoint(self, break_reference):
+        target = break_reference.final.x
+        errs = []
+        for dt in (8e-3, 4e-3, 2e-3):
+            ev = evolve(repelling_pair(), 0.25, dt, BREAK_RATES)
+            errs.append(max(abs(a - b) for a, b in zip(ev.final.x, target)))
+        orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+        assert min(orders) > 3.5, errs
+
+    def test_state_recorded_on_both_sides_of_a_breakpoint(self, break_reference):
+        ev = evolve(repelling_pair(), 0.25, 1e-3, BREAK_RATES)
+        ts = [s.t for s in ev.states]
+        i = max(k for k, t in enumerate(ts) if t < BREAK)
+        left, right = ev.states[i + 1], ev.states[i + 2]
+        assert left.t == right.t == BREAK
+        assert left.x == right.x
+        assert left.dx != right.dx
+        # the interpolant on the last step before the breakpoint ends with
+        # the left-side velocity
+        tm = (ts[i] + BREAK) / 2
+        got = trace_hull(ev, [tm])
+        want = trace_hull(break_reference, [tm])
+        assert max(abs(a.point - b.point) for a, b in zip(got, want)) < 1e-9
+
+    def test_one_velocity_evaluation_per_stage(self, monkeypatch):
+        calls = []
+        dlog_Z = divisors.dlog_Z
+
+        def counted(*args):
+            calls.append(args)
+            return dlog_Z(*args)
+
+        monkeypatch.setattr(divisors, "dlog_Z", counted)
+        ev = evolve(repelling_pair(), 0.01, 1e-3)
+        assert len(ev.states) == 11
+        assert len(calls) == 1 + 4 * 10  # k1 is the previous step's end velocity
+
 
 class TestCollision:
     def test_bracketed_at_quarter(self):
@@ -153,12 +201,13 @@ class TestCollision:
         assert state.x[1] == pytest.approx(math.sqrt(1 - 4 * state.t), abs=1e-9)
         assert state.x[0] == -state.x[1]
 
-    def test_step_raises_inside_tolerance(self):
-        st = LoewnerState(t=0.0, x=(0.0, 5e-9), marked=(), tracked=(), dx=())
-        with pytest.raises(CollisionError, match="driving points 0 and 1") as exc:
-            step(st, 1e-4, Parametrization.constant([1.0, 1.0]))
-        assert exc.value.t_lo == 0.0
-        assert exc.value.t_hi == pytest.approx(5e-9)
+    def test_recorded_at_start_inside_tolerance(self):
+        ev = evolve(SymmetricDivisor.half_plane([0.0, 5e-9], [("inf", -4)]), 0.1, 1e-4)
+        assert len(ev.states) == 1
+        lo, hi = ev.collision
+        assert lo == 0.0
+        assert hi == pytest.approx(5e-9)
+        assert ev.collision_note == "collision at t=0: driving points 0 and 1"
 
 
 class TestEquivariance:
@@ -176,7 +225,7 @@ class TestEquivariance:
             assert s1.t == s2.t
             for a, b in zip(s1.x, reversed(s2.x)):
                 assert abs(a + b) < 1e-12
-            assert abs(s2.tracked[0].g + s1.tracked[0].g.conjugate()) < 1e-12
+            assert abs(s2.g[0] + s1.g[0].conjugate()) < 1e-12
 
 
 class TestFigureFlows:
@@ -199,7 +248,7 @@ class TestFigureFlows:
         ev = evolve(div, 0.1, 1e-3, tracked=(z,))
         assert ev.collision is None
         assert ev.final.t == pytest.approx(0.1)
-        probe = (ev.final.tracked[0].g - z) * z
+        probe = (ev.final.g[0] - z) * z
         assert probe.real == pytest.approx(0.6, abs=1e-5)
 
 
