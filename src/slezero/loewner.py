@@ -47,7 +47,6 @@ class Parametrization:
     schedules: tuple[tuple[tuple[float, float], ...], ...]
 
     def __post_init__(self) -> None:
-        starts = []
         for sched in self.schedules:
             if not sched or sched[0][0] != 0.0:
                 raise ValueError("each rate schedule must start at t=0")
@@ -56,9 +55,17 @@ class Parametrization:
                 raise ValueError("rate breakpoints must increase")
             if any(r <= 0.0 for _, r in sched):
                 raise ValueError("growth rates must be positive")
-            starts.append(times)
-        # not a field: derived from the schedules, for the lookups in `rates`
-        object.__setattr__(self, "_starts", tuple(starts))
+        # not fields: the intervals on which every rate is constant, given by
+        # their start times (0 first) and their rates, for `rates` and `pieces`
+        starts = sorted({0.0}.union(t for sched in self.schedules for t, _ in sched))
+        rates = []
+        for t in starts:
+            rates.append(tuple([
+                sched[bisect.bisect_right([t0 for t0, _ in sched], t) - 1][1]
+                for sched in self.schedules
+            ]))
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_rates", rates)
 
     @classmethod
     def constant(cls, rates: Sequence[float]) -> "Parametrization":
@@ -69,14 +76,16 @@ class Parametrization:
         return len(self.schedules)
 
     def rates(self, t: float) -> tuple[float, ...]:
-        return tuple([
-            sched[max(bisect.bisect_right(starts, t) - 1, 0)][1]
-            for sched, starts in zip(self.schedules, self._starts)
-        ])
+        return self._rates[max(bisect.bisect_right(self._starts, t) - 1, 0)]
 
     def breakpoints(self) -> list[float]:
         """The times after 0 at which some rate changes, increasing."""
-        return sorted({t for starts in self._starts for t in starts[1:]})
+        return self._starts[1:]
+
+    def pieces(self) -> tuple[list[float], list[tuple[float, ...]]]:
+        """The start times (0 first) of the intervals on which every rate is
+        constant, and the rates on each."""
+        return list(self._starts), list(self._rates)
 
     def integrated_total(self, t: float) -> float:
         """Integral over [0, t] of the summed rates (twice this is the capacity)."""
@@ -293,77 +302,63 @@ def evolve(
     return evolution
 
 
-class _DrivingInterpolator:
-    """Cubic Hermite interpolation of the driving paths on the state grid."""
+class _DrivingPaths:
+    """Cubic Hermite interpolation of the driving paths on the state grid,
+    held constant outside it."""
 
-    def __init__(self, evolution: Evolution):
-        states = evolution.states
-        self.ts = [s.t for s in states]
-        self.xs = [s.x for s in states]
-        self.dxs = [s.dx for s in states]
-        self.n = len(states[0].x)
+    def __init__(self, states: Sequence[LoewnerState]):
+        self.ts = np.array([st.t for st in states])
+        self.t_first, self.t_last = states[0].t, states[-1].t
+        # one row per driving point; the last state is repeated so that
+        # column i + 1 exists for every i, with a placeholder step of 1.0
+        # (a lookup at t_last lands there with tau = 0)
+        self.hs = np.append(np.diff(self.ts), 1.0)
+        self.xs = np.array([st.x for st in states] + [states[-1].x]).T.copy()
+        self.dxs = np.array([st.dx for st in states] + [states[-1].dx]).T.copy()
 
-    def __call__(self, t: float) -> tuple[float, ...]:
-        ts = self.ts
-        if t <= ts[0]:
-            return self.xs[0]
-        if t >= ts[-1]:
-            return self.xs[-1]
-        i = bisect.bisect_right(ts, t) - 1
-        t0, t1 = ts[i], ts[i + 1]
-        h = t1 - t0
-        tau = (t - t0) / h
-        h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
-        h10 = tau * (1.0 - tau) ** 2
-        h01 = tau * tau * (3.0 - 2.0 * tau)
-        h11 = tau * tau * (tau - 1.0)
-        return tuple(
-            h00 * self.xs[i][j]
-            + h * h10 * self.dxs[i][j]
-            + h01 * self.xs[i + 1][j]
-            + h * h11 * self.dxs[i + 1][j]
-            for j in range(self.n)
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """The driving positions at the times ``t``, one row per point."""
+        t = np.minimum(np.maximum(t, self.t_first), self.t_last)
+        # bisect_right: at a time recorded twice (a rate breakpoint), the
+        # interval after it
+        i = self.ts.searchsorted(t, "right") - 1
+        h = self.hs.take(i)
+        tau = (t - self.ts.take(i)) / h
+        u2 = (1.0 - tau) * (1.0 - tau)
+        tau2 = tau * tau
+        j = i + 1
+        return (
+            (1.0 + 2.0 * tau) * u2 * self.xs.take(i, 1)
+            + h * (tau * u2) * self.dxs.take(i, 1)
+            + tau2 * (3.0 - 2.0 * tau) * self.xs.take(j, 1)
+            + h * (tau2 * (tau - 1.0)) * self.dxs.take(j, 1)
         )
 
 
-def _reverse_point(
-    interp: _DrivingInterpolator,
-    nu: Parametrization,
-    t: float,
-    w: complex,
-) -> complex:
-    """Solve the reverse flow from w at time t back to time 0.
+def _reverse_velocity(
+    zr: np.ndarray, zi: np.ndarray, x: np.ndarray, coeff: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of -sum_k coeff_k / (z - x_k), with one
+    column per z and one row per driving point in ``x`` and ``coeff``.
 
-    The result is the preimage of w under the forward map at time t. Steps
-    are capped quadratically in the distance to the (time-reversed) driving
-    points, which start arbitrarily close to w.
+    Each quotient is CPython's real over complex division (Smith's method:
+    scale by the larger part of the denominator, then divide), and the sum
+    runs over the driving points in order, so that a column gets the bits
+    of the same sum over Python complex numbers.
     """
-    z = w
-    s = 0.0
-    guard = 0
-    while s < t:
-        x_here = interp(t - s)
-        rates = nu.rates(t - s)
-        total = sum(rates)
-        gap = min(abs(z - xj) for xj in x_here)
-        ds = min(REVERSE_CAP_COEFF * gap * gap / (2.0 * total), t - s)
-        if s + ds == s:
-            raise InversionFailureError(
-                f"reverse solve stalled at s={s:.3e} (gap {gap:.3e})"
-            )
-        t_mid = t - (s + ds / 2)
-        x_mid, rates_mid = interp(t_mid), nu.rates(t_mid)
-        t_end = t - (s + ds)
-        k1 = -_common_velocity(z, x_here, rates)
-        k2 = -_common_velocity(z + ds / 2 * k1, x_mid, rates_mid)
-        k3 = -_common_velocity(z + ds / 2 * k2, x_mid, rates_mid)
-        k4 = -_common_velocity(z + ds * k3, interp(t_end), nu.rates(t_end))
-        z = z + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += ds
-        guard += 1
-        if guard > 2_000_000:
-            raise InversionFailureError("reverse solve exceeded step budget")
-    return z
+    br = zr - x
+    swap = np.abs(br) < np.abs(zi)
+    big = np.where(swap, zi, br)
+    small = np.where(swap, br, zi)
+    ratio = small / big
+    den = big + small * ratio
+    re = coeff * np.where(swap, ratio, 1.0) / den
+    im = coeff * np.where(swap, 1.0, ratio) / den
+    tr, ti = re[0], im[0]
+    for k in range(1, len(x)):
+        tr = tr + re[k]
+        ti = ti + im[k]
+    return -tr, ti
 
 
 @dataclass(frozen=True)
@@ -381,20 +376,88 @@ def trace_hull(
     """Hull tips gamma_j(t) for each requested time and each curve.
 
     gamma_j(t) is the preimage of x_j(t) + i*lift under the forward map,
-    found by integrating the reverse flow; the lift regularizes the
-    boundary start of the reverse solve.
+    found by integrating the reverse flow dz/ds = -sum_k 2 nu_k / (z - x_k)
+    at time t - s from s = 0 to s = t; the lift regularizes the boundary
+    start of the reverse solve.
+
+    All samples advance together as arrays, one RK4 step each per sweep,
+    and leave the sweep when they reach s = t. Each keeps its own step,
+    capped quadratically in its distance to the (time-reversed) driving
+    points, which start arbitrarily close to it, and cut to end where it
+    reaches the next rate breakpoint below, so that a step sees one set of
+    rates. The gap is a hypot and the velocity sums run over the driving
+    points in order, so a sample gets the bits of the same solve on Python
+    complex numbers, whatever the other samples of the call.
     """
-    interp = _DrivingInterpolator(evolution)
     t_max = evolution.states[-1].t
-    out = []
     for t in times:
-        if t < 0 or t > t_max + 1e-12:
+        if not 0 <= t <= t_max + 1e-12:
             raise InversionFailureError(f"time {t} outside the evolved range")
-        x_t = interp(t)
-        for j in range(interp.n):
-            w = complex(x_t[j], lift)
-            out.append(HullSample(t, j, _reverse_point(interp, evolution.nu, t, w)))
-    return out
+    n = len(evolution.states[0].x)
+    paths = _DrivingPaths(evolution.states)
+    starts, piece_rates = evolution.nu.pieces()
+    starts = np.array(starts)
+    # per piece: 2 nu_k, one row per driving point, and 2 sum nu for the cap
+    coeffs = 2.0 * np.array(piece_rates).reshape(len(starts), n).T
+    twice_sums = np.array([2.0 * sum(r) for r in piece_rates])
+
+    # one sample per (time, curve), in the order of the output
+    t = np.repeat(np.array(times, dtype=float), n)
+    m = len(t)
+    x_here = paths.at(t)
+    zr = x_here[np.tile(np.arange(n), len(times)), np.arange(m)]
+    zi = np.full(m, lift)
+    s = np.zeros(m)
+    # the piece below the sample time: a sample at a breakpoint starts on
+    # the rates before it
+    piece = np.maximum(starts.searchsorted(t) - 1, 0)
+    index = np.arange(m)
+    out_r, out_i = zr.copy(), zi.copy()
+    sweeps = 0
+    while True:
+        live = s < t
+        if not live.all():
+            done = ~live
+            out_r[index[done]], out_i[index[done]] = zr[done], zi[done]
+            index, t, s, zr, zi, piece = (a[live] for a in (index, t, s, zr, zi, piece))
+            x_here = x_here[:, live]
+        if not index.size:
+            break
+        sweeps += 1
+        if sweeps > 2_000_000:
+            raise InversionFailureError("reverse solve exceeded step budget")
+        dist = np.hypot(zr - x_here, zi)
+        gap = dist[0]
+        for row in dist[1:]:
+            gap = np.minimum(gap, row)
+        room = t - starts.take(piece) - s
+        ds = np.minimum(REVERSE_CAP_COEFF * gap * gap / twice_sums.take(piece), room)
+        s_end = s + ds
+        stalled = s_end == s
+        if stalled.any():
+            k = int(stalled.argmax())
+            raise InversionFailureError(
+                f"reverse solve stalled at s={s[k]:.3e} (gap {gap[k]:.3e})"
+            )
+        h2 = ds / 2
+        x_stages = paths.at(np.concatenate((t - (s + h2), t - s_end)))
+        x_mid, x_end = x_stages[:, : len(s)], x_stages[:, len(s) :]
+        coeff = coeffs.take(piece, 1)
+        k1r, k1i = _reverse_velocity(zr, zi, x_here, coeff)
+        k2r, k2i = _reverse_velocity(zr + h2 * k1r, zi + h2 * k1i, x_mid, coeff)
+        k3r, k3i = _reverse_velocity(zr + h2 * k2r, zi + h2 * k2i, x_mid, coeff)
+        k4r, k4i = _reverse_velocity(zr + ds * k3r, zi + ds * k3i, x_end, coeff)
+        h6 = ds / 6.0
+        zr = zr + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        zi = zi + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        s, x_here = s_end, x_end
+        # a step that reached its breakpoint hands the sample to the piece below
+        piece -= (ds == room) & (piece > 0)
+    return [
+        HullSample(tk, j, complex(out_r[k * n + j], out_i[k * n + j]))
+        for k, tk in enumerate(times)
+        for j in range(n)
+    ]
 
 
 @dataclass(frozen=True)

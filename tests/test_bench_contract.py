@@ -64,3 +64,21 @@ def test_traced_verify_counts_one_evolution():
     assert metrics["divisors.dlog_Z_calls"] > 0
     # four velocity evaluations per step
     assert metrics["divisors.dlog_Z_calls_per_state"] < 4.5
+
+
+def test_hull_makes_no_rate_lookups():
+    div, _ = conformal.transport(scene.preset("fig1").divisor, divisors.HALF_PLANE)
+    t = bench_tracer.Tracer()
+    t.install()
+    try:
+        ev = loewner.evolve(div, 0.1, 1e-4)
+        evolve_pass = t.take_pass(0)["metrics"]
+        first = len(t.spans)
+        loewner.trace_hull(ev, [ev.final.t * k / 4 for k in range(5)])
+        hull_pass = t.take_pass(first)["metrics"]
+    finally:
+        t.uninstall()
+    assert evolve_pass["loewner.rates_calls"] > 0
+    # the schedules are looked up once, so the bench's count is the evolution's
+    assert hull_pass["loewner.rates_calls"] == 0
+    assert hull_pass["loewner.hull_samples"] == 15

@@ -1,15 +1,18 @@
 """Coupled Loewner flow: closed-form laws, collisions, conserved motion."""
 
+import bisect
 import cmath
 import math
+import random
 
 import pytest
+from conftest import half_plane_divisor
 
-from slezero import divisors
+from slezero import divisors, loewner
 from slezero.conformal import transport
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import DegenerateConfigurationError, InversionFailureError
-from slezero.loewner import Parametrization, evolve, motion_integral, trace_hull
+from slezero.loewner import HullSample, Parametrization, evolve, motion_integral, trace_hull
 from slezero.scene import preset
 
 
@@ -37,6 +40,69 @@ def break_reference():
     return evolve(repelling_pair(), 0.25, 1e-5, BREAK_RATES)
 
 
+@pytest.fixture(scope="module")
+def fig1_flow():
+    div, _ = transport(preset("fig1").divisor, HALF_PLANE)
+    return evolve(div, 0.1, 1e-4)
+
+
+@pytest.fixture(scope="module")
+def eight_curve_flow():
+    div = half_plane_divisor(random.Random(9), max_growth=10)
+    assert len(div.growth) == 8
+    return evolve(div, 0.01, 1e-3)
+
+
+def reverse_point(ev, t, j, lift):
+    """Hull sample (t, j) solved alone on Python complex numbers, with the
+    step rule of trace_hull for constant rates: the loop the sweep must
+    reproduce."""
+    ts = [st.t for st in ev.states]
+
+    def x_at(time):
+        if time <= ts[0]:
+            return ev.states[0].x
+        if time >= ts[-1]:
+            return ev.states[-1].x
+        i = bisect.bisect_right(ts, time) - 1
+        a, b = ev.states[i], ev.states[i + 1]
+        h = b.t - a.t
+        tau = (time - a.t) / h
+        h00 = (1.0 + 2.0 * tau) * ((1.0 - tau) * (1.0 - tau))
+        h10 = tau * ((1.0 - tau) * (1.0 - tau))
+        h01 = tau * tau * (3.0 - 2.0 * tau)
+        h11 = tau * tau * (tau - 1.0)
+        return [
+            h00 * a.x[k] + h * h10 * a.dx[k] + h01 * b.x[k] + h * h11 * b.dx[k]
+            for k in range(len(a.x))
+        ]
+
+    def velocity(z, x):
+        total = 0j
+        for xk, rk in zip(x, rates):
+            total += 2.0 * rk / (z - xk)
+        return -total
+
+    (rates,) = ev.nu.pieces()[1]
+    z, s = complex(x_at(t)[j], lift), 0.0
+    while s < t:
+        x_here = x_at(t - s)
+        gap = min(abs(z - xj) for xj in x_here)
+        ds = min(loewner.REVERSE_CAP_COEFF * gap * gap / (2.0 * sum(rates)), t - s)
+        x_mid, x_end = x_at(t - (s + ds / 2)), x_at(t - (s + ds))
+        k1 = velocity(z, x_here)
+        k2 = velocity(z + ds / 2 * k1, x_mid)
+        k3 = velocity(z + ds / 2 * k2, x_mid)
+        k4 = velocity(z + ds * k3, x_end)
+        z = z + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s += ds
+    return z
+
+
+def bits(samples):
+    return [(s.t, s.curve, s.point.real.hex(), s.point.imag.hex()) for s in samples]
+
+
 class TestParametrization:
     def test_constant(self):
         nu = Parametrization.constant([1.0, 2.0])
@@ -56,6 +122,19 @@ class TestParametrization:
         nu = Parametrization((((0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.2, 3.0), (0.5, 1.0))))
         assert nu.breakpoints() == [0.2, 0.5]
         assert Parametrization.constant([1.0, 2.0]).breakpoints() == []
+
+    def test_pieces_of_all_schedules(self):
+        nu = Parametrization((((0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.2, 3.0), (0.5, 1.0))))
+        assert nu.pieces() == ([0.0, 0.2, 0.5], [(1.0, 1.0), (1.0, 3.0), (2.0, 1.0)])
+
+    def test_repeated_start_time_is_not_a_breakpoint(self):
+        # the later entry wins; it used to make a breakpoint at 0, which
+        # stopped the flow there as a collision
+        nu = Parametrization((((0.0, 1.0), (0.0, 2.0)), ((0.0, 1.0),)))
+        assert nu.breakpoints() == []
+        assert nu.rates(0.0) == (2.0, 1.0)
+        ev = evolve(repelling_pair(), 0.1, 1e-2, nu)
+        assert ev.collision is None and ev.final.t == pytest.approx(0.1)
 
     def test_schedule_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -183,6 +262,51 @@ class TestTwoSlit:
         ev = evolve(repelling_pair(), 0.01, 1e-3)
         assert len(ev.states) == 11
         assert len(calls) == 1 + 4 * 10  # k1 is the previous step's end velocity
+
+
+class TestHull:
+    """The reverse sweep of trace_hull."""
+
+    def test_matches_the_scalar_solve_bit_for_bit(self, eight_curve_flow):
+        # eight driving points: a pairwise sum (numpy's from n=8) would differ
+        ev = eight_curve_flow
+        times = [0.004, ev.final.t]
+        want = [
+            HullSample(t, j, reverse_point(ev, t, j, 1e-3)) for t in times for j in range(8)
+        ]
+        assert bits(trace_hull(ev, times, 1e-3)) == bits(want)
+
+    @pytest.mark.parametrize("flow, lift", [("fig1_flow", 1e-6), ("eight_curve_flow", 1e-3)])
+    def test_batch_equals_one_call_per_time(self, flow, lift, request):
+        ev = request.getfixturevalue(flow)
+        # the samples retire at different sweeps; fig1's last time is its collision
+        times = [ev.final.t * k / 4 for k in range(5)]
+        singles = [sample for t in times for sample in trace_hull(ev, [t], lift)]
+        assert bits(trace_hull(ev, times, lift)) == bits(singles)
+
+    def test_reverse_steps_end_on_rate_breakpoints(self, monkeypatch):
+        ev = evolve(repelling_pair(), 0.25, 1e-3, BREAK_RATES)
+        runs = []
+        for coeff in (0.05, 0.0125, 0.003125):
+            monkeypatch.setattr(loewner, "REVERSE_CAP_COEFF", coeff)
+            runs.append([s.point for s in trace_hull(ev, [0.2, 0.25], 1e-2)])
+        moves = [max(abs(a - b) for a, b in zip(r0, r1)) for r0, r1 in zip(runs, runs[1:])]
+        # steps that straddle the breakpoint, mixing both rates, move by 3e-4
+        assert moves[1] <= 1e-9, moves
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
+    def test_bad_times_rejected_before_any_work(self, t):
+        ev = evolve(single_curve(), 0.5, 1e-3)
+        with pytest.raises(InversionFailureError, match="outside the evolved range"):
+            trace_hull(ev, [0.1, t])
+
+    def test_no_times_no_samples(self):
+        assert trace_hull(evolve(single_curve(), 0.5, 1e-3), []) == []
+
+    def test_zero_lift_stalls(self):
+        ev = evolve(single_curve(), 0.5, 1e-3)
+        with pytest.raises(InversionFailureError, match=r"reverse solve stalled at s=0\.000e\+00 \(gap 0\.000e\+00\)"):
+            trace_hull(ev, [0.1], lift=0.0)
 
 
 class TestCollision:
