@@ -77,11 +77,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _positive(text: str) -> float:
+    # the rule the same fields follow in a config file
+    try:
+        return scene_mod.parse_number(text, positive=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--T", type=float, help="override evolution horizon")
-    p.add_argument("--dt", type=float, help="override evolution step")
-    p.add_argument("--step", type=float, help="override trace arc-length step")
-    p.add_argument("--max-arc", type=float, help="override trace arc-length budget")
+    p.add_argument("--T", type=_positive, help="override evolution horizon")
+    p.add_argument("--dt", type=_positive, help="override evolution step")
+    p.add_argument("--step", type=_positive, help="override trace arc-length step")
+    p.add_argument("--max-arc", type=_positive, help="override trace arc-length budget")
 
 
 def _load_scene(args) -> scene_mod.SceneConfig:

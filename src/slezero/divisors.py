@@ -65,73 +65,31 @@ class SpherePoint:
 INFINITY = SpherePoint.infinity()
 
 
-@dataclass(frozen=True)
-class Charge:
-    """A real charge, canonically a half-integer p/1 or p/2.
+def as_charge(x: int | float | str | Fraction) -> Fraction | float:
+    """A real charge: a Fraction when it is a half-integer p/1 or p/2, else
+    a float.
 
-    Non-half-integer charges are carried through ``real_value`` and flagged;
-    they are accepted by the Loewner integrator but not by the quadratic
-    differential (whose local exponents 2*sigma must be integers).
+    Float charges are accepted by the Loewner integrator but not by the
+    quadratic differential (whose local exponents 2*sigma must be integers).
+    A float input counts as exact when a fraction of denominator at most
+    1e9 lies within 1e-15 of it.
     """
-
-    numerator: int = 0
-    denominator: int = 1
-    real_value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.real_value is None and self.denominator not in (1, 2):
-            raise ValueError("charge denominator must be 1 or 2")
-
-    @classmethod
-    def of(cls, x: Union["Charge", int, float, str, Fraction]) -> "Charge":
-        if isinstance(x, Charge):
+    if isinstance(x, float):
+        frac = Fraction(x).limit_denominator(10**9)
+        if not math.isclose(float(frac), x, rel_tol=0, abs_tol=1e-15):
             return x
-        if isinstance(x, int):
-            return cls(x, 1)
-        if isinstance(x, (str, Fraction)):
-            frac = Fraction(x)
-        else:
-            frac = Fraction(x).limit_denominator(10**9)
-            if not math.isclose(float(frac), float(x), rel_tol=0, abs_tol=1e-15):
-                return cls(0, 1, float(x))
-        if frac.denominator in (1, 2):
-            return cls(frac.numerator, frac.denominator)
-        return cls(0, 1, float(frac))
-
-    @property
-    def non_half_integer(self) -> bool:
-        return self.real_value is not None
-
-    @property
-    def value(self) -> float:
-        if self.real_value is not None:
-            return self.real_value
-        return self.numerator / self.denominator
-
-    @property
-    def exact(self) -> Fraction | None:
-        if self.real_value is not None:
-            return None
-        return Fraction(self.numerator, self.denominator)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __str__(self) -> str:
-        if self.real_value is not None:
-            return repr(self.real_value)
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+    else:
+        frac = Fraction(x)
+    return frac if frac.denominator in (1, 2) else float(frac)
 
 
-def conformal_dimension(sigma: Union[Charge, float]) -> float:
+def conformal_dimension(sigma: Fraction | float) -> float:
     """Scaling dimension sigma^2 + 2*sigma of a charge (symmetric about -1)."""
     s = float(sigma)
     return s * s + 2.0 * s
 
 
-MarkedPoint = tuple[SpherePoint, Charge]
+MarkedPoint = tuple[SpherePoint, Fraction | float]
 
 
 @dataclass(frozen=True)
@@ -150,7 +108,7 @@ class SymmetricDivisor:
     @classmethod
     def build(cls, domain: str, growth: Iterable, marked: Iterable) -> "SymmetricDivisor":
         g = tuple(SpherePoint.of(p) for p in growth)
-        m = tuple((SpherePoint.of(p), Charge.of(s)) for p, s in marked)
+        m = tuple((SpherePoint.of(p), as_charge(s)) for p, s in marked)
         return cls(domain, g, m)
 
     @classmethod
@@ -176,13 +134,10 @@ class SymmetricDivisor:
         return len(self.growth) + math.fsum(float(s) for _, s in self.marked)
 
     def charge_sum_exact(self) -> Fraction | None:
-        """Exact total charge, or None if any charge is a raw real."""
-        total = Fraction(len(self.growth))
-        for _, s in self.marked:
-            if s.exact is None:
-                return None
-            total += s.exact
-        return total
+        """Exact total charge, or None if any charge is a float."""
+        if any(isinstance(s, float) for _, s in self.marked):
+            return None
+        return sum((s for _, s in self.marked), Fraction(len(self.growth)))
 
 
 @dataclass(frozen=True)
@@ -442,9 +397,12 @@ def parse_complex(text: str) -> complex:
         if js.endswith(("+j", "-j")):
             js = js[:-1] + "1j"
     try:
-        return complex(js)
+        z = complex(js)
     except ValueError as exc:
         raise ValueError(f"invalid complex literal {text!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def parse_point(text: str) -> SpherePoint:

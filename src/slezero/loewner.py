@@ -49,12 +49,12 @@ class Parametrization:
     def __post_init__(self) -> None:
         for sched in self.schedules:
             if not sched or sched[0][0] != 0.0:
-                raise ValueError("each rate schedule must start at t=0")
+                raise ValueError("first breakpoint must be at t=0")
             times = [t for t, _ in sched]
             if times != sorted(times):
                 raise ValueError("rate breakpoints must increase")
             if any(r <= 0.0 for _, r in sched):
-                raise ValueError("growth rates must be positive")
+                raise ValueError("rates must be positive")
         # not fields: the intervals on which every rate is constant, given by
         # their start times (0 first) and their rates, for `rates` and `pieces`
         starts = sorted({0.0}.union(t for sched in self.schedules for t, _ in sched))
@@ -255,19 +255,16 @@ def evolve(
         h = min(h, remaining)
         if h < remaining and remaining - h < 1e-6 * h:
             h = remaining  # absorb the rounding tail into the step that reaches stop
-        if t + h == t:
-            # the cap has collapsed below time resolution: either a tracked
-            # point is being swallowed (freeze it) or a collision is here
-            nearest = min(dists, default=1.0)
-            if nearest < 1.0:
-                pos = dists.index(nearest)
-                death_times[live.pop(pos)] = t
-                del vel[2][pos], vel[3][pos]
-                continue
-            evolution.collision = (t, t + gap)
-            evolution.collision_note = note
-            break
-        if gap < COLLISION_TOL:
+        if t + h == t and min(dists, default=1.0) < 1.0:
+            # the cap has collapsed below time resolution because a tracked
+            # point is being swallowed: freeze it
+            pos = dists.index(min(dists))
+            death_times[live.pop(pos)] = t
+            del vel[2][pos], vel[3][pos]
+            continue
+        if gap < COLLISION_TOL or t + h == t:
+            # the driving gap is closed, or its cap has collapsed below time
+            # resolution: a collision is here
             evolution.collision = (t, t + gap)
             evolution.collision_note = f"collision at t={t:.12g}: {note}"
             break

@@ -65,9 +65,9 @@ def analysis_payload(
                     if t.terminal.point is not None
                     else None
                 ),
-                "windings": {format_complex(q): w for q, w in t.windings},
+                "windings": {format_complex(q): w for q, w in windings},
             }
-            for i, t in enumerate(trajectories)
+            for i, (t, windings) in enumerate(zip(trajectories, report.windings))
         ],
         "converging_pairs": [
             {

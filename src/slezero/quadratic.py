@@ -185,13 +185,9 @@ def build_Q(divisor: SymmetricDivisor, reference_arc: int = 0) -> QuadDifferenti
         raise InvalidReferenceError("differential requires a half-plane or disk divisor")
     factors: list[Factor] = [(p.value, 2) for p in divisor.growth]
     for q, s in divisor.marked:
-        if s.non_half_integer:
-            raise UnsupportedChargeError(
-                f"charge {s} at {q} is not a half-integer"
-            )
-        order = 2 * s.exact
-        if order.denominator != 1:
+        if isinstance(s, float):
             raise UnsupportedChargeError(f"charge {s} at {q} is not a half-integer")
+        order = 2 * s
         if not q.finite or order == 0:
             continue
         factors.append((q.value, int(order)))

@@ -32,16 +32,17 @@ Schema (all keys optional unless noted):
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 import yaml
 
 from .divisors import (
-    Charge,
     DISK,
     HALF_PLANE,
     SpherePoint,
     SymmetricDivisor,
+    as_charge,
     format_complex,
     parse_point,
 )
@@ -124,14 +125,32 @@ def _sequence_items(node, diags: _Diagnostics, context: str):
     return node.value
 
 
-def _parse_float(node, diags: _Diagnostics, context: str) -> float | None:
+def parse_number(text: str, positive: bool = False) -> float:
+    """The finite number a literal spells; ValueError says why it is not one.
+
+    YAML values and the command-line overrides both go through this rule.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite: {text!r}")
+    if positive and value <= 0:
+        raise ValueError(f"must be positive: {text!r}")
+    return value
+
+
+def _parse_float(
+    node, diags: _Diagnostics, context: str, positive: bool = False
+) -> float | None:
     if not _is_scalar(node):
         diags.add(node, f"{context} must be a number")
         return None
     try:
-        return float(node.value)
-    except ValueError:
-        diags.add(node, f"{context}: not a number: {node.value!r}")
+        return parse_number(node.value, positive)
+    except ValueError as exc:
+        diags.add(node, f"{context} {exc}")
         return None
 
 
@@ -239,7 +258,7 @@ def parse_config(text: str) -> SceneConfig:
     elif base is None:
         diags.add(root, "growth list is required (or use a preset)")
 
-    marked: list[tuple[SpherePoint, Charge]] = []
+    marked: list[divisors.MarkedPoint] = []
     marked_nodes = []
     if "marked" in by_key:
         for item in _sequence_items(by_key["marked"], diags, "marked"):
@@ -251,7 +270,7 @@ def parse_config(text: str) -> SceneConfig:
                 elif key == "charge":
                     if _is_scalar(value_node):
                         try:
-                            ch = Charge.of(value_node.value)
+                            ch = as_charge(value_node.value)
                         except (ValueError, ZeroDivisionError) as exc:
                             diags.add(value_node, f"bad charge: {exc}")
                     else:
@@ -324,7 +343,7 @@ def parse_config(text: str) -> SceneConfig:
 
     if _QD_OUTPUTS.intersection(scene.outputs):
         for (pt, ch), node in zip(marked, marked_nodes):
-            if ch.non_half_integer:
+            if isinstance(ch, float):
                 diags.add(
                     node,
                     f"charge {ch} is not a half-integer: trajectory and field "
@@ -332,9 +351,6 @@ def parse_config(text: str) -> SceneConfig:
                 )
     if scene.rates is not None and scene.rates.n_curves != len(scene.divisor.growth):
         diags.add(by_key.get("rates"), "one rate schedule per growth point required")
-    for label, value in (("T", scene.loewner.T), ("dt", scene.loewner.dt), ("lift", scene.loewner.lift)):
-        if not value > 0:
-            diags.add(by_key.get("loewner"), f"loewner.{label} must be positive")
     diags.raise_if_any()
     return scene
 
@@ -343,33 +359,29 @@ def _parse_rates(node, diags: _Diagnostics) -> Parametrization | None:
     schedules = []
     before = len(diags.items)
     for item in _sequence_items(node, diags, "rates"):
+        item_before = len(diags.items)
         if _is_scalar(item):
-            r = _parse_float(item, diags, "rate")
-            if r is not None:
-                if r <= 0:
-                    diags.add(item, "rates must be positive")
-                else:
-                    schedules.append(((0.0, r),))
-            continue
-        if isinstance(item, yaml.SequenceNode):
+            sched = [(0.0, _parse_float(item, diags, "rate"))]
+        elif isinstance(item, yaml.SequenceNode):
             sched = []
             for pair in item.value:
                 if isinstance(pair, yaml.SequenceNode) and len(pair.value) == 2:
                     t0 = _parse_float(pair.value[0], diags, "breakpoint time")
                     r = _parse_float(pair.value[1], diags, "breakpoint rate")
-                    if t0 is not None and r is not None:
-                        sched.append((t0, r))
+                    sched.append((t0, r))
                 else:
                     diags.add(pair, "schedule entries are [time, rate] pairs")
-            if sched:
-                if sched[0][0] != 0.0:
-                    diags.add(item, "first breakpoint must be at t=0")
-                elif any(r <= 0 for _, r in sched):
-                    diags.add(item, "rates must be positive")
-                else:
-                    schedules.append(tuple(sched))
+        else:
+            diags.add(item, "rate must be a number or a breakpoint list")
             continue
-        diags.add(item, "rate must be a number or a breakpoint list")
+        if len(diags.items) > item_before:
+            continue
+        try:
+            Parametrization((tuple(sched),))
+        except ValueError as exc:
+            diags.add(item, str(exc))
+            continue
+        schedules.append(tuple(sched))
     if len(diags.items) > before:
         return None
     return Parametrization(tuple(schedules)) if schedules else None
@@ -392,12 +404,9 @@ def _parse_trace(node, base: TraceParams, diags: _Diagnostics) -> TraceParams:
         if key not in fields:
             diags.add(key_node, f"unknown trace key {key!r}")
             continue
-        v = _parse_float(value_node, diags, f"trace.{key}")
+        v = _parse_float(value_node, diags, f"trace.{key}", positive=True)
         if v is not None:
-            if v <= 0:
-                diags.add(value_node, f"trace.{key} must be positive")
-            else:
-                out = replace(out, **{fields[key]: v})
+            out = replace(out, **{fields[key]: v})
     if out.singularity_capture_radius <= out.domain_margin:
         diags.add(node, "capture_radius must exceed domain_margin")
     return out
@@ -407,7 +416,7 @@ def _parse_loewner(node, base: LoewnerParams, diags: _Diagnostics) -> LoewnerPar
     out = base
     for key, key_node, value_node in _mapping_items(node, diags, "loewner"):
         if key in ("T", "dt", "lift"):
-            v = _parse_float(value_node, diags, f"loewner.{key}")
+            v = _parse_float(value_node, diags, f"loewner.{key}", positive=True)
             if v is not None:
                 out = replace(out, **{key: v})
         elif key == "tracked":
@@ -469,11 +478,8 @@ _ALL_OUTPUTS = tuple(OUTPUT_KINDS)
 
 
 def _figure_scene(name: str, growth, marked, trace=TraceParams()) -> SceneConfig:
-    divisor = SymmetricDivisor.build(
-        DISK, growth, [(p, Charge.of(c)) for p, c in marked]
-    )
     return SceneConfig(
-        divisor=divisor,
+        divisor=SymmetricDivisor.build(DISK, growth, marked),
         trace=trace,
         loewner=LoewnerParams(T=0.1, dt=1e-5, lift=1e-6, tracked=(2j,)),
         rates=None,
@@ -504,7 +510,7 @@ def preset(name: str) -> SceneConfig:
         return _figure_scene(
             "fig3",
             [-1j, cmath.exp(1j * cmath.pi / 3), 1j],
-            [(-1 / 3, -1), (-3, -1), (1 / 2, Charge.of("-3/2")), (2, Charge.of("-3/2"))],
+            [(-1 / 3, -1), (-3, -1), (1 / 2, "-3/2"), (2, "-3/2")],
             trace=TraceParams(singularity_capture_radius=1e-4),
         )
     raise KeyError(name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .divisors import DISK, HALF_PLANE
 from .errors import LaunchError, SingularityProximityError, WindingUndefinedError
@@ -43,7 +43,6 @@ class Trajectory:
     points: tuple[complex, ...]
     arc_lengths: tuple[float, ...]
     terminal: Terminal
-    windings: tuple[tuple[complex, float], ...]
     start: complex
     initial_dir: complex
 
@@ -52,13 +51,8 @@ class Trajectory:
         return self.arc_lengths[-1]
 
 
-def winding_angle(trajectory: Union["Trajectory", Sequence[complex]], base: complex) -> float:
-    """Total turning of the polyline as seen from ``base``, in radians."""
-    points = trajectory.points if isinstance(trajectory, Trajectory) else trajectory
-    return math.fsum(_winding_increments(points, base))
-
-
 def _winding_increments(points: Sequence[complex], base: complex) -> list[float]:
+    """Turning of each polyline segment as seen from ``base``, in radians."""
     out = []
     prev = points[0] - base
     if abs(prev) <= 1e-12:
@@ -116,16 +110,12 @@ def trace(
             launch_point = info.point
             break
 
-    marked = [(p, order) for p, order in qd.marked_factors]
-    wind_totals = [0.0] * len(marked)
     singular = [p for p, _ in qd.factors]
 
     if launch_point is not None:
         z = launch_point + capture * direction
         points = [launch_point, z]
         arcs = [0.0, abs(z - launch_point)]
-        for i, (q, _) in enumerate(marked):
-            wind_totals[i] += cmath.phase((z - q) / (launch_point - q))
         escaped = False
     else:
         z = start
@@ -167,10 +157,7 @@ def trace(
         norm = math.hypot(tr, ti)
         if norm > 0.0:
             dir_r, dir_i = tr / norm, ti / norm
-        seg = abs(z_new - z)
-        arc += seg
-        for i, (q, _) in enumerate(marked):
-            wind_totals[i] += cmath.phase((z_new - q) / (z - q))
+        arc += abs(z_new - z)
         z = z_new
         points.append(z)
         arcs.append(arc)
@@ -191,7 +178,6 @@ def trace(
         points=tuple(points),
         arc_lengths=tuple(arcs),
         terminal=terminal,
-        windings=tuple((q, w) for (q, _), w in zip(marked, wind_totals)),
         start=start,
         initial_dir=direction,
     )
@@ -244,6 +230,8 @@ class SpiralFlag:
 class AsymptoticReport:
     pairs: tuple[ConvergingPair, ...]
     spirals: tuple[SpiralFlag, ...]
+    # per trajectory, its total winding about each marked point in order
+    windings: tuple[tuple[tuple[complex, float], ...], ...]
 
     @property
     def empty(self) -> bool:
@@ -283,7 +271,8 @@ def analyze(
     at least 3 whose approach directions into the pole differ by less than
     the gap threshold. A spiral is a trajectory whose winding about some marked
     point exceeds the threshold and is eventually monotone (the nonzero
-    increments over the last 75% of its steps share one sign).
+    increments over the last 75% of its steps share one sign). Each winding
+    is summed once, here: the report lists the same total it tests.
     """
     by_terminal: dict[complex, list[int]] = {}
     for i, traj in enumerate(trajectories):
@@ -312,15 +301,19 @@ def analyze(
                     pairs.append(ConvergingPair(i, j, point, gap))
 
     spirals = []
+    windings = []
     for i, traj in enumerate(trajectories):
-        for q, _ in traj.windings:
+        totals = []
+        for q, _ in qd.marked_factors:
             incs = _winding_increments(traj.points, q)
             total = math.fsum(incs)
+            totals.append((q, total))
             if abs(total) <= spiral_threshold:
                 continue
             tail = incs[len(incs) // 4 :]
             signs = {1 if v > 0 else -1 for v in tail if v != 0.0}
             if len(signs) == 1:
                 spirals.append(SpiralFlag(i, q, total))
+        windings.append(tuple(totals))
 
-    return AsymptoticReport(tuple(pairs), tuple(spirals))
+    return AsymptoticReport(tuple(pairs), tuple(spirals), tuple(windings))

@@ -9,9 +9,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 from slezero.divisors import (
-    Charge,
     DISK,
     HALF_PLANE,
     MoebiusMap,
@@ -37,29 +37,29 @@ def half_plane_divisor(rng: random.Random, max_growth: int = 3) -> SymmetricDivi
     """
     n = rng.randint(1, max_growth)
     xs = distinct_reals(rng, n)
-    marked: list[tuple[complex | str, Charge]] = []
+    marked: list[tuple[complex | str, Fraction]] = []
     doubled = 0  # running sum of 2*sigma, kept integer
 
     for _ in range(rng.randint(0, 2)):
         re = rng.uniform(-2.0, 2.0)
         im = rng.uniform(0.5, 2.0)
         k = rng.choice([-4, -3, -2, -1, 1, 2])
-        marked.append((complex(re, im), Charge.of(f"{k}/2")))
-        marked.append((complex(re, -im), Charge.of(f"{k}/2")))
+        marked.append((complex(re, im), Fraction(k, 2)))
+        marked.append((complex(re, -im), Fraction(k, 2)))
         doubled += 2 * k
 
     for x in distinct_reals(rng, rng.randint(0, 2), lo=-6.0, hi=6.0, min_gap=0.4):
         if any(abs(x - g) < 0.3 for g in xs):
             continue
         k = rng.choice([-4, -3, -2, -1, 1, 2])
-        marked.append((complex(x), Charge.of(f"{k}/2")))
+        marked.append((complex(x), Fraction(k, 2)))
         doubled += k
 
     remainder = 2 * (-2 - n) - doubled  # 2*sigma still owed
     if remainder == 0:
-        marked.append((complex(9.0), Charge.of(-1)))
+        marked.append((complex(9.0), Fraction(-1)))
         remainder = 2
-    marked.append(("inf", Charge.of(f"{remainder}/2")))
+    marked.append(("inf", Fraction(remainder, 2)))
     return SymmetricDivisor.build(HALF_PLANE, [complex(x) for x in xs], marked)
 
 
@@ -70,7 +70,7 @@ def disk_divisor(rng: random.Random, max_growth: int = 3) -> SymmetricDivisor:
     # keep clear of 2*pi so wrap-around cannot defeat the angle separation
     angles = distinct_reals(rng, n + 2, lo=0.0, hi=2.0 * math.pi - 0.3, min_gap=0.25)
     growth = [cmath.exp(1j * a) for a in angles[:n]]
-    marked: list[tuple[complex, Charge]] = []
+    marked: list[tuple[complex, Fraction]] = []
     doubled = 0
 
     for _ in range(rng.randint(0, 2)):
@@ -78,16 +78,16 @@ def disk_divisor(rng: random.Random, max_growth: int = 3) -> SymmetricDivisor:
         a = rng.uniform(0.0, 2.0 * math.pi)
         q = r * cmath.exp(1j * a)
         k = rng.choice([-4, -3, -2, -1, 1, 2])
-        marked.append((q, Charge.of(f"{k}/2")))
-        marked.append((1.0 / q.conjugate(), Charge.of(f"{k}/2")))
+        marked.append((q, Fraction(k, 2)))
+        marked.append((1.0 / q.conjugate(), Fraction(k, 2)))
         doubled += 2 * k
 
     remainder = 2 * (-2 - n) - doubled
     if remainder == 0:
         # a zero balancing charge would be degenerate; split it in two
-        marked.append((cmath.exp(1j * angles[n + 1]), Charge.of(-1)))
+        marked.append((cmath.exp(1j * angles[n + 1]), Fraction(-1)))
         remainder = 2
-    marked.append((cmath.exp(1j * angles[n]), Charge.of(f"{remainder}/2")))
+    marked.append((cmath.exp(1j * angles[n]), Fraction(remainder, 2)))
     return SymmetricDivisor.build(DISK, growth, marked)
 
 

@@ -91,6 +91,7 @@ class TestRun:
         assert "note: driving collision bracketed in [0.048654" in stdout
         payload = json.loads((out / "motion_report.json").read_text())
         assert payload["collision"]["bracket"][0] == pytest.approx(0.048654045, abs=1e-8)
+        assert payload["collision"]["note"].startswith("collision at t=")
         assert "marked point" in payload["collision"]["note"]
 
     def test_bad_config_exits_1_with_line_numbers(self, tmp_path, capsys):
@@ -105,6 +106,43 @@ class TestRun:
         code, _, stderr = cli(capsys, "run", "--config", str(tmp_path / "nope.yaml"))
         assert code == 1
         assert "cannot read" in stderr
+
+    def test_bad_rate_schedule_exits_1_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text("preset: fig1\nrates: [[[0, 1], [0.5, 2], [0.2, 3]], 1, 1]\n")
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "line 2: rate breakpoints must increase" in stderr
+        assert "Traceback" not in stderr
+
+    def test_nan_rate_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text("preset: fig1\nrates: [nan, 1, 1]\n")
+        out = tmp_path / "out"
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert "line 2: rate must be finite: 'nan'" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--dt", "-1"], "argument --dt: must be positive: '-1'"),
+            (["run", "--dt", "0"], "argument --dt: must be positive: '0'"),
+            (["verify", "--T", "inf"], "argument --T: must be finite: 'inf'"),
+            (["verify", "--step", "nan"], "argument --step: must be finite: 'nan'"),
+            (["run", "--max-arc", "far"], "argument --max-arc: is not a number: 'far'"),
+        ],
+    )
+    def test_override_flags_are_checked_like_config_values(self, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(SINGLE)
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", str(cfg), *out] + argv[1:])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,6 @@ def tiny_trajectory() -> Trajectory:
         points=(0j, 1 + 1j),
         arc_lengths=(0.0, math.sqrt(2.0)),
         terminal=Terminal("exhausted_arc_length"),
-        windings=((2j, 0.5),),
         start=0j,
         initial_dir=1 + 0j,
     )
@@ -119,7 +118,6 @@ class TestFieldSvg:
             points=pts,
             arc_lengths=tuple(k * 1e-3 for k in range(len(pts))),
             terminal=Terminal("exhausted_arc_length"),
-            windings=(),
             start=pts[0],
             initial_dir=1 + 0j,
         )

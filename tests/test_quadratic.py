@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import half_plane_divisor, mod_pi_gap, q_value
-from slezero.divisors import Charge, SymmetricDivisor
+from slezero.divisors import SymmetricDivisor
 from slezero.errors import (
     DegenerateConfigurationError,
     InvalidReferenceError,
@@ -59,7 +59,7 @@ class TestAssembly:
 
     def test_non_half_integer_charge_rejected(self):
         div = SymmetricDivisor.half_plane(
-            [0.0], [(2.0, Charge.of("-5/3")), ("inf", Charge.of("-4/3"))]
+            [0.0], [(2.0, "-5/3"), ("inf", "-4/3")]
         )
         with pytest.raises(UnsupportedChargeError):
             build_Q(div)

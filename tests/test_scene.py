@@ -1,6 +1,8 @@
 """YAML scene parsing, line-numbered diagnostics, presets, round-trips."""
 
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -163,6 +165,27 @@ class TestSections:
         with pytest.raises(ConfigError, match="first breakpoint must be at t=0"):
             parse_config(MINIMAL + "rates:\n  - [[0.1, 1.0]]\n")
 
+    def test_decreasing_breakpoints_are_a_diagnostic(self):
+        text = "preset: fig1\nrates: [[[0, 1], [0.5, 2], [0.2, 3]], 1, 1]\n"
+        with pytest.raises(ConfigError, match="rate breakpoints must increase") as exc:
+            parse_config(text)
+        assert diag_lines(exc.value) == [2]
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_rejected(self, literal):
+        with pytest.raises(ConfigError, match="rate must be finite"):
+            parse_config(f"preset: fig1\nrates: [{literal}, 1, 1]\n")
+        with pytest.raises(ConfigError, match="loewner.T must be finite"):
+            parse_config(MINIMAL + f"loewner:\n  T: {literal}\n")
+        with pytest.raises(ConfigError, match="trace.step must be finite"):
+            parse_config(MINIMAL + f"trace:\n  step: {literal}\n")
+
+    def test_non_finite_point_literals_rejected(self):
+        with pytest.raises(ConfigError, match="tracked point: complex literal 'nan\\+1i' is not finite"):
+            parse_config("preset: fig1\nloewner:\n  tracked: [\"nan+1i\"]\n")
+        with pytest.raises(ConfigError, match="growth point: complex literal 'inf\\+0i' is not finite"):
+            parse_config('domain: half_plane\ngrowth: ["0.0", "inf+0i"]\n')
+
     def test_rate_count_checked_against_growth(self):
         with pytest.raises(ConfigError, match="one rate schedule per growth point"):
             parse_config(MINIMAL + "rates: [1.0, 1.0]\n")
@@ -253,3 +276,15 @@ class TestPresets:
         assert scene.divisor.domain == HALF_PLANE
         assert scene.loewner.T == 1.0
         assert scene.loewner.tracked == (2j,)
+
+
+class TestReadme:
+    def test_scene_config_example_parses(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Scene config\n", 1)[1]
+        example = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        scene = parse_config(example)
+        assert scene.name == "example"
+        assert scene.divisor.domain == HALF_PLANE
+        assert len(scene.divisor.growth) == scene.rates.n_curves == 2
+        assert scene.outputs == OUTPUT_KINDS

@@ -1,21 +1,39 @@
 """Horizontal trajectory integration, launching, and asymptotic analysis."""
 
 import cmath
+import json
 import math
 
 import pytest
 
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import LaunchError, WindingUndefinedError
+from slezero.outputs import analysis_payload, report_text
 from slezero.quadratic import QuadDifferential, build_Q, classify_singularities
 from slezero.scene import PRESET_NAMES, preset
 from slezero.tracing import (
+    Terminal,
     TraceParams,
+    Trajectory,
     analyze,
     launch_all,
     trace,
-    winding_angle,
 )
+
+
+def winding_about(points, base: complex) -> float:
+    """The winding ``analyze`` reports for a polyline about one marked point."""
+    traj = Trajectory(
+        points=tuple(points),
+        arc_lengths=tuple(float(k) for k in range(len(points))),
+        terminal=Terminal("exhausted_arc_length"),
+        start=points[0],
+        initial_dir=1 + 0j,
+    )
+    qd = QuadDifferential(HALF_PLANE, ((complex(base), -1),), 0)
+    ((q, w),) = analyze([traj], qd).windings[0]
+    assert q == base
+    return w
 
 
 def two_slit_qd() -> QuadDifferential:
@@ -91,8 +109,12 @@ class TestTrace:
     def test_windings_recorded_per_marked_point(self):
         qd = QuadDifferential(HALF_PLANE, ((-1j, 2),), 0)
         traj = trace(qd, 0.5 + 0.1j, 0.5 - 1.1j, TraceParams(max_arc_length=5.0))
-        assert [q for q, _ in traj.windings] == [-1j]
-        assert traj.windings[0][1] == pytest.approx(winding_angle(traj, -1j), abs=1e-12)
+        ((q, w),) = analyze([traj], qd).windings[0]
+        assert q == -1j
+        # less than a half turn: the angle the chord from start to exit
+        # subtends at the zero
+        chord = cmath.phase((traj.points[-1] + 1j) / (traj.points[0] + 1j))
+        assert w == pytest.approx(chord, abs=1e-12)
 
 
 class TestLaunch:
@@ -142,15 +164,15 @@ class TestLaunch:
 class TestWindingAngle:
     def test_closed_loop_winds_once(self):
         pts = [cmath.exp(2j * math.pi * k / 1024) for k in range(1025)]
-        assert winding_angle(pts, 0.0) == pytest.approx(2 * math.pi, abs=1e-9)
+        assert winding_about(pts, 0.0) == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_base_outside_loop(self):
         pts = [cmath.exp(2j * math.pi * k / 1024) for k in range(1025)]
-        assert winding_angle(pts, 3.0) == pytest.approx(0.0, abs=1e-9)
+        assert winding_about(pts, 3.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_base_on_the_path_rejected(self):
         with pytest.raises(WindingUndefinedError):
-            winding_angle([0.0, 1.0, 1.0 + 1e-13], 1.0)
+            winding_about([0.0, 1.0, 1.0 + 1e-13], 1.0)
 
 
 class TestAnalyze:
@@ -182,6 +204,19 @@ class TestAnalyze:
         assert flag.trajectory == 2
         assert flag.center == pytest.approx(-1 / 3, abs=1e-12)
         assert abs(flag.winding) > 4 * math.pi
+
+    def test_one_winding_per_trajectory_and_marked_point(self, figure_runs):
+        qd, trajs = figure_runs["fig3"]
+        report = analyze(trajs, qd)
+        assert len(report.windings) == len(trajs)
+        for windings in report.windings:
+            assert [q for q, _ in windings] == [q for q, _ in qd.marked_factors]
+        (flag,) = report.spirals
+        assert dict(report.windings[flag.trajectory])[flag.center] == flag.winding
+        payload = json.loads(report_text(analysis_payload(trajs, report)))
+        (spiral,) = payload["spirals"]
+        listed = payload["trajectories"][spiral["trajectory"]]["windings"]
+        assert listed[spiral["center"]] == spiral["winding"]
 
     def test_pair_requires_pole_of_order_three(self, figure_runs):
         # fig2 trajectory 1 lands on an order -2 pole: never in a pair
