@@ -23,6 +23,7 @@ from .errors import (
     LaunchError,
     SingularityProximityError,
     SleZeroError,
+    StepBudgetError,
     WindingUndefinedError,
 )
 
@@ -35,6 +36,7 @@ _RUNTIME_ERRORS = (
     InversionFailureError,
     LaunchError,
     SingularityProximityError,
+    StepBudgetError,
     WindingUndefinedError,
 )
 

@@ -35,6 +35,10 @@ class InversionFailureError(SleZeroError):
     """Reverse-time solve for an inverse Loewner map did not converge."""
 
 
+class StepBudgetError(SleZeroError):
+    """An integration would take more steps than its budget."""
+
+
 class ConfigError(SleZeroError):
     """Scene configuration rejected; carries line-numbered diagnostics."""
 

@@ -9,16 +9,17 @@ while marked points and tracked observers z are carried by the common field
 
     dz/dt = sum_j 2 nu_j / (z - x_j),
 
-and log g'(z) by its derivative flow. Everything is integrated together with
-a classical 4th-order step; the step size is capped quadratically in the
-smallest point gap so that collisions are approached geometrically instead
-of being overshot, and steps end exactly on the breakpoints of the rates.
+and log g'(z) by its derivative flow. The points are integrated together
+with a classical 4th-order step; the step size is capped quadratically in
+the smallest point gap so that collisions are approached geometrically
+instead of being overshot, and steps end exactly on the breakpoints of the
+rates. log g' feeds nothing back into the steps, so its RK4 quadrature runs
+behind them, on blocks of recorded stage values.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -27,13 +28,16 @@ import numpy as np
 
 from . import divisors
 from .divisors import HALF_PLANE, SymmetricDivisor, format_complex
-from .errors import DegenerateConfigurationError, InversionFailureError
+from .errors import DegenerateConfigurationError, InversionFailureError, StepBudgetError
 
 COLLISION_TOL = 1e-8
 GAP_CAP_SAFETY = 0.125  # of the gap^2/(8 sum nu) stiffness bound
 TRACK_CAP_COEFF = 0.004  # dt <= coeff * |g-x|^2 near a tracked-point death
 REVERSE_CAP_COEFF = 0.05
 DEFAULT_LIFT = 1e-6
+STEP_BUDGET = 1_000_000  # flow steps per evolution, capped ones included
+BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
+OBSERVER_BLOCK = 16  # history columns per block of motion_integral
 
 
 @dataclass(frozen=True)
@@ -100,32 +104,32 @@ class Parametrization:
 
 
 class LoewnerState(NamedTuple):
-    """The flow at time t.
-
-    ``x`` and ``dx`` are the driving points and their velocities, ``q`` the
-    finite marked points in divisor order, and ``g`` and ``log_gprime`` hold
-    one entry per observer (frozen from its death on).
-    """
+    """The flow at time t: the driving points ``x`` and their velocities
+    ``dx``, and the finite marked points ``q`` in divisor order."""
 
     t: float
     x: tuple[float, ...]
     dx: tuple[float, ...]
     q: tuple[complex, ...]
-    g: tuple[complex, ...]
-    log_gprime: tuple[complex, ...]
 
 
 @dataclass
 class Evolution:
-    """The recorded states of one flow; ``tracked`` holds the observers'
-    start points and ``death_times`` the time each was swallowed (None
-    while alive)."""
+    """The recorded states of one flow.
+
+    ``tracked`` holds the observers' start points and ``death_times`` the
+    time each was swallowed (None while alive). ``g`` and ``log_gprime`` are
+    the observers' history: one row per state, one column per observer,
+    frozen from its death on.
+    """
 
     divisor: SymmetricDivisor
     nu: Parametrization
     states: list[LoewnerState]
     tracked: tuple[complex, ...]
     death_times: list[float | None]
+    g: np.ndarray
+    log_gprime: np.ndarray
     collision: tuple[float, float] | None = None
     collision_note: str | None = None
 
@@ -134,44 +138,32 @@ class Evolution:
         return self.states[-1]
 
 
-def _common_velocity(z: complex, x: Sequence[float], rates: Sequence[float]) -> complex:
-    total = 0j
-    for xk, rk in zip(x, rates):
-        total += 2.0 * rk / (z - xk)
-    return total
-
-
-def _log_gprime_velocity(g: complex, x: Sequence[float], rates: Sequence[float]) -> complex:
-    total = 0j
-    for xk, rk in zip(x, rates):
-        d = g - xk
-        total -= 2.0 * rk / (d * d)
-    return total
-
-
 def _velocities(
     x: Sequence[float],
-    q: Sequence[complex],
+    p: Sequence[complex],
     s: Sequence[float],
-    g: Sequence[complex],
+    nq: int,
     rates: Sequence[float],
-) -> tuple[list[float], list[complex], list[complex], list[complex]]:
-    """d/dt of the driving points, the marked points, the observers' images
-    and their log g', with charges ``s`` on the marked points."""
-    dlog = divisors.dlog_Z(x, q, s)
+) -> tuple[list[float], list[complex]]:
+    """d/dt of the driving points and of the points ``p`` carried by the
+    common field: the ``nq`` finite marked points, with charges ``s``, then
+    the live observers."""
+    dlog = divisors.dlog_Z(x, p[:nq], s)
+    c = [2.0 * r for r in rates]
     dx = []
     for j, xj in enumerate(x):
         inter = 0.0
         for k, xk in enumerate(x):
             if k != j:
-                inter += 2.0 * rates[k] / (xj - xk)
+                inter += c[k] / (xj - xk)
         dx.append(rates[j] * dlog[j] + inter)
-    return (
-        dx,
-        [_common_velocity(z, x, rates) for z in q],
-        [_common_velocity(z, x, rates) for z in g],
-        [_log_gprime_velocity(z, x, rates) for z in g],
-    )
+    dp = []
+    for z in p:
+        total = 0j
+        for xk, ck in zip(x, c):
+            total += ck / (z - xk)
+        dp.append(total)
+    return dx, dp
 
 
 def _shift(y: list, k: list, h: float) -> list:
@@ -183,19 +175,133 @@ def _rk4(y: list, k1: list, k2: list, k3: list, k4: list, h: float) -> list:
     return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, str]:
+def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, tuple[int, int] | None]:
+    """The smallest distance from a driving point to another one or to a
+    finite marked point, and its pair: (j, k) for driving points j < k,
+    (j, len(x) + l) for driving point j and marked point l."""
     best = math.inf
-    note = ""
-    for j in range(len(x)):
-        for k in range(j + 1, len(x)):
-            d = abs(x[j] - x[k])
+    pair = None
+    n = len(x)
+    for j, xj in enumerate(x):
+        for k in range(j + 1, n):
+            d = abs(xj - x[k])
             if d < best:
-                best, note = d, f"driving points {j} and {k}"
-        for ql in q:
-            d = abs(x[j] - ql)
+                best, pair = d, (j, k)
+        for l, ql in enumerate(q):
+            d = abs(xj - ql)
             if d < best:
-                best, note = d, f"driving point {j} and marked point {format_complex(ql)}"
-    return best, note
+                best, pair = d, (j, n + l)
+    return best, pair
+
+
+def _pair_note(x: Sequence[float], q: Sequence[complex], pair: tuple[int, int] | None) -> str:
+    if pair is None:
+        return ""
+    j, k = pair
+    if k < len(x):
+        return f"driving points {j} and {k}"
+    return f"driving point {j} and marked point {format_complex(q[k - len(x)])}"
+
+
+def _near(
+    x: Sequence[float], g: Sequence[complex], live: Sequence[int]
+) -> list[tuple[float, int]]:
+    """(distance to the nearest driving point, observer) for each live
+    observer ``live[i]`` at ``g[i]`` within height 1 of the real line.
+
+    The others are at least 1 away from every (real) driving point, where
+    neither the observer cap nor a death can concern them.
+    """
+    return [(min(abs(z - xj) for xj in x), i) for i, z in zip(live, g) if abs(z.imag) < 1.0]
+
+
+def _quotients(
+    a: np.ndarray, br: np.ndarray, bi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real part and the negated imaginary part of a / (br + i bi) for
+    real ``a``, with the bits of CPython's real over complex division
+    (Smith's method: scale by the larger part of the denominator, then
+    divide)."""
+    swap = np.abs(br) < np.abs(bi)
+    big = np.where(swap, bi, br)
+    small = np.where(swap, br, bi)
+    ratio = small / big
+    den = big + small * ratio
+    return a * np.where(swap, ratio, 1.0) / den, a * np.where(swap, 1.0, ratio) / den
+
+
+class _ObserverHistory:
+    """The observers' g and log g' rows, one per state, filled a block of
+    steps at a time.
+
+    log g' feeds nothing back into the step loop, so the loop only records
+    each step's size, rates, stage driving points and stage observer images,
+    and the RK4 quadrature of d log g'/dt = -sum_k 2 nu_k / (g - x_k)^2 runs
+    on a whole block as arrays. Its quotients are CPython's, its sums run
+    over the driving points in order and along time in sequence, so each
+    observer gets the bits of the same quadrature on Python complex numbers.
+    The rows live in arrays with room for ``rows`` states, doubled when more
+    come.
+    """
+
+    def __init__(self, g: Sequence[complex], rows: int):
+        self.g = np.empty((rows, len(g)), dtype=complex)
+        self.log_gprime = np.empty_like(self.g)
+        self.g[0], self.log_gprime[0] = g, 0.0
+        self.rows = 1
+        # per step: its size and rates, its four stage driving points, its
+        # four stage marked and observer points and those at its end, and
+        # the number of states it records
+        self.steps: list[tuple] = []
+
+    def flush(self, live: Sequence[int], nq: int) -> None:
+        """Integrates the recorded steps, all taken with the observers
+        ``live`` alive, onto the history."""
+        if not self.steps:
+            return
+        h, rates, xs, ps, reps = zip(*self.steps)
+        self.steps = []
+        start, end = self.rows, self.rows + sum(reps)
+        if end > len(self.g):
+            size = max(end, 2 * len(self.g))
+            for name in ("g", "log_gprime"):
+                grown = np.empty((size, self.g.shape[1]), dtype=complex)
+                grown[:start] = getattr(self, name)[:start]
+                setattr(self, name, grown)
+        self.rows = end
+        g, w = self.g[start:end], self.log_gprime[start:end]
+        g[:], w[:] = self.g[start - 1], self.log_gprime[start - 1]
+        if not live:
+            return
+        # one row per step: stages along axis 1, then the live observers
+        points = np.array(ps)[:, :, nq:]
+        g[:, live] = np.repeat(points[:, 4], reps, axis=0)
+        dws = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4])
+        for part, dw in zip((w.real, w.imag), dws):
+            # w_{i+1} = w_i + dw_i, summed in sequence from the last row
+            part[:, live] = np.repeat(np.cumsum(np.vstack((part[:1, live], dw)), axis=0)[1:], reps, axis=0)
+
+
+def _log_gprime_steps(
+    h: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, gs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary RK4 increments of log g' over a block of steps, one
+    row per step and one column per observer: the steps' sizes ``h``, their
+    2 nu_k (one row per step), stage driving points ``xs`` and stage
+    observer images ``gs`` (stages along axis 1)."""
+    gr, gi = gs.real, gs.imag
+    for k in range(xs.shape[2]):
+        dr = gr - xs[:, :, k, None]
+        # 2 nu_k / (g - x_k)^2, the square as CPython multiplies
+        re, neg_im = _quotients(coeffs[:, k, None, None], dr * dr - gi * gi, dr * gi + gi * dr)
+        if k == 0:
+            sum_re, sum_neg_im = re, neg_im
+        else:
+            sum_re, sum_neg_im = sum_re + re, sum_neg_im + neg_im
+    # the velocity is minus the sum of the quotients
+    h6 = h[:, None] / 6.0
+    re, im = (h6 * (b[:, 0] + 2.0 * b[:, 1] + 2.0 * b[:, 2] + b[:, 3]) for b in (-sum_re, sum_neg_im))
+    return re, im
 
 
 def evolve(
@@ -211,7 +317,9 @@ def evolve(
     breakpoint before T: first with the velocities under the old rates, then
     under the new ones. Tracked observers that come within the collision
     tolerance of a driving point are marked dead and frozen; a driving
-    collision stops the evolution and is reported as a time bracket.
+    collision stops the evolution and is reported as a time bracket. More
+    than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps,
+    raise ``StepBudgetError``.
     """
     report = divisors.validate(divisor)
     if not report.ok:
@@ -224,79 +332,115 @@ def evolve(
         nu = Parametrization.constant([1.0] * len(divisor.growth))
     if nu.n_curves != len(divisor.growth):
         raise ValueError("one rate schedule per growth point required")
+    if T / dt > STEP_BUDGET:
+        raise StepBudgetError(
+            f"T/dt = {T / dt:.3g} flow steps exceed the budget of {STEP_BUDGET}"
+        )
 
     x = [p.value.real for p in divisor.growth]
     q, s = divisor.finite_marked()
-    g = list(tracked)
-    w = [0j] * len(g)
+    nq = len(q)
     # an observer on a driving point is swallowed at once
     death_times: list[float | None] = [
-        0.0 if min(abs(z - xj) for xj in x) < COLLISION_TOL else None for z in g
+        0.0 if min(abs(z - xj) for xj in x) < COLLISION_TOL else None for z in tracked
     ]
     live = [i for i, death in enumerate(death_times) if death is None]
+    # the marked points, then the live observers
+    p = list(q) + [tracked[i] for i in live]
+    near = _near(x, p[nq:], live)
     breaks = [b for b in nu.breakpoints() if b < T]
+    # room for the states of T/dt steps, two at each breakpoint
+    history = _ObserverHistory(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
     next_break = 0
     t = 0.0
+    steps = 0
     rates = nu.rates(t)
     # the velocities at the latest state: its dx, and the next step's k1
-    vel = _velocities(x, q, s, [g[i] for i in live], rates)
-    states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q), tuple(g), tuple(w))]
-    evolution = Evolution(divisor, nu, states, tuple(tracked), death_times)
+    vel = _velocities(x, p, s, nq, rates)
+    states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
+    collision = collision_note = None
 
     while t < T:
-        gap, note = _min_gap(x, q)
+        gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
         h = min(dt, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
-        dists = [min(abs(g[i] - xj) for xj in x) for i in live]
-        for d in dists:
+        for d, _ in near:
             if d < 1.0:
                 h = min(h, TRACK_CAP_COEFF * d * d)
         h = min(h, remaining)
         if h < remaining and remaining - h < 1e-6 * h:
             h = remaining  # absorb the rounding tail into the step that reaches stop
-        if t + h == t and min(dists, default=1.0) < 1.0:
+        if t + h == t and near and min(near)[0] < 1.0:
             # the cap has collapsed below time resolution because a tracked
             # point is being swallowed: freeze it
-            pos = dists.index(min(dists))
-            death_times[live.pop(pos)] = t
-            del vel[2][pos], vel[3][pos]
+            dying = min(near)
+            history.flush(live, nq)
+            death_times[dying[1]] = t
+            pos = live.index(dying[1])
+            del live[pos], p[nq + pos], vel[1][nq + pos]
+            near.remove(dying)
             continue
         if gap < COLLISION_TOL or t + h == t:
             # the driving gap is closed, or its cap has collapsed below time
             # resolution: a collision is here
-            evolution.collision = (t, t + gap)
-            evolution.collision_note = f"collision at t={t:.12g}: {note}"
+            collision = (t, t + gap)
+            collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
             break
+        steps += 1
+        if steps > STEP_BUDGET:
+            raise StepBudgetError(
+                f"flow exceeded its budget of {STEP_BUDGET} steps at t={t:.12g} "
+                f"(step {h:.3g}, gap {gap:.3g})"
+            )
 
-        g0 = [g[i] for i in live]
         h2 = h / 2
         k1 = vel
-        k2 = _velocities(_shift(x, k1[0], h2), _shift(q, k1[1], h2), s, _shift(g0, k1[2], h2), rates)
-        k3 = _velocities(_shift(x, k2[0], h2), _shift(q, k2[1], h2), s, _shift(g0, k2[2], h2), rates)
-        k4 = _velocities(_shift(x, k3[0], h), _shift(q, k3[1], h), s, _shift(g0, k3[2], h), rates)
-        x, q, g1, w1 = (
-            _rk4(y, k1[i], k2[i], k3[i], k4[i], h)
-            for i, y in enumerate((x, q, g0, [w[i] for i in live]))
-        )
+        x2, p2 = _shift(x, k1[0], h2), _shift(p, k1[1], h2)
+        k2 = _velocities(x2, p2, s, nq, rates)
+        x3, p3 = _shift(x, k2[0], h2), _shift(p, k2[1], h2)
+        k3 = _velocities(x3, p3, s, nq, rates)
+        x4, p4 = _shift(x, k3[0], h), _shift(p, k3[1], h)
+        k4 = _velocities(x4, p4, s, nq, rates)
+        x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
+        p1 = _rk4(p, k1[1], k2[1], k3[1], k4[1], h)
         t1 = t + h
         at_break = stop < T and (h == remaining or t1 >= stop)
         if at_break:
             t1 = stop
             next_break += 1
-        for i, gi, wi in zip(live, g1, w1):
-            g[i], w[i] = gi, wi
-            if min(abs(gi - xj) for xj in x) < COLLISION_TOL:
+        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), 2 if at_break else 1))
+        x, p, q = x1, p1, p1[:nq]
+        near = _near(x, p[nq:], live)
+        dead = [i for d, i in near if d < COLLISION_TOL]
+        if dead:
+            history.flush(live, nq)
+            for i in dead:
                 death_times[i] = t1
-        live = [i for i in live if death_times[i] is None]
-        row = (tuple(q), tuple(g), tuple(w))
+            keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
+            p = q + [p[nq + pos] for pos in keep]
+            live = [live[pos] for pos in keep]
+            near = [e for e in near if death_times[e[1]] is None]
+        elif len(history.steps) * (len(x) + len(p)) >= BLOCK_VALUES:
+            history.flush(live, nq)
         if at_break:
-            states.append(LoewnerState(t1, tuple(x), tuple(_velocities(x, q, s, (), rates)[0]), *row))
+            states.append(LoewnerState(t1, tuple(x), tuple(_velocities(x, q, s, nq, rates)[0]), tuple(q)))
         rates = nu.rates(t1)
-        vel = _velocities(x, q, s, [g[i] for i in live], rates)
-        states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), *row))
+        vel = _velocities(x, p, s, nq, rates)
+        states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
-    return evolution
+    history.flush(live, nq)
+    return Evolution(
+        divisor,
+        nu,
+        states,
+        tuple(tracked),
+        death_times,
+        history.g[: history.rows],
+        history.log_gprime[: history.rows],
+        collision,
+        collision_note,
+    )
 
 
 class _DrivingPaths:
@@ -343,14 +487,7 @@ def _reverse_velocity(
     runs over the driving points in order, so that a column gets the bits
     of the same sum over Python complex numbers.
     """
-    br = zr - x
-    swap = np.abs(br) < np.abs(zi)
-    big = np.where(swap, zi, br)
-    small = np.where(swap, br, zi)
-    ratio = small / big
-    den = big + small * ratio
-    re = coeff * np.where(swap, ratio, 1.0) / den
-    im = coeff * np.where(swap, 1.0, ratio) / den
+    re, im = _quotients(coeff, zr - x, zi)
     tr, ti = re[0], im[0]
     for k in range(1, len(x)):
         tr = tr + re[k]
@@ -470,64 +607,81 @@ class MotionIntegralReport:
     death_time: float | None
 
 
-def motion_integral(evolution: Evolution, z: complex) -> MotionIntegralReport:
-    """Drift report for the conserved observable attached to a tracked point.
+def _libm(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` of Python floats over equal-shaped arrays: libm's bits, which
+    numpy's log and arctan2 miss in the last place for some arguments."""
+    lists = [c.ravel().tolist() for c in columns]
+    return np.fromiter(map(fn, *lists), float, columns[0].size).reshape(columns[0].shape)
+
+
+def _drifts(
+    g: np.ndarray, log_gprime: np.ndarray, factors: list, dead_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log modulus of the observable at the first state, and its largest
+    relative modulus and argument drifts over the alive states, one per
+    column of the history ``g``, ``log_gprime``; ``factors`` holds each
+    factor's weight and its point at every state."""
+    log_abs = 2.0 * log_gprime.real
+    args = 2.0 * log_gprime.imag
+    for weight, column in factors:
+        v = g - column[:, None]
+        size = np.hypot(v.real, v.imag)
+        size[dead_rows] = 1.0  # past a death g may sit on a driving point
+        log_abs = log_abs + weight * _libm(math.log, size)
+        args = args + weight * np.unwrap(_libm(math.atan2, v.imag, v.real), axis=0)
+    rel = np.abs(np.expm1(log_abs - log_abs[0]))
+    arg = np.abs(args - args[0])
+    rel[dead_rows] = arg[dead_rows] = 0.0
+    return log_abs[0], rel.max(axis=0), arg.max(axis=0)
+
+
+def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
+    """Drift reports for the conserved observable attached to each tracked
+    point, in ``tracked`` order.
 
     The observable is g'(z)^2 prod_k (g(z)-x_k)^2 prod_l (g(z)-q_l)^(2 s_l)
     (marked factors at infinity dropped). Its modulus is computed in log
     space from the integrated log g'; its argument is tracked continuously
-    by unwrapping each factor's phase along the state sequence. If z dies
-    before the last state the report covers the alive range and is flagged.
+    by unwrapping each factor's phase along the state sequence. An observer
+    that dies before the last state is reported over its alive range and
+    flagged. All observers are reported from one pass over the history
+    arrays, one factor at a time, in blocks of ``OBSERVER_BLOCK`` columns
+    that bound its temporaries.
     """
-    index = next(
-        (i for i, z0 in enumerate(evolution.tracked) if abs(z0 - z) <= 1e-12), None
-    )
-    if index is None:
-        raise ValueError(f"{z} was not tracked by this evolution")
+    if not evolution.tracked:
+        return []
+    states = evolution.states
+    ts = np.array([st.t for st in states])
+    # each observer is reported on the states before its death
+    counts = [len(ts) if d is None else int(ts.searchsorted(d)) for d in evolution.death_times]
+    for z, count in zip(evolution.tracked, counts):
+        if not count:
+            raise DegenerateConfigurationError(
+                f"tracked point {format_complex(z)} starts on a driving point"
+            )
+    dead_rows = np.arange(len(ts))[:, None] >= np.array(counts)
 
     _, charges = evolution.divisor.finite_marked()
-    weights = [2.0] * len(evolution.states[0].x) + [2.0 * s for s in charges]
-    death = evolution.death_times[index]
-    ts: list[float] = []
-    log_abs: list[float] = []
-    phases: list[list[float]] = []
-    arg_smooth: list[float] = []
-    for state in evolution.states:
-        if death is not None and state.t >= death:
-            break
-        g = state.g[index]
-        vals = [g - xj for xj in state.x] + [g - ql for ql in state.q]
-        log_gprime = state.log_gprime[index]
-        la = 2.0 * log_gprime.real
-        for v, w_ in zip(vals, weights):
-            la += w_ * math.log(abs(v))
-        ts.append(state.t)
-        log_abs.append(la)
-        phases.append([cmath.phase(v) for v in vals])
-        arg_smooth.append(2.0 * log_gprime.imag)
-
-    if not ts:
-        raise DegenerateConfigurationError(
-            f"tracked point {format_complex(z)} starts on a driving point"
+    xs = np.array([st.x for st in states]).T
+    qs = np.array([st.q for st in states], dtype=complex).reshape(len(ts), len(charges)).T
+    factors = [(2.0, c) for c in xs] + [(2.0 * s, c) for s, c in zip(charges, qs)]
+    blocks = [
+        _drifts(evolution.g[:, cols], evolution.log_gprime[:, cols], factors, dead_rows[:, cols])
+        for cols in (slice(i, i + OBSERVER_BLOCK) for i in range(0, len(counts), OBSERVER_BLOCK))
+    ]
+    log_abs, max_rel, max_arg = (np.concatenate(parts) for parts in zip(*blocks))
+    t_final = states[-1].t
+    return [
+        MotionIntegralReport(
+            z=z,
+            n_samples=count,
+            t_first=states[0].t,
+            t_last=states[count - 1].t,
+            log_abs_initial=float(log_abs[i]),
+            max_rel_drift=float(max_rel[i]),
+            max_arg_drift=float(max_arg[i]),
+            alive=death is None or death > t_final,
+            death_time=death,
         )
-
-    args = np.asarray(arg_smooth)
-    columns = np.asarray(phases)
-    for f, w_ in enumerate(weights):
-        args = args + w_ * np.unwrap(columns[:, f])
-
-    la0 = log_abs[0]
-    max_rel = max(abs(math.expm1(la - la0)) for la in log_abs)
-    a0 = float(args[0])
-    max_arg = float(np.max(np.abs(args - a0)))
-    return MotionIntegralReport(
-        z=z,
-        n_samples=len(ts),
-        t_first=ts[0],
-        t_last=ts[-1],
-        log_abs_initial=la0,
-        max_rel_drift=max_rel,
-        max_arg_drift=max_arg,
-        alive=death is None or death > evolution.final.t,
-        death_time=death,
-    )
+        for i, (z, count, death) in enumerate(zip(evolution.tracked, counts, evolution.death_times))
+    ]

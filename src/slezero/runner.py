@@ -110,9 +110,7 @@ def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
                 result.evolution, _hull_times(result.evolution.final.t), lo.lift
             )
         if "motion_report" in scene.outputs:
-            result.motion = [
-                loewner.motion_integral(result.evolution, z) for z in lo.tracked
-            ]
+            result.motion = loewner.motion_integral(result.evolution)
 
     def write(name: str, text: str) -> None:
         path = out / name
@@ -214,11 +212,10 @@ def _suite_invariance(scene: SceneConfig, flow_divisor: SymmetricDivisor, seed: 
     ]
 
 
-def _suite_motion(evolution: Evolution, tracked: tuple[complex, ...]) -> list[Check]:
+def _suite_motion(evolution: Evolution) -> list[Check]:
     checks = []
-    for z in tracked:
-        report = loewner.motion_integral(evolution, z)
-        tag = format_complex(z)
+    for report in loewner.motion_integral(evolution):
+        tag = format_complex(report.z)
         checks.append(Check(f"motion/abs_drift[z={tag}]", report.max_rel_drift, MOTION_LIMIT))
         checks.append(Check(f"motion/arg_drift[z={tag}]", report.max_arg_drift, None))
     return checks
@@ -259,7 +256,7 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
         tracked = lo.tracked or (2j,)
         evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene), tracked)
         if suite in ("all", "motion"):
-            checks.extend(_suite_motion(evolution, tracked))
+            checks.extend(_suite_motion(evolution))
         if suite in ("all", "equivalence"):
             checks.extend(_suite_equivalence(scene, flow_divisor, evolution))
     lines = [c.line() for c in checks]

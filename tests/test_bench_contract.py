@@ -66,6 +66,28 @@ def test_traced_verify_counts_one_evolution():
     assert metrics["divisors.dlog_Z_calls_per_state"] < 4.5
 
 
+def test_traced_run_reports_every_observer_in_one_call(tmp_path):
+    # a many-curves scene in small: several curves, a marked pair, observers
+    observers = ["2i", "-1+0.5i", "0.3+1.5i", "3+3i", "-2.5+0.2i"]
+    cfg = tmp_path / "many.yaml"
+    cfg.write_text(
+        'domain: half_plane\ngrowth: ["-2", "-0.5", "1", "2.5"]\nmarked:\n'
+        '  - point: "0.5+1i"\n    charge: "-1"\n  - point: "0.5-1i"\n    charge: "-1"\n'
+        '  - point: inf\n    charge: "-4"\n'
+        f"loewner:\n  T: 0.02\n  dt: 0.001\n  tracked: {observers}\noutputs: [motion_report]\n"
+    )
+    t = bench_tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        t.end_command()
+    finally:
+        t.uninstall()
+    traced = t.take_pass(0)
+    assert traced["layers"]["loewner.motion_integral"]["calls"] == 1
+    assert traced["metrics"]["loewner.observers"] == len(observers)
+
+
 def test_hull_makes_no_rate_lookups():
     div, _ = conformal.transport(scene.preset("fig1").divisor, divisors.HALF_PLANE)
     t = bench_tracer.Tracer()

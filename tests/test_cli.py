@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit-code contract."""
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -242,6 +243,16 @@ class TestExitCodes:
         code, _, stderr = cli(capsys, "run", "--config", str(cfg))
         assert code == 3
         assert "integration failure" in stderr
+
+    def test_flow_over_its_step_budget_exits_3_at_once(self, tmp_path, capsys):
+        # T/dt = 1e11 steps: rejected before the first one
+        cfg = tmp_path / "fig2.yaml"
+        cfg.write_text("preset: fig2\noutputs: [motion_report]\n")
+        start = time.perf_counter()
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--dt", "1e-12")
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert "integration failure: T/dt = 1e+11 flow steps exceed the budget of 1000000" in stderr
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command):

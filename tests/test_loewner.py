@@ -5,13 +5,14 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from conftest import half_plane_divisor
 
 from slezero import divisors, loewner
 from slezero.conformal import transport
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
-from slezero.errors import DegenerateConfigurationError, InversionFailureError
+from slezero.errors import DegenerateConfigurationError, InversionFailureError, StepBudgetError
 from slezero.loewner import HullSample, Parametrization, evolve, motion_integral, trace_hull
 from slezero.scene import preset
 
@@ -99,6 +100,125 @@ def reverse_point(ev, t, j, lift):
     return z
 
 
+def scalar_flow(div, T, dt, nu, tracked):
+    """Times and the observers' g and log g' rows of the flow with every
+    observer stepped on Python complex numbers inside the RK4 loop, with
+    evolve's step rule: the loop whose bits evolve's history must have."""
+    x = [p.value.real for p in div.growth]
+    q, s = div.finite_marked()
+    g, w = list(tracked), [0j] * len(tracked)
+    death = [0.0 if min(abs(z - xj) for xj in x) < loewner.COLLISION_TOL else None for z in g]
+
+    def field(z, x, rates):
+        total = 0j
+        for xk, rk in zip(x, rates):
+            total += 2.0 * rk / (z - xk)
+        return total
+
+    def log_gprime_field(z, x, rates):
+        total = 0j
+        for xk, rk in zip(x, rates):
+            d = z - xk
+            total -= 2.0 * rk / (d * d)
+        return total
+
+    def velocities(x, q, g, rates):
+        dlog = divisors.dlog_Z(x, q, s)
+        dx = []
+        for j, xj in enumerate(x):
+            inter = 0.0
+            for k, xk in enumerate(x):
+                if k != j:
+                    inter += 2.0 * rates[k] / (xj - xk)
+            dx.append(rates[j] * dlog[j] + inter)
+        return (
+            dx,
+            [field(z, x, rates) for z in q],
+            [field(z, x, rates) for z in g],
+            [log_gprime_field(z, x, rates) for z in g],
+        )
+
+    def shift(y, k, h):
+        return [a + h * b for a, b in zip(y, k)]
+
+    def rk4(y, k1, k2, k3, k4, h):
+        h6 = h / 6.0
+        return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+    breaks = [b for b in nu.breakpoints() if b < T]
+    t, rates = 0.0, nu.rates(0.0)
+    rows = [(t, list(g), list(w))]
+    while t < T:
+        live = [i for i, d in enumerate(death) if d is None]
+        gap = min([abs(a - b) for j, a in enumerate(x) for b in x[j + 1 :]] + [abs(a - b) for a in x for b in q], default=math.inf)
+        stop = next((b for b in breaks if b > t), T)
+        remaining = stop - t
+        h = min(dt, loewner.GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
+        dists = [min(abs(g[i] - xj) for xj in x) for i in live]
+        for d in dists:
+            if d < 1.0:
+                h = min(h, loewner.TRACK_CAP_COEFF * d * d)
+        h = min(h, remaining)
+        if h < remaining and remaining - h < 1e-6 * h:
+            h = remaining
+        if t + h == t and min(dists, default=1.0) < 1.0:
+            death[live[dists.index(min(dists))]] = t
+            continue
+        if gap < loewner.COLLISION_TOL or t + h == t:
+            break
+        g0, w0 = [g[i] for i in live], [w[i] for i in live]
+        k1 = velocities(x, q, g0, rates)
+        k2 = velocities(shift(x, k1[0], h / 2), shift(q, k1[1], h / 2), shift(g0, k1[2], h / 2), rates)
+        k3 = velocities(shift(x, k2[0], h / 2), shift(q, k2[1], h / 2), shift(g0, k2[2], h / 2), rates)
+        k4 = velocities(shift(x, k3[0], h), shift(q, k3[1], h), shift(g0, k3[2], h), rates)
+        x, q, g1, w1 = (rk4(y, k1[i], k2[i], k3[i], k4[i], h) for i, y in enumerate((x, q, g0, w0)))
+        t1 = t + h
+        at_break = stop < T and (h == remaining or t1 >= stop)
+        if at_break:
+            t1 = stop
+        for i, gi, wi in zip(live, g1, w1):
+            g[i], w[i] = gi, wi
+            if min(abs(gi - xj) for xj in x) < loewner.COLLISION_TOL:
+                death[i] = t1
+        rows.extend([(t1, list(g), list(w))] * (2 if at_break else 1))
+        t, rates = t1, nu.rates(t1)
+    return rows, death
+
+
+def history_bits(ts, g, w):
+    return [
+        (t.hex(), [(z.real.hex(), z.imag.hex(), v.real.hex(), v.imag.hex()) for z, v in zip(gs, ws)])
+        for t, gs, ws in zip(ts, g, w)
+    ]
+
+
+def scalar_reports(ev):
+    """Each observer's report by a loop over the states on Python numbers:
+    the per-observer pass motion_integral must reproduce."""
+    _, charges = ev.divisor.finite_marked()
+    weights = [2.0] * len(ev.states[0].x) + [2.0 * s for s in charges]
+    out = []
+    for i, death in enumerate(ev.death_times):
+        ts, log_abs, phases, arg_smooth = [], [], [], []
+        for st, g, lg in zip(ev.states, ev.g[:, i].tolist(), ev.log_gprime[:, i].tolist()):
+            if death is not None and st.t >= death:
+                break
+            vals = [g - xj for xj in st.x] + [g - ql for ql in st.q]
+            la = 2.0 * lg.real
+            for v, w_ in zip(vals, weights):
+                la += w_ * math.log(abs(v))
+            ts.append(st.t)
+            log_abs.append(la)
+            phases.append([cmath.phase(v) for v in vals])
+            arg_smooth.append(2.0 * lg.imag)
+        args = np.asarray(arg_smooth)
+        for f, w_ in enumerate(weights):
+            args = args + w_ * np.unwrap(np.asarray(phases)[:, f])
+        max_rel = max(abs(math.expm1(la - log_abs[0])) for la in log_abs)
+        out.append((len(ts), ts[-1], log_abs[0], max_rel, float(np.max(np.abs(args - args[0])))))
+    return out
+
+
 def bits(samples):
     return [(s.t, s.curve, s.point.real.hex(), s.point.imag.hex()) for s in samples]
 
@@ -155,12 +275,12 @@ class TestSingleCurve:
         ev = evolve(single_curve(), 0.25, 1e-4, tracked=(z,))
         assert all(s.x == (0.0,) for s in ev.states)
         expected = cmath.sqrt(z * z + 4 * 0.25)
-        assert ev.final.g[0] == pytest.approx(expected, abs=1e-12)
+        assert ev.g[-1, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_half_plane_capacity(self):
         z = 1000j
         ev = evolve(single_curve(), 0.1, 1e-3, tracked=(z,))
-        probe = (ev.final.g[0] - z) * z
+        probe = (ev.g[-1, 0] - z) * z
         assert probe.real == pytest.approx(2 * ev.nu.integrated_total(0.1), abs=1e-6)
 
     def test_hull_is_a_vertical_slit(self):
@@ -181,7 +301,7 @@ class TestSingleCurve:
         ev = evolve(single_curve(), 1.0, 1e-4, tracked=(2j,))
         death = ev.death_times[0]
         assert death == pytest.approx(1.0, abs=1e-9)
-        rep = motion_integral(ev, 2j)
+        (rep,) = motion_integral(ev)
         assert not rep.alive
         assert rep.death_time == death
         assert rep.max_rel_drift < 1e-6
@@ -189,23 +309,62 @@ class TestSingleCurve:
 
     def test_motion_integral_is_conserved(self):
         ev = evolve(single_curve(), 1.0, 1e-4, tracked=(4j,))
-        rep = motion_integral(ev, 4j)
+        (rep,) = motion_integral(ev)
         assert rep.alive
         assert rep.n_samples == len(ev.states)
         assert rep.max_rel_drift < 1e-10
         assert rep.max_arg_drift < 1e-10
 
     def test_observer_on_the_driving_point_is_dead_from_the_start(self):
-        ev = evolve(single_curve(), 0.1, 1e-3, tracked=(0j, 4j))
-        assert ev.death_times == [0.0, None]
-        with pytest.raises(DegenerateConfigurationError, match="starts on a driving point"):
-            motion_integral(ev, 0j)
-        assert motion_integral(ev, 4j).alive
+        ev = evolve_matching_the_scalar_loop(single_curve(), 0.1, 1e-3, None, (4j, 0j))
+        assert ev.death_times == [None, 0.0]
+        assert (ev.g[:, 1] == 0j).all() and (ev.log_gprime[:, 1] == 0j).all()
+        with pytest.raises(DegenerateConfigurationError, match="tracked point 0.0 starts on a driving point"):
+            motion_integral(ev)
 
-    def test_motion_integral_requires_tracked_point(self):
-        ev = evolve(single_curve(), 0.1, 1e-3, tracked=(4j,))
-        with pytest.raises(ValueError):
-            motion_integral(ev, 5j)
+
+def evolve_matching_the_scalar_loop(div, T, dt, nu, tracked):
+    ev = evolve(div, T, dt, nu, tracked)
+    rows, death = scalar_flow(div, T, dt, nu or Parametrization.constant([1.0] * len(div.growth)), tracked)
+    assert ev.death_times == death
+    assert history_bits([st.t for st in ev.states], ev.g, ev.log_gprime) == history_bits(*zip(*rows))
+    return ev
+
+
+def report_bits(reports):
+    return [(r.n_samples, r.t_last, r.log_abs_initial, r.max_rel_drift, r.max_arg_drift) for r in reports]
+
+
+class TestObservers:
+    """The observers' history, integrated in blocks behind the step loop,
+    and their reports, computed in one pass."""
+
+    def test_ten_curves_and_32_observers_match_the_scalar_loop_bit_for_bit(self):
+        div = half_plane_divisor(random.Random(5), max_growth=10)
+        assert len(div.growth) == 10 and div.finite_marked()[0]
+        rng = random.Random(1)
+        # some observers start below height 1, where the observer cap applies
+        tracked = tuple(complex(rng.uniform(-4.0, 4.0), rng.uniform(0.05, 3.0)) for _ in range(32))
+        ev = evolve_matching_the_scalar_loop(div, 0.02, 2e-4, None, tracked)
+        # several quadrature blocks
+        assert (len(ev.states) - 1) * (len(div.growth) + len(tracked)) > 2 * loewner.BLOCK_VALUES
+        assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+
+    def test_doubled_breakpoint_states_match_the_scalar_loop_bit_for_bit(self):
+        ev = evolve_matching_the_scalar_loop(repelling_pair(), 0.25, 1e-3, BREAK_RATES, (0.5j, 1 + 0.2j, -2 + 1j))
+        assert [st.t for st in ev.states].count(BREAK) == 2
+        assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+
+    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self):
+        # i is frozen when its step cap collapses near t = 1/4; 0.001i comes
+        # within the collision tolerance at t = 2.5e-7
+        ev = evolve_matching_the_scalar_loop(single_curve(), 0.5, 1e-3, None, (1j, 4j, 2 + 0.5j, 0.001j))
+        assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
+        assert ev.death_times[1:3] == [None, None]
+        assert ev.death_times[3] == pytest.approx(2.5e-7, rel=1e-6)
+        reports = motion_integral(ev)
+        assert [r.alive for r in reports] == [False, True, True, False]
+        assert report_bits(reports) == scalar_reports(ev)
 
 
 class TestTwoSlit:
@@ -345,11 +504,11 @@ class TestEquivariance:
         e1 = evolve(d1, 0.2, 1e-3, tracked=(1 + 1j,))
         e2 = evolve(d2, 0.2, 1e-3, tracked=(-1 + 1j,))
         assert len(e1.states) == len(e2.states)
-        for s1, s2 in zip(e1.states, e2.states):
+        for s1, s2, g1, g2 in zip(e1.states, e2.states, e1.g[:, 0], e2.g[:, 0]):
             assert s1.t == s2.t
             for a, b in zip(s1.x, reversed(s2.x)):
                 assert abs(a + b) < 1e-12
-            assert abs(s2.g[0] + s1.g[0].conjugate()) < 1e-12
+            assert abs(g2 + g1.conjugate()) < 1e-12
 
 
 class TestFigureFlows:
@@ -361,7 +520,7 @@ class TestFigureFlows:
         assert lo == pytest.approx(0.048654045, abs=1e-8)
         assert hi - lo < 1e-6
         assert "marked point" in ev.collision_note
-        rep = motion_integral(ev, 2j)
+        (rep,) = motion_integral(ev)
         assert rep.alive
         assert rep.max_rel_drift < 1e-8
         assert rep.t_last == lo
@@ -372,7 +531,7 @@ class TestFigureFlows:
         ev = evolve(div, 0.1, 1e-3, tracked=(z,))
         assert ev.collision is None
         assert ev.final.t == pytest.approx(0.1)
-        probe = (ev.final.g[0] - z) * z
+        probe = (ev.g[-1, 0] - z) * z
         assert probe.real == pytest.approx(0.6, abs=1e-5)
 
 
@@ -385,6 +544,12 @@ class TestEvolveValidation:
         bad = SymmetricDivisor.half_plane([0.0], [("inf", -4)])
         with pytest.raises(DegenerateConfigurationError, match="invalid"):
             evolve(bad, 0.1, 1e-3)
+
+    def test_steps_forced_by_the_gap_cap_count_against_the_budget(self, monkeypatch):
+        # T/dt is 30 steps, but the approach to the collision at 1/4 takes more than 100
+        monkeypatch.setattr(loewner, "STEP_BUDGET", 100)
+        with pytest.raises(StepBudgetError, match="exceeded its budget of 100 steps"):
+            evolve(colliding_pair(), 0.3, 0.01)
 
     def test_rate_count_must_match(self):
         with pytest.raises(ValueError, match="one rate schedule"):
