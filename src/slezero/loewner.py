@@ -10,11 +10,12 @@ while marked points and tracked observers z are carried by the common field
     dz/dt = sum_j 2 nu_j / (z - x_j),
 
 and log g'(z) by its derivative flow. The points are integrated together
-with a classical 4th-order step; the step size is capped quadratically in
-the smallest point gap so that collisions are approached geometrically
-instead of being overshot, and steps end exactly on the breakpoints of the
-rates. log g' feeds nothing back into the steps, so its RK4 quadrature runs
-behind them, on blocks of recorded stage values.
+with a classical 4th-order step, of fixed size or sized by its free embedded
+error estimate; the step size is capped quadratically in the smallest point
+gap so that collisions are approached geometrically instead of being
+overshot, and steps end exactly on the breakpoints of the rates. log g'
+feeds nothing back into the steps, so its RK4 quadrature runs behind them,
+on blocks of recorded stage values.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ GAP_CAP_SAFETY = 0.125  # of the gap^2/(8 sum nu) stiffness bound
 TRACK_CAP_COEFF = 0.004  # dt <= coeff * |g-x|^2 near a tracked-point death
 REVERSE_CAP_COEFF = 0.05
 DEFAULT_LIFT = 1e-6
-STEP_BUDGET = 1_000_000  # flow steps per evolution, capped ones included
+STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones included
 BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
 
@@ -120,7 +121,8 @@ class Evolution:
     ``tracked`` holds the observers' start points and ``death_times`` the
     time each was swallowed (None while alive). ``g`` and ``log_gprime`` are
     the observers' history: one row per state, one column per observer,
-    frozen from its death on.
+    frozen from its death on. ``rejected`` counts the steps the error
+    control retried shorter.
     """
 
     divisor: SymmetricDivisor
@@ -132,6 +134,7 @@ class Evolution:
     log_gprime: np.ndarray
     collision: tuple[float, float] | None = None
     collision_note: str | None = None
+    rejected: int = 0
 
     @property
     def final(self) -> LoewnerState:
@@ -310,6 +313,7 @@ def evolve(
     dt: float,
     nu: Parametrization | None = None,
     tracked: Sequence[complex] = (),
+    tol: float | None = None,
 ) -> Evolution:
     """Integrate the system to time T (or to just before a collision).
 
@@ -317,9 +321,19 @@ def evolve(
     breakpoint before T: first with the velocities under the old rates, then
     under the new ones. Tracked observers that come within the collision
     tolerance of a driving point are marked dead and frozen; a driving
-    collision stops the evolution and is reported as a time bracket. More
-    than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps,
-    raise ``StepBudgetError``.
+    collision stops the evolution and is reported as a time bracket.
+
+    With ``tol`` the step size is error-controlled and ``dt`` is the largest
+    step. The velocities at the end of a step, which the next step reuses as
+    its first stage, form with its fourth stage the embedded 3rd-order pair
+    of the RK4 step, so the estimate max |h/6 (k4 - k5)| over the driving
+    points, marked points and live observers costs no extra evaluation. A
+    step whose estimate exceeds ``tol`` is retried shorter; an accepted one
+    proposes the next step size. Without ``tol`` every step is accepted.
+
+    More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
+    and rejections, raise ``StepBudgetError``; a state or estimate that is
+    not finite raises ``InversionFailureError``.
     """
     report = divisors.validate(divisor)
     if not report.ok:
@@ -353,7 +367,8 @@ def evolve(
     history = _ObserverHistory(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
     next_break = 0
     t = 0.0
-    steps = 0
+    steps = rejected = 0
+    h_next = math.inf  # the step size the error control proposes
     rates = nu.rates(t)
     # the velocities at the latest state: its dx, and the next step's k1
     vel = _velocities(x, p, s, nq, rates)
@@ -364,7 +379,7 @@ def evolve(
         gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
-        h = min(dt, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
+        h = min(dt, h_next, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
         for d, _ in near:
             if d < 1.0:
                 h = min(h, TRACK_CAP_COEFF * d * d)
@@ -391,7 +406,7 @@ def evolve(
         if steps > STEP_BUDGET:
             raise StepBudgetError(
                 f"flow exceeded its budget of {STEP_BUDGET} steps at t={t:.12g} "
-                f"(step {h:.3g}, gap {gap:.3g})"
+                f"(step {h:.3g}, gap {gap:.3g}, {rejected} rejected)"
             )
 
         h2 = h / 2
@@ -404,6 +419,21 @@ def evolve(
         k4 = _velocities(x4, p4, s, nq, rates)
         x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
         p1 = _rk4(p, k1[1], k2[1], k3[1], k4[1], h)
+        k5 = _velocities(x1, p1, s, nq, rates)
+        # NaN fails every comparison, so neither a collision nor a rejection
+        # would see it; a finite new state has finite stages k1 to k4
+        if not math.isfinite(abs(sum(x1)) + abs(sum(p1)) + abs(sum(k5[0])) + abs(sum(k5[1]))):
+            raise InversionFailureError(
+                f"flow state is not finite at t={t:.12g} (step {h:.3g}, gap {gap:.3g})"
+            )
+        if tol is not None:
+            err = h / 6.0 * max(abs(a - b) for a, b in zip(k4[0] + k4[1], k5[0] + k5[1]))
+            scale = 0.9 * (tol / err) ** 0.25 if err > 0.0 else 5.0
+            if err > tol:
+                rejected += 1
+                h_next = h * max(0.2, scale)
+                continue
+            h_next = h * min(5.0, scale)
         t1 = t + h
         at_break = stop < T and (h == remaining or t1 >= stop)
         if at_break:
@@ -419,14 +449,17 @@ def evolve(
                 death_times[i] = t1
             keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
             p = q + [p[nq + pos] for pos in keep]
+            k5 = (k5[0], k5[1][:nq] + [k5[1][nq + pos] for pos in keep])
             live = [live[pos] for pos in keep]
             near = [e for e in near if death_times[e[1]] is None]
         elif len(history.steps) * (len(x) + len(p)) >= BLOCK_VALUES:
             history.flush(live, nq)
         if at_break:
-            states.append(LoewnerState(t1, tuple(x), tuple(_velocities(x, q, s, nq, rates)[0]), tuple(q)))
-        rates = nu.rates(t1)
-        vel = _velocities(x, p, s, nq, rates)
+            # the end-of-step velocities are the left side of the breakpoint
+            states.append(LoewnerState(t1, tuple(x), tuple(k5[0]), tuple(q)))
+        new_rates = nu.rates(t1)
+        vel = k5 if new_rates == rates else _velocities(x, p, s, nq, new_rates)
+        rates = new_rates
         states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
     history.flush(live, nq)
@@ -440,6 +473,7 @@ def evolve(
         history.log_gprime[: history.rows],
         collision,
         collision_note,
+        rejected,
     )
 
 

@@ -63,6 +63,7 @@ def _motion_payload(evolution: Evolution, reports: list[MotionIntegralReport]) -
     return {
         "t_final": evolution.final.t,
         "states": len(evolution.states),
+        "rejected_steps": evolution.rejected,
         "collision": (
             None
             if evolution.collision is None
@@ -91,7 +92,6 @@ def _motion_payload(evolution: Evolution, reports: list[MotionIntegralReport]) -
 def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
     """Produce every artifact the scene requests into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = RunResult(scene=scene)
 
     if scene.wants_quadratic:
@@ -103,7 +103,7 @@ def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
         flow_divisor = _flow_divisor(scene)
         lo = scene.loewner
         result.evolution = loewner.evolve(
-            flow_divisor, lo.T, lo.dt, _parametrization(scene), lo.tracked
+            flow_divisor, lo.T, lo.dt, _parametrization(scene), lo.tracked, lo.tol
         )
         if "hull_csv" in scene.outputs:
             result.hull = loewner.trace_hull(
@@ -111,6 +111,10 @@ def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
             )
         if "motion_report" in scene.outputs:
             result.motion = loewner.motion_integral(result.evolution)
+
+    # everything is computed before the directory is made: a run that fails
+    # leaves no artifacts
+    out.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, text: str) -> None:
         path = out / name
@@ -254,7 +258,7 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
         # their step cap can only refine the grid the hull interpolates
         lo = scene.loewner
         tracked = lo.tracked or (2j,)
-        evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene), tracked)
+        evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene), tracked, lo.tol)
         if suite in ("all", "motion"):
             checks.extend(_suite_motion(evolution))
         if suite in ("all", "equivalence"):

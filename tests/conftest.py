@@ -121,3 +121,17 @@ def q_value(qd, z: complex) -> complex:
     for p, order in qd.factors:
         value *= (z - p) ** order
     return value
+
+
+def nan_after(monkeypatch, calls: int) -> None:
+    """Makes ``divisors.dlog_Z`` return NaN from its call number ``calls`` on."""
+    from slezero import divisors
+
+    dlog_Z = divisors.dlog_Z
+    count = [0]
+
+    def poisoned(x, *args):
+        count[0] += 1
+        return dlog_Z(x, *args) if count[0] < calls else [math.nan] * len(x)
+
+    monkeypatch.setattr(divisors, "dlog_Z", poisoned)

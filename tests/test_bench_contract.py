@@ -104,3 +104,24 @@ def test_hull_makes_no_rate_lookups():
     # the schedules are looked up once, so the bench's count is the evolution's
     assert hull_pass["loewner.rates_calls"] == 0
     assert hull_pass["loewner.hull_samples"] == 15
+
+
+def test_traced_presets_take_few_flow_states(tmp_path):
+    # the shipped figures step under error control: at the fixed dt = 1e-5
+    # they took 25,297 states
+    t = bench_tracer.Tracer()
+    t.install()
+    try:
+        for name in scene.PRESET_NAMES:
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(f"preset: {name}\noutputs: [motion_report]\n")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            t.end_command()
+    finally:
+        t.uninstall()
+    metrics = t.take_pass(0)["metrics"]
+    assert metrics["loewner.evolve_calls"] == 3
+    assert metrics["loewner.states"] < 4000
+    # four evaluations per state: rejected steps stay rare, and the
+    # end-of-step velocities are reused as the next step's first stage
+    assert metrics["divisors.dlog_Z_calls_per_state"] <= 4.1

@@ -5,6 +5,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from conftest import nan_after
 
 from slezero import conformal, loewner, runner
 from slezero.cli import main
@@ -50,6 +51,15 @@ class TestRun:
         ]
         for name in names:
             assert str(out / name) in stdout
+
+    def test_motion_report_counts_states_and_rejected_steps(self, tmp_path):
+        # fixed steps reject nothing; the presets' error control does
+        for text in (SINGLE, "preset: fig2\noutputs: [motion_report]\n"):
+            result = runner.run(parse_config(text), tmp_path)
+            payload = json.loads((tmp_path / "motion_report.json").read_text())
+            assert payload["states"] == len(result.evolution.states)
+            assert payload["rejected_steps"] == result.evolution.rejected
+        assert result.evolution.rejected > 0
 
     def test_artifacts_are_byte_identical_across_runs(self, tmp_path, capsys):
         cfg = tmp_path / "scene.yaml"
@@ -224,6 +234,7 @@ class TestPreset:
     def test_show_round_trips(self, capsys):
         code, stdout, _ = cli(capsys, "preset", "show", "fig2")
         assert code == 0
+        assert "  dt: 0.01\n  tol: 3e-14\n" in stdout
         assert parse_config(stdout) == preset("fig2")
 
     def test_show_unknown_exits_1(self, capsys):
@@ -253,6 +264,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 3
         assert "integration failure: T/dt = 1e+11 flow steps exceed the budget of 1000000" in stderr
+
+    def test_flow_state_that_is_not_finite_exits_3_without_artifacts(self, tmp_path, capsys, monkeypatch):
+        nan_after(monkeypatch, 30)
+        cfg = tmp_path / "fig2.yaml"
+        cfg.write_text("preset: fig2\noutputs: [hull_csv, motion_report]\n")
+        out = tmp_path / "out"
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+        assert code == 3
+        assert "integration failure: flow state is not finite at t=" in stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command):

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import half_plane_divisor
+from conftest import half_plane_divisor, nan_after
 
 from slezero import divisors, loewner
 from slezero.conformal import transport
@@ -420,7 +420,78 @@ class TestTwoSlit:
         monkeypatch.setattr(divisors, "dlog_Z", counted)
         ev = evolve(repelling_pair(), 0.01, 1e-3)
         assert len(ev.states) == 11
+        assert ev.rejected == 0
         assert len(calls) == 1 + 4 * 10  # k1 is the previous step's end velocity
+
+
+class TestErrorControl:
+    """Steps sized by the embedded error estimate of the RK4 step."""
+
+    def test_repelling_law_converges_as_tol_drops(self):
+        # x2(1/4) = sqrt(2); dt = T leaves the step size to the error control
+        errs, counts = [], []
+        for tol in (1e-12, 1e-13, 3e-14, 1e-14):
+            ev = evolve(repelling_pair(), 0.25, 0.25, tol=tol)
+            assert ev.final.t == 0.25 and ev.collision is None
+            errs.append(abs(ev.final.x[1] - math.sqrt(2.0)))
+            counts.append(len(ev.states))
+        assert all(a > b for a, b in zip(errs, errs[1:])), errs
+        assert errs[-1] < 1e-12
+        # the fixed step of the same accuracy is 1e-4: 2500 states
+        assert counts[-1] < 0.1 * 0.25 / 1e-4, counts
+
+    def test_colliding_pair_is_bracketed_at_a_quarter(self):
+        ev = evolve(colliding_pair(), 0.3, 0.3, tol=1e-12)
+        lo, hi = ev.collision
+        assert abs(lo - 0.25) < 1e-9
+        assert hi - lo < 1e-6
+        assert "marked point 0.0" in ev.collision_note
+        before = [st for st in ev.states if st.t <= 0.2]
+        assert len(before) > 10
+        assert max(abs(st.x[1] - math.sqrt(1 - 4 * st.t)) for st in before) < 1e-9
+
+    def test_steps_end_on_a_rate_breakpoint_with_both_velocities(self, break_reference):
+        ev = evolve(repelling_pair(), 0.25, 0.25, BREAK_RATES, tol=1e-13)
+        ts = [st.t for st in ev.states]
+        assert ts.count(BREAK) == 2
+        i = ts.index(BREAK)
+        left, right = ev.states[i], ev.states[i + 1]
+        assert left.x == right.x
+        # the left state carries the old rates' velocities, the right the new
+        assert list(left.dx) == loewner._velocities(list(left.x), [], [], 0, (1.0, 1.0))[0]
+        assert list(right.dx) == loewner._velocities(list(right.x), [], [], 0, (2.0, 1.0))[0]
+        assert max(abs(a - b) for a, b in zip(ev.final.x, break_reference.final.x)) < 1e-9
+
+    def test_rejected_steps_count_against_the_budget(self, monkeypatch):
+        ev = evolve(repelling_pair(), 0.25, 0.25, tol=1e-13)
+        assert ev.rejected > 0
+        taken = len(ev.states) - 1 + ev.rejected
+        monkeypatch.setattr(loewner, "STEP_BUDGET", taken)
+        assert len(evolve(repelling_pair(), 0.25, 0.25, tol=1e-13).states) == len(ev.states)
+        # one short only if every rejected step is counted
+        monkeypatch.setattr(loewner, "STEP_BUDGET", taken - 1)
+        with pytest.raises(StepBudgetError, match=f"budget of {taken - 1} steps .*, {ev.rejected} rejected"):
+            evolve(repelling_pair(), 0.25, 0.25, tol=1e-13)
+
+    def test_a_rejected_step_costs_four_evaluations_and_nothing_more(self, monkeypatch):
+        calls = []
+        dlog_Z = divisors.dlog_Z
+
+        def counted(*args):
+            calls.append(args)
+            return dlog_Z(*args)
+
+        monkeypatch.setattr(divisors, "dlog_Z", counted)
+        ev = evolve(repelling_pair(), 0.25, 0.25, tol=1e-13)
+        assert ev.rejected > 0
+        # the end-of-step velocities are the estimate and the next step's k1
+        assert len(calls) == 1 + 4 * (len(ev.states) - 1 + ev.rejected)
+
+    @pytest.mark.parametrize("tol", [None, 1e-13])
+    def test_a_state_that_is_not_finite_stops_the_flow(self, monkeypatch, tol):
+        nan_after(monkeypatch, 30)
+        with pytest.raises(InversionFailureError, match="flow state is not finite at t="):
+            evolve(repelling_pair(), 0.25, 1e-3, tol=tol)
 
 
 class TestHull:

@@ -149,6 +149,14 @@ class TestSections:
         with pytest.raises(ConfigError, match="loewner.dt must be positive"):
             parse_config(MINIMAL + "loewner:\n  dt: 0.0\n")
 
+    def test_loewner_tol(self):
+        assert parse_config(MINIMAL).loewner.tol is None
+        assert parse_config(MINIMAL + "loewner:\n  tol: 1e-13\n").loewner.tol == 1e-13
+        with pytest.raises(ConfigError, match="line 7: loewner.tol must be positive: '0'"):
+            parse_config(MINIMAL + "loewner:\n  tol: 0\n")
+        with pytest.raises(ConfigError, match="loewner.tol must be finite"):
+            parse_config(MINIMAL + "loewner:\n  tol: nan\n")
+
     def test_constant_rates(self):
         scene = parse_config(MINIMAL + "rates: [2.0]\n")
         assert scene.rates == Parametrization.constant([2.0])
@@ -246,12 +254,21 @@ class TestPresets:
         again = parse_config(serialize_config(scene))
         assert again == scene
 
+    def test_presets_step_under_error_control(self):
+        for name in PRESET_NAMES:
+            assert preset(name).loewner.tol == 3e-14
+            assert preset(name).loewner.dt == 1e-2
+            assert "  tol: 3e-14\n" in serialize_config(preset(name))
+        # without a tol the flow takes fixed steps, and none is written
+        assert single_curve_scene().loewner.tol is None
+        assert "tol" not in serialize_config(single_curve_scene())
+
     def test_round_trip_with_rates_and_tracked(self):
         base = single_curve_scene()
         scene = SceneConfig(
             divisor=base.divisor,
             trace=TraceParams(step=0.002, adaptive=False),
-            loewner=LoewnerParams(T=0.3, dt=1e-3, lift=1e-5, tracked=(2j, 3 + 0.5j)),
+            loewner=LoewnerParams(T=0.3, dt=1e-3, lift=1e-5, tracked=(2j, 3 + 0.5j), tol=1e-12),
             rates=Parametrization((((0.0, 1.0), (0.25, 2.0)),)),
             outputs=("hull_csv",),
             name="custom",
@@ -288,3 +305,4 @@ class TestReadme:
         assert scene.divisor.domain == HALF_PLANE
         assert len(scene.divisor.growth) == scene.rates.n_curves == 2
         assert scene.outputs == OUTPUT_KINDS
+        assert scene.loewner.tol == 3e-14
