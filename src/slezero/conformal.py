@@ -1,67 +1,29 @@
-"""Transport between the upper half-plane and the unit disk.
+"""Transport of a disk divisor to the upper half-plane, where the flow runs.
 
-The carrier is the Cayley pair w = rho (z - i)/(z + i) and its inverse
-z = i (1 + rho w)/(1 - rho w), with an optional boundary rotation rho =
-exp(i theta). The rotation matters when a divisor point sits at the pole of
-the standard map (for the disk-to-half-plane direction, w = 1): a growth
-point there would map to infinity, which a chordal driving point cannot be,
-so the transport picks a rotation placing the pole inside the widest free
-boundary gap.
+The carrier is the Cayley map z = i (1 + rho w)/(1 - rho w) with an optional
+boundary rotation rho = exp(i theta). The rotation matters when a divisor
+point sits at the pole of the standard map, w = 1: a growth point there
+would map to infinity, which a chordal driving point cannot be, so the
+transport picks a rotation placing the pole inside the widest free boundary
+gap.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import divisors
-from .divisors import (
-    DISK,
-    HALF_PLANE,
-    INFINITY,
-    MoebiusMap,
-    SpherePoint,
-    SymmetricDivisor,
-)
+from .divisors import DISK, HALF_PLANE, MoebiusMap, SpherePoint, SymmetricDivisor
 from .errors import DegenerateConfigurationError, InvalidReferenceError
 from .quadratic import TWO_PI
 
 POLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DomainMap:
-    """A directed conformal equivalence between the two domains."""
-
-    source: str
-    target: str
-    moebius: MoebiusMap
-
-    @classmethod
-    def half_plane_to_disk(cls, rotation: float = 0.0) -> "DomainMap":
-        rho = cmath.exp(1j * rotation)
-        return cls(HALF_PLANE, DISK, MoebiusMap(rho, -1j * rho, 1.0, 1j))
-
-    @classmethod
-    def disk_to_half_plane(cls, rotation: float = 0.0) -> "DomainMap":
-        rho = cmath.exp(1j * rotation)
-        return cls(DISK, HALF_PLANE, MoebiusMap(1j * rho, 1j, -rho, 1.0))
-
-    @property
-    def pole(self) -> SpherePoint:
-        """Source point mapping to infinity."""
-        if self.moebius.c == 0:
-            return INFINITY
-        return SpherePoint(-self.moebius.d / self.moebius.c)
-
-    def inverse(self) -> "DomainMap":
-        return DomainMap(self.target, self.source, self.moebius.inverse())
-
-
-def map_point(dm: DomainMap, p: SpherePoint | complex) -> SpherePoint:
-    """Image of a closure point; the source pole maps to infinity."""
-    return dm.moebius.apply(p)
+def _disk_to_half_plane(rotation: float = 0.0) -> MoebiusMap:
+    rho = cmath.exp(1j * rotation)
+    return MoebiusMap(1j * rho, 1j, -rho, 1.0)
 
 
 def _largest_gap_rotation(points: list[SpherePoint]) -> float:
@@ -86,79 +48,43 @@ def _largest_gap_rotation(points: list[SpherePoint]) -> float:
         if gap > best_gap:
             best_gap = gap
             best_mid = (a + gap / 2.0) % TWO_PI
-    # disk_to_half_plane(theta) has its pole at w = exp(-i theta)
+    # _disk_to_half_plane(theta) has its pole at w = exp(-i theta)
     return -best_mid
 
 
-def transport_map(divisor: SymmetricDivisor, target: str) -> DomainMap:
-    """Deterministic domain map for a divisor, avoiding growth at the pole."""
-    if divisor.domain == target:
-        raise InvalidReferenceError("divisor already lives on the target domain")
-    if divisor.domain == HALF_PLANE and target == DISK:
-        dm = DomainMap.half_plane_to_disk()
-    elif divisor.domain == DISK and target == HALF_PLANE:
-        dm = DomainMap.disk_to_half_plane()
-    else:
-        raise InvalidReferenceError(
-            f"no transport from {divisor.domain!r} to {target!r}"
-        )
-    pole = dm.pole
-    blocked = any(
-        divisors._points_close(p, pole, POLE_TOL)
-        for p, _ in divisor.weighted_points()
-    )
-    if blocked:
-        if divisor.domain != DISK:
-            raise DegenerateConfigurationError(
-                "divisor point at the half-plane map pole -i"
-            )
-        theta = _largest_gap_rotation([p for p, _ in divisor.weighted_points()])
-        dm = DomainMap.disk_to_half_plane(theta)
-    return dm
-
-
-def _snap_to_boundary(p: SpherePoint, domain: str) -> SpherePoint:
-    if not p.finite:
-        return p
-    z = p.value
-    if domain == HALF_PLANE and 0 < abs(z.imag) <= 1e-12 * max(1.0, abs(z)):
-        return SpherePoint(complex(z.real))
-    if domain == DISK:
-        r = abs(z)
-        if r > 0 and abs(r - 1.0) <= 1e-12:
-            return SpherePoint(z / r)
+def _snap_to_real_axis(p: SpherePoint) -> SpherePoint:
+    if p.finite and 0 < abs(p.value.imag) <= 1e-12 * max(1.0, abs(p.value)):
+        return SpherePoint(complex(p.value.real))
     return p
 
 
-def map_divisor(dm: DomainMap, divisor: SymmetricDivisor) -> SymmetricDivisor:
-    """Transport a divisor; charges are kept and the domain tag flips.
+def transport(divisor: SymmetricDivisor, target: str) -> tuple[SymmetricDivisor, MoebiusMap]:
+    """A disk divisor carried to the half-plane ``target``, with the map used.
 
-    Images that land within rounding of the target boundary are snapped onto
-    it so the result validates exactly.
+    The map is deterministic and keeps growth points off its pole. Charges
+    are kept; images within rounding of the real axis are snapped onto it so
+    the result validates exactly.
     """
-    if divisor.domain != dm.source:
+    if divisor.domain != DISK or target != HALF_PLANE:
         raise InvalidReferenceError(
-            f"divisor domain {divisor.domain!r} does not match map source {dm.source!r}"
+            f"no transport from {divisor.domain!r} to {target!r}: only {DISK!r} to {HALF_PLANE!r}"
         )
+    points = [p for p, _ in divisor.weighted_points()]
+    m = _disk_to_half_plane()
+    pole = SpherePoint(-m.d / m.c)
+    if any(divisors._points_close(p, pole, POLE_TOL) for p in points):
+        m = _disk_to_half_plane(_largest_gap_rotation(points))
     growth = []
     for p in divisor.growth:
-        image = map_point(dm, p)
+        image = m.apply(p)
         if not image.finite:
             raise DegenerateConfigurationError(
                 f"growth point {p} maps to infinity; rotate the map"
             )
-        growth.append(_snap_to_boundary(image, dm.target))
-    marked = tuple(
-        (_snap_to_boundary(map_point(dm, q), dm.target), s) for q, s in divisor.marked
-    )
-    image = SymmetricDivisor(dm.target, tuple(growth), marked)
+        growth.append(_snap_to_real_axis(image))
+    marked = tuple((_snap_to_real_axis(m.apply(q)), s) for q, s in divisor.marked)
+    image = SymmetricDivisor(HALF_PLANE, tuple(growth), marked)
     report = divisors.validate(image)
     if not report.ok:
         raise DegenerateConfigurationError(f"transported divisor invalid: {report}")
-    return image
-
-
-def transport(divisor: SymmetricDivisor, target: str) -> tuple[SymmetricDivisor, DomainMap]:
-    """Divisor transported to ``target`` together with the map used."""
-    dm = transport_map(divisor, target)
-    return map_divisor(dm, divisor), dm
+    return image, m

@@ -334,9 +334,6 @@ class MoebiusMap:
             return abs(self.c) ** 2 / det
         return det / abs(image_denom) ** 2
 
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
 
 def moebius_pushforward(divisor: SymmetricDivisor, m: MoebiusMap) -> SymmetricDivisor:
     """Image divisor under ``m``: points mapped, charges kept, tag ``sphere``.

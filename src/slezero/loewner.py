@@ -92,17 +92,6 @@ class Parametrization:
         constant, and the rates on each."""
         return list(self._starts), list(self._rates)
 
-    def integrated_total(self, t: float) -> float:
-        """Integral over [0, t] of the summed rates (twice this is the capacity)."""
-        total = 0.0
-        for sched in self.schedules:
-            for i, (t0, r) in enumerate(sched):
-                t1 = sched[i + 1][0] if i + 1 < len(sched) else math.inf
-                lo, hi = min(t0, t), min(t1, t)
-                if hi > lo:
-                    total += r * (hi - lo)
-        return total
-
 
 class LoewnerState(NamedTuple):
     """The flow at time t: the driving points ``x`` and their velocities
@@ -693,6 +682,13 @@ def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
             raise DegenerateConfigurationError(
                 f"tracked point {format_complex(z)} starts on a driving point"
             )
+        for q in states[0].q:
+            # the flow keeps them together, and the observable's factor at
+            # q would be log 0
+            if abs(z - q) < COLLISION_TOL:
+                raise DegenerateConfigurationError(
+                    f"tracked point {format_complex(z)} starts on marked point {format_complex(q)}"
+                )
     dead_rows = np.arange(len(ts))[:, None] >= np.array(counts)
 
     _, charges = evolution.divisor.finite_marked()

@@ -6,9 +6,9 @@ The differential attached to a divisor is Q(z) dz^2 with
 
 order 2 at growth points and 2*sigma at marked points. The induced order at
 infinity is -4 minus the sum of finite orders, so all orders sum to -4 on the
-sphere. The unimodular phase is fixed by requiring a boundary arc of the
-domain to be horizontal; horizontal trajectories of Q then follow the unit
-line field u(z) with Q(z) u(z)^2 > 0.
+sphere. The unimodular phase is fixed by requiring the first boundary arc
+of the domain to be horizontal; horizontal trajectories of Q then follow
+the unit line field u(z) with Q(z) u(z)^2 > 0.
 """
 
 from __future__ import annotations
@@ -105,13 +105,13 @@ class QuadDifferential:
         return line_field(self.factors, cmath.phase(self.phase))
 
 
-def _boundary_arcs(domain: str, factors: Sequence[Factor]) -> list[tuple[complex, complex]]:
-    """Reference (midpoint, unit tangent) of each boundary arc, in order.
+def _reference_arc(domain: str, factors: Sequence[Factor]) -> tuple[complex, complex]:
+    """(midpoint, unit tangent) of the first boundary arc.
 
-    Arcs are delimited by the singular points sitting on the boundary. For
-    the disk they are circular arcs listed counterclockwise from the smallest
-    angle; for the half-plane the finite segments come first and the single
-    unbounded arc through infinity is last.
+    Arcs are delimited by the singular points sitting on the boundary. On
+    the disk the first one runs counterclockwise from the smallest angle; on
+    the half-plane it is the segment between the two leftmost points, or the
+    unbounded arc through infinity when there is only one.
     """
     if domain == DISK:
         angles = sorted(
@@ -121,44 +121,33 @@ def _boundary_arcs(domain: str, factors: Sequence[Factor]) -> list[tuple[complex
         )
         if not angles:
             raise InvalidReferenceError("no singular points on the unit circle")
-        arcs = []
-        for i, a in enumerate(angles):
-            b = angles[(i + 1) % len(angles)]
-            gap = (b - a) % TWO_PI
-            if gap == 0.0:
-                gap = TWO_PI
-            mid = cmath.exp(1j * (a + gap / 2.0))
-            arcs.append((mid, 1j * mid))
-        return arcs
+        a = angles[0]
+        gap = (angles[1 % len(angles)] - a) % TWO_PI
+        if gap == 0.0:
+            gap = TWO_PI
+        mid = cmath.exp(1j * (a + gap / 2.0))
+        return mid, 1j * mid
     if domain == HALF_PLANE:
         xs = sorted(
             p.real for p, _ in factors if abs(p.imag) <= divisors.BOUNDARY_TOL
         )
         if not xs:
             raise InvalidReferenceError("no singular points on the real axis")
-        arcs = [
-            (complex((xs[i] + xs[i + 1]) / 2.0), 1.0 + 0j)
-            for i in range(len(xs) - 1)
-        ]
-        arcs.append((complex(xs[-1] + 1.0), 1.0 + 0j))
-        return arcs
+        if len(xs) > 1:
+            return complex((xs[0] + xs[1]) / 2.0), 1.0 + 0j
+        return complex(xs[0] + 1.0), 1.0 + 0j
     raise InvalidReferenceError(f"domain {domain!r} has no boundary arcs")
 
 
-def normalize_phase(qd: QuadDifferential, reference_arc: int = 0) -> complex:
-    """Unimodular correction c making the reference boundary arc horizontal.
+def normalize_phase(qd: QuadDifferential) -> complex:
+    """Unimodular correction c making the first boundary arc horizontal.
 
     c satisfies (c * qd.phase)^2 * prod (z0-p)^order * tau(z0)^2 > 0 at the
     arc midpoint z0 with unit tangent tau. On a freshly assembled
     differential (phase 1) this is the absolute normalization constant;
     re-running on a normalized differential returns +-1.
     """
-    arcs = _boundary_arcs(qd.domain, qd.factors)
-    if not 0 <= reference_arc < len(arcs):
-        raise InvalidReferenceError(
-            f"reference arc {reference_arc} out of range (have {len(arcs)})"
-        )
-    z0, tau = arcs[reference_arc]
+    z0, tau = _reference_arc(qd.domain, qd.factors)
     for p, _ in qd.factors:
         if abs(z0 - p) <= PROXIMITY_TOL:
             raise InvalidReferenceError(f"arc midpoint {z0} is singular")
@@ -172,7 +161,7 @@ def normalize_phase(qd: QuadDifferential, reference_arc: int = 0) -> complex:
     return c
 
 
-def build_Q(divisor: SymmetricDivisor, reference_arc: int = 0) -> QuadDifferential:
+def build_Q(divisor: SymmetricDivisor) -> QuadDifferential:
     """Assemble the differential of a valid divisor and fix its phase.
 
     Every charge must be a half-integer so the local exponents 2*sigma are
@@ -192,7 +181,7 @@ def build_Q(divisor: SymmetricDivisor, reference_arc: int = 0) -> QuadDifferenti
             continue
         factors.append((q.value, int(order)))
     qd = QuadDifferential(divisor.domain, tuple(factors), len(divisor.growth))
-    return replace(qd, phase=normalize_phase(qd, reference_arc))
+    return replace(qd, phase=normalize_phase(qd))
 
 
 def direction_field(

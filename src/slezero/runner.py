@@ -16,7 +16,7 @@ import numpy as np
 from . import conformal, divisors, loewner, outputs, quadratic, tracing
 from .divisors import HALF_PLANE, MoebiusMap, SymmetricDivisor, format_complex
 from .errors import DegenerateConfigurationError
-from .loewner import Evolution, HullSample, MotionIntegralReport, Parametrization
+from .loewner import Evolution, HullSample, MotionIntegralReport
 from .quadratic import QuadDifferential
 from .scene import SceneConfig
 from .tracing import AsymptoticReport, Trajectory
@@ -40,12 +40,6 @@ class RunResult:
     hull: list[HullSample] = field(default_factory=list)
     motion: list[MotionIntegralReport] = field(default_factory=list)
     written: list[Path] = field(default_factory=list)
-
-
-def _parametrization(scene: SceneConfig) -> Parametrization:
-    if scene.rates is not None:
-        return scene.rates
-    return Parametrization.constant([1.0] * len(scene.divisor.growth))
 
 
 def _flow_divisor(scene: SceneConfig) -> SymmetricDivisor:
@@ -103,7 +97,7 @@ def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
         flow_divisor = _flow_divisor(scene)
         lo = scene.loewner
         result.evolution = loewner.evolve(
-            flow_divisor, lo.T, lo.dt, _parametrization(scene), lo.tracked, lo.tol
+            flow_divisor, lo.T, lo.dt, scene.rates, lo.tracked, lo.tol
         )
         if "hull_csv" in scene.outputs:
             result.hull = loewner.trace_hull(
@@ -258,7 +252,7 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
         # their step cap can only refine the grid the hull interpolates
         lo = scene.loewner
         tracked = lo.tracked or (2j,)
-        evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, _parametrization(scene), tracked, lo.tol)
+        evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, scene.rates, tracked, lo.tol)
         if suite in ("all", "motion"):
             checks.extend(_suite_motion(evolution))
         if suite in ("all", "equivalence"):

@@ -16,9 +16,7 @@ Schema (all keys optional unless noted):
     trace:
       step: 1e-3
       max_arc_length: 50
-      capture_radius: 1e-3
-      domain_margin: 1e-6
-      adaptive: true
+      capture_radius: 1e-3      # must exceed tracing.DOMAIN_MARGIN = 1e-6
     loewner:
       T: 0.1
       dt: 1e-4                  # the largest step when tol is set
@@ -50,7 +48,7 @@ from .divisors import (
 from . import divisors
 from .errors import ConfigError
 from .loewner import Parametrization
-from .tracing import TraceParams
+from .tracing import DOMAIN_MARGIN, TraceParams
 
 OUTPUT_KINDS = (
     "field_svg",
@@ -154,13 +152,6 @@ def _parse_float(
     except ValueError as exc:
         diags.add(node, f"{context} {exc}")
         return None
-
-
-def _parse_bool(node, diags: _Diagnostics, context: str) -> bool | None:
-    if _is_scalar(node) and node.value.lower() in ("true", "false"):
-        return node.value.lower() == "true"
-    diags.add(node, f"{context} must be true or false")
-    return None
 
 
 def _parse_point_node(node, diags: _Diagnostics, context: str) -> SpherePoint | None:
@@ -390,27 +381,21 @@ def _parse_rates(node, diags: _Diagnostics) -> Parametrization | None:
 
 
 def _parse_trace(node, base: TraceParams, diags: _Diagnostics) -> TraceParams:
+    fields = {
+        "step": "step",
+        "max_arc_length": "max_arc_length",
+        "capture_radius": "singularity_capture_radius",
+    }
     out = base
     for key, key_node, value_node in _mapping_items(node, diags, "trace"):
-        if key == "adaptive":
-            v = _parse_bool(value_node, diags, "trace.adaptive")
-            if v is not None:
-                out = replace(out, adaptive=v)
-            continue
-        fields = {
-            "step": "step",
-            "max_arc_length": "max_arc_length",
-            "capture_radius": "singularity_capture_radius",
-            "domain_margin": "domain_margin",
-        }
         if key not in fields:
             diags.add(key_node, f"unknown trace key {key!r}")
             continue
         v = _parse_float(value_node, diags, f"trace.{key}", positive=True)
         if v is not None:
             out = replace(out, **{fields[key]: v})
-    if out.singularity_capture_radius <= out.domain_margin:
-        diags.add(node, "capture_radius must exceed domain_margin")
+    if out.singularity_capture_radius <= DOMAIN_MARGIN:
+        diags.add(node, f"capture_radius must exceed domain_margin = {DOMAIN_MARGIN:g}")
     return out
 
 
@@ -461,8 +446,6 @@ def serialize_config(scene: SceneConfig) -> str:
     lines.append(f"  step: {t.step!r}")
     lines.append(f"  max_arc_length: {t.max_arc_length!r}")
     lines.append(f"  capture_radius: {t.singularity_capture_radius!r}")
-    lines.append(f"  domain_margin: {t.domain_margin!r}")
-    lines.append(f"  adaptive: {'true' if t.adaptive else 'false'}")
     lo = scene.loewner
     lines.append("loewner:")
     lines.append(f"  T: {lo.T!r}")

@@ -21,6 +21,7 @@ from .quadratic import TWO_PI, QuadDifferential, classify_singularities
 SEPARATRIX_TOL = 1e-3
 MAX_TURN = 0.2
 REGROW_TURN = 0.05
+DOMAIN_MARGIN = 1e-6  # how far past the boundary a trace may step before it stops
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,6 @@ class TraceParams:
     step: float = 1e-3
     max_arc_length: float = 50.0
     singularity_capture_radius: float = 1e-3
-    domain_margin: float = 1e-6
-    adaptive: bool = True
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,11 @@ def _winding_increments(points: Sequence[complex], base: complex) -> list[float]
     return out
 
 
-def _inside(domain: str, z: complex, margin: float) -> bool:
+def _inside(domain: str, z: complex) -> bool:
     if domain == HALF_PLANE:
-        return z.imag >= -margin
+        return z.imag >= -DOMAIN_MARGIN
     if domain == DISK:
-        return abs(z) <= 1.0 + margin
+        return abs(z) <= 1.0 + DOMAIN_MARGIN
     return True
 
 
@@ -86,8 +85,8 @@ def trace(
     that zero: the direction must lie within 1e-3 radians of one of its
     separatrices and integration begins one capture radius out along it.
     The trace stops on entering the capture disk of any other singularity,
-    on leaving the domain by more than the margin, or on exhausting the arc
-    length budget.
+    on leaving the domain by more than ``DOMAIN_MARGIN``, or on exhausting
+    the arc length budget.
     """
     if initial_dir == 0:
         raise LaunchError("initial direction must be nonzero")
@@ -142,7 +141,7 @@ def trace(
                 _, k3r, k3i = field(zr + 0.5 * h * k2r, zi + 0.5 * h * k2i, dir_r, dir_i)
                 _, k4r, k4i = field(zr + h * k3r, zi + h * k3i, dir_r, dir_i)
                 turn = abs(math.atan2(k1r * k4i - k1i * k4r, k1r * k4r + k1i * k4i))
-                if params.adaptive and turn > MAX_TURN and h > h_min:
+                if turn > MAX_TURN and h > h_min:
                     h *= 0.5
                     continue
                 break
@@ -161,7 +160,7 @@ def trace(
         z = z_new
         points.append(z)
         arcs.append(arc)
-        if params.adaptive and turn < REGROW_TURN and h < params.step:
+        if turn < REGROW_TURN and h < params.step:
             h = min(2.0 * h, params.step)
         if not escaped and abs(z - launch_point) > 2.0 * capture:
             escaped = True
@@ -171,7 +170,7 @@ def trace(
             if abs(z - p) <= capture:
                 terminal = Terminal("reached_singularity", p)
                 break
-        if terminal is None and not _inside(qd.domain, z, params.domain_margin):
+        if terminal is None and not _inside(qd.domain, z):
             terminal = Terminal("left_domain")
 
     return Trajectory(

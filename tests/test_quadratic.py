@@ -109,11 +109,6 @@ class TestPhase:
         qd = build_Q(preset("fig1").divisor)
         assert normalize_phase(qd) == pytest.approx(1.0, abs=1e-12)
 
-    def test_reference_arc_out_of_range(self):
-        qd = single_curve_qd()
-        with pytest.raises(InvalidReferenceError):
-            normalize_phase(qd, reference_arc=99)
-
     def test_boundary_arc_is_horizontal(self):
         # the field on the reference arc must be parallel to the boundary
         rng = random.Random(111)

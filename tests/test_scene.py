@@ -1,11 +1,13 @@
 """YAML scene parsing, line-numbered diagnostics, presets, round-trips."""
 
-import math
 import pathlib
 import re
+import textwrap
 
 import pytest
+import yaml
 
+from slezero import scene as scene_module
 from slezero.errors import ConfigError
 from slezero.loewner import Parametrization
 from slezero.scene import (
@@ -120,16 +122,19 @@ class TestParse:
 class TestSections:
     def test_trace_overrides(self):
         scene = parse_config(
-            MINIMAL + "trace:\n  step: 0.01\n  capture_radius: 0.005\n  adaptive: false\n"
+            MINIMAL + "trace:\n  step: 0.01\n  capture_radius: 0.005\n"
         )
         assert scene.trace.step == 0.01
         assert scene.trace.singularity_capture_radius == 0.005
-        assert scene.trace.adaptive is False
         assert scene.trace.max_arc_length == TraceParams().max_arc_length
 
-    def test_unknown_trace_key(self):
-        with pytest.raises(ConfigError, match="unknown trace key"):
-            parse_config(MINIMAL + "trace:\n  stride: 0.01\n")
+    # the tracer always halves its steps at sharp turns, and its domain
+    # margin is the constant tracing.DOMAIN_MARGIN
+    @pytest.mark.parametrize("key", ["stride", "adaptive", "domain_margin"])
+    def test_unknown_trace_key(self, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + f"trace:\n  step: 0.01\n  {key}: 1e-6\n")
+        assert exc.value.diagnostics == [(8, f"unknown trace key {key!r}")]
 
     def test_capture_radius_must_exceed_margin(self):
         with pytest.raises(ConfigError, match="capture_radius must exceed domain_margin"):
@@ -267,7 +272,7 @@ class TestPresets:
         base = single_curve_scene()
         scene = SceneConfig(
             divisor=base.divisor,
-            trace=TraceParams(step=0.002, adaptive=False),
+            trace=TraceParams(step=0.002),
             loewner=LoewnerParams(T=0.3, dt=1e-3, lift=1e-5, tracked=(2j, 3 + 0.5j), tol=1e-12),
             rates=Parametrization((((0.0, 1.0), (0.25, 2.0)),)),
             outputs=("hull_csv",),
@@ -295,14 +300,28 @@ class TestPresets:
         assert scene.loewner.tracked == (2j,)
 
 
+def readme_example() -> str:
+    """The YAML block of the README's Scene config section."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scene config\n", 1)[1]
+    return re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+
+
 class TestReadme:
     def test_scene_config_example_parses(self):
-        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-        section = readme.split("\n## Scene config\n", 1)[1]
-        example = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
-        scene = parse_config(example)
+        scene = parse_config(readme_example())
         assert scene.name == "example"
         assert scene.divisor.domain == HALF_PLANE
         assert len(scene.divisor.growth) == scene.rates.n_curves == 2
         assert scene.outputs == OUTPUT_KINDS
         assert scene.loewner.tol == 3e-14
+
+    def test_schema_copies_list_the_written_keys(self):
+        # the README example, the scene.py docstring schema and
+        # serialize_config name the same trace and loewner keys, in order
+        example = readme_example()
+        schema = textwrap.dedent(scene_module.__doc__.split("Schema (all keys optional unless noted):\n", 1)[1])
+        written = yaml.safe_load(serialize_config(parse_config(example)))
+        for copy in (yaml.safe_load(example), yaml.safe_load(schema)):
+            for section_name in ("trace", "loewner"):
+                assert list(copy[section_name]) == list(written[section_name])
