@@ -16,6 +16,10 @@ gap so that collisions are approached geometrically instead of being
 overshot, and steps end exactly on the breakpoints of the rates. log g'
 feeds nothing back into the steps, so its RK4 quadrature runs behind them,
 on blocks of recorded stage values.
+
+Hull tips come from the reverse flow, integrated in the variable sqrt(s)
+of the reverse time s, in which its square-root start off the boundary is
+smooth, with steps sized by the same embedded error estimate.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from .errors import DegenerateConfigurationError, InversionFailureError, StepBud
 COLLISION_TOL = 1e-8
 GAP_CAP_SAFETY = 0.125  # of the gap^2/(8 sum nu) stiffness bound
 TRACK_CAP_COEFF = 0.004  # dt <= coeff * |g-x|^2 near a tracked-point death
-REVERSE_CAP_COEFF = 0.05
+REVERSE_TOL = 1e-9  # local error per reverse step of trace_hull, in r = sqrt(s)
+REVERSE_BUDGET = 2_000_000  # reverse sweeps per trace_hull call, rejected steps included
 DEFAULT_LIFT = 1e-6
 STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones included
 BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
@@ -500,9 +505,9 @@ class _DrivingPaths:
 
 
 def _reverse_velocity(
-    zr: np.ndarray, zi: np.ndarray, x: np.ndarray, coeff: np.ndarray
+    zr: np.ndarray, zi: np.ndarray, x: np.ndarray, coeff: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of -sum_k coeff_k / (z - x_k), with one
+    """Real and imaginary parts of -w sum_k coeff_k / (z - x_k), with one
     column per z and one row per driving point in ``x`` and ``coeff``.
 
     Each quotient is CPython's real over complex division (Smith's method:
@@ -515,7 +520,7 @@ def _reverse_velocity(
     for k in range(1, len(x)):
         tr = tr + re[k]
         ti = ti + im[k]
-    return -tr, ti
+    return -w * tr, w * ti
 
 
 @dataclass(frozen=True)
@@ -537,14 +542,29 @@ def trace_hull(
     at time t - s from s = 0 to s = t; the lift regularizes the boundary
     start of the reverse solve.
 
-    All samples advance together as arrays, one RK4 step each per sweep,
-    and leave the sweep when they reach s = t. Each keeps its own step,
-    capped quadratically in its distance to the (time-reversed) driving
-    points, which start arbitrarily close to it, and cut to end where it
-    reaches the next rate breakpoint below, so that a step sees one set of
-    rates. The gap is a hypot and the velocity sums run over the driving
-    points in order, so a sample gets the bits of the same solve on Python
-    complex numbers, whatever the other samples of the call.
+    Near its start the solve is the vertical slit z - x_j = i sqrt(lift^2 +
+    4 nu_j s), whose branch point at s = -lift^2 / (4 nu_j) makes it stiff
+    in s. It is integrated in r = sqrt(s) instead, dz/dr = 2r dz/ds from
+    r = 0 to sqrt(t), where the slit is smooth on the scale of the lift: the
+    first step is 0.1 lift / sqrt(2 sum nu), and the steps grow from there
+    under the error control of ``evolve``. The velocity at a step's end,
+    which the next step reuses as its first stage, forms with its fourth
+    stage the embedded 3rd-order pair of the RK4 step, so the estimate
+    |h/6 (k4 - k5)| costs no extra evaluation. A step whose estimate exceeds
+    ``REVERSE_TOL`` is retried with h max(0.2, 0.9 (tol/err)^(1/4)); an
+    accepted one proposes h min(5, 0.9 (tol/err)^(1/4)).
+
+    All samples advance together as arrays, one step each per sweep, and
+    leave the sweep when they reach r = sqrt(t). A step ends exactly where
+    it reaches the next rate breakpoint below, r = sqrt(t - breakpoint), so
+    that it sees one set of rates; the first stage of the next is evaluated
+    anew under the rates below. A sample's state is its own and the
+    velocity sums run over the driving points in order, so a sample gets
+    the bits of the same solve on Python complex numbers, whatever the
+    other samples of the call.
+
+    More than ``REVERSE_BUDGET`` sweeps, a step that underflows, and an
+    estimate or state that is not finite raise ``InversionFailureError``.
     """
     t_max = evolution.states[-1].t
     for t in times:
@@ -554,62 +574,93 @@ def trace_hull(
     paths = _DrivingPaths(evolution.states)
     starts, piece_rates = evolution.nu.pieces()
     starts = np.array(starts)
-    # per piece: 2 nu_k, one row per driving point, and 2 sum nu for the cap
+    # per piece: 2 nu_k, one row per driving point, and 2 sum nu for the first step
     coeffs = 2.0 * np.array(piece_rates).reshape(len(starts), n).T
     twice_sums = np.array([2.0 * sum(r) for r in piece_rates])
 
     # one sample per (time, curve), in the order of the output
     t = np.repeat(np.array(times, dtype=float), n)
     m = len(t)
-    x_here = paths.at(t)
-    zr = x_here[np.tile(np.arange(n), len(times)), np.arange(m)]
+    zr = paths.at(t)[np.tile(np.arange(n), len(times)), np.arange(m)]
     zi = np.full(m, lift)
-    s = np.zeros(m)
     # the piece below the sample time: a sample at a breakpoint starts on
     # the rates before it
     piece = np.maximum(starts.searchsorted(t) - 1, 0)
+    r = np.zeros(m)
+    r_stop = np.sqrt(t - starts.take(piece))  # where the piece ends below
+    h = 0.1 * lift / np.sqrt(twice_sums.take(piece))
+    # the first stage, 2r dz/ds, vanishes at r = 0
+    k1r, k1i = np.zeros(m), np.zeros(m)
     index = np.arange(m)
     out_r, out_i = zr.copy(), zi.copy()
-    sweeps = 0
+    sweeps = rejected = 0
     while True:
-        live = s < t
+        live = r < r_stop
         if not live.all():
             done = ~live
             out_r[index[done]], out_i[index[done]] = zr[done], zi[done]
-            index, t, s, zr, zi, piece = (a[live] for a in (index, t, s, zr, zi, piece))
-            x_here = x_here[:, live]
+            index, t, r, r_stop, h, zr, zi, k1r, k1i, piece = (
+                a[live] for a in (index, t, r, r_stop, h, zr, zi, k1r, k1i, piece)
+            )
         if not index.size:
             break
         sweeps += 1
-        if sweeps > 2_000_000:
-            raise InversionFailureError("reverse solve exceeded step budget")
-        dist = np.hypot(zr - x_here, zi)
-        gap = dist[0]
-        for row in dist[1:]:
-            gap = np.minimum(gap, row)
-        room = t - starts.take(piece) - s
-        ds = np.minimum(REVERSE_CAP_COEFF * gap * gap / twice_sums.take(piece), room)
-        s_end = s + ds
-        stalled = s_end == s
+        if sweeps > REVERSE_BUDGET:
+            raise InversionFailureError(
+                f"reverse solve exceeded its budget of {REVERSE_BUDGET} sweeps "
+                f"({rejected} steps rejected, {index.size} samples unfinished)"
+            )
+        room = r_stop - r
+        h = np.minimum(h, room)
+        r_end = np.where(h == room, r_stop, r + h)
+        stalled = r_end == r
         if stalled.any():
             k = int(stalled.argmax())
+            x_here = paths.at(t[k : k + 1] - r[k] * r[k])[:, 0]
+            gap = np.hypot(zr[k] - x_here, zi[k]).min()
             raise InversionFailureError(
-                f"reverse solve stalled at s={s[k]:.3e} (gap {gap[k]:.3e})"
+                f"reverse solve stalled at s={r[k] * r[k]:.3e} (gap {gap:.3e})"
             )
-        h2 = ds / 2
-        x_stages = paths.at(np.concatenate((t - (s + h2), t - s_end)))
-        x_mid, x_end = x_stages[:, : len(s)], x_stages[:, len(s) :]
+        h2 = h / 2
+        r_mid = r + h2
+        x_stages = paths.at(np.concatenate((t - r_mid * r_mid, t - r_end * r_end)))
+        x_mid, x_end = x_stages[:, : len(r)], x_stages[:, len(r) :]
+        w_mid, w_end = 2.0 * r_mid, 2.0 * r_end
         coeff = coeffs.take(piece, 1)
-        k1r, k1i = _reverse_velocity(zr, zi, x_here, coeff)
-        k2r, k2i = _reverse_velocity(zr + h2 * k1r, zi + h2 * k1i, x_mid, coeff)
-        k3r, k3i = _reverse_velocity(zr + h2 * k2r, zi + h2 * k2i, x_mid, coeff)
-        k4r, k4i = _reverse_velocity(zr + ds * k3r, zi + ds * k3i, x_end, coeff)
-        h6 = ds / 6.0
-        zr = zr + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        zi = zi + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        s, x_here = s_end, x_end
-        # a step that reached its breakpoint hands the sample to the piece below
-        piece -= (ds == room) & (piece > 0)
+        k2r, k2i = _reverse_velocity(zr + h2 * k1r, zi + h2 * k1i, x_mid, coeff, w_mid)
+        k3r, k3i = _reverse_velocity(zr + h2 * k2r, zi + h2 * k2i, x_mid, coeff, w_mid)
+        k4r, k4i = _reverse_velocity(zr + h * k3r, zi + h * k3i, x_end, coeff, w_end)
+        h6 = h / 6.0
+        z1r = zr + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        z1i = zi + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        k5r, k5i = _reverse_velocity(z1r, z1i, x_end, coeff, w_end)
+        err = h6 * np.hypot(k4r - k5r, k4i - k5i)
+        # NaN fails every comparison, so neither a rejection nor the end of
+        # the solve would see it
+        bad = ~np.isfinite(err + z1r + z1i)
+        if bad.any():
+            k = int(bad.argmax())
+            raise InversionFailureError(
+                f"reverse solve is not finite at s={r[k] * r[k]:.3e} "
+                f"(hull sample t={t[k]:.12g}, curve {index[k] % n})"
+            )
+        accept = err <= REVERSE_TOL
+        rejected += len(r) - int(np.count_nonzero(accept))
+        with np.errstate(divide="ignore"):
+            scale = 0.9 * np.sqrt(np.sqrt(REVERSE_TOL / err))
+        h = h * np.where(accept, np.minimum(5.0, scale), np.maximum(0.2, scale))
+        r = np.where(accept, r_end, r)
+        zr, zi = np.where(accept, z1r, zr), np.where(accept, z1i, zi)
+        k1r, k1i = np.where(accept, k5r, k1r), np.where(accept, k5i, k1i)
+        # a step that reached its breakpoint hands the sample to the piece
+        # below, whose rates give the first stage of its next step
+        below = accept & (r == r_stop) & (piece > 0)
+        if below.any():
+            piece = piece - below
+            r_stop = np.sqrt(t - starts.take(piece))
+            k1r[below], k1i[below] = _reverse_velocity(
+                zr[below], zi[below], x_end[:, below], coeffs.take(piece[below], 1), w_end[below]
+            )
     return [
         HullSample(tk, j, complex(out_r[k * n + j], out_i[k * n + j]))
         for k, tk in enumerate(times)

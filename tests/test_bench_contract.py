@@ -125,3 +125,21 @@ def test_traced_presets_take_few_flow_states(tmp_path):
     # four evaluations per state: rejected steps stay rare, and the
     # end-of-step velocities are reused as the next step's first stage
     assert metrics["divisors.dlog_Z_calls_per_state"] <= 4.1
+
+
+def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
+    # the 33-time hull of a fig1 run; stepping in s from the lift it took
+    # 792 sweeps of four evaluations each
+    sc = scene.preset("fig1")
+    lo = sc.loewner
+    ev = evolve(runner._flow_divisor(sc), lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+    velocity = loewner._reverse_velocity
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return velocity(*args)
+
+    monkeypatch.setattr(loewner, "_reverse_velocity", counted)
+    loewner.trace_hull(ev, runner._hull_times(ev.final.t), lo.lift)
+    assert calls[0] <= 4 * 792 / 3

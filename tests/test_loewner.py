@@ -57,7 +57,9 @@ def eight_curve_flow():
 def reverse_point(ev, t, j, lift):
     """Hull sample (t, j) solved alone on Python complex numbers, with the
     step rule of trace_hull for constant rates: the loop the sweep must
-    reproduce."""
+    reproduce. It integrates dz/dr = 2r dz/ds in r = sqrt(s), with the
+    end-of-step velocity k5 reused as the next first stage and the step
+    sized by the embedded estimate |h/6 (k4 - k5)|."""
     ts = [st.t for st in ev.states]
 
     def x_at(time):
@@ -78,25 +80,34 @@ def reverse_point(ev, t, j, lift):
             for k in range(len(a.x))
         ]
 
-    def velocity(z, x):
+    def velocity(z, x, w):
         total = 0j
         for xk, rk in zip(x, rates):
             total += 2.0 * rk / (z - xk)
-        return -total
+        return complex(-w * total.real, -w * total.imag)
 
     (rates,) = ev.nu.pieces()[1]
-    z, s = complex(x_at(t)[j], lift), 0.0
-    while s < t:
-        x_here = x_at(t - s)
-        gap = min(abs(z - xj) for xj in x_here)
-        ds = min(loewner.REVERSE_CAP_COEFF * gap * gap / (2.0 * sum(rates)), t - s)
-        x_mid, x_end = x_at(t - (s + ds / 2)), x_at(t - (s + ds))
-        k1 = velocity(z, x_here)
-        k2 = velocity(z + ds / 2 * k1, x_mid)
-        k3 = velocity(z + ds / 2 * k2, x_mid)
-        k4 = velocity(z + ds * k3, x_end)
-        z = z + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += ds
+    tol = loewner.REVERSE_TOL
+    z, r, r_stop = complex(x_at(t)[j], lift), 0.0, math.sqrt(t)
+    h = 0.1 * lift / math.sqrt(2.0 * sum(rates))
+    k1 = 0j
+    while r < r_stop:
+        h = min(h, r_stop - r)
+        r_end = r_stop if h == r_stop - r else r + h
+        r_mid = r + h / 2
+        x_mid, x_end = x_at(t - r_mid * r_mid), x_at(t - r_end * r_end)
+        k2 = velocity(z + h / 2 * k1, x_mid, 2.0 * r_mid)
+        k3 = velocity(z + h / 2 * k2, x_mid, 2.0 * r_mid)
+        k4 = velocity(z + h * k3, x_end, 2.0 * r_end)
+        z1 = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k5 = velocity(z1, x_end, 2.0 * r_end)
+        err = h / 6.0 * abs(k4 - k5)
+        scale = 0.9 * math.sqrt(math.sqrt(tol / err)) if err > 0.0 else math.inf
+        if err <= tol:
+            r, z, k1 = r_end, z1, k5
+            h *= min(5.0, scale)
+        else:
+            h *= max(0.2, scale)
     return z
 
 
@@ -289,6 +300,25 @@ class TestSingleCurve:
         assert len(samples) == 21
         worst = max(abs(s.point - 2j * math.sqrt(s.t)) for s in samples)
         assert worst < 5e-6  # floored by the boundary lift
+
+    def test_hull_is_the_lift_exact_slit(self):
+        # the reverse solve from i*lift has the closed form i sqrt(4t + lift^2)
+        ev = evolve(single_curve(), 1.0, 1e-3)
+        samples = trace_hull(ev, [k / 20 for k in range(21)], 1e-6)
+        worst = max(abs(s.point - 1j * math.sqrt(4.0 * s.t + 1e-12)) for s in samples)
+        assert worst < 1e-10
+
+    def test_hull_across_a_rate_breakpoint_is_the_exact_slit(self):
+        # with the rate 1 before 0.35 and 2 after it, the slit is
+        # i sqrt(4 int_0^t nu + lift^2); the rates of the wrong side of
+        # the breakpoint would miss it by 0.1
+        ev = evolve(single_curve(), 1.0, 1e-3, Parametrization((((0.0, 1.0), (0.35, 2.0)),)))
+        samples = trace_hull(ev, [k / 20 for k in range(21)], 1e-6)
+        area = [min(s.t, 0.35) + 2.0 * max(0.0, s.t - 0.35) for s in samples]
+        worst = max(abs(s.point - 1j * math.sqrt(4.0 * a + 1e-12)) for s, a in zip(samples, area))
+        # below the breakpoint the slit is curved in sqrt(s): 3.0e-9 at the
+        # reverse tolerance 1e-9
+        assert worst < 1e-8
 
     def test_hull_time_outside_range(self):
         ev = evolve(single_curve(), 0.5, 1e-3)
@@ -516,12 +546,47 @@ class TestHull:
     def test_reverse_steps_end_on_rate_breakpoints(self, monkeypatch):
         ev = evolve(repelling_pair(), 0.25, 1e-3, BREAK_RATES)
         runs = []
-        for coeff in (0.05, 0.0125, 0.003125):
-            monkeypatch.setattr(loewner, "REVERSE_CAP_COEFF", coeff)
+        for tol in (1e-9, 1e-11, 1e-13):
+            monkeypatch.setattr(loewner, "REVERSE_TOL", tol)
             runs.append([s.point for s in trace_hull(ev, [0.2, 0.25], 1e-2)])
         moves = [max(abs(a - b) for a, b in zip(r0, r1)) for r0, r1 in zip(runs, runs[1:])]
-        # steps that straddle the breakpoint, mixing both rates, move by 3e-4
+        # steps that straddle the breakpoint, mixing both rates, move by 5e-4
         assert moves[1] <= 1e-9, moves
+
+    def test_fig2_hull_is_within_its_error_of_a_tighter_solve(self, monkeypatch):
+        sc = preset("fig2")
+        lo = sc.loewner
+        div, _ = transport(sc.divisor, HALF_PLANE)
+        ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+        times = [ev.final.t * i / 32 for i in range(33)]
+        got = trace_hull(ev, times, lo.lift)
+        monkeypatch.setattr(loewner, "REVERSE_TOL", loewner.REVERSE_TOL * 1e-4)
+        want = trace_hull(ev, times, lo.lift)
+        # the error of the former gap-capped step, 2.8e-9
+        assert max(abs(a.point - b.point) for a, b in zip(got, want)) <= 3e-9
+
+    def test_a_reverse_state_that_is_not_finite_stops_the_solve(self, monkeypatch):
+        ev = evolve(repelling_pair(), 0.25, 1e-3)
+        velocity = loewner._reverse_velocity
+        calls = [0]
+
+        def poisoned(*args):
+            calls[0] += 1
+            vr, vi = velocity(*args)
+            return (vr, vi) if calls[0] < 10 else (vr * math.nan, vi)
+
+        monkeypatch.setattr(loewner, "_reverse_velocity", poisoned)
+        with pytest.raises(InversionFailureError, match="reverse solve is not finite at s="):
+            trace_hull(ev, [0.1, 0.2])
+
+    def test_sweeps_past_the_budget_are_refused(self, monkeypatch):
+        ev = evolve(repelling_pair(), 0.25, 1e-3)
+        monkeypatch.setattr(loewner, "REVERSE_BUDGET", 20)
+        with pytest.raises(
+            InversionFailureError,
+            match=r"exceeded its budget of 20 sweeps \(\d+ steps rejected, 4 samples unfinished\)",
+        ):
+            trace_hull(ev, [0.1, 0.2])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
     def test_bad_times_rejected_before_any_work(self, t):
