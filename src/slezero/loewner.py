@@ -9,13 +9,17 @@ while marked points and tracked observers z are carried by the common field
 
     dz/dt = sum_j 2 nu_j / (z - x_j),
 
-and log g'(z) by its derivative flow. The points are integrated together
-with a classical 4th-order step, of fixed size or sized by its free embedded
-error estimate; the step size is capped quadratically in the smallest point
-gap so that collisions are approached geometrically instead of being
-overshot, and steps end exactly on the breakpoints of the rates. log g'
-feeds nothing back into the steps, so its RK4 quadrature runs behind them,
-on blocks of recorded stage values.
+and log g'(z) by its derivative flow. The observers' part of the common
+field is one array pass, with the bits of the scalar sum, once driving
+points x live observers reach ``ARRAY_QUOTIENTS``; below that, and for the
+marked points, it is a loop on Python numbers, which is faster there.
+
+The points are integrated together with a classical 4th-order step, of
+fixed size or sized by its free embedded error estimate; the step size is
+capped quadratically in the smallest point gap so that collisions are
+approached geometrically instead of being overshot, and steps end exactly
+on the breakpoints of the rates. log g' feeds nothing back into the steps,
+so its RK4 quadrature runs behind them, on blocks of recorded stage values.
 
 Hull tips come from the reverse flow, integrated in the variable sqrt(s)
 of the reverse time s, in which its square-root start off the boundary is
@@ -44,6 +48,8 @@ DEFAULT_LIFT = 1e-6
 STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones included
 BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
+HISTORY_BUDGET = 10_000_000  # observer history values (rows x tracked) per evolution
+ARRAY_QUOTIENTS = 128  # driving points x live observers from which their field runs on arrays
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,12 @@ def _velocities(
     s: Sequence[float],
     nq: int,
     rates: Sequence[float],
+    arrays: bool = False,
 ) -> tuple[list[float], list[complex]]:
     """d/dt of the driving points and of the points ``p`` carried by the
     common field: the ``nq`` finite marked points, with charges ``s``, then
-    the live observers."""
+    the live observers, whose field is one array pass if ``arrays`` and a
+    loop on Python numbers otherwise, with the same bits."""
     dlog = divisors.dlog_Z(x, p[:nq], s)
     c = [2.0 * r for r in rates]
     dx = []
@@ -155,11 +163,18 @@ def _velocities(
                 inter += c[k] / (xj - xk)
         dx.append(rates[j] * dlog[j] + inter)
     dp = []
-    for z in p:
+    for z in p[:nq] if arrays else p:
         total = 0j
         for xk, ck in zip(x, c):
             total += ck / (z - xk)
         dp.append(total)
+    if arrays:
+        obs = np.array(p[nq:])
+        re, im = _reverse_velocity(obs.real, obs.imag, np.array(x)[:, None], np.array(c)[:, None], -1.0)
+        out = np.empty(len(obs), dtype=complex)
+        # the scalar sum starts from 0j, which turns a zero sum's -0.0 into 0.0
+        out.real, out.imag = 0.0 + re, 0.0 + im
+        dp += out.tolist()
     return dx, dp
 
 
@@ -238,10 +253,11 @@ class _ObserverHistory:
     over the driving points in order and along time in sequence, so each
     observer gets the bits of the same quadrature on Python complex numbers.
     The rows live in arrays with room for ``rows`` states, doubled when more
-    come.
+    come; more than ``HISTORY_BUDGET`` values raise ``StepBudgetError``.
     """
 
     def __init__(self, g: Sequence[complex], rows: int):
+        _check_history(rows, len(g))
         self.g = np.empty((rows, len(g)), dtype=complex)
         self.log_gprime = np.empty_like(self.g)
         self.g[0], self.log_gprime[0] = g, 0.0
@@ -260,9 +276,11 @@ class _ObserverHistory:
         self.steps = []
         start, end = self.rows, self.rows + sum(reps)
         if end > len(self.g):
-            size = max(end, 2 * len(self.g))
+            cols = self.g.shape[1]
+            size = max(end, min(2 * len(self.g), HISTORY_BUDGET // max(cols, 1)))
+            _check_history(size, cols)
             for name in ("g", "log_gprime"):
-                grown = np.empty((size, self.g.shape[1]), dtype=complex)
+                grown = np.empty((size, cols), dtype=complex)
                 grown[:start] = getattr(self, name)[:start]
                 setattr(self, name, grown)
         self.rows = end
@@ -277,6 +295,13 @@ class _ObserverHistory:
         for part, dw in zip((w.real, w.imag), dws):
             # w_{i+1} = w_i + dw_i, summed in sequence from the last row
             part[:, live] = np.repeat(np.cumsum(np.vstack((part[:1, live], dw)), axis=0)[1:], reps, axis=0)
+
+
+def _check_history(rows: int, cols: int) -> None:
+    if rows * cols > HISTORY_BUDGET:
+        raise StepBudgetError(
+            f"{rows} states of {cols} observers exceed the history budget of {HISTORY_BUDGET} values"
+        )
 
 
 def _log_gprime_steps(
@@ -326,8 +351,9 @@ def evolve(
     proposes the next step size. Without ``tol`` every step is accepted.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
-    and rejections, raise ``StepBudgetError``; a state or estimate that is
-    not finite raises ``InversionFailureError``.
+    and rejections, raise ``StepBudgetError``, as does an observer history
+    of more than ``HISTORY_BUDGET`` values; a state or estimate that is not
+    finite raises ``InversionFailureError``.
     """
     report = divisors.validate(divisor)
     if not report.ok:
@@ -344,6 +370,9 @@ def evolve(
         raise StepBudgetError(
             f"T/dt = {T / dt:.3g} flow steps exceed the budget of {STEP_BUDGET}"
         )
+    breaks = [b for b in nu.breakpoints() if b < T]
+    # room for the states of T/dt steps, two at each breakpoint
+    history = _ObserverHistory(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
 
     x = [p.value.real for p in divisor.growth]
     q, s = divisor.finite_marked()
@@ -356,20 +385,20 @@ def evolve(
     # the marked points, then the live observers
     p = list(q) + [tracked[i] for i in live]
     near = _near(x, p[nq:], live)
-    breaks = [b for b in nu.breakpoints() if b < T]
-    # room for the states of T/dt steps, two at each breakpoint
-    history = _ObserverHistory(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
     next_break = 0
     t = 0.0
     steps = rejected = 0
     h_next = math.inf  # the step size the error control proposes
     rates = nu.rates(t)
+    # both ways give the same bits, so the choice is only made once a step
+    arrays = len(x) * len(live) >= ARRAY_QUOTIENTS
     # the velocities at the latest state: its dx, and the next step's k1
-    vel = _velocities(x, p, s, nq, rates)
+    vel = _velocities(x, p, s, nq, rates, arrays)
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
     collision = collision_note = None
 
     while t < T:
+        arrays = len(x) * len(live) >= ARRAY_QUOTIENTS
         gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
@@ -406,14 +435,14 @@ def evolve(
         h2 = h / 2
         k1 = vel
         x2, p2 = _shift(x, k1[0], h2), _shift(p, k1[1], h2)
-        k2 = _velocities(x2, p2, s, nq, rates)
+        k2 = _velocities(x2, p2, s, nq, rates, arrays)
         x3, p3 = _shift(x, k2[0], h2), _shift(p, k2[1], h2)
-        k3 = _velocities(x3, p3, s, nq, rates)
+        k3 = _velocities(x3, p3, s, nq, rates, arrays)
         x4, p4 = _shift(x, k3[0], h), _shift(p, k3[1], h)
-        k4 = _velocities(x4, p4, s, nq, rates)
+        k4 = _velocities(x4, p4, s, nq, rates, arrays)
         x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
         p1 = _rk4(p, k1[1], k2[1], k3[1], k4[1], h)
-        k5 = _velocities(x1, p1, s, nq, rates)
+        k5 = _velocities(x1, p1, s, nq, rates, arrays)
         # NaN fails every comparison, so neither a collision nor a rejection
         # would see it; a finite new state has finite stages k1 to k4
         if not math.isfinite(abs(sum(x1)) + abs(sum(p1)) + abs(sum(k5[0])) + abs(sum(k5[1]))):
@@ -452,7 +481,7 @@ def evolve(
             # the end-of-step velocities are the left side of the breakpoint
             states.append(LoewnerState(t1, tuple(x), tuple(k5[0]), tuple(q)))
         new_rates = nu.rates(t1)
-        vel = k5 if new_rates == rates else _velocities(x, p, s, nq, new_rates)
+        vel = k5 if new_rates == rates else _velocities(x, p, s, nq, new_rates, arrays)
         rates = new_rates
         states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
@@ -513,7 +542,8 @@ def _reverse_velocity(
     Each quotient is CPython's real over complex division (Smith's method:
     scale by the larger part of the denominator, then divide), and the sum
     runs over the driving points in order, so that a column gets the bits
-    of the same sum over Python complex numbers.
+    of the same sum over Python complex numbers. The forward common field
+    of ``evolve`` is the case w = -1.
     """
     re, im = _quotients(coeff, zr - x, zi)
     tr, ti = re[0], im[0]

@@ -13,6 +13,7 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import run as bench_run  # noqa: E402
+import scenes as bench_scenes  # noqa: E402
 import tracer as bench_tracer  # noqa: E402
 from slezero import cli, conformal, divisors, loewner, outputs, quadratic, runner, scene, tracing  # noqa: E402
 from slezero.divisors import SymmetricDivisor  # noqa: E402
@@ -143,3 +144,33 @@ def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
     monkeypatch.setattr(loewner, "_reverse_velocity", counted)
     loewner.trace_hull(ev, runner._hull_times(ev.final.t), lo.lift)
     assert calls[0] <= 4 * 792 / 3
+
+
+def test_many_observers_and_only_they_take_the_array_field(monkeypatch):
+    # the observers' common field runs on arrays from ARRAY_QUOTIENTS
+    # driving point x observer quotients: never for a preset's one observer,
+    # once per velocity evaluation for the 10 x 128 of a many-curves scene
+    velocity = loewner._reverse_velocity
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return velocity(*args)
+
+    monkeypatch.setattr(loewner, "_reverse_velocity", counted)
+    fig1 = scene.preset("fig1")
+    lo = fig1.loewner
+    evolve(runner._flow_divisor(fig1), lo.T, lo.dt, fig1.rates, lo.tracked, lo.tol)
+    assert calls[0] == 0
+
+    many = scene.parse_config(bench_scenes.many_scene(0))
+    lo = replace(many.loewner, T=many.loewner.T / 10)
+    assert len(many.divisor.growth) * len(lo.tracked) == 1280
+    t = bench_tracer.Tracer()
+    t.install()
+    try:
+        evolve(runner._flow_divisor(many), lo.T, lo.dt, many.rates, lo.tracked, lo.tol)
+        metrics = t.take_pass(0)["metrics"]
+    finally:
+        t.uninstall()
+    assert calls[0] == metrics["divisors.dlog_Z_calls"] > 0

@@ -280,11 +280,17 @@ class TestParametrization:
 
 class TestSingleCurve:
     def test_slit_map_closed_form(self):
-        z = 3 + 4j
-        ev = evolve(single_curve(), 0.25, 1e-4, tracked=(z,))
+        # a 16 x 16 grid of observers, enough for their field to run on arrays
+        z = (np.linspace(-4.0, 4.0, 16)[:, None] + 1j * np.linspace(0.5, 4.0, 16)).ravel()
+        assert len(z) >= loewner.ARRAY_QUOTIENTS
+        ev = evolve(single_curve(), 0.05, 1e-4, tracked=tuple(z.tolist()))
         assert all(s.x == (0.0,) for s in ev.states)
-        expected = cmath.sqrt(z * z + 4 * 0.25)
-        assert ev.g[-1, 0] == pytest.approx(expected, abs=1e-12)
+        assert ev.death_times == [None] * len(z)
+        # g(z, t) = sqrt(z^2 + 4t) on the branch in the upper half-plane
+        ts = np.array([s.t for s in ev.states])
+        expected = np.sqrt(z * z + 4.0 * ts[:, None])
+        expected = np.where(expected.imag < 0.0, -expected, expected)
+        assert np.abs(ev.g - expected).max() < 1e-13
 
     def test_half_plane_capacity(self):
         z = 1000j
@@ -344,20 +350,28 @@ class TestSingleCurve:
         assert rep.max_rel_drift < 1e-10
         assert rep.max_arg_drift < 1e-10
 
-    def test_observer_on_the_driving_point_is_dead_from_the_start(self):
-        ev = evolve_matching_the_scalar_loop(single_curve(), 0.1, 1e-3, None, (4j, 0j))
-        assert ev.death_times == [None, 0.0]
-        assert (ev.g[:, 1] == 0j).all() and (ev.log_gprime[:, 1] == 0j).all()
-        with pytest.raises(DegenerateConfigurationError, match="tracked point 0.0 starts on a driving point"):
-            motion_integral(ev)
+    def test_observer_on_the_driving_point_is_dead_from_the_start(self, monkeypatch):
+        for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.1, 1e-3, None, (4j, 0j)):
+            assert ev.death_times == [None, 0.0]
+            assert (ev.g[:, 1] == 0j).all() and (ev.log_gprime[:, 1] == 0j).all()
+            with pytest.raises(DegenerateConfigurationError, match="tracked point 0.0 starts on a driving point"):
+                motion_integral(ev)
 
 
-def evolve_matching_the_scalar_loop(div, T, dt, nu, tracked):
-    ev = evolve(div, T, dt, nu, tracked)
+def evolve_matching_the_scalar_loop(monkeypatch, div, T, dt, nu, tracked):
+    """The flow with the observers' field on arrays and on Python numbers,
+    each checked against the scalar loop bit for bit."""
     rows, death = scalar_flow(div, T, dt, nu or Parametrization.constant([1.0] * len(div.growth)), tracked)
-    assert ev.death_times == death
-    assert history_bits([st.t for st in ev.states], ev.g, ev.log_gprime) == history_bits(*zip(*rows))
-    return ev
+    flows = []
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
+        ev = evolve(div, T, dt, nu, tracked)
+        assert ev.death_times == death
+        assert history_bits([st.t for st in ev.states], ev.g, ev.log_gprime) == history_bits(*zip(*rows))
+        flows.append(ev)
+    monkeypatch.undo()
+    assert flows[0].states == flows[1].states
+    return flows
 
 
 def report_bits(reports):
@@ -366,34 +380,48 @@ def report_bits(reports):
 
 class TestObservers:
     """The observers' history, integrated in blocks behind the step loop,
-    and their reports, computed in one pass."""
+    and their reports, computed in one pass. Each flow runs with the
+    observers' field on arrays and on Python numbers."""
 
-    def test_ten_curves_and_32_observers_match_the_scalar_loop_bit_for_bit(self):
+    def test_ten_curves_and_32_observers_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
         div = half_plane_divisor(random.Random(5), max_growth=10)
         assert len(div.growth) == 10 and div.finite_marked()[0]
         rng = random.Random(1)
         # some observers start below height 1, where the observer cap applies
         tracked = tuple(complex(rng.uniform(-4.0, 4.0), rng.uniform(0.05, 3.0)) for _ in range(32))
-        ev = evolve_matching_the_scalar_loop(div, 0.02, 2e-4, None, tracked)
-        # several quadrature blocks
-        assert (len(ev.states) - 1) * (len(div.growth) + len(tracked)) > 2 * loewner.BLOCK_VALUES
-        assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+        for ev in evolve_matching_the_scalar_loop(monkeypatch, div, 0.02, 2e-4, None, tracked):
+            # several quadrature blocks
+            assert (len(ev.states) - 1) * (len(div.growth) + len(tracked)) > 2 * loewner.BLOCK_VALUES
+            assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
-    def test_doubled_breakpoint_states_match_the_scalar_loop_bit_for_bit(self):
-        ev = evolve_matching_the_scalar_loop(repelling_pair(), 0.25, 1e-3, BREAK_RATES, (0.5j, 1 + 0.2j, -2 + 1j))
-        assert [st.t for st in ev.states].count(BREAK) == 2
-        assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+    def test_doubled_breakpoint_states_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
+        tracked = (0.5j, 1 + 0.2j, -2 + 1j)
+        for ev in evolve_matching_the_scalar_loop(monkeypatch, repelling_pair(), 0.25, 1e-3, BREAK_RATES, tracked):
+            assert [st.t for st in ev.states].count(BREAK) == 2
+            assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
-    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self):
+    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
         # i is frozen when its step cap collapses near t = 1/4; 0.001i comes
         # within the collision tolerance at t = 2.5e-7
-        ev = evolve_matching_the_scalar_loop(single_curve(), 0.5, 1e-3, None, (1j, 4j, 2 + 0.5j, 0.001j))
-        assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
-        assert ev.death_times[1:3] == [None, None]
-        assert ev.death_times[3] == pytest.approx(2.5e-7, rel=1e-6)
-        reports = motion_integral(ev)
-        assert [r.alive for r in reports] == [False, True, True, False]
-        assert report_bits(reports) == scalar_reports(ev)
+        tracked = (1j, 4j, 2 + 0.5j, 0.001j)
+        for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.5, 1e-3, None, tracked):
+            assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
+            assert ev.death_times[1:3] == [None, None]
+            assert ev.death_times[3] == pytest.approx(2.5e-7, rel=1e-6)
+            reports = motion_integral(ev)
+            assert [r.alive for r in reports] == [False, True, True, False]
+            assert report_bits(reports) == scalar_reports(ev)
+
+    def test_a_zero_field_has_the_sign_of_the_scalar_sum(self):
+        # the real part at -0.0 + 4i and the imaginary part at 2 are sums of
+        # zeros, whose sign the arrays must take from CPython's sum: it
+        # starts from 0j, which turns -0.0 into 0.0
+        points = [complex(-0.0, 4.0), complex(2.0, 0.0), complex(2.0, -0.0), 1 + 1j, -3 - 0.5j]
+        on_arrays, scalar = (
+            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], points, [], 0, [1.0], arrays)[1]]
+            for arrays in (True, False)
+        )
+        assert on_arrays == scalar
 
 
 class TestTwoSlit:
@@ -679,6 +707,19 @@ class TestEvolveValidation:
         bad = SymmetricDivisor.half_plane([0.0], [("inf", -4)])
         with pytest.raises(DegenerateConfigurationError, match="invalid"):
             evolve(bad, 0.1, 1e-3)
+
+    def test_observer_history_over_its_budget_is_refused_at_once(self):
+        # 1024 observers over T/dt = 1e6 steps would take 2 x 16 GB
+        tracked = tuple(complex(k / 100.0, 2.0) for k in range(1024))
+        with pytest.raises(StepBudgetError, match="1000001 states of 1024 observers exceed the history budget"):
+            evolve(repelling_pair(), 1.0, 1e-6, tracked=tracked, tol=1e-10)
+
+    def test_observer_history_grown_past_its_budget_is_refused(self, monkeypatch):
+        # T/dt is 30 steps, but the approach to the collision at 1/4 takes more than 100
+        assert len(evolve(colliding_pair(), 0.3, 0.01, tracked=(3j,)).states) > 100
+        monkeypatch.setattr(loewner, "HISTORY_BUDGET", 100)
+        with pytest.raises(StepBudgetError, match="of 1 observers exceed the history budget of 100 values"):
+            evolve(colliding_pair(), 0.3, 0.01, tracked=(3j,))
 
     def test_steps_forced_by_the_gap_cap_count_against_the_budget(self, monkeypatch):
         # T/dt is 30 steps, but the approach to the collision at 1/4 takes more than 100
