@@ -2,7 +2,8 @@
 
 Trajectories are integral curves of the unit horizontal line field of a
 quadratic differential, traced with a classical 4th-order one-step method in
-arc length. The field is only defined up to sign, so every stage evaluation
+arc length, with error-controlled long steps far from every factor point
+(see ``trace``). The field is only defined up to sign, so every stage evaluation
 is aligned with the direction of the previous step; launches from growth
 points start on a separatrix, offset by the capture radius.
 """
@@ -22,6 +23,7 @@ SEPARATRIX_TOL = 1e-3
 MAX_TURN = 0.2
 REGROW_TURN = 0.05
 DOMAIN_MARGIN = 1e-6  # how far past the boundary a trace may step before it stops
+TRACE_FAR_TOL = 1e-16  # local error bound of a step beyond twice the factor radius
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,18 @@ def trace(
     The trace stops on entering the capture disk of any other singularity,
     on leaving the domain by more than ``DOMAIN_MARGIN``, or on exhausting
     the arc length budget.
+
+    Within twice the largest |p| over the factor points, steps are at most
+    ``params.step``, halved while a step turns the field by more than
+    ``MAX_TURN``. Beyond it the field is close to a power of z and each
+    step is also error-controlled: the embedded RK4(3) estimate
+    h/6 |k4 - k5|, with k5 the field at the step's end (reused as the next
+    step's first stage), must not exceed ``TRACE_FAR_TOL`` unless h is down
+    to ``params.step``, and h doubles while the estimate is under a 32nd of
+    it and the doubled step stays within a quarter of |z| - rho, a lower
+    bound on the distance to every factor point.
+    There the arc length is the integration parameter, and a trajectory
+    that exhausts its budget ends at exactly ``max_arc_length``.
     """
     if initial_dir == 0:
         raise LaunchError("initial direction must be nonzero")
@@ -125,18 +139,31 @@ def trace(
     field = qd.field
     h = params.step
     h_min = params.step * 2.0**-20
+    # beyond twice the largest |p| the field is close to a power of z
+    rho = max((abs(p) for p in singular), default=0.0)
+    far_radius = 2.0 * rho
     dir_r, dir_i = direction.real, direction.imag
     terminal: Terminal | None = None
     arc = arcs[-1]
+    k1 = None  # the field at z, when the last step already evaluated it
 
     while terminal is None:
         if arc >= params.max_arc_length:
             terminal = Terminal("exhausted_arc_length")
             break
         zr, zi = z.real, z.imag
+        far = abs(z) > far_radius
+        if far:
+            rest = params.max_arc_length - arc
+            h = min(h, rest)
+        elif h > params.step:
+            h = params.step
         try:
-            while True:
+            if k1 is None:
                 _, k1r, k1i = field(zr, zi, dir_r, dir_i)
+            else:
+                k1r, k1i = k1
+            while True:
                 _, k2r, k2i = field(zr + 0.5 * h * k1r, zi + 0.5 * h * k1i, dir_r, dir_i)
                 _, k3r, k3i = field(zr + 0.5 * h * k2r, zi + 0.5 * h * k2i, dir_r, dir_i)
                 _, k4r, k4i = field(zr + h * k3r, zi + h * k3i, dir_r, dir_i)
@@ -144,23 +171,41 @@ def trace(
                 if turn > MAX_TURN and h > h_min:
                     h *= 0.5
                     continue
+                tr = (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
+                ti = (k1i + 2.0 * (k2i + k3i) + k4i) / 6.0
+                z_new = complex(zr + h * tr, zi + h * ti)
+                if far:
+                    _, k5r, k5i = field(z_new.real, z_new.imag, dir_r, dir_i)
+                    err = h / 6.0 * math.hypot(k4r - k5r, k4i - k5i)
+                    if err > TRACE_FAR_TOL and h > params.step:
+                        h *= 0.5
+                        continue
                 break
         except SingularityProximityError:
             # a stage landed essentially on a singular point
             nearest = min(singular, key=lambda p: abs(z - p))
             terminal = Terminal("reached_singularity", nearest)
             break
-        tr = (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
-        ti = (k1i + 2.0 * (k2i + k3i) + k4i) / 6.0
-        z_new = complex(zr + h * tr, zi + h * ti)
         norm = math.hypot(tr, ti)
         if norm > 0.0:
             dir_r, dir_i = tr / norm, ti / norm
-        arc += abs(z_new - z)
+        if far:
+            # arc length is the integration parameter: a long step's chord
+            # falls short of it by about h^3 kappa^2 / 24
+            arc = params.max_arc_length if h == rest else arc + h
+            # signed as field(z_new, new direction) would sign it
+            if k5r * dir_r + k5i * dir_i < 0.0:
+                k5r, k5i = -k5r, -k5i
+            k1 = (k5r, k5i)
+        else:
+            arc += abs(z_new - z)
+            k1 = None
         z = z_new
         points.append(z)
         arcs.append(arc)
-        if turn < REGROW_TURN and h < params.step:
+        if far and err < TRACE_FAR_TOL / 32.0 and 2.0 * h <= 0.25 * (abs(z) - rho):
+            h *= 2.0
+        elif turn < REGROW_TURN and h < params.step:
             h = min(2.0 * h, params.step)
         if not escaped and abs(z - launch_point) > 2.0 * capture:
             escaped = True

@@ -9,7 +9,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from slezero.divisors import (
     DISK,
@@ -89,6 +92,67 @@ def disk_divisor(rng: random.Random, max_growth: int = 3) -> SymmetricDivisor:
         remainder = 2
     marked.append((cmath.exp(1j * angles[n]), Fraction(remainder, 2)))
     return SymmetricDivisor.build(DISK, growth, marked)
+
+
+@dataclass(frozen=True)
+class RealLocus:
+    """A half-plane scene whose horizontal trajectories are level sets.
+
+    For R(z) = z + a/(z-q) + a/(z-conj q) with real a, the differential
+    Q = R'(z)^2 dz^2 has horizontal trajectories Im R = const: R is real on
+    the real axis, so the phase ``build_Q`` fixes on the first boundary arc
+    is the one of R'^2. Real zeros of R' are growth points, complex zeros
+    are charge +1, q and conj q are double poles of R' (charge -2), and
+    R' -> 1 makes infinity a pole of order 4 (charge -2).
+    """
+
+    a: float
+    q: complex
+    divisor: SymmetricDivisor
+
+    def R(self, z: complex) -> complex:
+        return z + self.a / (z - self.q) + self.a / (z - self.q.conjugate())
+
+    def dR(self, z: complex) -> complex:
+        return 1.0 - self.a / (z - self.q) ** 2 - self.a / (z - self.q.conjugate()) ** 2
+
+    def level_error(self, z: complex, level: float) -> float:
+        """First-order distance from z to the level set Im R = level."""
+        return abs(self.R(z).imag - level) / abs(self.dR(z))
+
+
+def real_locus(a: float, q: complex) -> RealLocus:
+    """The real-locus scene of R = z + a/(z-q) + a/(z-conj q).
+
+    The zeros of R' are the roots of the real quartic
+    ((z-q)(z-conj q))^2 - a((z-q)^2 + (z-conj q)^2), each polished by
+    Newton steps on it.
+    """
+    pq = np.array([1.0, -2.0 * q.real, abs(q) ** 2])
+    quartic = np.polymul(pq, pq)
+    quartic[2:] -= a * np.array([2.0, -4.0 * q.real, 2.0 * (q * q).real])
+    slope = np.polyder(quartic)
+    growth, marked = [], []
+    for root in np.roots(quartic):
+        z = complex(root)
+        for _ in range(3):
+            z -= complex(np.polyval(quartic, z) / np.polyval(slope, z))
+        if abs(z.imag) < 1e-9:
+            growth.append(z.real)
+        elif z.imag > 0:
+            marked += [(z, Fraction(1)), (z.conjugate(), Fraction(1))]
+    marked += [(q, Fraction(-2)), (q.conjugate(), Fraction(-2)), ("inf", Fraction(-2))]
+    return RealLocus(a, q, SymmetricDivisor.half_plane(sorted(growth), marked))
+
+
+def random_real_locus(rng: random.Random) -> RealLocus:
+    """A real-locus scene with at least one growth point."""
+    while True:
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5)
+        q = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.4, 1.2))
+        scene = real_locus(a, q)
+        if scene.divisor.growth:
+            return scene
 
 
 def random_moebius(rng: random.Random) -> MoebiusMap:

@@ -5,6 +5,7 @@ trace them, and reports counts taken from a traced command. A change that
 breaks any of these fails here in about a second.
 """
 
+import json
 import pathlib
 import sys
 from dataclasses import replace
@@ -174,3 +175,26 @@ def test_many_observers_and_only_they_take_the_array_field(monkeypatch):
     finally:
         t.uninstall()
     assert calls[0] == metrics["divisors.dlog_Z_calls"] > 0
+
+
+def test_field_scenes_keep_their_recorded_analysis():
+    # far-field steps resample the trajectories that run to infinity, but
+    # every field scene ends as bench/data/field.json records: the same
+    # terminals, pair count and spiral count. 40, 175 and 206 run out of
+    # arc on the half-plane; 81 and 143 have a spiral and a pair there, and
+    # 165 is a disk scene with a pair.
+    pool = json.loads((BENCH / "data" / "field.json").read_text())["scenes"]
+    exhausted = 0
+    for sid in ("40", "81", "143", "165", "175", "206"):
+        sc = scene.parse_config(bench_scenes.field_scene(int(sid)))
+        qd = quadratic.build_Q(sc.divisor)
+        trajectories = tracing.launch_all(qd, sc.trace)
+        report = tracing.analyze(trajectories, qd)
+        got = {
+            "terminals": [t.terminal.kind for t in trajectories],
+            "pairs": len(report.pairs),
+            "spirals": len(report.spirals),
+        }
+        assert got == {key: pool[sid][key] for key in got}, sid
+        exhausted += got["terminals"].count("exhausted_arc_length")
+    assert exhausted >= 4

@@ -3,8 +3,10 @@
 import cmath
 import json
 import math
+import random
 
 import pytest
+from conftest import random_real_locus, real_locus
 
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import LaunchError, WindingUndefinedError
@@ -39,6 +41,11 @@ def winding_about(points, base: complex) -> float:
 def two_slit_qd() -> QuadDifferential:
     # (z^2 - 1)^2: zeros at +-1, horizontal trajectories Im(z^3/3 - z) const
     return build_Q(SymmetricDivisor.half_plane([-1.0, 1.0], [("inf", -4)]))
+
+
+def G(z: complex) -> complex:
+    """First integral of ``two_slit_qd``: Q = G'(z)^2."""
+    return z**3 / 3 - z
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +88,11 @@ class TestTrace:
         )
         assert back.terminal.kind == "reached_singularity"
         assert back.terminal.point == 1.0
-        step = max(1, len(back.points) // 40)
-        for z in back.points[::step]:
-            assert min(abs(z - w) for w in fwd.points) < 1e-9
+        # the back trace stays on the forward trace's level set of the
+        # first integral Im G, G = z^3/3 - z, on any step grid
+        level = G(fwd.points[-1]).imag
+        for z in back.points:
+            assert abs(G(z).imag - level) / abs(z * z - 1) <= 1e-9
 
     def test_mirror_symmetry(self):
         # the field is invariant under z -> -conj(z); traces must mirror
@@ -115,6 +124,101 @@ class TestTrace:
         # subtends at the zero
         chord = cmath.phase((traj.points[-1] + 1j) / (traj.points[0] + 1j))
         assert w == pytest.approx(chord, abs=1e-12)
+
+
+def far_radius(qd: QuadDifferential) -> float:
+    """Twice the largest |p| over the factors: the far field lies beyond."""
+    return 2.0 * max(abs(p) for p, _ in qd.factors)
+
+
+def real_locus_scenes():
+    rng = random.Random(1)
+    return [real_locus(-0.7, -0.4 + 0.8j), real_locus(1.2, 1 + 0.5j)] + [
+        random_real_locus(rng) for _ in range(4)
+    ]
+
+
+def far_level_errors(scene) -> tuple[float, float]:
+    """Worst level-set errors beyond the far radius of the trajectories that
+    run to infinity from a few starts in the upper half-plane.
+
+    The first number measures Im R against its value at the first point
+    beyond the far radius, so only far-field steps contribute to it; the
+    second against its value at the start. Level 0, the one of the growth
+    points' separatrices, never reaches infinity: Im R = y F(z) with F -> 1.
+    """
+    qd = build_Q(scene.divisor)
+    radius = far_radius(qd)
+    drift = level = 0.0
+    escaped = 0
+    for start in (-0.5 + 0.25j, 0.5 + 3j):
+        for direction in (1, -1):
+            traj = trace(qd, start, direction)
+            tail = [z for z in traj.points if abs(z) > radius]
+            if traj.terminal.kind != "exhausted_arc_length" or not tail:
+                continue
+            escaped += 1
+            entry = scene.R(tail[0]).imag
+            drift = max(drift, max(scene.level_error(z, entry) for z in tail))
+            level = max(level, max(scene.level_error(z, scene.R(start).imag) for z in tail))
+    assert escaped >= 2
+    return drift, level
+
+
+class TestFarField:
+    # the worst of each error over these scenes with 1e-3 steps throughout,
+    # as the tracer stepped before far-field steps: 6.97e-14 and 7.19e-14
+    DRIFT_BOUND = 6.9e-14
+    LEVEL_BOUND = 7.1e-14
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_far_field_keeps_the_real_locus_level(self, index):
+        drift, level = far_level_errors(real_locus_scenes()[index])
+        assert drift <= self.DRIFT_BOUND
+        assert level <= self.LEVEL_BOUND
+
+    @pytest.mark.parametrize(
+        "qd",
+        [
+            two_slit_qd(),
+            build_Q(real_locus(-0.7, -0.4 + 0.8j).divisor),
+            # infinity a pole of order 12, as on the heavy field scenes
+            build_Q(
+                SymmetricDivisor.half_plane(
+                    [-1.0, 0.5], [(0.3 + 1j, 1), (0.3 - 1j, 1), ("inf", -6)]
+                )
+            ),
+        ],
+    )
+    def test_long_steps_only_beyond_the_far_radius(self, qd):
+        params = TraceParams(max_arc_length=20.0)
+        radius = far_radius(qd)
+        launched = launch_all(qd, params)
+        off_level = [trace(qd, 0.3 + 2j, d, params) for d in (1, -1)]
+        # back from far out: long steps must shrink again inside the radius
+        returns = [
+            trace(qd, t.points[-1], t.points[-2] - t.points[-1], params)
+            for t in launched + off_level
+            if abs(t.points[-1]) > radius
+        ]
+        assert any(abs(z) <= radius for t in returns for z in t.points)
+        # a chord of unit-speed stages is at most the step, up to the
+        # rounding of the points and of the running arc sums
+        limit = params.step + 1e-12
+        long_steps = ended_far = 0
+        for traj in launched + off_level + returns:
+            pts, arcs = traj.points, traj.arc_lengths
+            for k in range(len(pts) - 1):
+                if abs(pts[k]) <= radius:
+                    assert abs(pts[k + 1] - pts[k]) <= limit
+                    assert arcs[k + 1] - arcs[k] <= limit
+                elif arcs[k + 1] - arcs[k] > limit:
+                    long_steps += 1
+            if traj.terminal.kind == "exhausted_arc_length" and abs(pts[-2]) > radius:
+                assert traj.arc_length == params.max_arc_length
+                ended_far += 1
+        assert long_steps > 0
+        assert ended_far > 0
 
 
 class TestLaunch:
