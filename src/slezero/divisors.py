@@ -171,6 +171,16 @@ def _points_close(a: SpherePoint, b: SpherePoint, tol: float) -> bool:
     return abs(a.value - b.value) <= tol
 
 
+def _coincidences(points: Sequence[SpherePoint]) -> list[str]:
+    """One "points a and b coincide" line per pair within DISTINCT_TOL."""
+    return [
+        f"points {a} and {b} coincide"
+        for i, a in enumerate(points)
+        for b in points[i + 1 :]
+        if _points_close(a, b, DISTINCT_TOL)
+    ]
+
+
 def validate(divisor: SymmetricDivisor) -> ValidationReport:
     """Check admissibility; the report lists every violated invariant."""
     problems: list[str] = []
@@ -190,11 +200,7 @@ def validate(divisor: SymmetricDivisor) -> ValidationReport:
             elif divisor.domain == DISK and abs(abs(p.value) - 1.0) > BOUNDARY_TOL:
                 problems.append(f"growth point {p} not on the unit circle")
 
-    pts = [p for p, _ in divisor.weighted_points()]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _points_close(pts[i], pts[j], DISTINCT_TOL):
-                problems.append(f"points {pts[i]} and {pts[j]} coincide")
+    problems.extend(_coincidences([p for p, _ in divisor.weighted_points()]))
 
     if structured:
         # Marked multiset must be closed under the domain reflection, with
@@ -344,13 +350,9 @@ def moebius_pushforward(divisor: SymmetricDivisor, m: MoebiusMap) -> SymmetricDi
     growth = tuple(m.apply(p) for p in divisor.growth)
     marked = tuple((m.apply(q), s) for q, s in divisor.marked)
     image = SymmetricDivisor(SPHERE, growth, marked)
-    pts = [p for p, _ in image.weighted_points()]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _points_close(pts[i], pts[j], DISTINCT_TOL):
-                raise DegenerateConfigurationError(
-                    f"map collapses divisor points onto {pts[i]}"
-                )
+    clashes = _coincidences([p for p, _ in image.weighted_points()])
+    if clashes:
+        raise DegenerateConfigurationError(f"map collapses the divisor: {clashes[0]}")
     return image
 
 

@@ -69,17 +69,42 @@ def line_field(factors: Sequence[Factor], phase_arg: float) -> LineField:
 
 
 @dataclass(frozen=True)
+class SingularityInfo:
+    """A finite singular point with its trajectory structure.
+
+    For a zero of order n, ``angles`` are the n+2 separatrix directions; for
+    a pole of order k >= 3 they are the k-2 distinguished approach
+    directions; poles of order 1 and 2 have none.
+    """
+
+    point: complex
+    order: int
+    angles: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class QuadDifferential:
     """Factorized form of Q(z) dz^2 on the half-plane or the disk.
 
     ``factors`` lists the finite (point, order) pairs, growth points first;
-    a marked point at infinity has no factor (its order is induced).
+    a marked point at infinity has no factor (its order is induced). Factor
+    points are more than ``PROXIMITY_TOL`` apart, so the line field is
+    defined at each of them once its own factor is left out.
     """
 
     domain: str
     factors: tuple[Factor, ...]
     n_growth: int
     phase: complex = 1.0 + 0j
+
+    def __post_init__(self) -> None:
+        fmt = divisors.format_complex
+        for i, (p, _) in enumerate(self.factors):
+            for q, _ in self.factors[i + 1 :]:
+                if abs(p - q) <= PROXIMITY_TOL:
+                    raise DegenerateConfigurationError(
+                        f"factor points {fmt(p)} and {fmt(q)} are within {PROXIMITY_TOL:.0e}"
+                    )
 
     @property
     def infinity_order(self) -> int:
@@ -103,6 +128,31 @@ class QuadDifferential:
     def field(self) -> LineField:
         """Evaluator of the horizontal line field (see ``line_field``)."""
         return line_field(self.factors, cmath.phase(self.phase))
+
+    @cached_property
+    def singularities(self) -> tuple[SingularityInfo, ...]:
+        """Trajectory structure at every factor point, in factor order.
+
+        Near p, Q(z) ~ a (z - p)^order with a = phase^2 prod over the other
+        factors (p - p_k)^order_k, so arg a is twice the line-field angle
+        of the other factors at p. Angles are sorted.
+        """
+        phase_arg = cmath.phase(self.phase)
+        out = []
+        for i, (p, order) in enumerate(self.factors):
+            others = self.factors[:i] + self.factors[i + 1 :]
+            angle, _, _ = line_field(others, phase_arg)(p.real, p.imag, 1.0, 0.0)
+            arg_a = 2.0 * angle
+            if order > 0:
+                count = order + 2
+                angles = [((TWO_PI * k - arg_a) / count) % TWO_PI for k in range(count)]
+            elif order <= -3:
+                count = -order - 2
+                angles = [((arg_a + TWO_PI * k) / count) % TWO_PI for k in range(count)]
+            else:
+                angles = []
+            out.append(SingularityInfo(p, order, tuple(sorted(angles))))
+        return tuple(out)
 
 
 def _reference_arc(domain: str, factors: Sequence[Factor]) -> tuple[complex, complex]:
@@ -151,8 +201,8 @@ def normalize_phase(qd: QuadDifferential) -> complex:
     for p, _ in qd.factors:
         if abs(z0 - p) <= PROXIMITY_TOL:
             raise InvalidReferenceError(f"arc midpoint {z0} is singular")
-    angle, _, _ = line_field(qd.factors, 0.0)(z0.real, z0.imag, 1.0, 0.0)
-    arg_q = 2.0 * angle + 2.0 * cmath.phase(qd.phase)
+    angle, _, _ = qd.field(z0.real, z0.imag, 1.0, 0.0)
+    arg_q = 2.0 * angle
     arg_tau = cmath.phase(tau)
     c = cmath.exp(-0.5j * (arg_q + 2.0 * arg_tau))
     # canonical representative of the +-c pair
@@ -200,65 +250,15 @@ def direction_field(
     return complex(ur, ui)
 
 
-@dataclass(frozen=True)
-class SingularityInfo:
-    """A finite singular point with its trajectory structure.
-
-    For a zero of order n, ``angles`` are the n+2 separatrix directions; for
-    a pole of order k >= 3 they are the k-2 distinguished approach
-    directions; poles of order 1 and 2 have none.
-    """
-
-    point: complex
-    order: int
-    angles: tuple[float, ...]
-
-    @property
-    def kind(self) -> str:
-        return "zero" if self.order > 0 else "pole"
-
-
-def _local_coefficient_arg(qd: QuadDifferential, index: int) -> float:
-    """arg of the leading coefficient of Q at the index-th factor point."""
-    p, _ = qd.factors[index]
-    total = 2.0 * cmath.phase(qd.phase)
-    for k, (pk, order) in enumerate(qd.factors):
-        if k == index:
-            continue
-        total += order * cmath.phase(p - pk)
-    return total
-
-
-def classify_singularities(qd: QuadDifferential) -> list[SingularityInfo]:
-    """Singularity data for every finite factor point, angles sorted."""
-    out = []
-    for i, (p, order) in enumerate(qd.factors):
-        arg_a = _local_coefficient_arg(qd, i)
-        if order > 0:
-            count = order + 2
-            angles = [((TWO_PI * k - arg_a) / count) % TWO_PI for k in range(count)]
-        elif order <= -3:
-            count = -order - 2
-            angles = [((arg_a + TWO_PI * k) / count) % TWO_PI for k in range(count)]
-        else:
-            angles = []
-        out.append(SingularityInfo(p, order, tuple(sorted(angles))))
-    return out
-
-
 def pullback(qd: QuadDifferential, mapper: Callable[[complex], complex]) -> QuadDifferential:
     """Differential on the evolved configuration.
 
     ``mapper`` sends each original factor point to its evolved position
     (typically through a Loewner flow); orders are unchanged and the phase
-    is re-derived from the first boundary arc.
+    is re-derived from the first boundary arc. Evolved points that come
+    within ``PROXIMITY_TOL`` of each other raise
+    DegenerateConfigurationError.
     """
     factors = tuple((mapper(p), order) for p, order in qd.factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if abs(factors[i][0] - factors[j][0]) <= divisors.DISTINCT_TOL:
-                raise DegenerateConfigurationError(
-                    f"evolved factor points {factors[i][0]} and {factors[j][0]} coincide"
-                )
     moved = QuadDifferential(qd.domain, factors, qd.n_growth)
     return replace(moved, phase=normalize_phase(moved))

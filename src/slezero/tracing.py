@@ -17,13 +17,15 @@ from typing import Sequence
 
 from .divisors import DISK, HALF_PLANE
 from .errors import LaunchError, SingularityProximityError, WindingUndefinedError
-from .quadratic import TWO_PI, QuadDifferential, classify_singularities
+from .quadratic import TWO_PI, QuadDifferential
 
 SEPARATRIX_TOL = 1e-3
 MAX_TURN = 0.2
 REGROW_TURN = 0.05
 DOMAIN_MARGIN = 1e-6  # how far past the boundary a trace may step before it stops
 TRACE_FAR_TOL = 1e-16  # local error bound of a step beyond twice the factor radius
+PAIR_ANGLE_GAP = 0.05  # approach directions closer than this make a converging pair
+SPIRAL_WINDING = 4.0 * math.pi  # a winding beyond this may flag a spiral
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def trace(
     capture = params.singularity_capture_radius
 
     launch_point: complex | None = None
-    for info in classify_singularities(qd):
+    for info in qd.singularities:
         if abs(start - info.point) <= capture:
             if info.order <= 0:
                 raise LaunchError(f"cannot launch from the pole at {info.point}")
@@ -233,15 +235,10 @@ def launch_all(qd: QuadDifferential, params: TraceParams = TraceParams()) -> lis
     The separatrix is chosen by positive inner product with the inward
     boundary normal, ties broken by the smallest angle to it.
     """
-    infos = classify_singularities(qd)
     out = []
-    for i in range(qd.n_growth):
-        info = infos[i]
+    for info in qd.singularities[: qd.n_growth]:
         p = info.point
-        if qd.domain == HALF_PLANE:
-            normal = 1j
-        else:
-            normal = -p / abs(p)
+        normal = 1j if qd.domain == HALF_PLANE else -p / abs(p)
         best = None
         best_dot = 0.0
         for theta in info.angles:
@@ -277,57 +274,37 @@ class AsymptoticReport:
     # per trajectory, its total winding about each marked point in order
     windings: tuple[tuple[tuple[complex, float], ...], ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.pairs and not self.spirals
 
-
-def _approach_direction(traj: Trajectory, pole: complex) -> complex | None:
+def _approach_direction(traj: Trajectory, pole: complex) -> complex:
     """Unit chord from the last traced point into the capturing pole.
 
     Averaged curve tangents lag badly in the capture region, where the
     trajectory is still bending onto its asymptotic ray; the chord into
     the pole uses the closest-in point and converges with the capture
-    radius.
+    radius. A capture step can land exactly on the pole; the last segment
+    stands in for the chord then.
     """
     pts = traj.points
-    if not pts:
-        return None
     chord = pole - pts[-1]
-    if chord != 0:
-        return chord / abs(chord)
-    if len(pts) >= 2:
-        seg = pts[-1] - pts[-2]
-        if seg != 0:
-            return seg / abs(seg)
-    return None
+    if chord == 0:
+        chord = pts[-1] - pts[-2]
+    return chord / abs(chord)
 
 
-def analyze(
-    trajectories: Sequence[Trajectory],
-    qd: QuadDifferential,
-    spiral_threshold: float = 4.0 * math.pi,
-    angle_gap_threshold: float = 0.05,
-) -> AsymptoticReport:
+def analyze(trajectories: Sequence[Trajectory], qd: QuadDifferential) -> AsymptoticReport:
     """Detect common asymptotic directions and spiraling.
 
     A converging pair is two trajectories captured by the same pole of order
     at least 3 whose approach directions into the pole differ by less than
-    the gap threshold. A spiral is a trajectory whose winding about some marked
-    point exceeds the threshold and is eventually monotone (the nonzero
-    increments over the last 75% of its steps share one sign). Each winding
-    is summed once, here: the report lists the same total it tests.
+    ``PAIR_ANGLE_GAP``. A spiral is a trajectory whose winding about some
+    marked point exceeds ``SPIRAL_WINDING`` and is eventually monotone (the
+    nonzero increments over the last 75% of its steps share one sign). Each
+    winding is summed once, here: the report lists the same total it tests.
     """
     by_terminal: dict[complex, list[int]] = {}
     for i, traj in enumerate(trajectories):
         t = traj.terminal
-        if t.kind != "reached_singularity" or t.point is None:
-            continue
-        try:
-            order = qd.order_at(t.point)
-        except KeyError:
-            continue
-        if order <= -3:
+        if t.kind == "reached_singularity" and qd.order_at(t.point) <= -3:
             by_terminal.setdefault(t.point, []).append(i)
 
     pairs = []
@@ -337,11 +314,9 @@ def analyze(
             for b in range(a + 1, len(members)):
                 i, j = members[a], members[b]
                 ti, tj = tangents[i], tangents[j]
-                if ti is None or tj is None:
-                    continue
                 dot = max(-1.0, min(1.0, ti.real * tj.real + ti.imag * tj.imag))
                 gap = math.acos(dot)
-                if gap < angle_gap_threshold:
+                if gap < PAIR_ANGLE_GAP:
                     pairs.append(ConvergingPair(i, j, point, gap))
 
     spirals = []
@@ -352,7 +327,7 @@ def analyze(
             incs = _winding_increments(traj.points, q)
             total = math.fsum(incs)
             totals.append((q, total))
-            if abs(total) <= spiral_threshold:
+            if abs(total) <= SPIRAL_WINDING:
                 continue
             tail = incs[len(incs) // 4 :]
             signs = {1 if v > 0 else -1 for v in tail if v != 0.0}

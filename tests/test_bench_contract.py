@@ -178,14 +178,22 @@ def test_many_observers_and_only_they_take_the_array_field(monkeypatch):
 
 
 def test_field_scenes_keep_their_recorded_analysis():
-    # far-field steps resample the trajectories that run to infinity, but
-    # every field scene ends as bench/data/field.json records: the same
+    # far-field steps resample the trajectories that run to infinity, and
+    # the verdicts read the differential's singularity table, but every
+    # field scene ends as bench/data/field.json records: the same
     # terminals, pair count and spiral count. 40, 175 and 206 run out of
-    # arc on the half-plane; 81 and 143 have a spiral and a pair there, and
-    # 165 is a disk scene with a pair.
+    # arc on the half-plane; the rest are every scene with a recorded pair
+    # or spiral that costs under 0.1 s (81 and 143 have a spiral and a pair
+    # on the half-plane, 165 is a disk scene with a pair).
     pool = json.loads((BENCH / "data" / "field.json").read_text())["scenes"]
+    verdicts = [
+        sid
+        for sid, rec in sorted(pool.items(), key=lambda kv: int(kv[0]))
+        if (rec["pairs"] or rec["spirals"]) and rec["cost_s"] < 0.1
+    ]
+    assert {"81", "143", "165"} <= set(verdicts) and len(verdicts) >= 20
     exhausted = 0
-    for sid in ("40", "81", "143", "165", "175", "206"):
+    for sid in ("40", "175", "206", *verdicts):
         sc = scene.parse_config(bench_scenes.field_scene(int(sid)))
         qd = quadratic.build_Q(sc.divisor)
         trajectories = tracing.launch_all(qd, sc.trace)

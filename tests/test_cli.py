@@ -48,6 +48,22 @@ DEFAULT_ON_MARKED = (
     "tracked point 2.0i starts on marked point 2.0i",
 )
 
+# (scene, the two factor points it names) of scenes with two factor points
+# 1e-11 apart: distinct divisor points, but too close for the line field
+NEAR_DOUBLE_GROWTH = (
+    'domain: half_plane\ngrowth: ["-1", "0", "1e-11"]\nmarked:\n  - point: inf\n    charge: "-5"\n',
+    ("0.0", "1e-11"),
+)
+NEAR_DOUBLE_MARKED = (
+    'domain: half_plane\ngrowth: ["0"]\nmarked:\n'
+    + "".join(
+        f'  - point: "{z}"\n    charge: "-1/2"\n'
+        for z in ("1+1i", "1-1i", "1+1.00000000001i", "1-1.00000000001i")
+    )
+    + '  - point: inf\n    charge: "-1"\n',
+    ("1.0+1.0i", "1.0+1.00000000001i"),
+)
+
 
 def cli(capsys, *argv):
     code = main(list(argv))
@@ -154,6 +170,18 @@ class TestRun:
         code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out))
         assert code == 1
         assert "line 2: rate must be finite: 'nan'" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, points", [NEAR_DOUBLE_GROWTH, NEAR_DOUBLE_MARKED], ids=["growth", "marked"]
+    )
+    def test_near_double_factor_points_exit_1(self, text, points, tmp_path, capsys):
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert "factor points {} and {} are within 1e-09".format(*points) in stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -227,6 +227,12 @@ class TestMoebius:
             image = moebius_pushforward(div, random_moebius(rng))
             assert image.charge_sum_exact() == Fraction(-2)
 
+    def test_collapsing_map_rejected(self):
+        # z -> 1e-14 z: -1 and 1 land within DISTINCT_TOL of each other
+        div = SymmetricDivisor.half_plane([-1.0, 1.0], [("inf", -4)])
+        with pytest.raises(DegenerateConfigurationError, match="collapses the divisor: points .* coincide"):
+            moebius_pushforward(div, MoebiusMap(1e-7, 0, 0, 1e7))
+
     def test_singular_map_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
             MoebiusMap(1, 2, 2, 4)

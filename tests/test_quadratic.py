@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from conftest import half_plane_divisor, mod_pi_gap, q_value
-from slezero.divisors import SymmetricDivisor
+from conftest import disk_divisor, half_plane_divisor, mod_pi_gap, q_value
+from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import (
     DegenerateConfigurationError,
     InvalidReferenceError,
@@ -17,7 +17,6 @@ from slezero.errors import (
 from slezero.quadratic import (
     QuadDifferential,
     build_Q,
-    classify_singularities,
     direction_field,
     normalize_phase,
     pullback,
@@ -28,6 +27,27 @@ from slezero.scene import preset
 def single_curve_qd() -> QuadDifferential:
     div = SymmetricDivisor.half_plane([0.0], [("inf", -3)])
     return build_Q(div)
+
+
+def reference_singularities(qd: QuadDifferential) -> list:
+    """(point, order, angles) of every factor point, the leading coefficient's
+    argument summed term by term: 2 arg(phase) + sum_{k != i} order_k arg(p_i - p_k)."""
+    out = []
+    for i, (p, order) in enumerate(qd.factors):
+        arg_a = 2.0 * cmath.phase(qd.phase)
+        for k, (pk, order_k) in enumerate(qd.factors):
+            if k != i:
+                arg_a += order_k * cmath.phase(p - pk)
+        if order > 0:
+            count = order + 2
+            angles = [((2.0 * math.pi * k - arg_a) / count) % (2.0 * math.pi) for k in range(count)]
+        elif order <= -3:
+            count = -order - 2
+            angles = [((arg_a + 2.0 * math.pi * k) / count) % (2.0 * math.pi) for k in range(count)]
+        else:
+            angles = []
+        out.append((p, order, tuple(a.hex() for a in sorted(angles))))
+    return out
 
 
 class TestAssembly:
@@ -46,6 +66,11 @@ class TestAssembly:
         assert qd.infinity_order == 0
         assert len(qd.growth_points) == 3
         assert len(qd.marked_factors) == 2
+
+    def test_factor_points_within_proximity_rejected(self):
+        # the line field at each factor point leaves only that point's own factor out
+        with pytest.raises(DegenerateConfigurationError, match="0.0 and 1e-11"):
+            QuadDifferential(HALF_PLANE, ((0j, 2), (1e-11 + 0j, 2)), 2)
 
     def test_order_at_regular_point_raises(self):
         with pytest.raises(KeyError):
@@ -195,17 +220,16 @@ class TestDirectionField:
 
 class TestClassification:
     def test_growth_zero_has_four_separatrices(self):
-        info = classify_singularities(single_curve_qd())[0]
-        assert info.kind == "zero"
+        info = single_curve_qd().singularities[0]
         assert info.order == 2
         assert info.angles == pytest.approx(
             (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi), abs=1e-12
         )
 
     def test_first_preset_pole_directions(self):
-        infos = {i.point: i for i in classify_singularities(build_Q(preset("fig1").divisor))}
+        infos = {i.point: i for i in build_Q(preset("fig1").divisor).singularities}
         pole = infos[-1.0 + 0j]
-        assert pole.kind == "pole"
+        assert pole.order == -8
         assert len(pole.angles) == 6
         diffs = [
             (pole.angles[(k + 1) % 6] - pole.angles[k]) % (2.0 * math.pi)
@@ -215,14 +239,24 @@ class TestClassification:
         assert pole.angles[0] == pytest.approx(math.pi / 6.0, abs=1e-9)
 
     def test_low_order_poles_have_no_directions(self):
-        infos = {i.point: i for i in classify_singularities(build_Q(preset("fig1").divisor))}
+        infos = {i.point: i for i in build_Q(preset("fig1").divisor).singularities}
         double_pole = infos[cmath.exp(2j * math.pi / 3.0)]
         assert double_pole.order == -2
         assert double_pole.angles == ()
 
     def test_third_order_pole_has_one_direction(self):
-        infos = {i.point: i for i in classify_singularities(build_Q(preset("fig3").divisor))}
+        infos = {i.point: i for i in build_Q(preset("fig3").divisor).singularities}
         assert len(infos[0.5 + 0j].angles) == 1
+
+    def test_table_matches_the_leading_coefficient_bit_for_bit(self):
+        rng = random.Random(1212)
+        divisors = [preset(name).divisor for name in ("fig1", "fig2", "fig3")]
+        divisors += [half_plane_divisor(rng) for _ in range(200)]
+        divisors += [disk_divisor(rng) for _ in range(200)]
+        for divisor in divisors:
+            qd = build_Q(divisor)
+            got = [(s.point, s.order, tuple(a.hex() for a in s.angles)) for s in qd.singularities]
+            assert got == reference_singularities(qd)
 
 
 class TestPullback:

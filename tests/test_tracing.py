@@ -4,14 +4,16 @@ import cmath
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import random_real_locus, real_locus
 
+from slezero import quadratic, tracing
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import LaunchError, WindingUndefinedError
 from slezero.outputs import analysis_payload, report_text
-from slezero.quadratic import QuadDifferential, build_Q, classify_singularities
+from slezero.quadratic import QuadDifferential, build_Q
 from slezero.scene import PRESET_NAMES, preset
 from slezero.tracing import (
     Terminal,
@@ -246,10 +248,28 @@ class TestLaunch:
     def test_one_trajectory_per_growth_point(self, name, figure_runs):
         qd, trajs = figure_runs[name]
         assert len(trajs) == qd.n_growth == 3
-        infos = classify_singularities(qd)
-        for traj, info in zip(trajs, infos):
+        for traj, info in zip(trajs, qd.singularities):
             assert traj.start == info.point
             assert traj.terminal.kind == "reached_singularity"
+
+    def test_one_singularity_table_per_differential(self, monkeypatch):
+        # the table is built with the differential, not once per traced curve
+        kernel = quadratic.line_field
+        builds = [0]
+
+        def counted(*args):
+            builds[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(quadratic, "line_field", counted)
+        qd = build_Q(preset("fig1").divisor)
+        counts = []
+        for n_growth in (1, 3):
+            fresh = replace(qd, n_growth=n_growth)
+            builds[0] = 0
+            assert len(launch_all(fresh, preset("fig1").trace)) == n_growth
+            counts.append(builds[0])
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -283,7 +303,8 @@ class TestAnalyze:
     def test_fig1_has_no_asymptotic_findings(self, figure_runs):
         qd, trajs = figure_runs["fig1"]
         report = analyze(trajs, qd)
-        assert report.empty
+        assert not report.pairs
+        assert not report.spirals
 
     def test_fig2_single_converging_pair(self, figure_runs):
         qd, trajs = figure_runs["fig2"]
@@ -328,12 +349,14 @@ class TestAnalyze:
         report = analyze(trajs, qd)
         assert all(1 not in (p.first, p.second) for p in report.pairs)
 
-    def test_gap_threshold_filters_pairs(self, figure_runs):
+    def test_gap_threshold_filters_pairs(self, figure_runs, monkeypatch):
         qd, trajs = figure_runs["fig3"]
-        report = analyze(trajs, qd, angle_gap_threshold=1e-3)
+        monkeypatch.setattr(tracing, "PAIR_ANGLE_GAP", 1e-3)
+        report = analyze(trajs, qd)
         assert not report.pairs
 
-    def test_spiral_threshold_filters_flags(self, figure_runs):
+    def test_spiral_threshold_filters_flags(self, figure_runs, monkeypatch):
         qd, trajs = figure_runs["fig3"]
-        report = analyze(trajs, qd, spiral_threshold=100.0)
+        monkeypatch.setattr(tracing, "SPIRAL_WINDING", 100.0)
+        report = analyze(trajs, qd)
         assert not report.spirals
