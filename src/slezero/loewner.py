@@ -29,8 +29,9 @@ smooth, with steps sized by the same embedded error estimate.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,10 +58,15 @@ class Parametrization:
     """Piecewise-constant growth rates, one schedule per curve.
 
     Each schedule is a tuple of (start_time, rate) pairs with increasing
-    start times; the first start time must be 0.
+    start times; the first start time must be 0. ``starts`` and
+    ``piece_rates`` are the piece table the flow and the hull read: the
+    start times (0 first) of the intervals on which every rate is constant,
+    and the rates on each.
     """
 
     schedules: tuple[tuple[tuple[float, float], ...], ...]
+    starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    piece_rates: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for sched in self.schedules:
@@ -71,17 +77,12 @@ class Parametrization:
                 raise ValueError("rate breakpoints must increase")
             if any(r <= 0.0 for _, r in sched):
                 raise ValueError("rates must be positive")
-        # not fields: the intervals on which every rate is constant, given by
-        # their start times (0 first) and their rates, for `rates` and `pieces`
         starts = sorted({0.0}.union(t for sched in self.schedules for t, _ in sched))
-        rates = []
-        for t in starts:
-            rates.append(tuple([
-                sched[bisect.bisect_right([t0 for t0, _ in sched], t) - 1][1]
-                for sched in self.schedules
-            ]))
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_rates", rates)
+        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "piece_rates", tuple(
+            tuple(sched[bisect.bisect_right([t0 for t0, _ in sched], t) - 1][1] for sched in self.schedules)
+            for t in starts
+        ))
 
     @classmethod
     def constant(cls, rates: Sequence[float]) -> "Parametrization":
@@ -92,16 +93,7 @@ class Parametrization:
         return len(self.schedules)
 
     def rates(self, t: float) -> tuple[float, ...]:
-        return self._rates[max(bisect.bisect_right(self._starts, t) - 1, 0)]
-
-    def breakpoints(self) -> list[float]:
-        """The times after 0 at which some rate changes, increasing."""
-        return self._starts[1:]
-
-    def pieces(self) -> tuple[list[float], list[tuple[float, ...]]]:
-        """The start times (0 first) of the intervals on which every rate is
-        constant, and the rates on each."""
-        return list(self._starts), list(self._rates)
+        return self.piece_rates[max(bisect.bisect_right(self.starts, t) - 1, 0)]
 
 
 class LoewnerState(NamedTuple):
@@ -291,10 +283,17 @@ class _ObserverHistory:
         # one row per step: stages along axis 1, then the live observers
         points = np.array(ps)[:, :, nq:]
         g[:, live] = np.repeat(points[:, 4], reps, axis=0)
-        dws = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4])
-        for part, dw in zip((w.real, w.imag), dws):
-            # w_{i+1} = w_i + dw_i, summed in sequence from the last row
-            part[:, live] = np.repeat(np.cumsum(np.vstack((part[:1, live], dw)), axis=0)[1:], reps, axis=0)
+        # an overflow shows as a value that is not finite, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dws = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4])
+            for part, dw in zip((w.real, w.imag), dws):
+                # w_{i+1} = w_i + dw_i, summed in sequence from the last row
+                part[:, live] = np.repeat(np.cumsum(np.vstack((part[:1, live], dw)), axis=0)[1:], reps, axis=0)
+        # a value that is not finite stays so down the sums: the last row shows it
+        bad = ~np.isfinite(w[-1, live])
+        if bad.any():
+            z = complex(self.g[0, live[int(bad.argmax())]])
+            raise InversionFailureError(f"observer history is not finite for tracked point {format_complex(z)}")
 
 
 def _check_history(rows: int, cols: int) -> None:
@@ -338,9 +337,13 @@ def evolve(
 
     States are recorded at every accepted step, and twice at a rate
     breakpoint before T: first with the velocities under the old rates, then
-    under the new ones. Tracked observers that come within the collision
-    tolerance of a driving point are marked dead and frozen; a driving
-    collision stops the evolution and is reported as a time bracket.
+    under the new ones. A tracked point that starts within the collision
+    tolerance of a driving point or of a finite marked point is refused.
+    At every recorded state after that, an observer dies, and is frozen from
+    there on, when it is within the collision tolerance of a driving point
+    or its step cap ``TRACK_CAP_COEFF`` d^2 no longer advances t; the step
+    caps come from the survivors. A driving collision stops the evolution
+    and is reported as a time bracket.
 
     With ``tol`` the step size is error-controlled and ``dt`` is the largest
     step. The velocities at the end of a step, which the next step reuses as
@@ -352,8 +355,8 @@ def evolve(
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
-    of more than ``HISTORY_BUDGET`` values; a state or estimate that is not
-    finite raises ``InversionFailureError``.
+    of more than ``HISTORY_BUDGET`` values; a state, estimate or observer
+    history that is not finite raises ``InversionFailureError``.
     """
     report = divisors.validate(divisor)
     if not report.ok:
@@ -366,24 +369,30 @@ def evolve(
         nu = Parametrization.constant([1.0] * len(divisor.growth))
     if nu.n_curves != len(divisor.growth):
         raise ValueError("one rate schedule per growth point required")
+    x = [p.value.real for p in divisor.growth]
+    q, s = divisor.finite_marked()
+    nq = len(q)
+    # the flow keeps an observer and a marked point together, and the
+    # observable's factor at that point would be log 0
+    singular = [(xj, "a driving point") for xj in x] + [(ql, f"marked point {format_complex(ql)}") for ql in q]
+    for z in tracked:
+        for point, name in singular:
+            # hypot, as abs raises on a complex beyond the float range
+            if math.hypot((z - point).real, (z - point).imag) < COLLISION_TOL:
+                raise DegenerateConfigurationError(f"tracked point {format_complex(z)} starts on {name}")
     if T / dt > STEP_BUDGET:
         raise StepBudgetError(
             f"T/dt = {T / dt:.3g} flow steps exceed the budget of {STEP_BUDGET}"
         )
-    breaks = [b for b in nu.breakpoints() if b < T]
+    # the rates change at these times only; one at or after T never applies
+    breaks = [b for b in nu.starts[1:] if b < T]
     # room for the states of T/dt steps, two at each breakpoint
     history = _ObserverHistory(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
 
-    x = [p.value.real for p in divisor.growth]
-    q, s = divisor.finite_marked()
-    nq = len(q)
-    # an observer on a driving point is swallowed at once
-    death_times: list[float | None] = [
-        0.0 if min(abs(z - xj) for xj in x) < COLLISION_TOL else None for z in tracked
-    ]
-    live = [i for i, death in enumerate(death_times) if death is None]
+    death_times: list[float | None] = [None] * len(tracked)
+    live = list(range(len(tracked)))
     # the marked points, then the live observers
-    p = list(q) + [tracked[i] for i in live]
+    p = list(q) + list(tracked)
     near = _near(x, p[nq:], live)
     next_break = 0
     t = 0.0
@@ -409,19 +418,10 @@ def evolve(
         h = min(h, remaining)
         if h < remaining and remaining - h < 1e-6 * h:
             h = remaining  # absorb the rounding tail into the step that reaches stop
-        if t + h == t and near and min(near)[0] < 1.0:
-            # the cap has collapsed below time resolution because a tracked
-            # point is being swallowed: freeze it
-            dying = min(near)
-            history.flush(live, nq)
-            death_times[dying[1]] = t
-            pos = live.index(dying[1])
-            del live[pos], p[nq + pos], vel[1][nq + pos]
-            near.remove(dying)
-            continue
         if gap < COLLISION_TOL or t + h == t:
             # the driving gap is closed, or its cap has collapsed below time
-            # resolution: a collision is here
+            # resolution (every surviving observer's cap advances t): a
+            # collision is here
             collision = (t, t + gap)
             collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
             break
@@ -445,7 +445,7 @@ def evolve(
         k5 = _velocities(x1, p1, s, nq, rates, arrays)
         # NaN fails every comparison, so neither a collision nor a rejection
         # would see it; a finite new state has finite stages k1 to k4
-        if not math.isfinite(abs(sum(x1)) + abs(sum(p1)) + abs(sum(k5[0])) + abs(sum(k5[1]))):
+        if not (math.isfinite(sum(x1) + sum(k5[0])) and cmath.isfinite(sum(p1) + sum(k5[1]))):
             raise InversionFailureError(
                 f"flow state is not finite at t={t:.12g} (step {h:.3g}, gap {gap:.3g})"
             )
@@ -463,26 +463,25 @@ def evolve(
             t1 = stop
             next_break += 1
         history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), 2 if at_break else 1))
-        x, p, q = x1, p1, p1[:nq]
+        x, p, q, vel = x1, p1, p1[:nq], k5
         near = _near(x, p[nq:], live)
-        dead = [i for d, i in near if d < COLLISION_TOL]
+        dead = [i for d, i in near if d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1]
         if dead:
             history.flush(live, nq)
             for i in dead:
                 death_times[i] = t1
             keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
             p = q + [p[nq + pos] for pos in keep]
-            k5 = (k5[0], k5[1][:nq] + [k5[1][nq + pos] for pos in keep])
+            vel = (vel[0], vel[1][:nq] + [vel[1][nq + pos] for pos in keep])
             live = [live[pos] for pos in keep]
             near = [e for e in near if death_times[e[1]] is None]
         elif len(history.steps) * (len(x) + len(p)) >= BLOCK_VALUES:
             history.flush(live, nq)
         if at_break:
             # the end-of-step velocities are the left side of the breakpoint
-            states.append(LoewnerState(t1, tuple(x), tuple(k5[0]), tuple(q)))
-        new_rates = nu.rates(t1)
-        vel = k5 if new_rates == rates else _velocities(x, p, s, nq, new_rates, arrays)
-        rates = new_rates
+            states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
+            rates = nu.rates(t1)
+            vel = _velocities(x, p, s, nq, rates, arrays)
         states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
     history.flush(live, nq)
@@ -602,8 +601,7 @@ def trace_hull(
             raise InversionFailureError(f"time {t} outside the evolved range")
     n = len(evolution.states[0].x)
     paths = _DrivingPaths(evolution.states)
-    starts, piece_rates = evolution.nu.pieces()
-    starts = np.array(starts)
+    starts, piece_rates = np.array(evolution.nu.starts), evolution.nu.piece_rates
     # per piece: 2 nu_k, one row per driving point, and 2 sum nu for the first step
     coeffs = 2.0 * np.array(piece_rates).reshape(len(starts), n).T
     twice_sums = np.array([2.0 * sum(r) for r in piece_rates])
@@ -747,10 +745,10 @@ def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
     (marked factors at infinity dropped). Its modulus is computed in log
     space from the integrated log g'; its argument is tracked continuously
     by unwrapping each factor's phase along the state sequence. An observer
-    that dies before the last state is reported over its alive range and
-    flagged. All observers are reported from one pass over the history
-    arrays, one factor at a time, in blocks of ``OBSERVER_BLOCK`` columns
-    that bound its temporaries.
+    that dies is reported over the states before its death and flagged.
+    All observers are reported from one pass over the history arrays, one
+    factor at a time, in blocks of ``OBSERVER_BLOCK`` columns that bound
+    its temporaries.
     """
     if not evolution.tracked:
         return []
@@ -758,18 +756,6 @@ def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
     ts = np.array([st.t for st in states])
     # each observer is reported on the states before its death
     counts = [len(ts) if d is None else int(ts.searchsorted(d)) for d in evolution.death_times]
-    for z, count in zip(evolution.tracked, counts):
-        if not count:
-            raise DegenerateConfigurationError(
-                f"tracked point {format_complex(z)} starts on a driving point"
-            )
-        for q in states[0].q:
-            # the flow keeps them together, and the observable's factor at
-            # q would be log 0
-            if abs(z - q) < COLLISION_TOL:
-                raise DegenerateConfigurationError(
-                    f"tracked point {format_complex(z)} starts on marked point {format_complex(q)}"
-                )
     dead_rows = np.arange(len(ts))[:, None] >= np.array(counts)
 
     _, charges = evolution.divisor.finite_marked()
@@ -781,7 +767,6 @@ def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
         for cols in (slice(i, i + OBSERVER_BLOCK) for i in range(0, len(counts), OBSERVER_BLOCK))
     ]
     log_abs, max_rel, max_arg = (np.concatenate(parts) for parts in zip(*blocks))
-    t_final = states[-1].t
     return [
         MotionIntegralReport(
             z=z,
@@ -791,7 +776,7 @@ def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
             log_abs_initial=float(log_abs[i]),
             max_rel_drift=float(max_rel[i]),
             max_arg_drift=float(max_arg[i]),
-            alive=death is None or death > t_final,
+            alive=death is None,
             death_time=death,
         )
         for i, (z, count, death) in enumerate(zip(evolution.tracked, counts, evolution.death_times))

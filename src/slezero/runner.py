@@ -225,7 +225,12 @@ def _suite_equivalence(
     qd = quadratic.build_Q(flow_divisor)
     trajectories = tracing.launch_all(qd, scene.trace)
     hull = loewner.trace_hull(evolution, _hull_times(evolution.final.t), scene.loewner.lift)
-    polylines = [np.array(t.points) for t in trajectories]
+    # a curve that ends in a singularity ends at it: the last traced point
+    # stops short of it, by up to the capture radius
+    polylines = [
+        np.array(t.points + ((t.terminal.point,) if t.terminal.kind == "reached_singularity" else ()))
+        for t in trajectories
+    ]
     worst = [0.0] * len(polylines)
     for sample in hull:
         d = _polyline_distance(sample.point, polylines[sample.curve])

@@ -1,11 +1,19 @@
 """End-to-end command-line behavior and exit-code contract."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 import time
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import nan_after
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from slezero import conformal, loewner, runner
 from slezero.cli import main
@@ -342,19 +350,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, scene",
+        "command, scene, outputs",
         [
-            pytest.param("run", ON_DRIVING, id="run"),
-            pytest.param("verify", ON_DRIVING, id="verify"),
-            pytest.param("run", ON_MARKED, id="run-on-marked-point"),
-            pytest.param("verify", DEFAULT_ON_MARKED, id="verify-default-observer-on-marked-point"),
+            pytest.param("run", ON_DRIVING, "motion_report", id="run"),
+            pytest.param("verify", ON_DRIVING, "motion_report", id="verify"),
+            pytest.param("run", ON_MARKED, "motion_report", id="run-on-marked-point"),
+            pytest.param("verify", DEFAULT_ON_MARKED, "motion_report", id="verify-default-observer-on-marked-point"),
+            # the observers are checked by the flow, whatever the outputs
+            pytest.param("run", ON_DRIVING, "hull_csv", id="run-hull-only"),
+            pytest.param("run", ON_MARKED, "hull_csv", id="run-hull-only-on-marked-point"),
         ],
     )
-    def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command, scene):
+    def test_observer_on_a_driving_point_exits_1(self, tmp_path, capsys, command, scene, outputs):
         marked, tracked, message = scene
         cfg = tmp_path / "scene.yaml"
         cfg.write_text(
-            f'domain: half_plane\ngrowth: ["0"]\n{marked}{tracked}outputs: [motion_report]\n'
+            f'domain: half_plane\ngrowth: ["0"]\n{marked}{tracked}outputs: [{outputs}]\n'
         )
         out = tmp_path / "out"
         out_args = ["--out", str(out)] if command == "run" else []
@@ -374,3 +385,80 @@ class TestExitCodes:
         code, _, stderr = cli(capsys, "run", "--config", str(cfg))
         assert code == 1
         assert "invalid scene" in stderr
+
+
+# two curves, a conjugate marked pair and a real marked point: the points an
+# observer may not start on
+PLACEMENT_SCENE = (
+    'domain: half_plane\ngrowth: ["-1", "1"]\nmarked:\n'
+    '  - point: "0.5+1i"\n    charge: "-1"\n  - point: "0.5-1i"\n    charge: "-1"\n'
+    '  - point: "3"\n    charge: "-1"\n  - point: inf\n    charge: "-1"\n'
+)
+SINGULAR = (-1.0, 1.0, 0.5 + 1j, 0.5 - 1j, 3.0)
+OFFSETS = (0.0, 1e-12, 1e-9, 1e-7)
+FLOW_OUTPUTS = (["hull_csv"], ["motion_report"], ["hull_csv", "motion_report"])
+ARTIFACTS = {"hull_csv": "hull.csv", "motion_report": "motion_report.json"}
+
+placements = st.one_of(
+    # on a driving or finite marked point, or next to one
+    st.builds(
+        lambda w, offset, turn: w + offset * complex(math.cos(turn), math.sin(turn)),
+        st.sampled_from(SINGULAR),
+        st.sampled_from(OFFSETS),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+    st.builds(complex, st.floats(-4.0, 4.0), st.floats(0.01, 4.0)),
+    st.builds(
+        lambda size, turn: size * complex(math.cos(turn), math.sin(turn)),
+        st.sampled_from((1e100, 1e200, 1e300, 1.5e308)),
+        st.floats(0.0, math.pi),
+    ),
+)
+
+
+def _literal(z: complex) -> str:
+    return f"{z.real!r}{z.imag:+.17g}i"
+
+
+def _finite_only(value):
+    raise ValueError(f"{value} in a report")
+
+
+class TestObserverPlacements:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(placements, min_size=1, max_size=3), st.sampled_from(FLOW_OUTPUTS))
+    # a hull alone needs the observers checked too
+    @example([-1.0], ["hull_csv"])
+    # (g - x)^2 overflows in the log g' quadrature
+    @example([1e200 + 1e200j], ["motion_report"])
+    def test_every_placement_ends_in_artifacts_or_its_exit_code(self, tracked, outputs):
+        cfg_text = (
+            PLACEMENT_SCENE
+            + f"loewner:\n  T: 0.01\n  dt: 1.0e-3\n  tracked: {[_literal(z) for z in tracked]}\n"
+            + f"outputs: {outputs}\n"
+        ).replace("'", '"')
+        starts_on_one = any(
+            math.hypot((z - w).real, (z - w).imag) < loewner.COLLISION_TOL for z in tracked for w in SINGULAR
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "scene.yaml", Path(tmp) / "out"
+            cfg.write_text(cfg_text)
+            err = io.StringIO()
+            # a traceback or a numpy warning fails the test
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(["run", "--config", str(cfg), "--out", str(out)])
+            assert (code == 1) == starts_on_one, err.getvalue()
+            assert code in (0, 1, 3), err.getvalue()
+            if code:
+                assert not out.exists()
+            if code == 3:
+                assert err.getvalue().startswith("integration failure:")
+            if code == 0:
+                assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[o] for o in outputs)
+                if "motion_report" in outputs:
+                    json.loads((out / "motion_report.json").read_text(), parse_constant=_finite_only)
+                if "hull_csv" in outputs:
+                    rows = (out / "hull.csv").read_text().splitlines()[1:]
+                    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

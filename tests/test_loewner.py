@@ -86,7 +86,7 @@ def reverse_point(ev, t, j, lift):
             total += 2.0 * rk / (z - xk)
         return complex(-w * total.real, -w * total.imag)
 
-    (rates,) = ev.nu.pieces()[1]
+    (rates,) = ev.nu.piece_rates
     tol = loewner.REVERSE_TOL
     z, r, r_stop = complex(x_at(t)[j], lift), 0.0, math.sqrt(t)
     h = 0.1 * lift / math.sqrt(2.0 * sum(rates))
@@ -118,7 +118,7 @@ def scalar_flow(div, T, dt, nu, tracked):
     x = [p.value.real for p in div.growth]
     q, s = div.finite_marked()
     g, w = list(tracked), [0j] * len(tracked)
-    death = [0.0 if min(abs(z - xj) for xj in x) < loewner.COLLISION_TOL else None for z in g]
+    death = [None] * len(tracked)
 
     def field(z, x, rates):
         total = 0j
@@ -156,7 +156,7 @@ def scalar_flow(div, T, dt, nu, tracked):
         h6 = h / 6.0
         return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
-    breaks = [b for b in nu.breakpoints() if b < T]
+    breaks = [b for b in nu.starts[1:] if b < T]
     t, rates = 0.0, nu.rates(0.0)
     rows = [(t, list(g), list(w))]
     while t < T:
@@ -172,9 +172,6 @@ def scalar_flow(div, T, dt, nu, tracked):
         h = min(h, remaining)
         if h < remaining and remaining - h < 1e-6 * h:
             h = remaining
-        if t + h == t and min(dists, default=1.0) < 1.0:
-            death[live[dists.index(min(dists))]] = t
-            continue
         if gap < loewner.COLLISION_TOL or t + h == t:
             break
         g0, w0 = [g[i] for i in live], [w[i] for i in live]
@@ -189,10 +186,14 @@ def scalar_flow(div, T, dt, nu, tracked):
             t1 = stop
         for i, gi, wi in zip(live, g1, w1):
             g[i], w[i] = gi, wi
-            if min(abs(gi - xj) for xj in x) < loewner.COLLISION_TOL:
+            # the death rule: on a driving point, or a cap that no longer advances t
+            d = min(abs(gi - xj) for xj in x)
+            if d < loewner.COLLISION_TOL or t1 + loewner.TRACK_CAP_COEFF * d * d == t1:
                 death[i] = t1
         rows.extend([(t1, list(g), list(w))] * (2 if at_break else 1))
-        t, rates = t1, nu.rates(t1)
+        if at_break:
+            rates = nu.rates(t1)
+        t = t1
     return rows, death
 
 
@@ -248,19 +249,21 @@ class TestParametrization:
         assert nu.rates(0.9) == (2.0,)
 
     def test_breakpoints_of_all_schedules(self):
+        # the piece table starts at 0, then at every breakpoint of every schedule
         nu = Parametrization((((0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.2, 3.0), (0.5, 1.0))))
-        assert nu.breakpoints() == [0.2, 0.5]
-        assert Parametrization.constant([1.0, 2.0]).breakpoints() == []
+        assert nu.starts == (0.0, 0.2, 0.5)
+        assert Parametrization.constant([1.0, 2.0]).starts == (0.0,)
 
     def test_pieces_of_all_schedules(self):
         nu = Parametrization((((0.0, 1.0), (0.5, 2.0)), ((0.0, 1.0), (0.2, 3.0), (0.5, 1.0))))
-        assert nu.pieces() == ([0.0, 0.2, 0.5], [(1.0, 1.0), (1.0, 3.0), (2.0, 1.0)])
+        assert nu.piece_rates == ((1.0, 1.0), (1.0, 3.0), (2.0, 1.0))
+        assert [nu.rates(t) for t in nu.starts] == list(nu.piece_rates)
 
     def test_repeated_start_time_is_not_a_breakpoint(self):
         # the later entry wins; it used to make a breakpoint at 0, which
         # stopped the flow there as a collision
         nu = Parametrization((((0.0, 1.0), (0.0, 2.0)), ((0.0, 1.0),)))
-        assert nu.breakpoints() == []
+        assert nu.starts == (0.0,)
         assert nu.rates(0.0) == (2.0, 1.0)
         ev = evolve(repelling_pair(), 0.1, 1e-2, nu)
         assert ev.collision is None and ev.final.t == pytest.approx(0.1)
@@ -350,12 +353,18 @@ class TestSingleCurve:
         assert rep.max_rel_drift < 1e-10
         assert rep.max_arg_drift < 1e-10
 
-    def test_observer_on_the_driving_point_is_dead_from_the_start(self, monkeypatch):
-        for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.1, 1e-3, None, (4j, 0j)):
-            assert ev.death_times == [None, 0.0]
-            assert (ev.g[:, 1] == 0j).all() and (ev.log_gprime[:, 1] == 0j).all()
-            with pytest.raises(DegenerateConfigurationError, match="tracked point 0.0 starts on a driving point"):
-                motion_integral(ev)
+    def test_observer_on_a_driving_or_marked_point_is_refused(self):
+        # refused before the first step, whatever the caller asks of the flow
+        with pytest.raises(DegenerateConfigurationError, match="tracked point 0.0 starts on a driving point"):
+            evolve(single_curve(), 0.1, 1e-3, tracked=(4j, 0j))
+        with pytest.raises(DegenerateConfigurationError, match="tracked point 1e-09i starts on a driving point"):
+            evolve(single_curve(), 0.1, 1e-3, tracked=(1e-9j,))
+        pair = SymmetricDivisor.half_plane([0.0], [(1 + 1j, -1), (1 - 1j, -1), ("inf", -1)])
+        with pytest.raises(DegenerateConfigurationError, match=r"tracked point 1\.0\+1\.0i starts on marked point 1\.0\+1\.0i"):
+            evolve(pair, 0.1, 1e-3, tracked=(2j, 1 + 1j))
+        # just outside the tolerance the observer is swallowed by the flow
+        ev = evolve(single_curve(), 0.1, 1e-3, tracked=(1e-7j,))
+        assert 0.0 < ev.death_times[0] < 1e-14
 
 
 def evolve_matching_the_scalar_loop(monkeypatch, div, T, dt, nu, tracked):
@@ -464,6 +473,17 @@ class TestTwoSlit:
         tm = (ts[i] + BREAK) / 2
         got = trace_hull(ev, [tm])
         want = trace_hull(break_reference, [tm])
+        assert max(abs(a.point - b.point) for a, b in zip(got, want)) < 1e-9
+
+    def test_a_breakpoint_at_the_horizon_leaves_the_last_state_alone(self):
+        # the flow never enters the piece that starts at T
+        nu = Parametrization((((0.0, 1.0), (0.125, 2.0)), ((0.0, 1.0),)))
+        ev = evolve(repelling_pair(), 0.125, 1e-3, nu)
+        assert [st.t for st in ev.states].count(0.125) == 1
+        # x2 = sqrt(1 + 4t) under the old rates, so dx2 = 2 / sqrt(1.5)
+        assert ev.final.dx == pytest.approx((-2.0 / math.sqrt(1.5), 2.0 / math.sqrt(1.5)), abs=1e-9)
+        fine = evolve(repelling_pair(), 0.125, 1e-5, nu)
+        got, want = trace_hull(ev, [0.125]), trace_hull(fine, [0.125])
         assert max(abs(a.point - b.point) for a, b in zip(got, want)) < 1e-9
 
     def test_one_velocity_evaluation_per_stage(self, monkeypatch):
