@@ -7,6 +7,7 @@ on a scene and reports per-check margins.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,17 @@ def _flow_divisor(scene: SceneConfig) -> SymmetricDivisor:
         return scene.divisor
     image, _ = conformal.transport(scene.divisor, HALF_PLANE)
     return image
+
+
+def _fallback_observer(flow_divisor: SymmetricDivisor) -> complex:
+    """The observer ``verify`` tracks when the scene names none: ``2i``, or
+    the first of ``3i``, ``4i``, ... that starts on no finite marked point,
+    where ``evolve`` would refuse it."""
+    q, _ = flow_divisor.finite_marked()
+    z = 2j
+    while any(math.hypot((z - p).real, (z - p).imag) < loewner.COLLISION_TOL for p in q):
+        z += 1j
+    return z
 
 
 def _hull_times(t_end: float) -> list[float]:
@@ -256,7 +268,7 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
         # one evolution serves both suites; the observers ride along, and
         # their step cap can only refine the grid the hull interpolates
         lo = scene.loewner
-        tracked = lo.tracked or (2j,)
+        tracked = lo.tracked or (_fallback_observer(flow_divisor),)
         evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, scene.rates, tracked, lo.tol)
         if suite in ("all", "motion"):
             checks.extend(_suite_motion(evolution))

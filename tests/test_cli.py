@@ -48,13 +48,6 @@ ON_MARKED = (
     'loewner:\n  tracked: ["1+1i"]\n',
     "tracked point 1.0+1.0i starts on marked point 1.0+1.0i",
 )
-# verify's default observer is 2i
-DEFAULT_ON_MARKED = (
-    'marked:\n  - point: "2i"\n    charge: "-1"\n  - point: "-2i"\n    charge: "-1"\n'
-    '  - point: inf\n    charge: "-1"\n',
-    "",
-    "tracked point 2.0i starts on marked point 2.0i",
-)
 
 # (scene, the two factor points it names) of scenes with two factor points
 # 1e-11 apart: distinct divisor points, but too close for the line field
@@ -266,6 +259,28 @@ class TestVerify:
             alone.extend(stdout.splitlines()[:-1])
         assert together.splitlines()[:-1] == alone
 
+    @pytest.mark.parametrize(
+        "marked, observer",
+        [
+            pytest.param(("3i",), "2.0i", id="2i-free"),
+            pytest.param(("2i",), "3.0i", id="2i-marked"),
+            pytest.param(("2i", "3i"), "4.0i", id="2i-3i-marked"),
+        ],
+    )
+    def test_fallback_observer_starts_on_no_marked_point(self, tmp_path, capsys, marked, observer):
+        # with no tracked points verify tracks 2i, or the next of 3i, 4i, ...
+        # that the flow accepts
+        charge = -2 / (2 * len(marked))
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(
+            'domain: half_plane\ngrowth: ["-1", "1"]\nmarked:\n'
+            + "".join(f'  - point: "{s}{z}"\n    charge: "{charge}"\n' for z in marked for s in ("", "-"))
+            + '  - point: inf\n    charge: "-2"\n'
+        )
+        code, stdout, _ = cli(capsys, "verify", "--config", str(cfg))
+        assert code == 0, stdout
+        assert f"motion/abs_drift[z={observer}]" in stdout
+
     def test_tolerance_breach_exits_2(self, tmp_path, capsys):
         # an absurd boundary lift drags the hull samples off the curves
         cfg = tmp_path / "scene.yaml"
@@ -355,7 +370,6 @@ class TestExitCodes:
             pytest.param("run", ON_DRIVING, "motion_report", id="run"),
             pytest.param("verify", ON_DRIVING, "motion_report", id="verify"),
             pytest.param("run", ON_MARKED, "motion_report", id="run-on-marked-point"),
-            pytest.param("verify", DEFAULT_ON_MARKED, "motion_report", id="verify-default-observer-on-marked-point"),
             # the observers are checked by the flow, whatever the outputs
             pytest.param("run", ON_DRIVING, "hull_csv", id="run-hull-only"),
             pytest.param("run", ON_MARKED, "hull_csv", id="run-hull-only-on-marked-point"),

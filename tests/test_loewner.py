@@ -14,7 +14,7 @@ from slezero.conformal import transport
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import DegenerateConfigurationError, InversionFailureError, StepBudgetError
 from slezero.loewner import HullSample, Parametrization, evolve, motion_integral, trace_hull
-from slezero.scene import preset
+from slezero.scene import preset, single_curve_scene
 
 
 def single_curve() -> SymmetricDivisor:
@@ -344,6 +344,27 @@ class TestSingleCurve:
         assert rep.death_time == death
         assert rep.max_rel_drift < 1e-6
         assert rep.t_last < 1.0
+
+    def test_built_in_scene_meets_its_closed_forms(self):
+        # verify's default scene at its own step settings is at least as
+        # accurate as fixed dt = 1e-4 steps, in fewer states
+        scene = single_curve_scene()
+        lo = scene.loewner
+        ev = evolve(scene.divisor, lo.T, lo.dt, scene.rates, lo.tracked, lo.tol)
+        assert len(ev.states) < 5000
+        assert all(s.x == (0.0,) for s in ev.states)
+        ts = np.array([s.t for s in ev.states])
+        alive = ts < ev.death_times[0]
+        ts, g_num, log_num = ts[alive], ev.g[alive, 0], ev.log_gprime[alive, 0]
+        g = 2j * np.sqrt(1.0 - ts)
+        log_gprime = -0.5 * np.log(1.0 - ts)
+        # (t cut, the fixed-step errors of g relative and of log g' there)
+        limits = ((0.9, 4.6e-13, 4.6e-13), (0.99, 7.3e-12, 1.5e-11), (0.9999, 4.0e-9, 4.9e-9))
+        for t_cut, g_limit, log_limit in limits:
+            m = ts < t_cut
+            assert np.max(np.abs(g_num[m] - g[m]) / np.abs(g[m])) < g_limit
+            assert np.max(np.abs(log_num[m] - log_gprime[m])) < log_limit
+        assert motion_integral(ev)[0].max_rel_drift < 1.097e-8
 
     def test_motion_integral_is_conserved(self):
         ev = evolve(single_curve(), 1.0, 1e-4, tracked=(4j,))

@@ -3,6 +3,7 @@
 import pathlib
 import re
 import textwrap
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -264,9 +265,13 @@ class TestPresets:
             assert preset(name).loewner.tol == 3e-14
             assert preset(name).loewner.dt == 1e-2
             assert "  tol: 3e-14\n" in serialize_config(preset(name))
+        assert single_curve_scene().loewner.tol == 1e-16
+        assert single_curve_scene().loewner.dt == 1e-2
+        assert "  tol: 1e-16\n" in serialize_config(single_curve_scene())
         # without a tol the flow takes fixed steps, and none is written
-        assert single_curve_scene().loewner.tol is None
-        assert "tol" not in serialize_config(single_curve_scene())
+        base = single_curve_scene()
+        fixed = replace(base, loewner=replace(base.loewner, tol=None))
+        assert "tol" not in serialize_config(fixed)
 
     def test_round_trip_with_rates_and_tracked(self):
         base = single_curve_scene()
