@@ -41,6 +41,10 @@ _RUNTIME_ERRORS = (
 )
 
 
+class _PathError(Exception):
+    """The config cannot be read, or the artifact directory not written."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for tolerance breaches
     def error(self, message):
@@ -96,7 +100,11 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
 
 def _load_scene(args) -> scene_mod.SceneConfig:
     if getattr(args, "config", None):
-        text = Path(args.config).read_text()
+        path = Path(args.config)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            raise _PathError(f"cannot read {path}") from None
         scene = scene_mod.parse_config(text)
     else:
         scene = scene_mod.single_curve_scene()
@@ -115,7 +123,10 @@ def _load_scene(args) -> scene_mod.SceneConfig:
 
 def _cmd_run(args) -> int:
     scene = _load_scene(args)
-    result = runner.run(scene, args.out)
+    try:
+        result = runner.run(scene, args.out)
+    except OSError:
+        raise _PathError(f"cannot write {args.out}") from None
     for path in result.written:
         print(path)
     if result.evolution is not None and result.evolution.collision is not None:
@@ -157,8 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error:\n{exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except _PathError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     except _RUNTIME_ERRORS as exc:
         print(f"integration failure: {exc}", file=sys.stderr)

@@ -3,6 +3,8 @@
 A scene bundles a symmetric divisor with integration parameters and a list
 of requested artifacts. Configs are parsed from YAML through the node tree
 (not plain load) so every diagnostic carries the source line it came from.
+The ``trace`` and ``loewner`` keys are the field names of ``TraceParams``
+and ``LoewnerParams``.
 
 Schema (all keys optional unless noted):
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import yaml
 
@@ -47,7 +49,7 @@ from .divisors import (
 )
 from . import divisors
 from .errors import ConfigError
-from .loewner import Parametrization
+from .loewner import DEFAULT_LIFT, Parametrization
 from .tracing import DOMAIN_MARGIN, TraceParams
 
 OUTPUT_KINDS = (
@@ -65,9 +67,9 @@ _FLOW_OUTPUTS = frozenset({"hull_csv", "motion_report"})
 class LoewnerParams:
     T: float = 0.1
     dt: float = 1e-4
-    lift: float = 1e-6
-    tracked: tuple[complex, ...] = ()
     tol: float | None = None  # local error bound per flow step; None: fixed steps
+    lift: float = DEFAULT_LIFT
+    tracked: tuple[complex, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,15 @@ def _mapping_items(node, diags: _Diagnostics, context: str):
     if not isinstance(node, yaml.MappingNode):
         diags.add(node, f"{context} must be a mapping")
         return []
-    out = []
+    out = {}
     for key_node, value_node in node.value:
         if not _is_scalar(key_node):
             diags.add(key_node, f"non-scalar key in {context}")
-            continue
-        out.append((key_node.value, key_node, value_node))
-    return out
+        elif key_node.value in out:
+            diags.add(key_node, f"duplicate key {key_node.value!r}")
+        else:
+            out[key_node.value] = (key_node.value, key_node, value_node)
+    return list(out.values())
 
 
 def _sequence_items(node, diags: _Diagnostics, context: str):
@@ -190,32 +194,16 @@ def parse_config(text: str) -> SceneConfig:
     if root is None:
         raise ConfigError([(0, "empty config")])
 
-    entries = _mapping_items(root, diags, "config")
+    known = {"preset", "domain", "growth", "marked", "rates", "trace", "loewner", "outputs", "name"}
+    by_key = {}
+    for key, key_node, value_node in _mapping_items(root, diags, "config"):
+        if key in known:
+            by_key[key] = value_node
+        else:
+            diags.add(key_node, f"unknown key {key!r}")
     diags.raise_if_any()
 
     base: SceneConfig | None = None
-    known = {
-        "preset",
-        "domain",
-        "growth",
-        "marked",
-        "rates",
-        "trace",
-        "loewner",
-        "outputs",
-        "name",
-    }
-    by_key = {}
-    for key, key_node, value_node in entries:
-        if key not in known:
-            diags.add(key_node, f"unknown key {key!r}")
-            continue
-        if key in by_key:
-            diags.add(key_node, f"duplicate key {key!r}")
-            continue
-        by_key[key] = value_node
-    diags.raise_if_any()
-
     if "preset" in by_key:
         node = by_key.pop("preset")
         if not _is_scalar(node):
@@ -226,6 +214,8 @@ def parse_config(text: str) -> SceneConfig:
             except KeyError:
                 diags.add(node, f"unknown preset {node.value!r}")
     diags.raise_if_any()
+    # every top-level value the config leaves out comes from here
+    defaults = base or SceneConfig(SymmetricDivisor(HALF_PLANE, (), ()))
 
     domain = None
     if "domain" in by_key:
@@ -276,19 +266,15 @@ def parse_config(text: str) -> SceneConfig:
             elif pt is None or ch is None:
                 diags.add(item, "marked entry needs both point and charge")
 
-    rates = base.rates if base else None
+    values = {}
     if "rates" in by_key:
-        rates = _parse_rates(by_key["rates"], diags)
-
-    trace = base.trace if base else TraceParams()
+        values["rates"] = _parse_rates(by_key["rates"], diags)
     if "trace" in by_key:
-        trace = _parse_trace(by_key["trace"], trace, diags)
-
-    loewner = base.loewner if base else LoewnerParams()
+        values["trace"] = _parse_section(by_key["trace"], defaults.trace, diags, "trace")
+        if values["trace"].capture_radius <= DOMAIN_MARGIN:
+            diags.add(by_key["trace"], f"capture_radius must exceed domain_margin = {DOMAIN_MARGIN:g}")
     if "loewner" in by_key:
-        loewner = _parse_loewner(by_key["loewner"], loewner, diags)
-
-    outputs = base.outputs if base else SceneConfig.__dataclass_fields__["outputs"].default
+        values["loewner"] = _parse_section(by_key["loewner"], defaults.loewner, diags, "loewner")
     if "outputs" in by_key:
         got = []
         for item in _sequence_items(by_key["outputs"], diags, "outputs"):
@@ -296,28 +282,21 @@ def parse_config(text: str) -> SceneConfig:
                 got.append(item.value)
             else:
                 diags.add(item, f"unknown output kind {getattr(item, 'value', item)!r}")
-        outputs = tuple(got)
-
-    name = base.name if base else None
+        values["outputs"] = tuple(got)
     if "name" in by_key:
         node = by_key["name"]
         if _is_scalar(node):
-            name = node.value
+            values["name"] = node.value
         else:
             diags.add(node, "name must be a string")
-
     diags.raise_if_any()
 
-    if base is not None and "growth" not in by_key and "marked" not in by_key and domain is None:
-        divisor = base.divisor
-    else:
-        src = base.divisor if base else None
-        divisor = SymmetricDivisor(
-            domain=domain or (src.domain if src else HALF_PLANE),
-            growth=tuple(growth) if growth else (src.growth if src else ()),
-            marked=tuple(marked) if ("marked" in by_key or src is None) else src.marked,
-        )
-
+    src = defaults.divisor
+    divisor = SymmetricDivisor(
+        domain=domain or src.domain,
+        growth=tuple(growth) or src.growth,
+        marked=tuple(marked) if "marked" in by_key else src.marked,
+    )
     report = divisors.validate(divisor)
     if not report.ok:
         anchor = by_key.get("growth") or by_key.get("marked") or root
@@ -325,14 +304,7 @@ def parse_config(text: str) -> SceneConfig:
             diags.add(anchor, f"invalid divisor: {problem}")
     diags.raise_if_any()
 
-    scene = SceneConfig(
-        divisor=divisor,
-        trace=trace,
-        loewner=loewner,
-        rates=rates,
-        outputs=tuple(outputs),
-        name=name,
-    )
+    scene = replace(defaults, divisor=divisor, **values)
 
     if _QD_OUTPUTS.intersection(scene.outputs):
         for (pt, ch), node in zip(marked, marked_nodes):
@@ -380,49 +352,32 @@ def _parse_rates(node, diags: _Diagnostics) -> Parametrization | None:
     return Parametrization(tuple(schedules)) if schedules else None
 
 
-def _parse_trace(node, base: TraceParams, diags: _Diagnostics) -> TraceParams:
-    fields = {
-        "step": "step",
-        "max_arc_length": "max_arc_length",
-        "capture_radius": "singularity_capture_radius",
-    }
+def _parse_section(node, base, diags: _Diagnostics, section: str):
+    """``base`` with what a ``trace`` or ``loewner`` mapping sets: its keys
+    are the parameters' field names, and each value but ``tracked`` is a
+    positive number."""
+    names = {f.name for f in fields(base)}
     out = base
-    for key, key_node, value_node in _mapping_items(node, diags, "trace"):
-        if key not in fields:
-            diags.add(key_node, f"unknown trace key {key!r}")
-            continue
-        v = _parse_float(value_node, diags, f"trace.{key}", positive=True)
-        if v is not None:
-            out = replace(out, **{fields[key]: v})
-    if out.singularity_capture_radius <= DOMAIN_MARGIN:
-        diags.add(node, f"capture_radius must exceed domain_margin = {DOMAIN_MARGIN:g}")
-    return out
-
-
-def _parse_loewner(node, base: LoewnerParams, diags: _Diagnostics) -> LoewnerParams:
-    out = base
-    for key, key_node, value_node in _mapping_items(node, diags, "loewner"):
-        if key in ("T", "dt", "lift", "tol"):
-            v = _parse_float(value_node, diags, f"loewner.{key}", positive=True)
+    for key, key_node, value_node in _mapping_items(node, diags, section):
+        if key not in names:
+            diags.add(key_node, f"unknown {section} key {key!r}")
+        elif key == "tracked":
+            items = _sequence_items(value_node, diags, "loewner.tracked")
+            pts = [_parse_complex_node(item, diags, "tracked point") for item in items]
+            out = replace(out, tracked=tuple(z for z in pts if z is not None))
+        else:
+            v = _parse_float(value_node, diags, f"{section}.{key}", positive=True)
             if v is not None:
                 out = replace(out, **{key: v})
-        elif key == "tracked":
-            pts = []
-            for item in _sequence_items(value_node, diags, "loewner.tracked"):
-                z = _parse_complex_node(item, diags, "tracked point")
-                if z is not None:
-                    pts.append(z)
-            out = replace(out, tracked=tuple(pts))
-        else:
-            diags.add(key_node, f"unknown loewner key {key!r}")
     return out
 
 
 def serialize_config(scene: SceneConfig) -> str:
     """Emit a config that parses back to an identical SceneConfig."""
     lines: list[str] = []
-    if scene.name:
-        lines.append(f"name: {scene.name}")
+    if scene.name is not None:
+        # the emitter quotes a name that would not read back as itself
+        lines.append(yaml.safe_dump({"name": scene.name}, allow_unicode=True, width=math.inf).rstrip("\n"))
     lines.append(f"domain: {scene.divisor.domain}")
     lines.append("growth:")
     for p in scene.divisor.growth:
@@ -441,86 +396,64 @@ def serialize_config(scene: SceneConfig) -> str:
             else:
                 pairs = ", ".join(f"[{t!r}, {r!r}]" for t, r in sched)
                 lines.append(f"  - [{pairs}]")
-    t = scene.trace
-    lines.append("trace:")
-    lines.append(f"  step: {t.step!r}")
-    lines.append(f"  max_arc_length: {t.max_arc_length!r}")
-    lines.append(f"  capture_radius: {t.singularity_capture_radius!r}")
-    lo = scene.loewner
-    lines.append("loewner:")
-    lines.append(f"  T: {lo.T!r}")
-    lines.append(f"  dt: {lo.dt!r}")
-    if lo.tol is not None:
-        lines.append(f"  tol: {lo.tol!r}")
-    lines.append(f"  lift: {lo.lift!r}")
-    if lo.tracked:
-        lines.append("  tracked:")
-        for z in lo.tracked:
-            lines.append(f'    - "{format_complex(z)}"')
+    for section in ("trace", "loewner"):
+        lines.append(f"{section}:")
+        params = getattr(scene, section)
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if value is None or value == ():
+                continue
+            if f.name == "tracked":
+                lines.append("  tracked:")
+                lines.extend(f'    - "{format_complex(z)}"' for z in value)
+            else:
+                lines.append(f"  {f.name}: {value!r}")
     lines.append("outputs: [" + ", ".join(scene.outputs) + "]")
     return "\n".join(lines) + "\n"
 
 
-_ALL_OUTPUTS = tuple(OUTPUT_KINDS)
+# each figure's growth points, marked (point, charge) pairs and trace
+# parameters; the charges sum to -2 with the growth points counted at +1 each
+_FIGURES = {
+    "fig1": ([-1j, 1, 1j], [(cmath.exp(2j * cmath.pi / 3), -1), (-1, -4)], TraceParams()),
+    "fig2": ([-1j, 1, cmath.exp(1j * cmath.pi / 4)], [(0, -1), ("inf", -1), (-1, -3)], TraceParams()),
+    # The pair captured by the order-3 pole at 1/2 bends onto its
+    # asymptotic ray slowly; a tighter capture radius is needed before
+    # the two approach directions agree.
+    "fig3": (
+        [-1j, cmath.exp(1j * cmath.pi / 3), 1j],
+        [(-1 / 3, -1), (-3, -1), (1 / 2, "-3/2"), (2, "-3/2")],
+        TraceParams(capture_radius=1e-4),
+    ),
+}
+PRESET_NAMES = tuple(_FIGURES)
 
 
-def _figure_scene(name: str, growth, marked, trace=TraceParams()) -> SceneConfig:
+def preset(name: str) -> SceneConfig:
+    """A named example scene on the disk; KeyError for an unknown name."""
+    growth, marked, trace = _FIGURES[name]
     return SceneConfig(
         divisor=SymmetricDivisor.build(DISK, growth, marked),
         trace=trace,
         # dt is the largest step; tol keeps each figure's final driving
         # points and hull samples within 2e-12 of a dt = 2e-6 flow
-        loewner=LoewnerParams(T=0.1, dt=1e-2, lift=1e-6, tracked=(2j,), tol=3e-14),
-        rates=None,
-        outputs=_ALL_OUTPUTS,
+        loewner=LoewnerParams(T=0.1, dt=1e-2, tol=3e-14, tracked=(2j,)),
+        outputs=OUTPUT_KINDS,
         name=name,
     )
-
-
-def preset(name: str) -> SceneConfig:
-    """Named example scenes on the disk; charges sum to -2 with the three
-    growth points counted at +1 each."""
-    if name == "fig1":
-        return _figure_scene(
-            "fig1",
-            [-1j, 1, 1j],
-            [(cmath.exp(2j * cmath.pi / 3), -1), (-1, -4)],
-        )
-    if name == "fig2":
-        return _figure_scene(
-            "fig2",
-            [-1j, 1, cmath.exp(1j * cmath.pi / 4)],
-            [(0, -1), ("inf", -1), (-1, -3)],
-        )
-    if name == "fig3":
-        # The pair captured by the order-3 pole at 1/2 bends onto its
-        # asymptotic ray slowly; a tighter capture radius is needed before
-        # the two approach directions agree.
-        return _figure_scene(
-            "fig3",
-            [-1j, cmath.exp(1j * cmath.pi / 3), 1j],
-            [(-1 / 3, -1), (-3, -1), (1 / 2, "-3/2"), (2, "-3/2")],
-            trace=TraceParams(singularity_capture_radius=1e-4),
-        )
-    raise KeyError(name)
-
-
-PRESET_NAMES = ("fig1", "fig2", "fig3")
 
 
 def single_curve_scene() -> SceneConfig:
     """Internal fallback scene: one curve from the origin, charge -3 at
     infinity; the flow map and its observable have closed forms."""
-    divisor = SymmetricDivisor.build(HALF_PLANE, [0], [("inf", -3)])
     return SceneConfig(
-        divisor=divisor,
+        divisor=SymmetricDivisor.build(HALF_PLANE, [0], [("inf", -3)]),
         trace=TraceParams(max_arc_length=5.0),
         # dt is the largest step; tol keeps the observer at 2i at least as
         # close to its closed forms g = 2i sqrt(1-t), log g' = -log(1-t)/2
         # as fixed dt = 1e-4 steps, in 4,766 states instead of 11,690 (the
         # presets' 3e-14 takes 2,376 but leaves g's error 40 times theirs)
-        loewner=LoewnerParams(T=1.0, dt=1e-2, lift=1e-6, tracked=(2j,), tol=1e-16),
-        rates=None,
-        outputs=_ALL_OUTPUTS,
+        loewner=LoewnerParams(T=1.0, dt=1e-2, tol=1e-16, tracked=(2j,)),
+        outputs=OUTPUT_KINDS,
         name="single-curve",
     )

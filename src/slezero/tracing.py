@@ -32,7 +32,7 @@ SPIRAL_WINDING = 4.0 * math.pi  # a winding beyond this may flag a spiral
 class TraceParams:
     step: float = 1e-3
     max_arc_length: float = 50.0
-    singularity_capture_radius: float = 1e-3
+    capture_radius: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def trace(
     if initial_dir == 0:
         raise LaunchError("initial direction must be nonzero")
     direction = initial_dir / abs(initial_dir)
-    capture = params.singularity_capture_radius
+    capture = params.capture_radius
 
     launch_point: complex | None = None
     for info in qd.singularities:

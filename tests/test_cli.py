@@ -156,6 +156,27 @@ class TestRun:
         assert code == 1
         assert "cannot read" in stderr
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("config", ["directory", "latin-1"])
+    def test_unreadable_config_exits_1_without_traceback(self, tmp_path, capsys, command, config):
+        path = tmp_path / "scene.yaml"
+        if config == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(SINGLE.encode() + "name: caf\u00e9\n".encode("latin-1"))
+        code, _, stderr = cli(capsys, command, "--config", str(path))
+        assert (code, stderr) == (1, f"cannot read {path}\n")
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unwritable_out_exits_1_and_writes_nothing(self, tmp_path, capsys, out):
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(SINGLE)
+        (tmp_path / "file").write_text("kept\n")
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / out), "--T", "0.01")
+        assert (code, stderr) == (1, f"cannot write {tmp_path / out}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "scene.yaml"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_bad_rate_schedule_exits_1_without_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "scene.yaml"
         cfg.write_text("preset: fig1\nrates: [[[0, 1], [0.5, 2], [0.2, 3]], 1, 1]\n")

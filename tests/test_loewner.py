@@ -111,10 +111,11 @@ def reverse_point(ev, t, j, lift):
     return z
 
 
-def scalar_flow(div, T, dt, nu, tracked):
+def scalar_flow(div, T, dt, nu, tracked, tol=None):
     """Times and the observers' g and log g' rows of the flow with every
     observer stepped on Python complex numbers inside the RK4 loop, with
-    evolve's step rule: the loop whose bits evolve's history must have."""
+    evolve's step rule and error control: the loop whose bits evolve's
+    history must have."""
     x = [p.value.real for p in div.growth]
     q, s = div.finite_marked()
     g, w = list(tracked), [0j] * len(tracked)
@@ -157,14 +158,14 @@ def scalar_flow(div, T, dt, nu, tracked):
         return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
     breaks = [b for b in nu.starts[1:] if b < T]
-    t, rates = 0.0, nu.rates(0.0)
+    t, rates, h_next = 0.0, nu.rates(0.0), math.inf
     rows = [(t, list(g), list(w))]
     while t < T:
         live = [i for i, d in enumerate(death) if d is None]
         gap = min([abs(a - b) for j, a in enumerate(x) for b in x[j + 1 :]] + [abs(a - b) for a in x for b in q], default=math.inf)
         stop = next((b for b in breaks if b > t), T)
         remaining = stop - t
-        h = min(dt, loewner.GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
+        h = min(dt, h_next, loewner.GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
         dists = [min(abs(g[i] - xj) for xj in x) for i in live]
         for d in dists:
             if d < 1.0:
@@ -179,7 +180,17 @@ def scalar_flow(div, T, dt, nu, tracked):
         k2 = velocities(shift(x, k1[0], h / 2), shift(q, k1[1], h / 2), shift(g0, k1[2], h / 2), rates)
         k3 = velocities(shift(x, k2[0], h / 2), shift(q, k2[1], h / 2), shift(g0, k2[2], h / 2), rates)
         k4 = velocities(shift(x, k3[0], h), shift(q, k3[1], h), shift(g0, k3[2], h), rates)
-        x, q, g1, w1 = (rk4(y, k1[i], k2[i], k3[i], k4[i], h) for i, y in enumerate((x, q, g0, w0)))
+        x1, q1, g1, w1 = (rk4(y, k1[i], k2[i], k3[i], k4[i], h) for i, y in enumerate((x, q, g0, w0)))
+        if tol is not None:
+            # the embedded pair: k4 against the velocities at the end state
+            k5 = velocities(x1, q1, g1, rates)
+            err = h / 6.0 * max(abs(a - b) for a, b in zip(k4[0] + k4[1] + k4[2], k5[0] + k5[1] + k5[2]))
+            scale = 0.9 * (tol / err) ** 0.25 if err > 0.0 else 5.0
+            if err > tol:
+                h_next = h * max(0.2, scale)
+                continue
+            h_next = h * min(5.0, scale)
+        x, q = x1, q1
         t1 = t + h
         at_break = stop < T and (h == remaining or t1 >= stop)
         if at_break:
@@ -388,14 +399,14 @@ class TestSingleCurve:
         assert 0.0 < ev.death_times[0] < 1e-14
 
 
-def evolve_matching_the_scalar_loop(monkeypatch, div, T, dt, nu, tracked):
+def evolve_matching_the_scalar_loop(monkeypatch, div, T, dt, nu, tracked, tol=None):
     """The flow with the observers' field on arrays and on Python numbers,
     each checked against the scalar loop bit for bit."""
-    rows, death = scalar_flow(div, T, dt, nu or Parametrization.constant([1.0] * len(div.growth)), tracked)
+    rows, death = scalar_flow(div, T, dt, nu or Parametrization.constant([1.0] * len(div.growth)), tracked, tol)
     flows = []
     for threshold in (0, 10**9):
         monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
-        ev = evolve(div, T, dt, nu, tracked)
+        ev = evolve(div, T, dt, nu, tracked, tol)
         assert ev.death_times == death
         assert history_bits([st.t for st in ev.states], ev.g, ev.log_gprime) == history_bits(*zip(*rows))
         flows.append(ev)
@@ -419,28 +430,35 @@ class TestObservers:
         rng = random.Random(1)
         # some observers start below height 1, where the observer cap applies
         tracked = tuple(complex(rng.uniform(-4.0, 4.0), rng.uniform(0.05, 3.0)) for _ in range(32))
-        for ev in evolve_matching_the_scalar_loop(monkeypatch, div, 0.02, 2e-4, None, tracked):
-            # several quadrature blocks
-            assert (len(ev.states) - 1) * (len(div.growth) + len(tracked)) > 2 * loewner.BLOCK_VALUES
-            assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+        for tol in (None, 1e-12):
+            for ev in evolve_matching_the_scalar_loop(monkeypatch, div, 0.02, 2e-4, None, tracked, tol):
+                # several quadrature blocks
+                assert (len(ev.states) - 1) * (len(div.growth) + len(tracked)) > 2 * loewner.BLOCK_VALUES
+                assert ev.rejected == (0 if tol is None else 1)
+                assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
     def test_doubled_breakpoint_states_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
         tracked = (0.5j, 1 + 0.2j, -2 + 1j)
-        for ev in evolve_matching_the_scalar_loop(monkeypatch, repelling_pair(), 0.25, 1e-3, BREAK_RATES, tracked):
-            assert [st.t for st in ev.states].count(BREAK) == 2
-            assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+        for tol in (None, 1e-12):
+            for ev in evolve_matching_the_scalar_loop(monkeypatch, repelling_pair(), 0.25, 1e-3, BREAK_RATES, tracked, tol):
+                assert [st.t for st in ev.states].count(BREAK) == 2
+                assert ev.rejected == (0 if tol is None else 1)
+                assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
     def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
         # i is frozen when its step cap collapses near t = 1/4; 0.001i comes
         # within the collision tolerance at t = 2.5e-7
         tracked = (1j, 4j, 2 + 0.5j, 0.001j)
-        for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.5, 1e-3, None, tracked):
-            assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
-            assert ev.death_times[1:3] == [None, None]
-            assert ev.death_times[3] == pytest.approx(2.5e-7, rel=1e-6)
-            reports = motion_integral(ev)
-            assert [r.alive for r in reports] == [False, True, True, False]
-            assert report_bits(reports) == scalar_reports(ev)
+        # dt = T leaves the step size to the error control
+        for dt, tol in ((1e-3, None), (0.5, 1e-13)):
+            for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.5, dt, None, tracked, tol):
+                assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
+                assert ev.death_times[1:3] == [None, None]
+                assert ev.death_times[3] == pytest.approx(2.5e-7, rel=1e-6)
+                assert ev.rejected == (0 if tol is None else 2)
+                reports = motion_integral(ev)
+                assert [r.alive for r in reports] == [False, True, True, False]
+                assert report_bits(reports) == scalar_reports(ev)
 
     def test_a_zero_field_has_the_sign_of_the_scalar_sum(self):
         # the real part at -0.0 + 4i and the imaginary part at 2 are sums of
