@@ -17,32 +17,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import runner, scene as scene_mod
-from .errors import (
-    ConfigError,
-    InversionFailureError,
-    LaunchError,
-    SingularityProximityError,
-    SleZeroError,
-    StepBudgetError,
-    WindingUndefinedError,
-)
+from .errors import PathError, SleZeroError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
-EXIT_RUNTIME = 3
-
-_RUNTIME_ERRORS = (
-    InversionFailureError,
-    LaunchError,
-    SingularityProximityError,
-    StepBudgetError,
-    WindingUndefinedError,
-)
-
-
-class _PathError(Exception):
-    """The config cannot be read, or the artifact directory not written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +83,7 @@ def _load_scene(args) -> scene_mod.SceneConfig:
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):
-            raise _PathError(f"cannot read {path}") from None
+            raise PathError(f"cannot read {path}") from None
         scene = scene_mod.parse_config(text)
     else:
         scene = scene_mod.single_curve_scene()
@@ -122,11 +101,7 @@ def _load_scene(args) -> scene_mod.SceneConfig:
 
 
 def _cmd_run(args) -> int:
-    scene = _load_scene(args)
-    try:
-        result = runner.run(scene, args.out)
-    except OSError:
-        raise _PathError(f"cannot write {args.out}") from None
+    result = runner.run(_load_scene(args), args.out)
     for path in result.written:
         print(path)
     if result.evolution is not None and result.evolution.collision is not None:
@@ -165,18 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_preset(args)
-    except ConfigError as exc:
-        print(f"config error:\n{exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _PathError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except _RUNTIME_ERRORS as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except SleZeroError as exc:
-        print(f"invalid scene: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

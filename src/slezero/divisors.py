@@ -32,7 +32,6 @@ IMAG_RESIDUE_TOL = 1e-10
 
 HALF_PLANE = "half_plane"
 DISK = "disk"
-SPHERE = "sphere"
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class SpherePoint:
             return parse_point(z)
         return cls(complex(z))
 
-    @classmethod
-    def infinity(cls) -> "SpherePoint":
-        return cls(0j, True)
-
     @property
     def finite(self) -> bool:
         return not self.is_infinity
@@ -62,7 +57,7 @@ class SpherePoint:
         return "inf" if self.is_infinity else format_complex(self.value)
 
 
-INFINITY = SpherePoint.infinity()
+INFINITY = SpherePoint(0j, True)
 
 
 def as_charge(x: int | float | str | Fraction) -> Fraction | float:
@@ -94,12 +89,8 @@ MarkedPoint = tuple[SpherePoint, Fraction | float]
 
 @dataclass(frozen=True)
 class SymmetricDivisor:
-    """Growth points (charge +1) plus marked charged points on a domain.
-
-    ``domain`` is ``half_plane`` or ``disk`` for structured divisors; images
-    under general Moebius maps are tagged ``sphere`` and keep only the
-    domain-free invariants (distinctness, neutrality).
-    """
+    """Growth points (charge +1) plus marked charged points on a domain,
+    ``half_plane`` or ``disk``."""
 
     domain: str
     growth: tuple[SpherePoint, ...]
@@ -130,14 +121,12 @@ class SymmetricDivisor:
         finite = [(q.value, float(s)) for q, s in self.marked if q.finite]
         return [q for q, _ in finite], [s for _, s in finite]
 
-    def charge_sum(self) -> float:
-        return len(self.growth) + math.fsum(float(s) for _, s in self.marked)
-
-    def charge_sum_exact(self) -> Fraction | None:
-        """Exact total charge, or None if any charge is a float."""
-        if any(isinstance(s, float) for _, s in self.marked):
-            return None
-        return sum((s for _, s in self.marked), Fraction(len(self.growth)))
+    def charge_sum(self) -> Fraction | float:
+        """Total charge: a Fraction when every charge is exact, else a float."""
+        charges = [s for _, s in self.marked]
+        if any(isinstance(s, float) for s in charges):
+            return len(self.growth) + math.fsum(float(s) for s in charges)
+        return sum(charges, Fraction(len(self.growth)))
 
 
 @dataclass(frozen=True)
@@ -171,26 +160,16 @@ def _points_close(a: SpherePoint, b: SpherePoint, tol: float) -> bool:
     return abs(a.value - b.value) <= tol
 
 
-def _coincidences(points: Sequence[SpherePoint]) -> list[str]:
-    """One "points a and b coincide" line per pair within DISTINCT_TOL."""
-    return [
-        f"points {a} and {b} coincide"
-        for i, a in enumerate(points)
-        for b in points[i + 1 :]
-        if _points_close(a, b, DISTINCT_TOL)
-    ]
-
-
 def validate(divisor: SymmetricDivisor) -> ValidationReport:
     """Check admissibility; the report lists every violated invariant."""
     problems: list[str] = []
-    if divisor.domain not in (HALF_PLANE, DISK, SPHERE):
+    structured = divisor.domain in (HALF_PLANE, DISK)
+    if not structured:
         problems.append(f"unknown domain {divisor.domain!r}")
 
     if not divisor.growth:
         problems.append("no growth points")
 
-    structured = divisor.domain in (HALF_PLANE, DISK)
     if structured:
         for p in divisor.growth:
             if p.is_infinity:
@@ -200,7 +179,13 @@ def validate(divisor: SymmetricDivisor) -> ValidationReport:
             elif divisor.domain == DISK and abs(abs(p.value) - 1.0) > BOUNDARY_TOL:
                 problems.append(f"growth point {p} not on the unit circle")
 
-    problems.extend(_coincidences([p for p, _ in divisor.weighted_points()]))
+    points = [p for p, _ in divisor.weighted_points()]
+    problems.extend(
+        f"points {a} and {b} coincide"
+        for i, a in enumerate(points)
+        for b in points[i + 1 :]
+        if _points_close(a, b, DISTINCT_TOL)
+    )
 
     if structured:
         # Marked multiset must be closed under the domain reflection, with
@@ -224,32 +209,23 @@ def validate(divisor: SymmetricDivisor) -> ValidationReport:
             else:
                 unmatched.remove(partner)
 
-    exact_sum = divisor.charge_sum_exact()
-    if exact_sum is not None:
-        if exact_sum != -2:
-            problems.append(f"total charge {exact_sum} != -2")
-    elif abs(divisor.charge_sum() + 2.0) > NEUTRALITY_TOL:
-        problems.append(f"total charge {divisor.charge_sum()!r} != -2")
+    total = divisor.charge_sum()
+    if total != -2 if isinstance(total, Fraction) else abs(total + 2.0) > NEUTRALITY_TOL:
+        problems.append(f"total charge {total} != -2")
 
     return ValidationReport(tuple(problems))
 
 
-def _marked_values(marked: Iterable) -> list[tuple[SpherePoint, float]]:
-    return [(SpherePoint.of(q), float(s)) for q, s in marked]
+def partition_Z_log_abs(points: Iterable) -> float:
+    """log |Z| for ``(point, charge)`` pairs, such as ``weighted_points()``.
 
-
-def partition_Z_log_abs(x: Iterable, marked: Iterable) -> float:
-    """log |Z| for growth points ``x`` and marked ``(point, charge)`` pairs.
-
-    Z = prod_{i<j} (x_i-x_j)^2 * prod_{i<j} (q_i-q_j)^(2 s_i s_j)
-        * prod_{i,j} (x_i-q_j)^(2 s_j), factors at infinity dropped.
-
-    Growth points are anything ``SpherePoint.of`` takes. With the full
-    divisor this is the log of the Coulomb correlation |prod over finite
-    pairs of (z_i - z_j)^(2 s_i s_j)| in the standard chart.
+    Z = prod_{i<j} (z_i - z_j)^(2 s_i s_j) over the finite points, factors
+    at infinity dropped: the Coulomb correlation in the standard chart, and
+    with growth charges +1 the partition function. Points are anything
+    ``SpherePoint.of`` takes.
     """
-    pts = [(p.value, 1.0) for p in map(SpherePoint.of, x) if p.finite]
-    pts.extend((q.value, s) for q, s in _marked_values(marked) if q.finite)
+    pts = [(SpherePoint.of(p), float(s)) for p, s in points]
+    pts = [(p.value, s) for p, s in pts if p.finite]
     terms = []
     for i in range(len(pts)):
         zi, si = pts[i]
@@ -341,33 +317,20 @@ class MoebiusMap:
         return det / abs(image_denom) ** 2
 
 
-def moebius_pushforward(divisor: SymmetricDivisor, m: MoebiusMap) -> SymmetricDivisor:
-    """Image divisor under ``m``: points mapped, charges kept, tag ``sphere``.
-
-    General maps do not preserve the boundary structure, so only distinctness
-    is re-checked here.
-    """
-    growth = tuple(m.apply(p) for p in divisor.growth)
-    marked = tuple((m.apply(q), s) for q, s in divisor.marked)
-    image = SymmetricDivisor(SPHERE, growth, marked)
-    clashes = _coincidences([p for p, _ in image.weighted_points()])
-    if clashes:
-        raise DegenerateConfigurationError(f"map collapses the divisor: {clashes[0]}")
-    return image
-
-
 def moebius_invariance_gap(divisor: SymmetricDivisor, m: MoebiusMap) -> float:
     """Defect of the covariance identity for the correlation under ``m``.
 
     Returns |log|C[image]| + sum_j lambda_j log|D_j| - log|C[divisor]|| where
-    D_j is the chart-corrected derivative at each divisor point. Zero for
-    every neutral divisor, up to rounding.
+    the image maps every point and keeps its charge, and D_j is the
+    chart-corrected derivative at each divisor point. Zero for every neutral
+    divisor, up to rounding; a map that sends two points together raises
+    ``DegenerateConfigurationError``.
     """
-    image = moebius_pushforward(divisor, m)
-    lhs = partition_Z_log_abs(image.growth, image.marked)
-    for p, s in divisor.weighted_points():
+    points = divisor.weighted_points()
+    lhs = partition_Z_log_abs((m.apply(p), s) for p, s in points)
+    for p, s in points:
         lhs += conformal_dimension(s) * math.log(m.chart_derivative_abs(p))
-    return abs(lhs - partition_Z_log_abs(divisor.growth, divisor.marked))
+    return abs(lhs - partition_Z_log_abs(points))
 
 
 def format_complex(z: complex) -> str:

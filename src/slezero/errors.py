@@ -1,10 +1,30 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine.
+
+Each class carries what the command line reports for it: its exit code and
+the prefix of its one stderr line.
+"""
 
 from __future__ import annotations
 
 
 class SleZeroError(Exception):
     """Base class for all engine errors."""
+
+    exit_code = 1
+    prefix = "invalid scene: "
+
+
+class IntegrationError(SleZeroError):
+    """Base class for the failures of a trace, a flow or a reverse solve."""
+
+    exit_code = 3
+    prefix = "integration failure: "
+
+
+class PathError(SleZeroError):
+    """A config file cannot be read, or an artifact cannot be written."""
+
+    prefix = ""
 
 
 class DegenerateConfigurationError(SleZeroError):
@@ -15,7 +35,7 @@ class UnsupportedChargeError(SleZeroError):
     """A charge outside the supported set for the requested operation."""
 
 
-class SingularityProximityError(SleZeroError):
+class SingularityProximityError(IntegrationError):
     """Field evaluation requested too close to a singular point."""
 
 
@@ -23,24 +43,26 @@ class InvalidReferenceError(SleZeroError):
     """A reference arc or reference point does not exist or is singular."""
 
 
-class LaunchError(SleZeroError):
+class LaunchError(IntegrationError):
     """Trajectory launch direction invalid or no admissible separatrix."""
 
 
-class WindingUndefinedError(SleZeroError):
+class WindingUndefinedError(IntegrationError):
     """Winding angle requested for a polyline passing through the base point."""
 
 
-class InversionFailureError(SleZeroError):
+class InversionFailureError(IntegrationError):
     """Reverse-time solve for an inverse Loewner map did not converge."""
 
 
-class StepBudgetError(SleZeroError):
+class StepBudgetError(IntegrationError):
     """An integration would take more steps than its budget."""
 
 
 class ConfigError(SleZeroError):
     """Scene configuration rejected; carries line-numbered diagnostics."""
+
+    prefix = "config error:\n"
 
     def __init__(self, diagnostics: list[tuple[int, str]]):
         lines = "; ".join(f"line {n}: {msg}" for n, msg in diagnostics)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import conformal, divisors, loewner, outputs, quadratic, tracing
 from .divisors import HALF_PLANE, MoebiusMap, SymmetricDivisor, format_complex
-from .errors import DegenerateConfigurationError
+from .errors import DegenerateConfigurationError, PathError
 from .loewner import Evolution, HullSample, MotionIntegralReport
 from .quadratic import QuadDifferential
 from .scene import SceneConfig
@@ -118,13 +118,24 @@ def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
         if "motion_report" in scene.outputs:
             result.motion = loewner.motion_integral(result.evolution)
 
-    # everything is computed before the directory is made: a run that fails
-    # leaves no artifacts
-    out.mkdir(parents=True, exist_ok=True)
+    # everything is computed before the directory is made, and a write that
+    # fails removes the files written before it: a run that fails leaves no
+    # artifacts
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        raise PathError(f"cannot write {out_dir}") from None
 
     def write(name: str, text: str) -> None:
         path = out / name
-        path.write_text(text)
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            if exc.filename is None:  # opened, then cut short
+                result.written.append(path)
+            for done in result.written:
+                done.unlink()
+            raise PathError(f"cannot write {path}") from None
         result.written.append(path)
 
     if "field_svg" in scene.outputs:
@@ -191,16 +202,14 @@ def _moebius_check(divisor: SymmetricDivisor, seed: int) -> Check:
 def _dlog_fd_check(divisor: SymmetricDivisor) -> Check:
     x = [p.value.real for p in divisor.growth]
     exact = divisors.dlog_Z(x, *divisor.finite_marked())
+    points = divisor.weighted_points()
+
+    def log_z(j: int, h: float) -> float:
+        return divisors.partition_Z_log_abs(points[:j] + [(x[j] + h, 1.0)] + points[j + 1 :])
+
     worst = 0.0
     for j in range(len(x)):
-        hi = list(x)
-        lo = list(x)
-        hi[j] += FD_STEP
-        lo[j] -= FD_STEP
-        fd = (
-            divisors.partition_Z_log_abs(hi, divisor.marked)
-            - divisors.partition_Z_log_abs(lo, divisor.marked)
-        ) / (2.0 * FD_STEP)
+        fd = (log_z(j, FD_STEP) - log_z(j, -FD_STEP)) / (2.0 * FD_STEP)
         worst = max(worst, abs(fd - exact[j]) / max(1.0, abs(exact[j])))
     return Check("invariance/dlog_fd", worst, FD_LIMIT)
 

@@ -9,7 +9,6 @@ import math
 import pathlib
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,6 @@ from slezero.divisors import (
     SymmetricDivisor,
     dlog_Z,
     moebius_invariance_gap,
-    moebius_pushforward,
     partition_Z_log_abs,
 )
 from slezero.conformal import transport
@@ -207,13 +205,10 @@ def test_criterion_8_derivative_oracle():
         div = half_plane_divisor(rng)
         x = [p.value.real for p in div.growth]
         j = rng.randrange(len(x))
-        up, dn = list(x), list(x)
-        up[j] += h
-        dn[j] -= h
-        fd = (
-            partition_Z_log_abs(up, div.marked)
-            - partition_Z_log_abs(dn, div.marked)
-        ) / (2.0 * h)
+        up, dn = div.weighted_points(), div.weighted_points()
+        up[j] = (x[j] + h, 1.0)
+        dn[j] = (x[j] - h, 1.0)
+        fd = (partition_Z_log_abs(up) - partition_Z_log_abs(dn)) / (2.0 * h)
         got = dlog_Z(x, *div.finite_marked())[j]
         worst = max(worst, abs(got - fd) / max(1.0, abs(got)))
     assert worst <= 1e-6
@@ -258,12 +253,12 @@ def test_criterion_9_property_suites():
             z += step
             held += 1
 
-    # neutrality preserved by Moebius pushforward
+    # neutrality under Moebius maps: the correlation is covariant only for a
+    # neutral divisor
     rng2 = random.Random(77)
     for _ in range(10):
         div = half_plane_divisor(rng2)
-        image = moebius_pushforward(div, random_moebius(rng2))
-        assert image.charge_sum_exact() == Fraction(-2)
+        assert moebius_invariance_gap(div, random_moebius(rng2)) < 1e-9
 
     # presets survive a serialize/parse round trip unchanged
     for name in PRESET_NAMES:

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior and exit-code contract."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from slezero import conformal, loewner, runner
 from slezero.cli import main
-from slezero.errors import DegenerateConfigurationError, InversionFailureError
+from slezero.errors import ConfigError, DegenerateConfigurationError, InversionFailureError, SleZeroError
 from slezero.scene import parse_config, preset
 
 SINGLE = """\
@@ -176,6 +178,28 @@ class TestRun:
         assert (code, stderr) == (1, f"cannot write {tmp_path / out}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "scene.yaml"]
         assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("failure", ["directory", "disk full"])
+    def test_a_failed_write_removes_the_artifacts_before_it(self, tmp_path, capsys, monkeypatch, failure):
+        cfg = tmp_path / "fig1.yaml"
+        cfg.write_text("preset: fig1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        if failure == "directory":
+            (out / "hull.csv").mkdir()
+        else:
+            write_text = Path.write_text
+
+            def full_disk(path, text):
+                if path.name == "hull.csv":
+                    write_text(path, text[:10])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write_text(path, text)
+
+            monkeypatch.setattr(Path, "write_text", full_disk)
+        code, stdout, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--T", "0.01")
+        assert (code, stdout, stderr) == (1, "", f"cannot write {out / 'hull.csv'}\n")
+        assert [p.name for p in out.iterdir()] == (["hull.csv"] if failure == "directory" else [])
 
     def test_bad_rate_schedule_exits_1_without_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "scene.yaml"
@@ -409,6 +433,31 @@ class TestExitCodes:
         assert f"invalid scene: {message}" in stderr
         assert "Traceback" not in stderr
         assert not out.exists()
+
+    def test_every_error_class_exits_with_its_readme_code(self, tmp_path, capsys, monkeypatch):
+        # each row of the README's exit-code table names the classes it covers
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = {
+            name: int(code)
+            for code, meaning in re.findall(r"^\| (\d) \| (.*) \|$", readme, re.M)
+            for name in re.findall(r"`(\w+Error)`", meaning)
+        }
+        classes, todo = [], [SleZeroError]
+        while todo:
+            classes.append(todo.pop())
+            todo.extend(classes[-1].__subclasses__())
+        assert set(documented) <= {cls.__name__ for cls in classes}
+        cfg = tmp_path / "scene.yaml"
+        cfg.write_text(SINGLE)
+        for cls in classes:
+            code = next(documented[k.__name__] for k in cls.__mro__ if k.__name__ in documented)
+            exc = cls([(2, "boom")]) if cls is ConfigError else cls("boom")
+
+            def boom(scene, out_dir, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(runner, "run", boom)
+            assert cli(capsys, "run", "--config", str(cfg)) == (code, "", f"{cls.prefix}{exc}\n"), cls
 
     def test_other_domain_errors_exit_1(self, tmp_path, capsys, monkeypatch):
         def boom(scene, out_dir):

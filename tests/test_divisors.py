@@ -17,7 +17,6 @@ from slezero.divisors import (
     HALF_PLANE,
     INFINITY,
     MoebiusMap,
-    SPHERE,
     SpherePoint,
     SymmetricDivisor,
     as_charge,
@@ -25,7 +24,6 @@ from slezero.divisors import (
     dlog_Z,
     format_complex,
     moebius_invariance_gap,
-    moebius_pushforward,
     parse_complex,
     parse_point,
     partition_Z_log_abs,
@@ -34,10 +32,10 @@ from slezero.divisors import (
 from slezero.errors import DegenerateConfigurationError
 
 
-def product_oracle(x, marked):
+def product_oracle(points):
     """|Z| by direct multiplication of the pair factors (no log-space)."""
-    pts = [(complex(v), 1.0) for v in x]
-    for q, s in marked:
+    pts = []
+    for q, s in points:
         p = SpherePoint.of(q)
         if p.finite:
             pts.append((p.value, float(as_charge(s))))
@@ -53,37 +51,33 @@ def product_oracle(x, marked):
 class TestPartitionFunction:
     def test_two_curve_conjugate_pair_value(self):
         # |x1-x2|^2 = 4, |q-conj(q)|^2 = 4, four cross factors |sqrt2|^-2 each
-        x = (0.0, 2.0)
-        marked = ((1 + 1j, -1), (1 - 1j, -1))
-        assert math.exp(partition_Z_log_abs(x, marked)) == pytest.approx(1.0, rel=1e-12)
-        assert partition_Z_log_abs(x, marked) == pytest.approx(0.0, abs=1e-12)
+        points = ((0.0, 1), (2.0, 1), (1 + 1j, -1), (1 - 1j, -1))
+        assert math.exp(partition_Z_log_abs(points)) == pytest.approx(1.0, rel=1e-12)
+        assert partition_Z_log_abs(points) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_curve_conjugate_pair_value(self):
-        x = (0.0,)
-        marked = ((1j, -1), (-1j, -1), ("inf", -1))
-        assert math.exp(partition_Z_log_abs(x, marked)) == pytest.approx(4.0, rel=1e-12)
+        points = ((0.0, 1), (1j, -1), (-1j, -1), ("inf", -1))
+        assert math.exp(partition_Z_log_abs(points)) == pytest.approx(4.0, rel=1e-12)
 
     def test_factors_at_infinity_are_dropped(self):
-        x = (0.0, 2.0)
-        base = ((1 + 1j, -1), (1 - 1j, -1))
-        assert partition_Z_log_abs(x, base + (("inf", -2),)) == pytest.approx(
-            partition_Z_log_abs(x, base), abs=0
+        base = ((0.0, 1), (2.0, 1), (1 + 1j, -1), (1 - 1j, -1))
+        assert partition_Z_log_abs(base + (("inf", -2),)) == pytest.approx(
+            partition_Z_log_abs(base), abs=0
         )
         # growth points too, as a Moebius image can carry one to infinity
-        assert partition_Z_log_abs(x + ("inf",), base) == partition_Z_log_abs(x, base)
+        assert partition_Z_log_abs((("inf", 1),) + base) == partition_Z_log_abs(base)
 
     def test_matches_product_oracle(self):
         rng = random.Random(101)
         for _ in range(25):
-            div = half_plane_divisor(rng)
-            x = [p.value for p in div.growth]
-            got = partition_Z_log_abs(x, div.marked)
-            want = product_oracle(x, div.marked)
+            points = half_plane_divisor(rng).weighted_points()
+            got = partition_Z_log_abs(points)
+            want = product_oracle(points)
             assert math.exp(got) == pytest.approx(want, rel=1e-9)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
-            partition_Z_log_abs((0.0, 0.0), ())
+            partition_Z_log_abs(((0.0, 1), (0.0, 1)))
 
 
 class TestDlogZ:
@@ -101,14 +95,12 @@ class TestDlogZ:
             div = half_plane_divisor(rng)
             x = [p.value.real for p in div.growth]
             j = rng.randrange(len(x))
-            up = list(x)
-            dn = list(x)
-            up[j] += h
-            dn[j] -= h
-            fd = (
-                partition_Z_log_abs(up, div.marked)
-                - partition_Z_log_abs(dn, div.marked)
-            ) / (2.0 * h)
+            points = div.weighted_points()
+            up = list(points)
+            dn = list(points)
+            up[j] = (x[j] + h, 1.0)
+            dn[j] = (x[j] - h, 1.0)
+            fd = (partition_Z_log_abs(up) - partition_Z_log_abs(dn)) / (2.0 * h)
             got = dlog_Z(x, *div.finite_marked())[j]
             assert got == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
@@ -213,25 +205,30 @@ class TestMoebius:
 
     def test_pushforward_swaps_zero_and_infinity(self):
         div = SymmetricDivisor.half_plane([1.0, 2.0], [(0.0, -2), ("inf", -2)])
-        image = moebius_pushforward(div, MoebiusMap(0, 1, 1, 0))  # z -> 1/z
-        assert image.domain == SPHERE
-        assert [p.value for p in image.growth] == [1.0, 0.5]
-        assert image.marked[0][0].is_infinity
-        assert image.marked[1][0].value == 0
-        assert [float(s) for _, s in image.marked] == [-2.0, -2.0]
+        invert = MoebiusMap(0, 1, 1, 0)  # z -> 1/z
+        image = [(invert.apply(p), s) for p, s in div.weighted_points()]
+        assert [p.value for p, _ in image[:2]] == [1.0, 0.5]
+        assert image[2][0].is_infinity
+        assert image[3][0].value == 0
+        assert [s for _, s in image] == [1.0, 1.0, -2.0, -2.0]
 
-    def test_pushforward_preserves_neutrality(self):
+    def test_gap_vanishes_only_for_neutral_divisors(self):
         rng = random.Random(606)
         for _ in range(20):
             div = half_plane_divisor(rng)
-            image = moebius_pushforward(div, random_moebius(rng))
-            assert image.charge_sum_exact() == Fraction(-2)
+            m = random_moebius(rng)
+            assert moebius_invariance_gap(div, m) < 1e-9
+            # the image's dimensions no longer balance once the total
+            # charge is off -2
+            (q, s), *rest = div.marked
+            shifted = SymmetricDivisor(div.domain, div.growth, ((q, s + Fraction(1, 2)), *rest))
+            assert moebius_invariance_gap(shifted, m) > 1e-3
 
     def test_collapsing_map_rejected(self):
         # z -> 1e-14 z: -1 and 1 land within DISTINCT_TOL of each other
         div = SymmetricDivisor.half_plane([-1.0, 1.0], [("inf", -4)])
-        with pytest.raises(DegenerateConfigurationError, match="collapses the divisor: points .* coincide"):
-            moebius_pushforward(div, MoebiusMap(1e-7, 0, 0, 1e7))
+        with pytest.raises(DegenerateConfigurationError, match="coincident points"):
+            moebius_invariance_gap(div, MoebiusMap(1e-7, 0, 0, 1e7))
 
     def test_singular_map_rejected(self):
         with pytest.raises(DegenerateConfigurationError):
