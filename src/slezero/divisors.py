@@ -2,9 +2,11 @@
 
 A divisor here is a finite set of weighted points: growth points carrying
 charge +1 (where curves start) and marked points carrying real charges,
-typically half-integers. Admissible divisors are closed under the reflection
-symmetry of their domain (complex conjugation for the half-plane, circle
-inversion for the disk) and satisfy the neutrality condition
+typically half-integers. Every ``SymmetricDivisor`` is admissible: its
+growth points lie on the boundary of its domain, its points are distinct,
+its marked points are closed under the reflection symmetry of the domain
+(complex conjugation for the half-plane, circle inversion for the disk), and
+it satisfies the neutrality condition
 
     (number of growth points) + sum of marked charges = -2,
 
@@ -87,14 +89,90 @@ def conformal_dimension(sigma: Fraction | float) -> float:
 MarkedPoint = tuple[SpherePoint, Fraction | float]
 
 
+def _reflect(domain: str, p: SpherePoint) -> SpherePoint:
+    """Boundary reflection pairing a point with its symmetry partner."""
+    if domain == HALF_PLANE:
+        if p.is_infinity:
+            return p
+        return SpherePoint(p.value.conjugate())
+    if p.is_infinity:
+        return SpherePoint(0j)
+    if p.value == 0:
+        return INFINITY
+    return SpherePoint(1.0 / p.value.conjugate())
+
+
+def _points_close(a: SpherePoint, b: SpherePoint, tol: float) -> bool:
+    if a.is_infinity or b.is_infinity:
+        return a.is_infinity and b.is_infinity
+    return abs(a.value - b.value) <= tol
+
+
 @dataclass(frozen=True)
 class SymmetricDivisor:
     """Growth points (charge +1) plus marked charged points on a domain,
-    ``half_plane`` or ``disk``."""
+    ``half_plane`` or ``disk``.
+
+    Every divisor is admissible: one that breaks a rule of the module
+    docstring raises ``DegenerateConfigurationError`` when it is made, with
+    every violated rule in its ``problems``.
+    """
 
     domain: str
     growth: tuple[SpherePoint, ...]
     marked: tuple[MarkedPoint, ...]
+
+    def __post_init__(self) -> None:
+        problems: list[str] = []
+        structured = self.domain in (HALF_PLANE, DISK)
+        if not structured:
+            problems.append(f"unknown domain {self.domain!r}")
+
+        if not self.growth:
+            problems.append("no growth points")
+
+        if structured:
+            for p in self.growth:
+                if p.is_infinity:
+                    problems.append("growth point at infinity")
+                elif self.domain == HALF_PLANE and abs(p.value.imag) > BOUNDARY_TOL:
+                    problems.append(f"growth point {p} not on the real axis")
+                elif self.domain == DISK and abs(abs(p.value) - 1.0) > BOUNDARY_TOL:
+                    problems.append(f"growth point {p} not on the unit circle")
+
+        points = [p for p, _ in self.weighted_points()]
+        problems.extend(
+            f"points {a} and {b} coincide"
+            for i, a in enumerate(points)
+            for b in points[i + 1 :]
+            if _points_close(a, b, DISTINCT_TOL)
+        )
+
+        if structured:
+            # Marked multiset must be closed under the domain reflection, with
+            # matching charges; growth points must be fixed by it (they sit on
+            # the boundary, checked above).
+            unmatched = list(self.marked)
+            while unmatched:
+                q, s = unmatched.pop(0)
+                mirror = _reflect(self.domain, q)
+                if _points_close(q, mirror, SYMMETRY_TOL):
+                    continue
+                for m in unmatched:
+                    if _points_close(m[0], mirror, SYMMETRY_TOL) and abs(float(m[1]) - float(s)) <= SYMMETRY_TOL:
+                        unmatched.remove(m)
+                        break
+                else:
+                    problems.append(f"marked point {q} (charge {s}) has no symmetry partner")
+
+        total = self.charge_sum()
+        if total != -2 if isinstance(total, Fraction) else abs(total + 2.0) > NEUTRALITY_TOL:
+            problems.append(f"total charge {total} != -2")
+
+        if problems:
+            error = DegenerateConfigurationError(f"invalid divisor: {'; '.join(problems)}")
+            error.problems = tuple(problems)
+            raise error
 
     @classmethod
     def build(cls, domain: str, growth: Iterable, marked: Iterable) -> "SymmetricDivisor":
@@ -127,93 +205,6 @@ class SymmetricDivisor:
         if any(isinstance(s, float) for s in charges):
             return len(self.growth) + math.fsum(float(s) for s in charges)
         return sum(charges, Fraction(len(self.growth)))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "\n".join(self.problems)
-
-
-def _reflect(domain: str, p: SpherePoint) -> SpherePoint:
-    """Boundary reflection pairing a point with its symmetry partner."""
-    if domain == HALF_PLANE:
-        if p.is_infinity:
-            return p
-        return SpherePoint(p.value.conjugate())
-    if p.is_infinity:
-        return SpherePoint(0j)
-    if p.value == 0:
-        return INFINITY
-    return SpherePoint(1.0 / p.value.conjugate())
-
-
-def _points_close(a: SpherePoint, b: SpherePoint, tol: float) -> bool:
-    if a.is_infinity or b.is_infinity:
-        return a.is_infinity and b.is_infinity
-    return abs(a.value - b.value) <= tol
-
-
-def validate(divisor: SymmetricDivisor) -> ValidationReport:
-    """Check admissibility; the report lists every violated invariant."""
-    problems: list[str] = []
-    structured = divisor.domain in (HALF_PLANE, DISK)
-    if not structured:
-        problems.append(f"unknown domain {divisor.domain!r}")
-
-    if not divisor.growth:
-        problems.append("no growth points")
-
-    if structured:
-        for p in divisor.growth:
-            if p.is_infinity:
-                problems.append("growth point at infinity")
-            elif divisor.domain == HALF_PLANE and abs(p.value.imag) > BOUNDARY_TOL:
-                problems.append(f"growth point {p} not on the real axis")
-            elif divisor.domain == DISK and abs(abs(p.value) - 1.0) > BOUNDARY_TOL:
-                problems.append(f"growth point {p} not on the unit circle")
-
-    points = [p for p, _ in divisor.weighted_points()]
-    problems.extend(
-        f"points {a} and {b} coincide"
-        for i, a in enumerate(points)
-        for b in points[i + 1 :]
-        if _points_close(a, b, DISTINCT_TOL)
-    )
-
-    if structured:
-        # Marked multiset must be closed under the domain reflection, with
-        # matching charges; growth points must be fixed by it (they sit on
-        # the boundary, checked above).
-        unmatched = list(range(len(divisor.marked)))
-        while unmatched:
-            i = unmatched.pop(0)
-            q, s = divisor.marked[i]
-            mirror = _reflect(divisor.domain, q)
-            if _points_close(q, mirror, SYMMETRY_TOL):
-                continue
-            partner = None
-            for j in unmatched:
-                qj, sj = divisor.marked[j]
-                if _points_close(qj, mirror, SYMMETRY_TOL) and abs(float(sj) - float(s)) <= SYMMETRY_TOL:
-                    partner = j
-                    break
-            if partner is None:
-                problems.append(f"marked point {q} (charge {s}) has no symmetry partner")
-            else:
-                unmatched.remove(partner)
-
-    total = divisor.charge_sum()
-    if total != -2 if isinstance(total, Fraction) else abs(total + 2.0) > NEUTRALITY_TOL:
-        problems.append(f"total charge {total} != -2")
-
-    return ValidationReport(tuple(problems))
 
 
 def partition_Z_log_abs(points: Iterable) -> float:
@@ -302,34 +293,37 @@ class MoebiusMap:
             return INFINITY
         return SpherePoint((self.a * p.value + self.b) / denom)
 
-    def chart_derivative_abs(self, p: Union[SpherePoint, complex]) -> float:
-        """|derivative| in the standard charts (1/z at infinity, both ends)."""
+    def chart_log_derivative_abs(self, p: Union[SpherePoint, complex]) -> float:
+        """log |derivative| in the standard charts (1/z at infinity, both
+        ends), as a difference of logs: the derivative itself overflows for
+        a point near 1e300."""
         p = SpherePoint.of(p)
-        det = abs(self.determinant)
+        log_det = math.log(abs(self.determinant))
         if p.is_infinity:
             if self.c == 0:
-                return abs(self.d / self.a)
-            return det / abs(self.c) ** 2
+                return math.log(abs(self.d)) - math.log(abs(self.a))
+            return log_det - 2.0 * math.log(abs(self.c))
         image_denom = self.c * p.value + self.d
         if image_denom == 0:
             # image at infinity: derivative of 1/phi at the pole
-            return abs(self.c) ** 2 / det
-        return det / abs(image_denom) ** 2
+            return 2.0 * math.log(abs(self.c)) - log_det
+        return log_det - 2.0 * math.log(abs(image_denom))
 
 
-def moebius_invariance_gap(divisor: SymmetricDivisor, m: MoebiusMap) -> float:
+def moebius_invariance_gap(points: Iterable, m: MoebiusMap) -> float:
     """Defect of the covariance identity for the correlation under ``m``.
 
-    Returns |log|C[image]| + sum_j lambda_j log|D_j| - log|C[divisor]|| where
-    the image maps every point and keeps its charge, and D_j is the
-    chart-corrected derivative at each divisor point. Zero for every neutral
-    divisor, up to rounding; a map that sends two points together raises
+    For ``(point, charge)`` pairs, such as ``weighted_points()``, returns
+    |log|C[image]| + sum_j lambda_j log|D_j| - log|C[points]|| where the
+    image maps every point and keeps its charge, and D_j is the
+    chart-corrected derivative at each point. Zero, up to rounding, when the
+    charges sum to -2; a map that sends two points together raises
     ``DegenerateConfigurationError``.
     """
-    points = divisor.weighted_points()
+    points = list(points)
     lhs = partition_Z_log_abs((m.apply(p), s) for p, s in points)
     for p, s in points:
-        lhs += conformal_dimension(s) * math.log(m.chart_derivative_abs(p))
+        lhs += conformal_dimension(s) * m.chart_log_derivative_abs(p)
     return abs(lhs - partition_Z_log_abs(points))
 
 

@@ -28,7 +28,11 @@ class PathError(SleZeroError):
 
 
 class DegenerateConfigurationError(SleZeroError):
-    """Divisor points coincide, or a map collapses them."""
+    """Divisor points coincide, a map collapses them, or a divisor is not
+    admissible: ``SymmetricDivisor`` raises it when it is made, with every
+    rule the divisor breaks in ``problems``."""
+
+    problems: tuple[str, ...] = ()
 
 
 class UnsupportedChargeError(SleZeroError):
@@ -56,7 +60,8 @@ class InversionFailureError(IntegrationError):
 
 
 class StepBudgetError(IntegrationError):
-    """An integration would take more steps than its budget."""
+    """An integration would take more steps than its budget, or its steps
+    no longer move it."""
 
 
 class ConfigError(SleZeroError):

@@ -207,6 +207,13 @@ def _pair_note(x: Sequence[float], q: Sequence[complex], pair: tuple[int, int] |
     return f"driving point {j} and marked point {format_complex(q[k - len(x)])}"
 
 
+def starts_on(z: complex, point: complex) -> bool:
+    """Whether an observer at ``z`` starts on ``point``, a driving or finite
+    marked point, where ``evolve`` refuses it."""
+    # hypot, as abs raises on a complex beyond the float range
+    return math.hypot((z - point).real, (z - point).imag) < COLLISION_TOL
+
+
 def _near(
     x: Sequence[float], g: Sequence[complex], live: Sequence[int]
 ) -> list[tuple[float, int]]:
@@ -358,9 +365,6 @@ def evolve(
     of more than ``HISTORY_BUDGET`` values; a state, estimate or observer
     history that is not finite raises ``InversionFailureError``.
     """
-    report = divisors.validate(divisor)
-    if not report.ok:
-        raise DegenerateConfigurationError(f"invalid divisor: {report}")
     if divisor.domain != HALF_PLANE:
         raise DegenerateConfigurationError(
             "evolution runs on the half-plane; transport the divisor first"
@@ -377,8 +381,7 @@ def evolve(
     singular = [(xj, "a driving point") for xj in x] + [(ql, f"marked point {format_complex(ql)}") for ql in q]
     for z in tracked:
         for point, name in singular:
-            # hypot, as abs raises on a complex beyond the float range
-            if math.hypot((z - point).real, (z - point).imag) < COLLISION_TOL:
+            if starts_on(z, point):
                 raise DegenerateConfigurationError(f"tracked point {format_complex(z)} starts on {name}")
     if T / dt > STEP_BUDGET:
         raise StepBudgetError(
@@ -699,7 +702,7 @@ def trace_hull(
 @dataclass(frozen=True)
 class MotionIntegralReport:
     z: complex
-    n_samples: int
+    samples: int
     t_first: float
     t_last: float
     log_abs_initial: float
@@ -770,7 +773,7 @@ def motion_integral(evolution: Evolution) -> list[MotionIntegralReport]:
     return [
         MotionIntegralReport(
             z=z,
-            n_samples=count,
+            samples=count,
             t_first=states[0].t,
             t_last=states[count - 1].t,
             log_abs_initial=float(log_abs[i]),

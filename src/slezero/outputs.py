@@ -8,6 +8,7 @@ form); SVG coordinates are fixed to two decimals of a pixel.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Mapping, Sequence
 
 from .divisors import DISK, HALF_PLANE, format_complex
@@ -44,8 +45,16 @@ def hull_csv(samples: Sequence[HullSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record(value):
+    """JSON form of what ``json`` cannot write itself: a complex number as
+    ``format_complex`` spells it, a dataclass as its fields."""
+    if isinstance(value, complex):
+        return format_complex(value)
+    return asdict(value)
+
+
 def report_text(payload: Mapping) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_record) + "\n"
 
 
 def analysis_payload(
@@ -55,37 +64,18 @@ def analysis_payload(
         "trajectories": [
             {
                 "id": i,
-                "start": format_complex(t.start),
-                "initial_dir": format_complex(t.initial_dir),
+                "start": t.start,
+                "initial_dir": t.initial_dir,
                 "samples": len(t.points),
                 "arc_length": t.arc_length,
                 "terminal": t.terminal.kind,
-                "terminal_point": (
-                    format_complex(t.terminal.point)
-                    if t.terminal.point is not None
-                    else None
-                ),
+                "terminal_point": t.terminal.point,
                 "windings": {format_complex(q): w for q, w in windings},
             }
             for i, (t, windings) in enumerate(zip(trajectories, report.windings))
         ],
-        "converging_pairs": [
-            {
-                "first": p.first,
-                "second": p.second,
-                "singularity": format_complex(p.singularity),
-                "angle_gap": p.angle_gap,
-            }
-            for p in report.pairs
-        ],
-        "spirals": [
-            {
-                "trajectory": s.trajectory,
-                "center": format_complex(s.center),
-                "winding": s.winding,
-            }
-            for s in report.spirals
-        ],
+        "converging_pairs": list(report.pairs),
+        "spirals": list(report.spirals),
     }
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import divisors
-from .divisors import DISK, HALF_PLANE, SymmetricDivisor
+from .divisors import DISK, SymmetricDivisor
 from .errors import (
     DegenerateConfigurationError,
     InvalidReferenceError,
@@ -177,16 +177,13 @@ def _reference_arc(domain: str, factors: Sequence[Factor]) -> tuple[complex, com
             gap = TWO_PI
         mid = cmath.exp(1j * (a + gap / 2.0))
         return mid, 1j * mid
-    if domain == HALF_PLANE:
-        xs = sorted(
-            p.real for p, _ in factors if abs(p.imag) <= divisors.BOUNDARY_TOL
-        )
-        if not xs:
-            raise InvalidReferenceError("no singular points on the real axis")
-        if len(xs) > 1:
-            return complex((xs[0] + xs[1]) / 2.0), 1.0 + 0j
-        return complex(xs[0] + 1.0), 1.0 + 0j
-    raise InvalidReferenceError(f"domain {domain!r} has no boundary arcs")
+    # the half-plane: a divisor has no other domain
+    xs = sorted(p.real for p, _ in factors if abs(p.imag) <= divisors.BOUNDARY_TOL)
+    if not xs:
+        raise InvalidReferenceError("no singular points on the real axis")
+    if len(xs) > 1:
+        return complex((xs[0] + xs[1]) / 2.0), 1.0 + 0j
+    return complex(xs[0] + 1.0), 1.0 + 0j
 
 
 def normalize_phase(qd: QuadDifferential) -> complex:
@@ -212,16 +209,11 @@ def normalize_phase(qd: QuadDifferential) -> complex:
 
 
 def build_Q(divisor: SymmetricDivisor) -> QuadDifferential:
-    """Assemble the differential of a valid divisor and fix its phase.
+    """Assemble the differential of a divisor and fix its phase.
 
     Every charge must be a half-integer so the local exponents 2*sigma are
     integers.
     """
-    report = divisors.validate(divisor)
-    if not report.ok:
-        raise DegenerateConfigurationError(f"invalid divisor: {report}")
-    if divisor.domain not in (HALF_PLANE, DISK):
-        raise InvalidReferenceError("differential requires a half-plane or disk divisor")
     factors: list[Factor] = [(p.value, 2) for p in divisor.growth]
     for q, s in divisor.marked:
         if isinstance(s, float):

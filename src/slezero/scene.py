@@ -41,14 +41,14 @@ import yaml
 from .divisors import (
     DISK,
     HALF_PLANE,
+    MarkedPoint,
     SpherePoint,
     SymmetricDivisor,
     as_charge,
     format_complex,
     parse_point,
 )
-from . import divisors
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateConfigurationError
 from .loewner import DEFAULT_LIFT, Parametrization
 from .tracing import DOMAIN_MARGIN, TraceParams
 
@@ -214,8 +214,6 @@ def parse_config(text: str) -> SceneConfig:
             except KeyError:
                 diags.add(node, f"unknown preset {node.value!r}")
     diags.raise_if_any()
-    # every top-level value the config leaves out comes from here
-    defaults = base or SceneConfig(SymmetricDivisor(HALF_PLANE, (), ()))
 
     domain = None
     if "domain" in by_key:
@@ -241,7 +239,7 @@ def parse_config(text: str) -> SceneConfig:
     elif base is None:
         diags.add(root, "growth list is required (or use a preset)")
 
-    marked: list[divisors.MarkedPoint] = []
+    marked: list[MarkedPoint] = []
     marked_nodes = []
     if "marked" in by_key:
         for item in _sequence_items(by_key["marked"], diags, "marked"):
@@ -269,12 +267,14 @@ def parse_config(text: str) -> SceneConfig:
     values = {}
     if "rates" in by_key:
         values["rates"] = _parse_rates(by_key["rates"], diags)
+    # a section's keys override the preset's values, or the defaults
+    trace, loewner = (base.trace, base.loewner) if base else (TraceParams(), LoewnerParams())
     if "trace" in by_key:
-        values["trace"] = _parse_section(by_key["trace"], defaults.trace, diags, "trace")
+        values["trace"] = _parse_section(by_key["trace"], trace, diags, "trace")
         if values["trace"].capture_radius <= DOMAIN_MARGIN:
             diags.add(by_key["trace"], f"capture_radius must exceed domain_margin = {DOMAIN_MARGIN:g}")
     if "loewner" in by_key:
-        values["loewner"] = _parse_section(by_key["loewner"], defaults.loewner, diags, "loewner")
+        values["loewner"] = _parse_section(by_key["loewner"], loewner, diags, "loewner")
     if "outputs" in by_key:
         got = []
         for item in _sequence_items(by_key["outputs"], diags, "outputs"):
@@ -291,20 +291,21 @@ def parse_config(text: str) -> SceneConfig:
             diags.add(node, "name must be a string")
     diags.raise_if_any()
 
-    src = defaults.divisor
-    divisor = SymmetricDivisor(
-        domain=domain or src.domain,
-        growth=tuple(growth) or src.growth,
-        marked=tuple(marked) if "marked" in by_key else src.marked,
-    )
-    report = divisors.validate(divisor)
-    if not report.ok:
+    # a preset supplies what the config leaves out; without one, domain and
+    # growth are there (or diagnosed above)
+    try:
+        divisor = SymmetricDivisor(
+            domain=domain or base.divisor.domain,
+            growth=tuple(growth) or base.divisor.growth,
+            marked=tuple(marked) if "marked" in by_key or base is None else base.divisor.marked,
+        )
+    except DegenerateConfigurationError as exc:
         anchor = by_key.get("growth") or by_key.get("marked") or root
-        for problem in report.problems:
+        for problem in exc.problems:
             diags.add(anchor, f"invalid divisor: {problem}")
     diags.raise_if_any()
 
-    scene = replace(defaults, divisor=divisor, **values)
+    scene = replace(base, divisor=divisor, **values) if base else SceneConfig(divisor, **values)
 
     if _QD_OUTPUTS.intersection(scene.outputs):
         for (pt, ch), node in zip(marked, marked_nodes):

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .divisors import DISK, HALF_PLANE
-from .errors import LaunchError, SingularityProximityError, WindingUndefinedError
+from .divisors import HALF_PLANE, format_complex
+from .errors import LaunchError, SingularityProximityError, StepBudgetError, WindingUndefinedError
 from .quadratic import TWO_PI, QuadDifferential
 
 SEPARATRIX_TOL = 1e-3
@@ -72,9 +72,7 @@ def _winding_increments(points: Sequence[complex], base: complex) -> list[float]
 def _inside(domain: str, z: complex) -> bool:
     if domain == HALF_PLANE:
         return z.imag >= -DOMAIN_MARGIN
-    if domain == DISK:
-        return abs(z) <= 1.0 + DOMAIN_MARGIN
-    return True
+    return abs(z) <= 1.0 + DOMAIN_MARGIN
 
 
 def trace(
@@ -102,7 +100,8 @@ def trace(
     it and the doubled step stays within a quarter of |z| - rho, a lower
     bound on the distance to every factor point.
     There the arc length is the integration parameter, and a trajectory
-    that exhausts its budget ends at exactly ``max_arc_length``.
+    that exhausts its budget ends at exactly ``max_arc_length``. A step
+    within it that rounding keeps from moving z raises ``StepBudgetError``.
     """
     if initial_dir == 0:
         raise LaunchError("initial direction must be nonzero")
@@ -200,7 +199,13 @@ def trace(
                 k5r, k5i = -k5r, -k5i
             k1 = (k5r, k5i)
         else:
-            arc += abs(z_new - z)
+            chord = abs(z_new - z)
+            # near 1e300 a step is lost to rounding and would repeat forever
+            if chord < 0.5 * h:
+                raise StepBudgetError(
+                    f"trace at {format_complex(z)} cannot advance: a step of {h:.3g} is lost to rounding"
+                )
+            arc += chord
             k1 = None
         z = z_new
         points.append(z)

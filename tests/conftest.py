@@ -20,6 +20,7 @@ from slezero.divisors import (
     MoebiusMap,
     SymmetricDivisor,
 )
+from slezero.errors import DegenerateConfigurationError
 
 
 def distinct_reals(rng: random.Random, n: int, lo=-3.0, hi=3.0, min_gap=0.3) -> list[float]:
@@ -150,9 +151,12 @@ def random_real_locus(rng: random.Random) -> RealLocus:
     while True:
         a = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5)
         q = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.4, 1.2))
-        scene = real_locus(a, q)
-        if scene.divisor.growth:
-            return scene
+        try:
+            return real_locus(a, q)
+        except DegenerateConfigurationError as exc:
+            # a divisor with no growth point cannot be made; draw again
+            if exc.problems != ("no growth points",):
+                raise
 
 
 def random_moebius(rng: random.Random) -> MoebiusMap:

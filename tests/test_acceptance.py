@@ -183,7 +183,7 @@ def test_criterion_7_moebius_invariance():
         done = 0
         while done < 5:
             try:
-                gap = moebius_invariance_gap(div, random_moebius(rng))
+                gap = moebius_invariance_gap(div.weighted_points(), random_moebius(rng))
             except DegenerateConfigurationError:
                 continue  # image degenerate for this map; resample
             worst = max(worst, gap)
@@ -258,7 +258,7 @@ def test_criterion_9_property_suites():
     rng2 = random.Random(77)
     for _ in range(10):
         div = half_plane_divisor(rng2)
-        assert moebius_invariance_gap(div, random_moebius(rng2)) < 1e-9
+        assert moebius_invariance_gap(div.weighted_points(), random_moebius(rng2)) < 1e-9
 
     # presets survive a serialize/parse round trip unchanged
     for name in PRESET_NAMES:

@@ -5,22 +5,25 @@ import errno
 import io
 import json
 import math
+import random
 import re
 import tempfile
 import time
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import nan_after
+from conftest import disk_divisor, distinct_reals, half_plane_divisor, nan_after
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slezero import conformal, loewner, runner
 from slezero.cli import main
+from slezero.divisors import SpherePoint, SymmetricDivisor, as_charge, format_complex, parse_point
 from slezero.errors import ConfigError, DegenerateConfigurationError, InversionFailureError, SleZeroError
-from slezero.scene import parse_config, preset
+from slezero.scene import OUTPUT_KINDS, SceneConfig, parse_config, preset, serialize_config
 
 SINGLE = """\
 domain: half_plane
@@ -66,6 +69,17 @@ NEAR_DOUBLE_MARKED = (
     + '  - point: inf\n    charge: "-1"\n',
     ("1.0+1.0i", "1.0+1.00000000001i"),
 )
+
+
+# a growth point at 1e300 and no point at infinity
+FAR_POINT = """\
+domain: half_plane
+growth: ["1e300"]
+marked:
+  - point: "-0.6394905061257551"
+    charge: "-3"
+loewner: {T: 0.01, dt: 0.01, tol: 1e-16, tracked: ["i"]}
+"""
 
 
 def cli(capsys, *argv):
@@ -326,6 +340,15 @@ class TestVerify:
         assert code == 0, stdout
         assert f"motion/abs_drift[z={observer}]" in stdout
 
+    def test_far_divisor_point_passes_the_invariance_suite(self, tmp_path, capsys):
+        # |c z + d|^2 overflowed at z = 1e300; the gap takes its log as a
+        # difference of logs
+        cfg = tmp_path / "far.yaml"
+        cfg.write_text(FAR_POINT)
+        code, out, err = cli(capsys, "verify", "--config", str(cfg), "--suite", "invariance")
+        assert (code, err) == (0, "")
+        assert out.startswith("invariance/moebius_gap: ")
+
     def test_tolerance_breach_exits_2(self, tmp_path, capsys):
         # an absurd boundary lift drags the hull samples off the curves
         cfg = tmp_path / "scene.yaml"
@@ -461,7 +484,7 @@ class TestExitCodes:
 
     def test_other_domain_errors_exit_1(self, tmp_path, capsys, monkeypatch):
         def boom(scene, out_dir):
-            raise DegenerateConfigurationError("transported divisor invalid: no growth points")
+            raise DegenerateConfigurationError("invalid divisor: no growth points")
 
         monkeypatch.setattr(runner, "run", boom)
         cfg = tmp_path / "scene.yaml"
@@ -546,3 +569,100 @@ class TestObserverPlacements:
                 if "hull_csv" in outputs:
                     rows = (out / "hull.csv").read_text().splitlines()[1:]
                     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+# the prefixes of the README's exit-code table, each followed by one line
+PREFIXES = {1: ("config error:\n", "invalid scene: ", "cannot "), 2: (), 3: ("integration failure: ",)}
+MUTATIONS = ("coincide", "off_boundary", "charge", "drop_marked", "far")
+
+
+def _lines_of(lines: list[str], start: str) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.startswith(start)]
+
+
+def _mutate(text: str, mutation: str, pick: int) -> str:
+    """A generated scene's YAML with one divisor entry changed: a point put
+    onto another, a growth point moved off the boundary, a charge shifted by
+    1/2, a marked entry (a symmetry partner or a point of its own) dropped,
+    or a finite point scaled by 1e300. Every mutation but ``far`` makes the
+    divisor inadmissible."""
+    lines = text.splitlines(keepends=True)
+    growth = _lines_of(lines, '  - "')
+    points = growth + _lines_of(lines, "  - point: ")
+
+    def literal(i: int) -> str:
+        return lines[i].split('"')[1]
+
+    def value(i: int) -> SpherePoint:
+        return parse_point(literal(i))
+
+    def put(i: int, literal: str) -> None:
+        head, _, tail = lines[i].split('"')
+        lines[i] = f'{head}"{literal}"{tail}'
+
+    if mutation == "coincide":
+        i, j = (points[(pick + k) % len(points)] for k in (0, 1))
+        put(j, literal(i))
+    elif mutation == "off_boundary":
+        i = growth[pick % len(growth)]
+        put(i, format_complex(value(i).value * (1 + 0.5j)))
+    elif mutation == "charge":
+        i = _lines_of(lines, "    charge: ")[pick % (len(points) - len(growth))]
+        put(i, str(as_charge(literal(i)) + Fraction(1, 2)))
+    elif mutation == "drop_marked":
+        i = points[len(growth) + pick % (len(points) - len(growth))]
+        del lines[i : i + 2]
+    else:
+        finite = [i for i in points if value(i).finite]
+        i = finite[pick % len(finite)]
+        put(i, format_complex(value(i).value * 1e300))
+    return "".join(lines)
+
+
+def _one_line_after_its_prefix(code: int, stderr: str) -> bool:
+    if code in (0, 2):
+        return stderr == ""
+    message = next((stderr[len(p):] for p in PREFIXES[code] if stderr.startswith(p)), "")
+    return message.endswith("\n") and message.count("\n") == 1
+
+
+def curve_and_charge(rng: random.Random) -> SymmetricDivisor:
+    """One curve and a charge -3 on the real line: no point at infinity."""
+    x, q = distinct_reals(rng, 2)
+    return SymmetricDivisor.half_plane([x], [(q, -3)])
+
+
+class TestDivisorMutations:
+    # report_multiple_bugs off: the examples after a failing one may not end
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              report_multiple_bugs=False, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from((half_plane_divisor, disk_divisor, curve_and_charge)),
+        st.integers(0, 2**32),
+        st.integers(0, 100),
+    )
+    # the growth point near 1e300 overflowed the Moebius check's derivative
+    @example(curve_and_charge, 0, 0)
+    # the trajectory from a growth point near 1e300 took steps that did not
+    # move it, without end; and near the point at infinity, every Moebius
+    # map sends the two together
+    @example(half_plane_divisor, 823624394, 89)
+    def test_every_mutation_ends_in_artifacts_or_its_exit_code(self, generator, seed, pick):
+        text = serialize_config(SceneConfig(generator(random.Random(seed)), outputs=OUTPUT_KINDS))
+        for mutation in MUTATIONS:
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg, out = Path(tmp) / "scene.yaml", Path(tmp) / "out"
+                cfg.write_text(_mutate(text, mutation, pick))
+                for argv in (
+                    ["verify", "--config", str(cfg), "--suite", "invariance"],
+                    ["run", "--config", str(cfg), "--out", str(out), "--T", "0.01", "--max-arc", "3"],
+                ):
+                    err = io.StringIO()
+                    # a traceback or a numpy warning fails the test
+                    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        warnings.simplefilter("error")
+                        code = main(argv)
+                    assert code in ((0, 1, 3) if argv[0] == "run" else (0, 1, 2, 3)), err.getvalue()
+                    assert _one_line_after_its_prefix(code, err.getvalue()), err.getvalue()
+                    if mutation != "far":
+                        assert code == 1 and err.getvalue().startswith("config error:\n"), err.getvalue()

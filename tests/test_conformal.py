@@ -14,9 +14,8 @@ from slezero.divisors import (
     HALF_PLANE,
     MoebiusMap,
     SymmetricDivisor,
-    validate,
 )
-from slezero.errors import InvalidReferenceError
+from slezero.errors import DegenerateConfigurationError, InvalidReferenceError
 from slezero.quadratic import build_Q, direction_field
 from slezero.scene import preset
 
@@ -68,9 +67,9 @@ class TestTransport:
                 transport(div, target)
 
     def test_sphere_tag_rejected(self):
-        div = SymmetricDivisor.build("sphere", [0.0], [("inf", -3)])
-        with pytest.raises(InvalidReferenceError):
-            transport(div, HALF_PLANE)
+        # no divisor on another domain can be made, so none reaches transport
+        with pytest.raises(DegenerateConfigurationError, match="invalid divisor: unknown domain 'sphere'"):
+            SymmetricDivisor.build("sphere", [0.0], [("inf", -3)])
 
     def test_disk_pole_rotates_away(self):
         # the standard pole w = 1 is a growth point; the rotated map's pole
@@ -81,15 +80,14 @@ class TestTransport:
         for p, _ in BLOCKED.weighted_points():
             assert p.is_infinity or abs(p.value - pole) > 0.5
         assert all(p.finite for p in image.growth)
-        assert validate(image).ok
 
     def test_random_divisors_roundtrip(self):
         rng = random.Random(232)
         for _ in range(15):
             div = disk_divisor(rng)
             image, m = transport(div, HALF_PLANE)
+            # the image is a SymmetricDivisor, so it is admissible
             assert image.domain == HALF_PLANE
-            assert validate(image).ok
             inv = inverse(m)
             assert len(image.growth) == len(div.growth)
             assert len(image.marked) == len(div.marked)
@@ -105,7 +103,6 @@ class TestTransport:
         for _ in range(15):
             div = disk_divisor(rng)
             image, _ = transport(div, HALF_PLANE)
-            assert validate(image).ok
             assert all(abs(p.value.imag) < 1e-12 for p in image.growth)
 
     def test_marked_infinity_returns_from_the_disk(self):

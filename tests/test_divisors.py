@@ -27,7 +27,6 @@ from slezero.divisors import (
     parse_complex,
     parse_point,
     partition_Z_log_abs,
-    validate,
 )
 from slezero.errors import DegenerateConfigurationError
 
@@ -110,71 +109,70 @@ class TestDlogZ:
 
 
 class TestValidate:
+    """Admissibility is checked where a divisor is made: a divisor that
+    breaks a rule cannot be made."""
+
     def test_presets_are_admissible(self):
         from slezero.scene import PRESET_NAMES, preset
 
         for name in PRESET_NAMES:
-            report = validate(preset(name).divisor)
-            assert report.ok, f"{name}: {report}"
+            preset(name)
 
     def test_neutrality_exact_for_half_integers(self):
         # 1 growth + (-1) + (-3/2) + (-1/2) = -2 exactly
-        ok = SymmetricDivisor.half_plane(
-            [0.0], [(2.0, -1), (3.0, "-3/2"), ("inf", "-1/2")]
-        )
-        assert validate(ok).ok
-        bad = SymmetricDivisor.half_plane(
-            [0.0], [(2.0, -1), (3.0, "-3/2"), ("inf", "-1")]
-        )
-        assert any("charge" in p for p in validate(bad).problems)
+        SymmetricDivisor.half_plane([0.0], [(2.0, -1), (3.0, "-3/2"), ("inf", "-1/2")])
+        with pytest.raises(DegenerateConfigurationError, match="total charge -5/2 != -2"):
+            SymmetricDivisor.half_plane([0.0], [(2.0, -1), (3.0, "-3/2"), ("inf", "-1")])
 
     def test_neutrality_tolerance_for_raw_reals(self):
-        near = SymmetricDivisor.half_plane(
-            [0.0], [(2.0, -3.0 + 5e-11)]
-        )
-        assert validate(near).ok
-        far = SymmetricDivisor.half_plane([0.0], [(2.0, -3.0 + 1e-9)])
-        assert not validate(far).ok
+        SymmetricDivisor.half_plane([0.0], [(2.0, -3.0 + 5e-11)])
+        with pytest.raises(DegenerateConfigurationError, match="total charge -1.999999999 != -2"):
+            SymmetricDivisor.half_plane([0.0], [(2.0, -3.0 + 1e-9)])
 
     def test_growth_must_sit_on_boundary(self):
-        off = SymmetricDivisor.half_plane([0.5j], [("inf", -3)])
-        assert any("real axis" in p for p in validate(off).problems)
-        off_disk = SymmetricDivisor.disk([0.5], [("inf", -2), (0.0, -2)])
-        assert any("unit circle" in p for p in validate(off_disk).problems)
+        with pytest.raises(DegenerateConfigurationError, match="growth point 0.5i not on the real axis"):
+            SymmetricDivisor.half_plane([0.5j], [("inf", -3)])
+        with pytest.raises(DegenerateConfigurationError, match="growth point 0.5 not on the unit circle"):
+            SymmetricDivisor.disk([0.5], [("inf", -2), (0.0, -2)])
 
     def test_marked_points_need_symmetry_partners(self):
-        lone = SymmetricDivisor.half_plane([0.0], [(1 + 1j, -1), ("inf", -2)])
-        assert any("symmetry partner" in p for p in validate(lone).problems)
-        paired = SymmetricDivisor.half_plane(
-            [0.0], [(1 + 1j, -1), (1 - 1j, -1), ("inf", -1)]
-        )
-        assert validate(paired).ok
+        with pytest.raises(DegenerateConfigurationError, match=r"marked point 1\.0\+1\.0i \(charge -1\) has no symmetry partner"):
+            SymmetricDivisor.half_plane([0.0], [(1 + 1j, -1), ("inf", -2)])
+        SymmetricDivisor.half_plane([0.0], [(1 + 1j, -1), (1 - 1j, -1), ("inf", -1)])
 
     def test_disk_inversion_pairs(self):
         q = 0.5 + 0.25j
         mirror = 1.0 / q.conjugate()
-        good = SymmetricDivisor.disk([1.0], [(q, -1), (mirror, -1), (1j, -1)])
-        assert validate(good).ok
-        lopsided = SymmetricDivisor.disk([1.0], [(q, -1), (mirror, -2), (1j, 0)])
-        assert not validate(lopsided).ok
+        SymmetricDivisor.disk([1.0], [(q, -1), (mirror, -1), (1j, -1)])
+        with pytest.raises(DegenerateConfigurationError, match=r"marked point 0\.5\+0\.25i \(charge -1\) has no symmetry partner"):
+            SymmetricDivisor.disk([1.0], [(q, -1), (mirror, -2), (1j, 0)])
 
     def test_origin_pairs_with_infinity_on_disk(self):
-        div = SymmetricDivisor.disk([1.0, -1.0], [(0.0, -2), ("inf", -2)])
-        assert validate(div).ok
+        SymmetricDivisor.disk([1.0, -1.0], [(0.0, -2), ("inf", -2)])
 
     def test_empty_growth_rejected(self):
-        report = validate(SymmetricDivisor.half_plane([], [("inf", -2)]))
-        assert any("no growth points" in p for p in report.problems)
+        with pytest.raises(DegenerateConfigurationError, match="no growth points") as exc:
+            SymmetricDivisor.half_plane([], [("inf", -2)])
+        assert exc.value.problems == ("no growth points",)
 
     def test_coincident_points_reported(self):
-        report = validate(SymmetricDivisor.half_plane([0.0, 0.0], [("inf", -4)]))
-        assert any("coincide" in p for p in report.problems)
+        with pytest.raises(DegenerateConfigurationError, match="points 0.0 and 0.0 coincide"):
+            SymmetricDivisor.half_plane([0.0, 0.0], [("inf", -4)])
 
     def test_random_generators_produce_valid_divisors(self):
         rng = random.Random(303)
         for _ in range(40):
-            assert validate(half_plane_divisor(rng)).ok
-            assert validate(disk_divisor(rng)).ok
+            half_plane_divisor(rng)
+            disk_divisor(rng)
+
+    def test_every_problem_is_reported_in_order(self):
+        with pytest.raises(DegenerateConfigurationError) as exc:
+            SymmetricDivisor.half_plane([0.5j], [(1 + 1j, -3)])
+        assert exc.value.problems == (
+            "growth point 0.5i not on the real axis",
+            "marked point 1.0+1.0i (charge -3) has no symmetry partner",
+        )
+        assert str(exc.value) == "invalid divisor: " + "; ".join(exc.value.problems)
 
 
 class TestMoebius:
@@ -185,7 +183,7 @@ class TestMoebius:
             for make in (random_moebius, real_moebius):
                 for _ in range(3):
                     try:
-                        gap = moebius_invariance_gap(div, make(rng))
+                        gap = moebius_invariance_gap(div.weighted_points(), make(rng))
                     except DegenerateConfigurationError:
                         continue
                     assert gap < 1e-9
@@ -197,7 +195,7 @@ class TestMoebius:
             div = disk_divisor(rng)
             for _ in range(3):
                 try:
-                    gap = moebius_invariance_gap(div, random_moebius(rng))
+                    gap = moebius_invariance_gap(div.weighted_points(), random_moebius(rng))
                 except DegenerateConfigurationError:
                     continue
                 assert gap < 1e-9
@@ -216,19 +214,20 @@ class TestMoebius:
         rng = random.Random(606)
         for _ in range(20):
             div = half_plane_divisor(rng)
+            points = div.weighted_points()
             m = random_moebius(rng)
-            assert moebius_invariance_gap(div, m) < 1e-9
+            assert moebius_invariance_gap(points, m) < 1e-9
             # the image's dimensions no longer balance once the total
             # charge is off -2
-            (q, s), *rest = div.marked
-            shifted = SymmetricDivisor(div.domain, div.growth, ((q, s + Fraction(1, 2)), *rest))
-            assert moebius_invariance_gap(shifted, m) > 1e-3
+            n = len(div.growth)
+            (q, s), *rest = points[n:]
+            assert moebius_invariance_gap(points[:n] + [(q, s + 0.5), *rest], m) > 1e-3
 
     def test_collapsing_map_rejected(self):
         # z -> 1e-14 z: -1 and 1 land within DISTINCT_TOL of each other
         div = SymmetricDivisor.half_plane([-1.0, 1.0], [("inf", -4)])
         with pytest.raises(DegenerateConfigurationError, match="coincident points"):
-            moebius_invariance_gap(div, MoebiusMap(1e-7, 0, 0, 1e7))
+            moebius_invariance_gap(div.weighted_points(), MoebiusMap(1e-7, 0, 0, 1e7))
 
     def test_singular_map_rejected(self):
         with pytest.raises(DegenerateConfigurationError):

@@ -381,7 +381,7 @@ class TestSingleCurve:
         ev = evolve(single_curve(), 1.0, 1e-4, tracked=(4j,))
         (rep,) = motion_integral(ev)
         assert rep.alive
-        assert rep.n_samples == len(ev.states)
+        assert rep.samples == len(ev.states)
         assert rep.max_rel_drift < 1e-10
         assert rep.max_arg_drift < 1e-10
 
@@ -416,7 +416,7 @@ def evolve_matching_the_scalar_loop(monkeypatch, div, T, dt, nu, tracked, tol=No
 
 
 def report_bits(reports):
-    return [(r.n_samples, r.t_last, r.log_abs_initial, r.max_rel_drift, r.max_arg_drift) for r in reports]
+    return [(r.samples, r.t_last, r.log_abs_initial, r.max_rel_drift, r.max_arg_drift) for r in reports]
 
 
 class TestObservers:
@@ -763,9 +763,9 @@ class TestEvolveValidation:
             evolve(preset("fig1").divisor, 0.1, 1e-3)
 
     def test_invalid_divisor_rejected(self):
-        bad = SymmetricDivisor.half_plane([0.0], [("inf", -4)])
-        with pytest.raises(DegenerateConfigurationError, match="invalid"):
-            evolve(bad, 0.1, 1e-3)
+        # refused where it is made, before any flow could take it
+        with pytest.raises(DegenerateConfigurationError, match="invalid divisor: total charge -3 != -2"):
+            SymmetricDivisor.half_plane([0.0], [("inf", -4)])
 
     def test_observer_history_over_its_budget_is_refused_at_once(self):
         # 1024 observers over T/dt = 1e6 steps would take 2 x 16 GB

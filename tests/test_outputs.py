@@ -68,7 +68,7 @@ class TestReports:
 
     def test_analysis_payload_structure(self, fig2_results):
         qd, trajs, report = fig2_results
-        payload = analysis_payload(trajs, report)
+        payload = json.loads(report_text(analysis_payload(trajs, report)))
         assert [t["id"] for t in payload["trajectories"]] == [0, 1, 2]
         first = payload["trajectories"][0]
         assert first["start"] == "-1.0i"

@@ -10,7 +10,6 @@ from conftest import disk_divisor, half_plane_divisor, mod_pi_gap, q_value
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import (
     DegenerateConfigurationError,
-    InvalidReferenceError,
     SingularityProximityError,
     UnsupportedChargeError,
 )
@@ -90,14 +89,13 @@ class TestAssembly:
             build_Q(div)
 
     def test_invalid_divisor_rejected(self):
-        div = SymmetricDivisor.half_plane([0.0], [("inf", -5)])
-        with pytest.raises(DegenerateConfigurationError):
-            build_Q(div)
+        # refused where it is made, before build_Q could take it
+        with pytest.raises(DegenerateConfigurationError, match="invalid divisor: total charge -4 != -2"):
+            SymmetricDivisor.half_plane([0.0], [("inf", -5)])
 
     def test_sphere_tagged_divisor_rejected(self):
-        div = SymmetricDivisor.build("sphere", [0.0], [("inf", -3)])
-        with pytest.raises((DegenerateConfigurationError, InvalidReferenceError)):
-            build_Q(div)
+        with pytest.raises(DegenerateConfigurationError, match="invalid divisor: unknown domain 'sphere'"):
+            SymmetricDivisor.build("sphere", [0.0], [("inf", -3)])
 
 
 class TestPhase:
