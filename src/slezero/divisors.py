@@ -3,7 +3,8 @@
 A divisor here is a finite set of weighted points: growth points carrying
 charge +1 (where curves start) and marked points carrying real charges,
 typically half-integers. Every ``SymmetricDivisor`` is admissible: its
-growth points lie on the boundary of its domain, its points are distinct,
+growth points lie on the boundary of its domain, its points are distinct
+(more than ``DISTINCT_TOL`` apart in chordal distance on the sphere),
 its marked points are closed under the reflection symmetry of the domain
 (complex conjugation for the half-plane, circle inversion for the disk), and
 it satisfies the neutrality condition
@@ -108,6 +109,21 @@ def _points_close(a: SpherePoint, b: SpherePoint, tol: float) -> bool:
     return abs(a.value - b.value) <= tol
 
 
+def _chordal_distance(a: SpherePoint, b: SpherePoint) -> float:
+    """The chordal distance on the Riemann sphere, 2 |a - b| / (sqrt(1 +
+    |a|^2) sqrt(1 + |b|^2)), and 2 / sqrt(1 + |a|^2) from a to infinity: a
+    point near 1e300 is about 2e-300 from infinity."""
+    if a.is_infinity:
+        a, b = b, a
+    if a.is_infinity:
+        return 0.0
+    # hypot, as |a|^2 overflows near 1e300
+    size = math.hypot(1.0, abs(a.value))
+    if b.is_infinity:
+        return 2.0 / size
+    return 2.0 * abs(a.value - b.value) / size / math.hypot(1.0, abs(b.value))
+
+
 @dataclass(frozen=True)
 class SymmetricDivisor:
     """Growth points (charge +1) plus marked charged points on a domain,
@@ -145,7 +161,7 @@ class SymmetricDivisor:
             f"points {a} and {b} coincide"
             for i, a in enumerate(points)
             for b in points[i + 1 :]
-            if _points_close(a, b, DISTINCT_TOL)
+            if _chordal_distance(a, b) <= DISTINCT_TOL
         )
 
         if structured:

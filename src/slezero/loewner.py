@@ -21,6 +21,13 @@ approached geometrically instead of being overshot, and steps end exactly
 on the breakpoints of the rates. log g' feeds nothing back into the steps,
 so its RK4 quadrature runs behind them, on blocks of recorded stage values.
 
+A closing gap d between two driving points, or a driving and a marked
+point, behaves like sqrt(t* - t), so the t-steps of the error control
+shrink geometrically towards a collision. Near one the error-controlled
+flow takes the rest in Sundman's clock tau, dt = d dtau, in which d falls
+about linearly and the flow is smooth up to t*: the same RK4 step with a
+clock factor, 1 in t and d in tau, on (t, x, marked points, observers).
+
 Hull tips come from the reverse flow, integrated in the variable sqrt(s)
 of the reverse time s, in which its square-root start off the boundary is
 smooth, with steps sized by the same embedded error estimate.
@@ -51,6 +58,8 @@ BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
 HISTORY_BUDGET = 10_000_000  # observer history values (rows x tracked) per evolution
 ARRAY_QUOTIENTS = 128  # driving points x live observers from which their field runs on arrays
+TAIL_SHARE = 0.01  # of the time so far: a collision predicted within it switches the flow to tau
+TAIL_NEWTON = 6  # Newton steps that map a time to tau on a tail interval (rounding after 4)
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,9 @@ class Evolution:
     time each was swallowed (None while alive). ``g`` and ``log_gprime`` are
     the observers' history: one row per state, one column per observer,
     frozen from its death on. ``rejected`` counts the steps the error
-    control retried shorter.
+    control retried shorter. ``tail`` holds (tau, dt/dtau) for each state
+    of the Sundman tail, from ``states[tail_start]`` on, and ``tau_steps``
+    counts the steps taken in tau.
     """
 
     divisor: SymmetricDivisor
@@ -127,6 +138,9 @@ class Evolution:
     collision: tuple[float, float] | None = None
     collision_note: str | None = None
     rejected: int = 0
+    tail_start: int = 0
+    tail: list[tuple[float, float]] = field(default_factory=list)
+    tau_steps: int = 0
 
     @property
     def final(self) -> LoewnerState:
@@ -177,6 +191,43 @@ def _shift(y: list, k: list, h: float) -> list:
 def _rk4(y: list, k1: list, k2: list, k3: list, k4: list, h: float) -> list:
     h6 = h / 6.0
     return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def _scale(v: tuple[list, list], c: float) -> tuple[list, list]:
+    return [c * a for a in v[0]], [c * b for b in v[1]]
+
+
+def _separation(x: Sequence, p: Sequence, pair: tuple[int, int]):
+    """Driving point j minus the other point of ``pair`` (as ``_min_gap``
+    names it; the finite marked points lead ``p``). On the velocities, its
+    rate."""
+    j, k = pair
+    return x[j] - (x[k] if k < len(x) else p[k - len(x)])
+
+
+def _closing_rate(x: Sequence[float], p: Sequence[complex], vel: tuple[list, list], pair: tuple[int, int]) -> float:
+    """d/dt of the gap of ``pair`` under the velocities ``vel``."""
+    w = _separation(x, p, pair)
+    return (w.conjugate() * _separation(*vel, pair)).real / abs(w)
+
+
+def _stage(
+    x: list[float],
+    p: list[complex],
+    s: Sequence[float],
+    nq: int,
+    rates: Sequence[float],
+    arrays: bool,
+    pair: tuple[int, int] | None,
+) -> tuple[tuple[list, list], float, tuple[list, list]]:
+    """The velocities d/dt at (x, p), the clock factor c = dt/dsigma of the
+    step variable sigma, and the velocities d/dsigma = c d/dt: c is 1 in t,
+    and the gap of ``pair`` in the tail's tau."""
+    v = _velocities(x, p, s, nq, rates, arrays)
+    if pair is None:
+        return v, 1.0, v
+    c = abs(_separation(x, p, pair))
+    return v, c, _scale(v, c)
 
 
 def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, tuple[int, int] | None]:
@@ -262,8 +313,9 @@ class _ObserverHistory:
         self.g[0], self.log_gprime[0] = g, 0.0
         self.rows = 1
         # per step: its size and rates, its four stage driving points, its
-        # four stage marked and observer points and those at its end, and
-        # the number of states it records
+        # four stage marked and observer points and those at its end, its
+        # four stage clock factors dt/dsigma, and the number of states it
+        # records
         self.steps: list[tuple] = []
 
     def flush(self, live: Sequence[int], nq: int) -> None:
@@ -271,7 +323,7 @@ class _ObserverHistory:
         ``live`` alive, onto the history."""
         if not self.steps:
             return
-        h, rates, xs, ps, reps = zip(*self.steps)
+        h, rates, xs, ps, clocks, reps = zip(*self.steps)
         self.steps = []
         start, end = self.rows, self.rows + sum(reps)
         if end > len(self.g):
@@ -292,7 +344,7 @@ class _ObserverHistory:
         g[:, live] = np.repeat(points[:, 4], reps, axis=0)
         # an overflow shows as a value that is not finite, checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            dws = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4])
+            dws = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4], np.array(clocks))
             for part, dw in zip((w.real, w.imag), dws):
                 # w_{i+1} = w_i + dw_i, summed in sequence from the last row
                 part[:, live] = np.repeat(np.cumsum(np.vstack((part[:1, live], dw)), axis=0)[1:], reps, axis=0)
@@ -311,12 +363,13 @@ def _check_history(rows: int, cols: int) -> None:
 
 
 def _log_gprime_steps(
-    h: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, gs: np.ndarray
+    h: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, gs: np.ndarray, clocks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary RK4 increments of log g' over a block of steps, one
     row per step and one column per observer: the steps' sizes ``h``, their
     2 nu_k (one row per step), stage driving points ``xs`` and stage
-    observer images ``gs`` (stages along axis 1)."""
+    observer images ``gs`` (stages along axis 1), and the stages' clock
+    factors dt/dsigma, which weight each stage (1.0 in t, exactly)."""
     gr, gi = gs.real, gs.imag
     for k in range(xs.shape[2]):
         dr = gr - xs[:, :, k, None]
@@ -328,7 +381,8 @@ def _log_gprime_steps(
             sum_re, sum_neg_im = sum_re + re, sum_neg_im + neg_im
     # the velocity is minus the sum of the quotients
     h6 = h[:, None] / 6.0
-    re, im = (h6 * (b[:, 0] + 2.0 * b[:, 1] + 2.0 * b[:, 2] + b[:, 3]) for b in (-sum_re, sum_neg_im))
+    c = clocks[:, :, None]
+    re, im = (h6 * (b[:, 0] + 2.0 * b[:, 1] + 2.0 * b[:, 2] + b[:, 3]) for b in (-sum_re * c, sum_neg_im * c))
     return re, im
 
 
@@ -350,7 +404,8 @@ def evolve(
     there on, when it is within the collision tolerance of a driving point
     or its step cap ``TRACK_CAP_COEFF`` d^2 no longer advances t; the step
     caps come from the survivors. A driving collision stops the evolution
-    and is reported as a time bracket.
+    and is reported as a time bracket: in t, from the last state's time to
+    that plus the gap.
 
     With ``tol`` the step size is error-controlled and ``dt`` is the largest
     step. The velocities at the end of a step, which the next step reuses as
@@ -359,6 +414,22 @@ def evolve(
     points, marked points and live observers costs no extra evaluation. A
     step whose estimate exceeds ``tol`` is retried shorter; an accepted one
     proposes the next step size. Without ``tol`` every step is accepted.
+
+    With ``tol`` the flow also switches to the Sundman tail. At a state
+    where the smallest gap d closes at the rate d' < 0, a gap that closes as
+    sqrt(t* - t) reaches 0 at t + d / (2 |d'|); when that lies within
+    ``TAIL_SHARE`` of the time so far and before the next breakpoint or T,
+    the closing pair is fixed and every later step is taken in tau, dt/dtau
+    = d: each stage's velocities are scaled by its d, t is a component of
+    the state and of the error estimate, the t-step limits are divided by
+    d, and a step goes at most half the tau d has left, 1 / |d'|. A tau-step
+    that would end past the next breakpoint or T is refused, and the flow
+    leaves the tail for good and reaches it in t. In the tail the flow stops
+    at a gap under ``COLLISION_TOL``, and the bracket is the t where the gap
+    reaches 0, extrapolated linearly in tau, t + d / (2 |d'|), plus and
+    minus the summed error estimates of the accepted steps. The observers'
+    deaths and their caps stay as in t. ``Evolution.tail`` records each tail
+    state's tau and dt/dtau, and ``tau_steps`` counts the tail's steps.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
@@ -400,34 +471,66 @@ def evolve(
     next_break = 0
     t = 0.0
     steps = rejected = 0
-    h_next = math.inf  # the step size the error control proposes
+    h_next = math.inf  # the step size the error control proposes, in the step variable
     rates = nu.rates(t)
     # both ways give the same bits, so the choice is only made once a step
     arrays = len(x) * len(live) >= ARRAY_QUOTIENTS
-    # the velocities at the latest state: its dx, and the next step's k1
+    # the velocities d/dt at the latest state: its dx, and the next step's k1
     vel = _velocities(x, p, s, nq, rates, arrays)
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
     collision = collision_note = None
+    # the Sundman tail: the closing pair, whose gap is dt/dtau from the
+    # switch on, and the (tau, dt/dtau) of each state from the switch on
+    closing = None
+    left = False  # the tail ended short of its collision, never to return
+    clock = 1.0  # dt/dsigma at the latest state, sigma the step variable
+    err_sum = 0.0  # the accepted steps' error estimates, summed
+    tail_start, tail_states, tau_steps = 0, [], 0
 
     while t < T:
         arrays = len(x) * len(live) >= ARRAY_QUOTIENTS
         gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
-        h = min(dt, h_next, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
-        for d, _ in near:
-            if d < 1.0:
-                h = min(h, TRACK_CAP_COEFF * d * d)
-        h = min(h, remaining)
-        if h < remaining and remaining - h < 1e-6 * h:
-            h = remaining  # absorb the rounding tail into the step that reaches stop
-        if gap < COLLISION_TOL or t + h == t:
-            # the driving gap is closed, or its cap has collapsed below time
-            # resolution (every surviving observer's cap advances t): a
-            # collision is here
-            collision = (t, t + gap)
-            collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
-            break
+        if closing is None:
+            h = min(dt, h_next, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
+            for d, _ in near:
+                if d < 1.0:
+                    h = min(h, TRACK_CAP_COEFF * d * d)
+            h = min(h, remaining)
+            if h < remaining and remaining - h < 1e-6 * h:
+                h = remaining  # absorb the rounding tail into the step that reaches stop
+            if gap < COLLISION_TOL or t + h == t:
+                # the driving gap is closed, or its cap has collapsed below time
+                # resolution (every surviving observer's cap advances t): a
+                # collision is here
+                collision = (t, t + gap)
+                collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
+                break
+            if tol is not None and pair is not None and not left:
+                rate = _closing_rate(x, q, vel, pair)
+                # a gap that closes as sqrt(t* - t) reaches 0 at t + gap / (2 |rate|)
+                if rate < 0.0 and -0.5 * gap / rate < min(remaining, TAIL_SHARE * t):
+                    closing, clock, h_next = pair, gap, h / gap
+                    tail_start, tail_states = len(states) - 1, [(0.0, gap)]
+        if closing is not None:
+            if gap < COLLISION_TOL:
+                rate = _closing_rate(x, q, vel, pair)
+                # the gap reaches 0 at the t extrapolated in tau, where it
+                # falls linearly: t + gap / (2 |rate|)
+                t_star = t + 0.5 * gap / -rate if rate < 0.0 else t
+                collision = (t_star - err_sum, t_star + err_sum)
+                collision_note = f"collision at t={t_star:.12g}: {_pair_note(x, q, pair)}"
+                break
+            # the t-step limits in tau, and at most half the tau the
+            # closing gap has left, gap / |d gap/dtau| = 1 / |rate|
+            rate = _closing_rate(x, q, vel, closing)
+            h = min(h_next, dt / clock)
+            for d, _ in near:
+                if d < 1.0:
+                    h = min(h, TRACK_CAP_COEFF * d * d / clock)
+            if rate < 0.0:
+                h = min(h, 0.5 / -rate)
         steps += 1
         if steps > STEP_BUDGET:
             raise StepBudgetError(
@@ -436,37 +539,53 @@ def evolve(
             )
 
         h2 = h / 2
-        k1 = vel
+        c1, k1 = clock, vel if closing is None else _scale(vel, clock)
         x2, p2 = _shift(x, k1[0], h2), _shift(p, k1[1], h2)
-        k2 = _velocities(x2, p2, s, nq, rates, arrays)
+        _, c2, k2 = _stage(x2, p2, s, nq, rates, arrays, closing)
         x3, p3 = _shift(x, k2[0], h2), _shift(p, k2[1], h2)
-        k3 = _velocities(x3, p3, s, nq, rates, arrays)
+        _, c3, k3 = _stage(x3, p3, s, nq, rates, arrays, closing)
         x4, p4 = _shift(x, k3[0], h), _shift(p, k3[1], h)
-        k4 = _velocities(x4, p4, s, nq, rates, arrays)
+        _, c4, k4 = _stage(x4, p4, s, nq, rates, arrays, closing)
         x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
         p1 = _rk4(p, k1[1], k2[1], k3[1], k4[1], h)
-        k5 = _velocities(x1, p1, s, nq, rates, arrays)
+        v5, c5, k5 = _stage(x1, p1, s, nq, rates, arrays, closing)
         # NaN fails every comparison, so neither a collision nor a rejection
         # would see it; a finite new state has finite stages k1 to k4
         if not (math.isfinite(sum(x1) + sum(k5[0])) and cmath.isfinite(sum(p1) + sum(k5[1]))):
             raise InversionFailureError(
                 f"flow state is not finite at t={t:.12g} (step {h:.3g}, gap {gap:.3g})"
             )
+        if closing is None:
+            t1 = t + h
+        else:
+            t1 = t + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            if t1 > stop:
+                # a tau-step cannot end on a given time: the flow leaves the
+                # tail and reaches stop in t
+                rejected += 1
+                closing, left, clock, h_next = None, True, 1.0, t1 - t
+                continue
         if tol is not None:
-            err = h / 6.0 * max(abs(a - b) for a, b in zip(k4[0] + k4[1], k5[0] + k5[1]))
+            diff = max(abs(a - b) for a, b in zip(k4[0] + k4[1], k5[0] + k5[1]))
+            if closing is not None:
+                diff = max(diff, abs(c4 - c5))  # t is a component of the tail's state
+            err = h / 6.0 * diff
             scale = 0.9 * (tol / err) ** 0.25 if err > 0.0 else 5.0
             if err > tol:
                 rejected += 1
                 h_next = h * max(0.2, scale)
                 continue
             h_next = h * min(5.0, scale)
-        t1 = t + h
-        at_break = stop < T and (h == remaining or t1 >= stop)
+            err_sum += err
+        at_break = stop < T and (t1 >= stop or (closing is None and h == remaining))
         if at_break:
             t1 = stop
             next_break += 1
-        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), 2 if at_break else 1))
-        x, p, q, vel = x1, p1, p1[:nq], k5
+        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), 2 if at_break else 1))
+        x, p, q, vel, clock = x1, p1, p1[:nq], v5, c5
+        if closing is not None:
+            tau_steps += 1
+            tail_states.extend([(tail_states[-1][0] + h, clock)] * (2 if at_break else 1))
         near = _near(x, p[nq:], live)
         dead = [i for d, i in near if d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1]
         if dead:
@@ -499,14 +618,25 @@ def evolve(
         collision,
         collision_note,
         rejected,
+        tail_start,
+        tail_states,
+        tau_steps,
     )
 
 
 class _DrivingPaths:
     """Cubic Hermite interpolation of the driving paths on the state grid,
-    held constant outside it."""
+    held constant outside it.
 
-    def __init__(self, states: Sequence[LoewnerState]):
+    On the intervals of the Sundman tail, where x ~ sqrt(t* - t) is not
+    cubic in t, a time is first mapped to tau by the cubic Hermite of
+    t(tau) with slopes dt/dtau, limited to three times the secant so that
+    it is monotone (Fritsch-Carlson), and solved for tau by Newton steps;
+    x is then cubic Hermite in tau, with slopes dx/dtau = dt/dtau dx/dt.
+    """
+
+    def __init__(self, evolution: Evolution):
+        states = evolution.states
         self.ts = np.array([st.t for st in states])
         self.t_first, self.t_last = states[0].t, states[-1].t
         # one row per driving point; the last state is repeated so that
@@ -515,6 +645,13 @@ class _DrivingPaths:
         self.hs = np.append(np.diff(self.ts), 1.0)
         self.xs = np.array([st.x for st in states] + [states[-1].x]).T.copy()
         self.dxs = np.array([st.dx for st in states] + [states[-1].dx]).T.copy()
+        # the tail's intervals, from states[tail_start] on
+        self.first, self.count = evolution.tail_start, len(evolution.tail) - 1
+        if self.count > 0:
+            self.taus, self.clocks = (np.array(c) for c in zip(*evolution.tail))
+            rows = slice(self.first, self.first + self.count + 1)
+            self.tail_ts = self.ts[rows]
+            self.tail_xs, self.tail_dxs = self.xs[:, rows], self.dxs[:, rows] * self.clocks
 
     def at(self, t: np.ndarray) -> np.ndarray:
         """The driving positions at the times ``t``, one row per point."""
@@ -527,11 +664,42 @@ class _DrivingPaths:
         u2 = (1.0 - tau) * (1.0 - tau)
         tau2 = tau * tau
         j = i + 1
-        return (
+        x = (
             (1.0 + 2.0 * tau) * u2 * self.xs.take(i, 1)
             + h * (tau * u2) * self.dxs.take(i, 1)
             + tau2 * (3.0 - 2.0 * tau) * self.xs.take(j, 1)
             + h * (tau2 * (tau - 1.0)) * self.dxs.take(j, 1)
+        )
+        if self.count > 0:
+            k = i - self.first
+            inside = (k >= 0) & (k < self.count)
+            if inside.any():
+                x[:, inside] = self._in_tail(t[inside], k[inside])
+        return x
+
+    def _in_tail(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The driving positions at the times ``t`` on the tail's intervals
+        ``k``."""
+        h = self.taus.take(k + 1) - self.taus.take(k)
+        t0 = self.tail_ts.take(k)
+        dt = self.tail_ts.take(k + 1) - t0
+        # t - t0 on the interval as a cubic in u = (tau - tau_k) / h: its end
+        # slopes h dt/dtau, at most three times the secant dt
+        s0 = np.minimum(h * self.clocks.take(k), 3.0 * dt)
+        s1 = np.minimum(h * self.clocks.take(k + 1), 3.0 * dt)
+        target = t - t0
+        u = target / dt
+        for _ in range(TAIL_NEWTON):
+            v = 1.0 - u
+            value = s0 * u * v * v + dt * u * u * (3.0 - 2.0 * u) + s1 * u * u * (u - 1.0)
+            slope = s0 * v * (1.0 - 3.0 * u) + 6.0 * dt * u * v + s1 * u * (3.0 * u - 2.0)
+            u = np.clip(u - (value - target) / slope, 0.0, 1.0)
+        v = 1.0 - u
+        return (
+            (1.0 + 2.0 * u) * v * v * self.tail_xs.take(k, 1)
+            + h * (u * v * v) * self.tail_dxs.take(k, 1)
+            + u * u * (3.0 - 2.0 * u) * self.tail_xs.take(k + 1, 1)
+            + h * (u * u * (u - 1.0)) * self.tail_dxs.take(k + 1, 1)
         )
 
 
@@ -603,7 +771,7 @@ def trace_hull(
         if not 0 <= t <= t_max + 1e-12:
             raise InversionFailureError(f"time {t} outside the evolved range")
     n = len(evolution.states[0].x)
-    paths = _DrivingPaths(evolution.states)
+    paths = _DrivingPaths(evolution)
     starts, piece_rates = np.array(evolution.nu.starts), evolution.nu.piece_rates
     # per piece: 2 nu_k, one row per driving point, and 2 sum nu for the first step
     coeffs = 2.0 * np.array(piece_rates).reshape(len(starts), n).T

@@ -169,7 +169,8 @@ def _moebius_check(divisor: SymmetricDivisor, seed: int) -> Check:
     points = divisor.weighted_points()
     gaps = []
     # a map that sends two points together is redrawn, at most as often as
-    # there are trials: almost every map does, for points near 1e300 and inf
+    # there are trials: the points are distinct on the sphere, but a map
+    # can still bring two of them within DISTINCT_TOL of each other
     for _ in range(2 * MOEBIUS_TRIALS):
         try:
             gaps.append(divisors.moebius_invariance_gap(points, _random_moebius(rng)))

@@ -349,6 +349,23 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.startswith("invariance/moebius_gap: ")
 
+    def test_far_divisor_point_and_infinity_coincide(self, tmp_path, capsys):
+        # about 2e-300 apart on the sphere: refused where the divisor is made,
+        # not by the Moebius maps of the invariance suite
+        cfg = tmp_path / "far-inf.yaml"
+        cfg.write_text(
+            'domain: half_plane\ngrowth: ["0"]\nmarked:\n  - point: "1e300"\n    charge: "-1"\n'
+            '  - point: inf\n    charge: "-2"\n'
+        )
+        for argv in (
+            ("run", "--config", str(cfg), "--out", str(tmp_path / "out")),
+            ("verify", "--config", str(cfg), "--suite", "invariance"),
+        ):
+            code, out, err = cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == "config error:\nline 2: invalid divisor: points 1e+300 and inf coincide\n"
+        assert not (tmp_path / "out").exists()
+
     def test_tolerance_breach_exits_2(self, tmp_path, capsys):
         # an absurd boundary lift drags the hull samples off the curves
         cfg = tmp_path / "scene.yaml"
@@ -644,8 +661,8 @@ class TestDivisorMutations:
     # the growth point near 1e300 overflowed the Moebius check's derivative
     @example(curve_and_charge, 0, 0)
     # the trajectory from a growth point near 1e300 took steps that did not
-    # move it, without end; and near the point at infinity, every Moebius
-    # map sends the two together
+    # move it, without end; and a point near 1e300 coincides on the sphere
+    # with the point at infinity, which refuses the divisor
     @example(half_plane_divisor, 823624394, 89)
     def test_every_mutation_ends_in_artifacts_or_its_exit_code(self, generator, seed, pick):
         text = serialize_config(SceneConfig(generator(random.Random(seed)), outputs=OUTPUT_KINDS))

@@ -159,6 +159,16 @@ class TestValidate:
         with pytest.raises(DegenerateConfigurationError, match="points 0.0 and 0.0 coincide"):
             SymmetricDivisor.half_plane([0.0, 0.0], [("inf", -4)])
 
+    def test_points_coincide_by_their_chordal_distance(self):
+        # a point near 1e300 is about 2e-300 from infinity on the sphere
+        with pytest.raises(DegenerateConfigurationError, match=r"points 1e\+300 and inf coincide"):
+            SymmetricDivisor.half_plane([0.0], [(1e300, -1), ("inf", -2)])
+        # far from the origin, distinct values can be one point of the sphere
+        with pytest.raises(DegenerateConfigurationError, match="coincide"):
+            SymmetricDivisor.half_plane([1e6, 1e6 + 1e-3], [("inf", -4)])
+        # and the one point at 1e300 is distinct from the points near 0
+        SymmetricDivisor.half_plane([1e300], [(-0.6394905061257551, -3)])
+
     def test_random_generators_produce_valid_divisors(self):
         rng = random.Random(303)
         for _ in range(40):

@@ -48,6 +48,15 @@ def fig1_flow():
 
 
 @pytest.fixture(scope="module")
+def fig1_tail_flow():
+    # the preset's own settings: error-controlled steps, and the Sundman tail
+    sc = preset("fig1")
+    lo = sc.loewner
+    div, _ = transport(sc.divisor, HALF_PLANE)
+    return evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+
+
+@pytest.fixture(scope="module")
 def eight_curve_flow():
     div = half_plane_divisor(random.Random(9), max_growth=10)
     assert len(div.growth) == 8
@@ -610,6 +619,105 @@ class TestErrorControl:
             evolve(repelling_pair(), 0.25, 1e-3, tol=tol)
 
 
+# fig1's collision time from fixed dt = 2e-6 steps: the lower end of the
+# bracket of evolve(fig1 on the half-plane, 0.1, 2e-6, tracked=(2j,)), which
+# stops where the gap cap collapses, at gap 2.5e-8. Fixed steps converge at
+# first order here: dt = 4e-6, 2e-6, 1e-6 give ...1230730, ...1239915,
+# ...1244625, so this value is itself about 9e-13 early.
+FIG1_FINE_COLLISION = 0.048654045123991546
+
+
+@pytest.fixture(scope="module")
+def fig1_fine_flow():
+    div, _ = transport(preset("fig1").divisor, HALF_PLANE)
+    ev = evolve(div, 0.1, 2e-6, tracked=(2j,))
+    assert ev.collision[0] == pytest.approx(FIG1_FINE_COLLISION, abs=1e-15)
+    return ev
+
+
+class TestSundmanTail:
+    """Near a closing driving gap the error-controlled flow steps in tau,
+    with dt/dtau the gap."""
+
+    def test_colliding_pair_meets_its_closed_form_in_few_tau_steps(self):
+        # x = sqrt(1 - 4t) for driving point 1, -x for point 0, which meets
+        # the marked point at 0 at t = 1/4
+        ev = evolve(colliding_pair(), 0.3, 0.3, tol=3e-16)
+        assert ev.tau_steps > 0
+        assert len(ev.states) - ev.tail_start < 100
+        # x(t) has infinite slope at the collision, so each state's distance
+        # from the closed form is taken along t
+        for st in ev.states:
+            assert abs(st.t - (1.0 - st.x[1] ** 2) / 4.0) <= 1e-12
+            assert st.x[0] == -st.x[1]
+        lo, hi = ev.collision
+        assert lo <= 0.25 <= hi
+        assert hi - lo <= 1e-12
+        assert "marked point 0.0" in ev.collision_note
+        # halfway between tail states the interpolated paths keep to the
+        # closed form as closely; cubic Hermite in t on the same states is
+        # 9e-6 off along t
+        ts = np.array([st.t for st in ev.states[ev.tail_start :]])
+        mids = (0.5 * (ts[:-1] + ts[1:]))[ts[1:] > ts[:-1]]
+        x0, x1 = loewner._DrivingPaths(ev).at(mids)
+        assert np.abs(mids - (1.0 - x1 * x1) / 4.0).max() <= 1e-12
+        assert np.array_equal(x0, -x1)
+
+    def test_fig1_collision_and_hull_against_a_fine_fixed_step_flow(self, fig1_tail_flow, fig1_fine_flow, monkeypatch):
+        ev, fine = fig1_tail_flow, fig1_fine_flow
+        # t-steps to the end took 1,789 states, 896 of them in the last 1% of t*
+        assert len(ev.states) <= 1100
+        assert ev.tau_steps > 0
+        # the switch comes after t = 0.045, where the bench reads x
+        assert ev.states[ev.tail_start].t > 0.045
+        lo, hi = ev.collision
+        assert abs(0.5 * (lo + hi) - FIG1_FINE_COLLISION) <= 1e-12
+        # the samples before the collision, at the same times in both
+        # flows; the flow that took t-steps to the end was 9.886e-13 from
+        # the fine one at most, measured the same way
+        times = [ev.final.t * i / 32 for i in range(32)]
+        got, want = trace_hull(ev, times, 1e-6), trace_hull(fine, times, 1e-6)
+        assert max(abs(a.point - b.point) for a, b in zip(got, want)) <= 9.9e-13
+        # curves 1 and 2 at the fine flow's last time: 1.06e-14 with t-steps
+        # to the end, and rounding moves it by 1e-16 (8 Newton steps to tau
+        # instead of 6 give 1.095e-14 here instead of 1.107e-14)
+        got, want = trace_hull(ev, [fine.final.t], 1e-6), trace_hull(fine, [fine.final.t], 1e-6)
+        assert max(abs(a.point - b.point) for a, b in zip(got[1:], want[1:])) <= 1.2e-14
+        # curve 0 at t_final is the tip at the collision: the flow that
+        # stopped at gap 2.6e-8 left it 1.79e-6 from the tip of a flow
+        # closed to gap 1e-10 (the fine flow's own is 1.77e-6 away)
+        (tip,) = [s.point for s in trace_hull(ev, [ev.final.t], 1e-6) if s.curve == 0]
+        monkeypatch.setattr(loewner, "COLLISION_TOL", 1e-10)
+        closed = evolve(ev.divisor, 0.1, 1e-2, ev.nu, ev.tracked, 1e-16)
+        (limit,) = [s.point for s in trace_hull(closed, [closed.final.t], 1e-6) if s.curve == 0]
+        assert abs(tip - limit) <= 6e-7
+
+    def test_a_tail_that_overshoots_the_horizon_ends_it_in_t(self, monkeypatch):
+        # at the switch fig1's collision is predicted 4e-6 early: T between
+        # the prediction and the collision is passed by a tau-step
+        sc = preset("fig1")
+        lo = sc.loewner
+        div, _ = transport(sc.divisor, HALF_PLANE)
+        T = 0.048652
+        ev = evolve(div, T, lo.dt, sc.rates, lo.tracked, lo.tol)
+        assert ev.tau_steps > 0 and ev.collision is None
+        assert ev.final.t == T
+        monkeypatch.setattr(loewner, "TAIL_SHARE", 0.0)
+        t_only = evolve(div, T, lo.dt, sc.rates, lo.tracked, lo.tol)
+        assert t_only.tau_steps == 0
+        assert max(abs(a - b) for a, b in zip(ev.final.x, t_only.final.x)) < 1e-10
+        assert abs(ev.g[-1, 0] - t_only.g[-1, 0]) < 1e-14
+
+    def test_flows_without_a_closing_gap_take_no_tau_steps(self, fig1_flow):
+        # fixed steps, as in fig1_flow, never switch
+        assert fig1_flow.tau_steps == 0 and fig1_flow.collision is not None
+        for sc in (preset("fig2"), preset("fig3"), single_curve_scene()):
+            lo = sc.loewner
+            div = sc.divisor if sc.divisor.domain == HALF_PLANE else transport(sc.divisor, HALF_PLANE)[0]
+            ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+            assert ev.tau_steps == 0 and ev.tail == []
+
+
 class TestHull:
     """The reverse sweep of trace_hull."""
 
@@ -622,7 +730,9 @@ class TestHull:
         ]
         assert bits(trace_hull(ev, times, 1e-3)) == bits(want)
 
-    @pytest.mark.parametrize("flow, lift", [("fig1_flow", 1e-6), ("eight_curve_flow", 1e-3)])
+    @pytest.mark.parametrize(
+        "flow, lift", [("fig1_flow", 1e-6), ("fig1_tail_flow", 1e-6), ("eight_curve_flow", 1e-3)]
+    )
     def test_batch_equals_one_call_per_time(self, flow, lift, request):
         ev = request.getfixturevalue(flow)
         # the samples retire at different sweeps; fig1's last time is its collision
