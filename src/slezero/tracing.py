@@ -1,11 +1,12 @@
 """Horizontal trajectory tracing and asymptotic analysis.
 
 Trajectories are integral curves of the unit horizontal line field of a
-quadratic differential, traced with a classical 4th-order one-step method in
-arc length, with error-controlled long steps far from every factor point
-(see ``trace``). The field is only defined up to sign, so every stage evaluation
-is aligned with the direction of the previous step; launches from growth
-points start on a separatrix, offset by the capture radius.
+quadratic differential, traced in arc length: with the classical 4th-order
+one-step method near the factor points, and far from all of them with
+error-controlled long steps of the Dormand-Prince 5(4) pair (see ``trace``).
+The field is only defined up to sign, so every stage evaluation is aligned
+with the direction of the previous step; launches from growth points start
+on a separatrix, offset by the capture radius.
 """
 
 from __future__ import annotations
@@ -23,7 +24,20 @@ SEPARATRIX_TOL = 1e-3
 MAX_TURN = 0.2
 REGROW_TURN = 0.05
 DOMAIN_MARGIN = 1e-6  # how far past the boundary a trace may step before it stops
-TRACE_FAR_TOL = 1e-16  # local error bound of a step beyond twice the factor radius
+TRACE_FAR_TOL = 1e-16  # bound on a far step's 4th-order error estimate h |sum e_i k_i|
+# Dormand-Prince 5(4) (Hairer-Norsett-Wanner, Solving ODEs I, II.5): the
+# rows a_2..a_6 of the stages, the 5th-order weights b of the step, and
+# e = b - b_hat against the embedded 4th-order solution, whose 7th stage
+# is the field at the step's end
+DP54_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+DP54_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DP54_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 PAIR_ANGLE_GAP = 0.05  # approach directions closer than this make a converging pair
 SPIRAL_WINDING = 4.0 * math.pi  # a winding beyond this may flag a spiral
 
@@ -90,18 +104,21 @@ def trace(
     on leaving the domain by more than ``DOMAIN_MARGIN``, or on exhausting
     the arc length budget.
 
-    Within twice the largest |p| over the factor points, steps are at most
-    ``params.step``, halved while a step turns the field by more than
-    ``MAX_TURN``. Beyond it the field is close to a power of z and each
-    step is also error-controlled: the embedded RK4(3) estimate
-    h/6 |k4 - k5|, with k5 the field at the step's end (reused as the next
-    step's first stage), must not exceed ``TRACE_FAR_TOL`` unless h is down
-    to ``params.step``, and h doubles while the estimate is under a 32nd of
-    it and the doubled step stays within a quarter of |z| - rho, a lower
-    bound on the distance to every factor point.
-    There the arc length is the integration parameter, and a trajectory
-    that exhausts its budget ends at exactly ``max_arc_length``. A step
-    within it that rounding keeps from moving z raises ``StepBudgetError``.
+    Within twice the largest |p| over the factor points, rho, each step is
+    a classical RK4 step of at most ``params.step``. Beyond it the field is
+    close to a power of z, and each step is a Dormand-Prince 5(4) step
+    (``DP54_A``, ``DP54_B``) that takes the 5th-order solution. Its
+    embedded 4th-order estimate h |sum e_i k_i| (``DP54_E``), with k7 the
+    field at the step's end reused as the next step's first stage, must
+    not exceed ``TRACE_FAR_TOL`` unless h is down to ``params.step``; h
+    doubles while the estimate is under a 32nd of it and the doubled step
+    stays within a quarter of |z| - rho, a lower bound on the distance to
+    every factor point. Either step is halved while it turns the field by
+    more than ``MAX_TURN`` (its first stage against its stage at the end).
+    Beyond 2 rho the arc length is the integration parameter, and a
+    trajectory that exhausts its budget there ends at exactly
+    ``max_arc_length``. A step within 2 rho that rounding keeps from moving
+    z raises ``StepBudgetError``.
     """
     if initial_dir == 0:
         raise LaunchError("initial direction must be nonzero")
@@ -143,6 +160,9 @@ def trace(
     # beyond twice the largest |p| the field is close to a power of z
     rho = max((abs(p) for p in singular), default=0.0)
     far_radius = 2.0 * rho
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = DP54_A
+    b1, _, b3, b4, b5, b6 = DP54_B
+    e1, _, e3, e4, e5, e6, e7 = DP54_E
     dir_r, dir_i = direction.real, direction.imag
     terminal: Terminal | None = None
     arc = arcs[-1]
@@ -165,6 +185,45 @@ def trace(
             else:
                 k1r, k1i = k1
             while True:
+                if far:
+                    _, k2r, k2i = field(zr + h * (a21 * k1r), zi + h * (a21 * k1i), dir_r, dir_i)
+                    _, k3r, k3i = field(
+                        zr + h * (a31 * k1r + a32 * k2r), zi + h * (a31 * k1i + a32 * k2i), dir_r, dir_i
+                    )
+                    _, k4r, k4i = field(
+                        zr + h * (a41 * k1r + a42 * k2r + a43 * k3r),
+                        zi + h * (a41 * k1i + a42 * k2i + a43 * k3i),
+                        dir_r,
+                        dir_i,
+                    )
+                    _, k5r, k5i = field(
+                        zr + h * (a51 * k1r + a52 * k2r + a53 * k3r + a54 * k4r),
+                        zi + h * (a51 * k1i + a52 * k2i + a53 * k3i + a54 * k4i),
+                        dir_r,
+                        dir_i,
+                    )
+                    _, k6r, k6i = field(
+                        zr + h * (a61 * k1r + a62 * k2r + a63 * k3r + a64 * k4r + a65 * k5r),
+                        zi + h * (a61 * k1i + a62 * k2i + a63 * k3i + a64 * k4i + a65 * k5i),
+                        dir_r,
+                        dir_i,
+                    )
+                    turn = abs(math.atan2(k1r * k6i - k1i * k6r, k1r * k6r + k1i * k6i))
+                    if turn > MAX_TURN and h > h_min:
+                        h *= 0.5
+                        continue
+                    tr = b1 * k1r + b3 * k3r + b4 * k4r + b5 * k5r + b6 * k6r
+                    ti = b1 * k1i + b3 * k3i + b4 * k4i + b5 * k5i + b6 * k6i
+                    z_new = complex(zr + h * tr, zi + h * ti)
+                    _, k7r, k7i = field(z_new.real, z_new.imag, dir_r, dir_i)
+                    err = h * math.hypot(
+                        e1 * k1r + e3 * k3r + e4 * k4r + e5 * k5r + e6 * k6r + e7 * k7r,
+                        e1 * k1i + e3 * k3i + e4 * k4i + e5 * k5i + e6 * k6i + e7 * k7i,
+                    )
+                    if err > TRACE_FAR_TOL and h > params.step:
+                        h *= 0.5
+                        continue
+                    break
                 _, k2r, k2i = field(zr + 0.5 * h * k1r, zi + 0.5 * h * k1i, dir_r, dir_i)
                 _, k3r, k3i = field(zr + 0.5 * h * k2r, zi + 0.5 * h * k2i, dir_r, dir_i)
                 _, k4r, k4i = field(zr + h * k3r, zi + h * k3i, dir_r, dir_i)
@@ -175,12 +234,6 @@ def trace(
                 tr = (k1r + 2.0 * (k2r + k3r) + k4r) / 6.0
                 ti = (k1i + 2.0 * (k2i + k3i) + k4i) / 6.0
                 z_new = complex(zr + h * tr, zi + h * ti)
-                if far:
-                    _, k5r, k5i = field(z_new.real, z_new.imag, dir_r, dir_i)
-                    err = h / 6.0 * math.hypot(k4r - k5r, k4i - k5i)
-                    if err > TRACE_FAR_TOL and h > params.step:
-                        h *= 0.5
-                        continue
                 break
         except SingularityProximityError:
             # a stage landed essentially on a singular point
@@ -195,9 +248,9 @@ def trace(
             # falls short of it by about h^3 kappa^2 / 24
             arc = params.max_arc_length if h == rest else arc + h
             # signed as field(z_new, new direction) would sign it
-            if k5r * dir_r + k5i * dir_i < 0.0:
-                k5r, k5i = -k5r, -k5i
-            k1 = (k5r, k5i)
+            if k7r * dir_r + k7i * dir_i < 0.0:
+                k7r, k7i = -k7r, -k7i
+            k1 = (k7r, k7i)
         else:
             chord = abs(z_new - z)
             # near 1e300 a step is lost to rounding and would repeat forever

@@ -182,9 +182,11 @@ def test_field_scenes_keep_their_recorded_analysis():
     # the verdicts read the differential's singularity table, but every
     # field scene ends as bench/data/field.json records: the same
     # terminals, pair count and spiral count. 40, 175 and 206 run out of
-    # arc on the half-plane; the rest are every scene with a recorded pair
-    # or spiral that costs under 0.1 s (81 and 143 have a spiral and a pair
-    # on the half-plane, 165 is a disk scene with a pair).
+    # arc on the half-plane, and so do the four curves of 68 and 115, two
+    # of the heaviest scenes, whose far steps are tolerance-bound at
+    # |z| = 20 to 50; the rest are every scene with a recorded pair or
+    # spiral that costs under 0.1 s (81 and 143 have a spiral and a pair on
+    # the half-plane, 165 is a disk scene with a pair).
     pool = json.loads((BENCH / "data" / "field.json").read_text())["scenes"]
     verdicts = [
         sid
@@ -193,7 +195,7 @@ def test_field_scenes_keep_their_recorded_analysis():
     ]
     assert {"81", "143", "165"} <= set(verdicts) and len(verdicts) >= 20
     exhausted = 0
-    for sid in ("40", "175", "206", *verdicts):
+    for sid in ("40", "175", "206", "68", "115", *verdicts):
         sc = scene.parse_config(bench_scenes.field_scene(int(sid)))
         qd = quadratic.build_Q(sc.divisor)
         trajectories = tracing.launch_all(qd, sc.trace)
@@ -205,4 +207,4 @@ def test_field_scenes_keep_their_recorded_analysis():
         }
         assert got == {key: pool[sid][key] for key in got}, sid
         exhausted += got["terminals"].count("exhausted_arc_length")
-    assert exhausted >= 4
+    assert exhausted >= 12

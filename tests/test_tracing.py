@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from conftest import random_real_locus, real_locus
 
@@ -221,6 +222,78 @@ class TestFarField:
                 ended_far += 1
         assert long_steps > 0
         assert ended_far > 0
+
+    @pytest.mark.parametrize(
+        "start, rk4_level",
+        # the worst level distances with the RK4(3) far steps the tracer
+        # took before its Dormand-Prince 5(4) steps, 2.364e-15 and 1.614e-15;
+        # 4.7e-16 and 8.1e-16 now
+        [(1 + 1j, 2.37e-15), (0.3 + 2j, 1.62e-15)],
+    )
+    def test_far_steps_keep_the_hyperbolas_of_z_squared(self, start, rk4_level):
+        # Q = z^2 has rho = 0, so every step is a far step; its trajectories
+        # are the hyperbolas Im z^2 = c, a distance |Im z^2 - c| / (2|z|)
+        qd = build_Q(SymmetricDivisor.half_plane([0.0], [("inf", -3)]))
+        assert far_radius(qd) == 0.0
+        level = (start * start).imag
+        for direction in (1, -1):
+            traj = trace(qd, start, direction, TraceParams(max_arc_length=50.0))
+            assert traj.terminal.kind == "exhausted_arc_length"
+            assert traj.arc_length == 50.0
+            worst = max(abs((z * z).imag - level) / (2.0 * abs(z)) for z in traj.points)
+            assert worst <= rk4_level
+            if start == 1 + 1j and direction == 1:
+                # 4,634 points with the RK4(3) far steps, 1,571 now
+                assert len(traj.points) < 2000
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended")
+    def test_far_steps_meet_an_extended_precision_reference(self):
+        # infinity a pole of order 12: from each exhausted trajectory's first
+        # point beyond the far radius, fixed 1e-3 RK4 steps in long double
+        # run to the same arc length. At 2e-3 that reference is itself off by
+        # 2.3e-13 on the curves that start near the radius; at 1e-3 and 5e-4
+        # it agrees with the tracer to 1.5e-14 and 3.0e-14, its own rounding.
+        qd = build_Q(
+            SymmetricDivisor.half_plane([-1.0, 0.5], [(0.3 + 1j, 1), (0.3 - 1j, 1), ("inf", -6)])
+        )
+        params = TraceParams(max_arc_length=20.0)
+        radius = far_radius(qd)
+        trajs = launch_all(qd, params) + [trace(qd, 0.3 + 2j, d, params) for d in (1, -1)]
+        firsts = [next(k for k, z in enumerate(t.points) if abs(z) > radius) for t in trajs]
+        assert [t.terminal.kind for t in trajs] == ["exhausted_arc_length"] * 4
+
+        ld = np.longdouble
+        pr = np.array([ld(p.real) for p, _ in qd.factors])
+        pi_ = np.array([ld(p.imag) for p, _ in qd.factors])
+        half = np.array([ld(order) / 2 for _, order in qd.factors])
+        phase = ld(cmath.phase(qd.phase))
+
+        def field(zr, zi, ref_r, ref_i):
+            angle = phase + np.arctan2(zi[:, None] - pi_, zr[:, None] - pr) @ half
+            ur, ui = np.cos(angle), -np.sin(angle)
+            sign = np.where(ur * ref_r + ui * ref_i < 0, ld(-1), ld(1))
+            return sign * ur, sign * ui
+
+        zr = np.array([ld(t.points[k].real) for t, k in zip(trajs, firsts)])
+        zi = np.array([ld(t.points[k].imag) for t, k in zip(trajs, firsts)])
+        ur = np.array([ld((t.points[k + 1] - t.points[k]).real) for t, k in zip(trajs, firsts)])
+        ui = np.array([ld((t.points[k + 1] - t.points[k]).imag) for t, k in zip(trajs, firsts)])
+        rest = np.array([ld(params.max_arc_length) - ld(t.arc_lengths[k]) for t, k in zip(trajs, firsts)])
+        steps = math.ceil(float(rest.max()) / 1e-3)
+        h = rest / steps
+        for _ in range(steps):
+            k1r, k1i = field(zr, zi, ur, ui)
+            k2r, k2i = field(zr + h / 2 * k1r, zi + h / 2 * k1i, k1r, k1i)
+            k3r, k3i = field(zr + h / 2 * k2r, zi + h / 2 * k2i, k1r, k1i)
+            ur, ui = field(zr + h * k3r, zi + h * k3i, k1r, k1i)
+            zr = zr + h / 6 * (k1r + 2 * (k2r + k3r) + ur)
+            zi = zi + h / 6 * (k1i + 2 * (k2i + k3i) + ui)
+        gaps = [
+            float(np.hypot(ld(t.points[-1].real) - a, ld(t.points[-1].imag) - b))
+            for t, a, b in zip(trajs, zr, zi)
+        ]
+        # 6.5e-13, 3.6e-12, 1.7e-12 and 1.6e-12 with the RK4(3) far steps
+        assert max(gaps) <= 1e-13
 
 
 class TestLaunch:
