@@ -255,29 +255,37 @@ def dlog_Z(x: Sequence[float], q: Sequence[complex], s: Sequence[float]) -> list
     marked points ``q`` with charges ``s``. The result must be real for
     boundary configurations: an imaginary residue above ``IMAG_RESIDUE_TOL``
     is an error, below it is truncated.
+
+    Each sum runs over k, then l, in order. A pair's quotient is computed
+    once, for j < k, and 2/(x_k - x_j) is its exact negative; the pair
+    terms add up on a float, which takes the complex marked terms the way
+    the complex sum 0j + ... would, and with no marked point the sum is
+    real.
     """
-    out = []
+    out = [0.0] * len(x)  # the pair terms of row j from k < j, added at k
     for j, xj in enumerate(x):
-        total = 0j
-        for k, xk in enumerate(x):
-            if k == j:
-                continue
-            d = xj - xk
-            if abs(d) <= DISTINCT_TOL:
-                raise DegenerateConfigurationError(f"growth points {xj} and {xk} coincide")
-            total += 2.0 / d
-        for ql, sl in zip(q, s):
-            d = xj - ql
-            if abs(d) <= DISTINCT_TOL:
+        total = out[j]
+        for k in range(j + 1, len(x)):
+            d = xj - x[k]
+            if -DISTINCT_TOL <= d <= DISTINCT_TOL:
+                raise DegenerateConfigurationError(f"growth points {xj} and {x[k]} coincide")
+            v = 2.0 / d
+            total += v
+            out[k] -= v
+        if q:
+            for ql, sl in zip(q, s):
+                d = xj - ql
+                if abs(d) <= DISTINCT_TOL:
+                    raise DegenerateConfigurationError(
+                        f"growth point {xj} hits marked point {format_complex(ql)}"
+                    )
+                total += 2.0 * sl / d
+            if abs(total.imag) > IMAG_RESIDUE_TOL:
                 raise DegenerateConfigurationError(
-                    f"growth point {xj} hits marked point {format_complex(ql)}"
+                    f"dlog_Z imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}"
                 )
-            total += 2.0 * sl / d
-        if abs(total.imag) > IMAG_RESIDUE_TOL:
-            raise DegenerateConfigurationError(
-                f"dlog_Z imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}"
-            )
-        out.append(total.real)
+            total = total.real
+        out[j] = total
     return out
 
 

@@ -9,10 +9,19 @@ while marked points and tracked observers z are carried by the common field
 
     dz/dt = sum_j 2 nu_j / (z - x_j),
 
-and log g'(z) by its derivative flow. The observers' part of the common
-field is one array pass, with the bits of the scalar sum, once driving
-points x live observers reach ``ARRAY_QUOTIENTS``; below that, and for the
-marked points, it is a loop on Python numbers, which is faster there.
+and log g'(z) by its derivative flow.
+
+The driving points are a list of floats; the marked points and the live
+observers, which the common field carries, are a list of Python complex
+numbers, or one complex array where that costs less (``_on_arrays``, which
+deaths can undo). On arrays the whole step is array operations, and scalar
+code (``dlog_Z``, the closing gap, the states) reads the marked points out
+as Python numbers. Both paths give the same bits: numpy's complex sums,
+real-scalar products and ``np.hypot(re, im)`` round as CPython's complex
+arithmetic and ``abs``, quotients are CPython's (``_quotients``) and sums
+run in its order. ``np.abs`` of a complex array is not ``abs`` (it differs
+in the last place for about a third of random values), nor are ``np.log``
+and ``np.arctan2`` libm's, so none of them is used where bits must match.
 
 The points are integrated together with a classical 4th-order step, of
 fixed size or sized by its free embedded error estimate; the step size is
@@ -57,7 +66,7 @@ STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones in
 BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
 HISTORY_BUDGET = 10_000_000  # observer history values (rows x tracked) per evolution
-ARRAY_QUOTIENTS = 128  # driving points x live observers from which their field runs on arrays
+ARRAY_QUOTIENTS = 300  # (driving points + 8) x live observers from which the flow runs on arrays
 TAIL_SHARE = 0.01  # of the time so far: a collision predicted within it switches the flow to tau
 TAIL_NEWTON = 6  # Newton steps that map a time to tau on a tail interval (rounding after 4)
 
@@ -149,17 +158,18 @@ class Evolution:
 
 def _velocities(
     x: Sequence[float],
-    p: Sequence[complex],
+    p: Sequence[complex] | np.ndarray,
     s: Sequence[float],
     nq: int,
     rates: Sequence[float],
     arrays: bool = False,
-) -> tuple[list[float], list[complex]]:
+) -> tuple[list[float], list[complex] | np.ndarray]:
     """d/dt of the driving points and of the points ``p`` carried by the
     common field: the ``nq`` finite marked points, with charges ``s``, then
-    the live observers, whose field is one array pass if ``arrays`` and a
-    loop on Python numbers otherwise, with the same bits."""
-    dlog = divisors.dlog_Z(x, p[:nq], s)
+    the live observers. If ``arrays``, ``p`` and its velocities are complex
+    arrays and the field is one array pass; otherwise they are lists and
+    the field is a loop on Python numbers, with the same bits."""
+    dlog = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s)
     c = [2.0 * r for r in rates]
     dx = []
     for j, xj in enumerate(x):
@@ -168,20 +178,30 @@ def _velocities(
             if k != j:
                 inter += c[k] / (xj - xk)
         dx.append(rates[j] * dlog[j] + inter)
+    if arrays:
+        re, im = _reverse_velocity(p.real, p.imag, np.array(x)[:, None], np.array(c)[:, None], -1.0)
+        dp = np.empty(len(p), dtype=complex)
+        # the scalar sum starts from 0j, which turns a zero sum's -0.0 into 0.0
+        dp.real, dp.imag = 0.0 + re, 0.0 + im
+        return dx, dp
     dp = []
-    for z in p[:nq] if arrays else p:
+    for z in p:
         total = 0j
         for xk, ck in zip(x, c):
             total += ck / (z - xk)
         dp.append(total)
-    if arrays:
-        obs = np.array(p[nq:])
-        re, im = _reverse_velocity(obs.real, obs.imag, np.array(x)[:, None], np.array(c)[:, None], -1.0)
-        out = np.empty(len(obs), dtype=complex)
-        # the scalar sum starts from 0j, which turns a zero sum's -0.0 into 0.0
-        out.real, out.imag = 0.0 + re, 0.0 + im
-        dp += out.tolist()
     return dx, dp
+
+
+def _on_arrays(n: int, observers: int) -> bool:
+    """Whether the flow of ``n`` driving points and ``observers`` live
+    observers runs on arrays. Per observer, the loop pays n quotients per
+    field evaluation and about 8 more in the shifts and the RK4 sum; the
+    arrays pay per step. On 60-step flows (median of 15 interleaved pairs,
+    2-vCPU x86-64, two runs) the arrays win from about 32, 30, 29, 24 and
+    15 observers at 1, 2, 3, 5 and 10 driving points; this switches at 34,
+    30, 28, 24 and 17."""
+    return (n + 8) * observers >= ARRAY_QUOTIENTS
 
 
 def _shift(y: list, k: list, h: float) -> list:
@@ -193,16 +213,24 @@ def _rk4(y: list, k1: list, k2: list, k3: list, k4: list, h: float) -> list:
     return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _scale(v: tuple[list, list], c: float) -> tuple[list, list]:
-    return [c * a for a in v[0]], [c * b for b in v[1]]
+def _shift_array(y: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
+    return y + h * k
+
+
+def _rk4_array(y: np.ndarray, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray, h: float) -> np.ndarray:
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _scale(v: tuple[list, list | np.ndarray], c: float, arrays: bool) -> tuple[list, list | np.ndarray]:
+    return [c * a for a in v[0]], c * v[1] if arrays else [c * b for b in v[1]]
 
 
 def _separation(x: Sequence, p: Sequence, pair: tuple[int, int]):
     """Driving point j minus the other point of ``pair`` (as ``_min_gap``
-    names it; the finite marked points lead ``p``). On the velocities, its
-    rate."""
+    names it; the finite marked points lead ``p``, a list or an array). On
+    the velocities, its rate."""
     j, k = pair
-    return x[j] - (x[k] if k < len(x) else p[k - len(x)])
+    return x[j] - (x[k] if k < len(x) else complex(p[k - len(x)]))
 
 
 def _closing_rate(x: Sequence[float], p: Sequence[complex], vel: tuple[list, list], pair: tuple[int, int]) -> float:
@@ -227,7 +255,7 @@ def _stage(
     if pair is None:
         return v, 1.0, v
     c = abs(_separation(x, p, pair))
-    return v, c, _scale(v, c)
+    return v, c, _scale(v, c, arrays)
 
 
 def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, tuple[int, int] | None]:
@@ -277,6 +305,17 @@ def _near(
     return [(min(abs(z - xj) for xj in x), i) for i, z in zip(live, g) if abs(z.imag) < 1.0]
 
 
+def _near_array(x: Sequence[float], g: np.ndarray, live: Sequence[int]) -> list[tuple[float, int]]:
+    """``_near`` for observer images ``g`` in an array: the same distances,
+    as hypot(Re z - x_j, Im z) is abs(z - x_j)."""
+    low = np.flatnonzero(np.abs(g.imag) < 1.0)
+    if not low.size:
+        return []
+    z = g[low]
+    d = np.hypot(z.real - np.array(x)[:, None], z.imag).min(axis=0)
+    return list(zip(d.tolist(), [live[i] for i in low.tolist()]))
+
+
 def _quotients(
     a: np.ndarray, br: np.ndarray, bi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +327,13 @@ def _quotients(
     big = np.where(swap, bi, br)
     small = np.where(swap, br, bi)
     ratio = small / big
-    den = big + small * ratio
-    return a * np.where(swap, ratio, 1.0) / den, a * np.where(swap, 1.0, ratio) / den
+    # in place: the denominator, then a * ratio / den and a / den
+    den = np.multiply(small, ratio, out=small)
+    den += big
+    ratio *= a
+    ratio /= den
+    plain = np.divide(a, den, out=big)
+    return np.where(swap, ratio, plain), np.where(swap, plain, ratio)
 
 
 class _ObserverHistory:
@@ -371,10 +415,13 @@ def _log_gprime_steps(
     observer images ``gs`` (stages along axis 1), and the stages' clock
     factors dt/dsigma, which weight each stage (1.0 in t, exactly)."""
     gr, gi = gs.real, gs.imag
+    gi2 = gi * gi
     for k in range(xs.shape[2]):
         dr = gr - xs[:, :, k, None]
-        # 2 nu_k / (g - x_k)^2, the square as CPython multiplies
-        re, neg_im = _quotients(coeffs[:, k, None, None], dr * dr - gi * gi, dr * gi + gi * dr)
+        # 2 nu_k / (g - x_k)^2, the square as CPython multiplies: its
+        # imaginary part dr gi + gi dr is a sum of two equal products
+        cross = dr * gi
+        re, neg_im = _quotients(coeffs[:, k, None, None], dr * dr - gi2, cross + cross)
         if k == 0:
             sum_re, sum_neg_im = re, neg_im
         else:
@@ -465,16 +512,17 @@ def evolve(
 
     death_times: list[float | None] = [None] * len(tracked)
     live = list(range(len(tracked)))
-    # the marked points, then the live observers
-    p = list(q) + list(tracked)
-    near = _near(x, p[nq:], live)
+    # the marked points, then the live observers: an array on the array
+    # path, which only a death can leave
+    arrays = _on_arrays(len(x), len(live))
+    p = np.array(q + list(tracked), dtype=complex) if arrays else q + list(tracked)
+    shift, rk4, near_of = (_shift_array, _rk4_array, _near_array) if arrays else (_shift, _rk4, _near)
+    near = near_of(x, p[nq:], live)
     next_break = 0
     t = 0.0
     steps = rejected = 0
     h_next = math.inf  # the step size the error control proposes, in the step variable
     rates = nu.rates(t)
-    # both ways give the same bits, so the choice is only made once a step
-    arrays = len(x) * len(live) >= ARRAY_QUOTIENTS
     # the velocities d/dt at the latest state: its dx, and the next step's k1
     vel = _velocities(x, p, s, nq, rates, arrays)
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
@@ -488,7 +536,6 @@ def evolve(
     tail_start, tail_states, tau_steps = 0, [], 0
 
     while t < T:
-        arrays = len(x) * len(live) >= ARRAY_QUOTIENTS
         gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
@@ -539,19 +586,23 @@ def evolve(
             )
 
         h2 = h / 2
-        c1, k1 = clock, vel if closing is None else _scale(vel, clock)
-        x2, p2 = _shift(x, k1[0], h2), _shift(p, k1[1], h2)
+        c1, k1 = clock, vel if closing is None else _scale(vel, clock, arrays)
+        x2, p2 = _shift(x, k1[0], h2), shift(p, k1[1], h2)
         _, c2, k2 = _stage(x2, p2, s, nq, rates, arrays, closing)
-        x3, p3 = _shift(x, k2[0], h2), _shift(p, k2[1], h2)
+        x3, p3 = _shift(x, k2[0], h2), shift(p, k2[1], h2)
         _, c3, k3 = _stage(x3, p3, s, nq, rates, arrays, closing)
-        x4, p4 = _shift(x, k3[0], h), _shift(p, k3[1], h)
+        x4, p4 = _shift(x, k3[0], h), shift(p, k3[1], h)
         _, c4, k4 = _stage(x4, p4, s, nq, rates, arrays, closing)
         x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
-        p1 = _rk4(p, k1[1], k2[1], k3[1], k4[1], h)
+        p1 = rk4(p, k1[1], k2[1], k3[1], k4[1], h)
         v5, c5, k5 = _stage(x1, p1, s, nq, rates, arrays, closing)
         # NaN fails every comparison, so neither a collision nor a rejection
         # would see it; a finite new state has finite stages k1 to k4
-        if not (math.isfinite(sum(x1) + sum(k5[0])) and cmath.isfinite(sum(p1) + sum(k5[1]))):
+        if arrays:
+            finite = np.isfinite(p1).all() and np.isfinite(k5[1]).all()
+        else:
+            finite = cmath.isfinite(sum(p1) + sum(k5[1]))
+        if not (finite and math.isfinite(sum(x1) + sum(k5[0]))):
             raise InversionFailureError(
                 f"flow state is not finite at t={t:.12g} (step {h:.3g}, gap {gap:.3g})"
             )
@@ -566,7 +617,12 @@ def evolve(
                 closing, left, clock, h_next = None, True, 1.0, t1 - t
                 continue
         if tol is not None:
-            diff = max(abs(a - b) for a, b in zip(k4[0] + k4[1], k5[0] + k5[1]))
+            if arrays:
+                d = k4[1] - k5[1]
+                diff = max(max(abs(a - b) for a, b in zip(k4[0], k5[0])), np.hypot(d.real, d.imag).max(initial=0.0))
+                diff = float(diff)
+            else:
+                diff = max(abs(a - b) for a, b in zip(k4[0] + k4[1], k5[0] + k5[1]))
             if closing is not None:
                 diff = max(diff, abs(c4 - c5))  # t is a component of the tail's state
             err = h / 6.0 * diff
@@ -582,21 +638,29 @@ def evolve(
             t1 = stop
             next_break += 1
         history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), 2 if at_break else 1))
-        x, p, q, vel, clock = x1, p1, p1[:nq], v5, c5
+        x, p, q, vel, clock = x1, p1, p1[:nq].tolist() if arrays else p1[:nq], v5, c5
         if closing is not None:
             tau_steps += 1
             tail_states.extend([(tail_states[-1][0] + h, clock)] * (2 if at_break else 1))
-        near = _near(x, p[nq:], live)
+        near = near_of(x, p[nq:], live)
         dead = [i for d, i in near if d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1]
         if dead:
             history.flush(live, nq)
             for i in dead:
                 death_times[i] = t1
             keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
-            p = q + [p[nq + pos] for pos in keep]
-            vel = (vel[0], vel[1][:nq] + [vel[1][nq + pos] for pos in keep])
+            rows = list(range(nq)) + [nq + pos for pos in keep]
             live = [live[pos] for pos in keep]
             near = [e for e in near if death_times[e[1]] is None]
+            if arrays:
+                p, vp = p[rows], vel[1][rows]
+                # both paths give the same bits: only the cost decides
+                if not _on_arrays(len(x), len(live)):
+                    arrays, p, vp = False, p.tolist(), vp.tolist()
+                    shift, rk4, near_of = _shift, _rk4, _near
+            else:
+                p, vp = [p[i] for i in rows], [vel[1][i] for i in rows]
+            vel = (vel[0], vp)
         elif len(history.steps) * (len(x) + len(p)) >= BLOCK_VALUES:
             history.flush(live, nq)
         if at_break:
@@ -714,8 +778,14 @@ def _reverse_velocity(
     runs over the driving points in order, so that a column gets the bits
     of the same sum over Python complex numbers. The forward common field
     of ``evolve`` is the case w = -1.
+
+    From 4 rows and 2 columns numpy's axis-0 reduction adds the rows in
+    order; from -0.0, which changes no addend, it is the loop's sum (one
+    column it would sum pairwise, and below 4 rows the loop is cheaper).
     """
     re, im = _quotients(coeff, zr - x, zi)
+    if len(x) > 3 and re.shape[1] > 1:
+        return -w * re.sum(axis=0, initial=-0.0), w * im.sum(axis=0, initial=-0.0)
     tr, ti = re[0], im[0]
     for k in range(1, len(x)):
         tr = tr + re[k]

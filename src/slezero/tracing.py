@@ -110,10 +110,11 @@ def trace(
     (``DP54_A``, ``DP54_B``) that takes the 5th-order solution. Its
     embedded 4th-order estimate h |sum e_i k_i| (``DP54_E``), with k7 the
     field at the step's end reused as the next step's first stage, must
-    not exceed ``TRACE_FAR_TOL`` unless h is down to ``params.step``; h
-    doubles while the estimate is under a 32nd of it and the doubled step
-    stays within a quarter of |z| - rho, a lower bound on the distance to
-    every factor point. Either step is halved while it turns the field by
+    not exceed ``TRACE_FAR_TOL``, and its end must lie in the domain,
+    unless h is down to ``params.step``; otherwise h is halved. h doubles
+    while the estimate is under a 32nd of it and the doubled step stays
+    within a quarter of |z| - rho, a lower bound on the distance to every
+    factor point. Either step is halved while it turns the field by
     more than ``MAX_TURN`` (its first stage against its stage at the end).
     Beyond 2 rho the arc length is the integration parameter, and a
     trajectory that exhausts its budget there ends at exactly
@@ -215,6 +216,12 @@ def trace(
                     tr = b1 * k1r + b3 * k3r + b4 * k4r + b5 * k5r + b6 * k6r
                     ti = b1 * k1i + b3 * k3i + b4 * k4i + b5 * k5i + b6 * k6i
                     z_new = complex(zr + h * tr, zi + h * ti)
+                    if z_new.imag < -DOMAIN_MARGIN and h > params.step:
+                        # a long step does not leave the half-plane (a disk
+                        # trace stops long before 2 rho >= 2): the trace
+                        # leaves it within a near step of the boundary
+                        h *= 0.5
+                        continue
                     _, k7r, k7i = field(z_new.real, z_new.imag, dir_r, dir_i)
                     err = h * math.hypot(
                         e1 * k1r + e3 * k3r + e4 * k4r + e5 * k5r + e6 * k6r + e7 * k7r,

@@ -303,9 +303,9 @@ class TestParametrization:
 
 class TestSingleCurve:
     def test_slit_map_closed_form(self):
-        # a 16 x 16 grid of observers, enough for their field to run on arrays
+        # a 16 x 16 grid of observers, enough for the flow to run on arrays
         z = (np.linspace(-4.0, 4.0, 16)[:, None] + 1j * np.linspace(0.5, 4.0, 16)).ravel()
-        assert len(z) >= loewner.ARRAY_QUOTIENTS
+        assert loewner._on_arrays(1, len(z))
         ev = evolve(single_curve(), 0.05, 1e-4, tracked=tuple(z.tolist()))
         assert all(s.x == (0.0,) for s in ev.states)
         assert ev.death_times == [None] * len(z)
@@ -424,6 +424,17 @@ def evolve_matching_the_scalar_loop(monkeypatch, div, T, dt, nu, tracked, tol=No
     return flows
 
 
+def plain_numbers(ev):
+    """Whether every recorded state holds Python floats and complex numbers
+    only: no numpy scalar leaks from the array path."""
+    return all(
+        type(st.t) is float
+        and all(type(v) is float for v in st.x + st.dx)
+        and all(type(z) is complex for z in st.q)
+        for st in ev.states
+    ) and all(type(c) is float for pair in ev.tail for c in pair)
+
+
 def report_bits(reports):
     return [(r.samples, r.t_last, r.log_abs_initial, r.max_rel_drift, r.max_arg_drift) for r in reports]
 
@@ -469,14 +480,47 @@ class TestObservers:
                 assert [r.alive for r in reports] == [False, True, True, False]
                 assert report_bits(reports) == scalar_reports(ev)
 
+    def test_a_flow_that_leaves_the_array_path_matches_the_scalar_loop_bit_for_bit(self, monkeypatch):
+        # 18 observers of 10 curves run on arrays; two start just outside the
+        # collision tolerance above a driving point and die before t = 1e-15,
+        # which leaves 16, and the flow goes on with lists. Curve 0 doubles
+        # its rate at a breakpoint, and some observers start below height 1,
+        # where the observer cap applies
+        div = half_plane_divisor(random.Random(5), max_growth=10)
+        x = [p.value.real for p in div.growth]
+        rng = random.Random(2)
+        tracked = tuple(complex(rng.uniform(-4.0, 4.0), rng.uniform(0.05, 3.0)) for _ in range(16))
+        tracked += (complex(x[2], 2e-8), complex(x[7], 3e-8))
+        assert loewner._on_arrays(10, 18) and not loewner._on_arrays(10, 16)
+        nu = Parametrization(tuple(((0.0, 1.0), (0.0123, 2.0)) if j == 0 else ((0.0, 1.0),) for j in range(10)))
+        calls = {"_reverse_velocity": 0, "dlog_Z": 0}
+        for module, name in ((loewner, "_reverse_velocity"), (divisors, "dlog_Z")):
+            def counted(*args, f=getattr(module, name), name=name):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for tol in (None, 1e-12):
+            rows, death = scalar_flow(div, 0.02, 2e-4, nu, tracked, tol)
+            before = dict(calls)
+            ev = evolve(div, 0.02, 2e-4, nu, tracked, tol)
+            # the field ran on arrays for a part of the evaluations only
+            assert 0 < calls["_reverse_velocity"] - before["_reverse_velocity"] < calls["dlog_Z"] - before["dlog_Z"]
+            assert ev.death_times == death
+            assert plain_numbers(ev)
+            assert death[16] < 1e-15 and death[17] < 1e-15 and death[:16] == [None] * 16
+            assert [st.t for st in ev.states].count(0.0123) == 2
+            assert history_bits([st.t for st in ev.states], ev.g, ev.log_gprime) == history_bits(*zip(*rows))
+            assert report_bits(motion_integral(ev)) == scalar_reports(ev)
+
     def test_a_zero_field_has_the_sign_of_the_scalar_sum(self):
         # the real part at -0.0 + 4i and the imaginary part at 2 are sums of
         # zeros, whose sign the arrays must take from CPython's sum: it
         # starts from 0j, which turns -0.0 into 0.0
         points = [complex(-0.0, 4.0), complex(2.0, 0.0), complex(2.0, -0.0), 1 + 1j, -3 - 0.5j]
         on_arrays, scalar = (
-            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], points, [], 0, [1.0], arrays)[1]]
-            for arrays in (True, False)
+            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], p, [], 0, [1.0], arrays)[1]]
+            for p, arrays in ((np.array(points), True), (points, False))
         )
         assert on_arrays == scalar
 
@@ -691,6 +735,27 @@ class TestSundmanTail:
         closed = evolve(ev.divisor, 0.1, 1e-2, ev.nu, ev.tracked, 1e-16)
         (limit,) = [s.point for s in trace_hull(closed, [closed.final.t], 1e-6) if s.curve == 0]
         assert abs(tip - limit) <= 6e-7
+
+    def test_fig1_tail_on_arrays_has_the_bits_of_the_tail_on_lists(self, monkeypatch):
+        # the tail scales each stage's velocities by its gap; with three
+        # more observers, one under height 1, a flow on arrays from the
+        # start takes the same steps and records the same bits as on lists
+        sc = preset("fig1")
+        lo = sc.loewner
+        div, _ = transport(sc.divisor, HALF_PLANE)
+        tracked = lo.tracked + (0.3 + 0.5j, -0.2 + 2j, 1.5 + 0.05j)
+        flows = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
+            flows.append(evolve(div, lo.T, lo.dt, sc.rates, tracked, lo.tol))
+        on_arrays, on_lists = flows
+        assert on_arrays.tau_steps == on_lists.tau_steps > 0
+        assert plain_numbers(on_arrays)
+        assert on_arrays.states == on_lists.states
+        assert on_arrays.tail == on_lists.tail and on_arrays.collision == on_lists.collision
+        assert history_bits([st.t for st in on_arrays.states], on_arrays.g, on_arrays.log_gprime) == history_bits(
+            [st.t for st in on_lists.states], on_lists.g, on_lists.log_gprime
+        )
 
     def test_a_tail_that_overshoots_the_horizon_ends_it_in_t(self, monkeypatch):
         # at the switch fig1's collision is predicted 4e-6 early: T between

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +295,26 @@ class TestFarField:
         ]
         # 6.5e-13, 3.6e-12, 1.7e-12 and 1.6e-12 with the RK4(3) far steps
         assert max(gaps) <= 1e-13
+
+    def test_a_far_step_does_not_leave_the_half_plane(self):
+        # the field benchmark's pool scene 72: its third curve runs out far
+        # and comes back down to the real axis, where a long step used to
+        # end 0.0175 below it. The steps that would leave are halved, so the
+        # curve leaves within a near step, and the two others are untouched
+        q = 1.7717688554613957 + 0.6060713802237692j
+        div = SymmetricDivisor.half_plane(
+            [1.919373429326665, -0.8322423105953702, -2.3604646712780086],
+            [(q, -1), (q.conjugate(), -1), (2.908095653914316, Fraction(-3, 2)), ("inf", Fraction(-3, 2))],
+        )
+        qd = build_Q(div)
+        params = TraceParams()
+        trajs = launch_all(qd, params)
+        assert [t.terminal.kind for t in trajs] == ["reached_singularity"] * 2 + ["left_domain"]
+        assert [len(t.points) for t in trajs[:2]] == [1748, 5232]
+        far = trajs[2]
+        assert max(abs(z) for z in far.points) > far_radius(qd)
+        assert -params.step < far.points[-1].imag < -tracing.DOMAIN_MARGIN
+        assert all(z.imag >= -tracing.DOMAIN_MARGIN for z in far.points[:-1])
 
 
 class TestLaunch:
