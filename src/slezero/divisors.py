@@ -247,8 +247,11 @@ def partition_Z_log_abs(points: Iterable) -> float:
     return math.fsum(terms)
 
 
-def dlog_Z(x: Sequence[float], q: Sequence[complex], s: Sequence[float]) -> list[float]:
-    """Logarithmic derivatives of Z in every growth point.
+def dlog_Z(
+    x: Sequence[float], q: Sequence[complex], s: Sequence[float], rates: Sequence[float] | None = None
+) -> list[float]:
+    """Logarithmic derivatives of Z in every growth point; with growth
+    ``rates`` nu, the driving velocities nu_j dlog_j Z + sum_{k != j} 2 nu_k/(x_j - x_k).
 
     Component j is sum_{k != j} 2/(x_j - x_k) + sum_l 2 s_l/(x_j - q_l), each
     term the derivative of the corresponding log factor of Z, for finite
@@ -256,15 +259,17 @@ def dlog_Z(x: Sequence[float], q: Sequence[complex], s: Sequence[float]) -> list
     boundary configurations: an imaginary residue above ``IMAG_RESIDUE_TOL``
     is an error, below it is truncated.
 
-    Each sum runs over k, then l, in order. A pair's quotient is computed
-    once, for j < k, and 2/(x_k - x_j) is its exact negative; the pair
-    terms add up on a float, which takes the complex marked terms the way
-    the complex sum 0j + ... would, and with no marked point the sum is
-    real.
+    Each sum runs over k, then l, in order. A pair's difference is taken
+    once, for j < k: its quotients are both rows' terms, since
+    c/(x_k - x_j) is the exact negative of c/(x_j - x_k). The pair terms
+    add up on a float, which takes the complex marked terms the way the
+    complex sum 0j + ... would, and with no marked point the sum is real.
     """
+    c = [0.0] * len(x) if rates is None else [2.0 * r for r in rates]
     out = [0.0] * len(x)  # the pair terms of row j from k < j, added at k
+    inter = [0.0] * len(x)  # and those of its inter-curve sum
     for j, xj in enumerate(x):
-        total = out[j]
+        total, across, cj = out[j], inter[j], c[j]
         for k in range(j + 1, len(x)):
             d = xj - x[k]
             if -DISTINCT_TOL <= d <= DISTINCT_TOL:
@@ -272,6 +277,8 @@ def dlog_Z(x: Sequence[float], q: Sequence[complex], s: Sequence[float]) -> list
             v = 2.0 / d
             total += v
             out[k] -= v
+            across += c[k] / d
+            inter[k] -= cj / d
         if q:
             for ql, sl in zip(q, s):
                 d = xj - ql
@@ -285,7 +292,7 @@ def dlog_Z(x: Sequence[float], q: Sequence[complex], s: Sequence[float]) -> list
                     f"dlog_Z imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}"
                 )
             total = total.real
-        out[j] = total
+        out[j] = total if rates is None else rates[j] * total + across
     return out
 
 

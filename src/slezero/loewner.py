@@ -20,8 +20,9 @@ as Python numbers. Both paths give the same bits: numpy's complex sums,
 real-scalar products and ``np.hypot(re, im)`` round as CPython's complex
 arithmetic and ``abs``, quotients are CPython's (``_quotients``) and sums
 run in its order. ``np.abs`` of a complex array is not ``abs`` (it differs
-in the last place for about a third of random values), nor are ``np.log``
-and ``np.arctan2`` libm's, so none of them is used where bits must match.
+in the last place for about a third of random values), so it is not used.
+The motion integral's logarithms and phases are numpy's, not libm's: an ulp
+apart on some arguments, depending on the machine (``_drifts``).
 
 The points are integrated together with a classical 4th-order step, of
 fixed size or sized by its free embedded error estimate; the step size is
@@ -169,15 +170,8 @@ def _velocities(
     the live observers. If ``arrays``, ``p`` and its velocities are complex
     arrays and the field is one array pass; otherwise they are lists and
     the field is a loop on Python numbers, with the same bits."""
-    dlog = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s)
+    dx = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s, rates)
     c = [2.0 * r for r in rates]
-    dx = []
-    for j, xj in enumerate(x):
-        inter = 0.0
-        for k, xk in enumerate(x):
-            if k != j:
-                inter += c[k] / (xj - xk)
-        dx.append(rates[j] * dlog[j] + inter)
     if arrays:
         re, im = _reverse_velocity(p.real, p.imag, np.array(x)[:, None], np.array(c)[:, None], -1.0)
         dp = np.empty(len(p), dtype=complex)
@@ -950,28 +944,24 @@ class MotionIntegralReport:
     death_time: float | None
 
 
-def _libm(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` of Python floats over equal-shaped arrays: libm's bits, which
-    numpy's log and arctan2 miss in the last place for some arguments."""
-    lists = [c.ravel().tolist() for c in columns]
-    return np.fromiter(map(fn, *lists), float, columns[0].size).reshape(columns[0].shape)
-
-
 def _drifts(
     g: np.ndarray, log_gprime: np.ndarray, factors: list, dead_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The log modulus of the observable at the first state, and its largest
     relative modulus and argument drifts over the alive states, one per
     column of the history ``g``, ``log_gprime``; ``factors`` holds each
-    factor's weight and its point at every state."""
+    factor's weight and its point at every state. Logarithms and phases are
+    numpy's ``log`` and ``arctan2``, one call per factor: the bits of a loop
+    that calls them one value at a time, an ulp from libm's for some
+    arguments, depending on the machine's SIMD build."""
     log_abs = 2.0 * log_gprime.real
     args = 2.0 * log_gprime.imag
     for weight, column in factors:
         v = g - column[:, None]
         size = np.hypot(v.real, v.imag)
         size[dead_rows] = 1.0  # past a death g may sit on a driving point
-        log_abs = log_abs + weight * _libm(math.log, size)
-        args = args + weight * np.unwrap(_libm(math.atan2, v.imag, v.real), axis=0)
+        log_abs = log_abs + weight * np.log(size)
+        args = args + weight * np.unwrap(np.arctan2(v.imag, v.real), axis=0)
     rel = np.abs(np.expm1(log_abs - log_abs[0]))
     arg = np.abs(args - args[0])
     rel[dead_rows] = arg[dead_rows] = 0.0
