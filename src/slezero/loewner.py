@@ -13,8 +13,8 @@ and log g'(z) by its derivative flow.
 
 The driving points are a list of floats; the marked points and the live
 observers, which the common field carries, are a list of Python complex
-numbers, or one complex array where that costs less (``_on_arrays``, which
-deaths can undo). On arrays the whole step is array operations, and scalar
+numbers or, where that costs less, one complex array for the whole flow
+(``_on_arrays``). On arrays the whole step is array operations, and scalar
 code (``dlog_Z``, the closing gap, the states) reads the marked points out
 as Python numbers. Both paths give the same bits: numpy's complex sums,
 real-scalar products and ``np.hypot(re, im)`` round as CPython's complex
@@ -134,8 +134,7 @@ class Evolution:
     the observers' history: one row per state, one column per observer,
     frozen from its death on. ``rejected`` counts the steps the error
     control retried shorter. ``tail`` holds (tau, dt/dtau) for each state
-    of the Sundman tail, from ``states[tail_start]`` on, and ``tau_steps``
-    counts the steps taken in tau.
+    of the Sundman tail, from ``states[tail_start]`` on.
     """
 
     divisor: SymmetricDivisor
@@ -150,7 +149,6 @@ class Evolution:
     rejected: int = 0
     tail_start: int = 0
     tail: list[tuple[float, float]] = field(default_factory=list)
-    tau_steps: int = 0
 
     @property
     def final(self) -> LoewnerState:
@@ -163,13 +161,13 @@ def _velocities(
     s: Sequence[float],
     nq: int,
     rates: Sequence[float],
-    arrays: bool = False,
 ) -> tuple[list[float], list[complex] | np.ndarray]:
     """d/dt of the driving points and of the points ``p`` carried by the
     common field: the ``nq`` finite marked points, with charges ``s``, then
-    the live observers. If ``arrays``, ``p`` and its velocities are complex
-    arrays and the field is one array pass; otherwise they are lists and
-    the field is a loop on Python numbers, with the same bits."""
+    the live observers. If ``p`` is a complex array, so are its velocities
+    and the field is one array pass; if it is a list, the field is a loop
+    on Python numbers, with the same bits."""
+    arrays = isinstance(p, np.ndarray)
     dx = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s, rates)
     c = [2.0 * r for r in rates]
     if arrays:
@@ -215,8 +213,8 @@ def _rk4_array(y: np.ndarray, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _scale(v: tuple[list, list | np.ndarray], c: float, arrays: bool) -> tuple[list, list | np.ndarray]:
-    return [c * a for a in v[0]], c * v[1] if arrays else [c * b for b in v[1]]
+def _scale(v: tuple[list, list | np.ndarray], c: float) -> tuple[list, list | np.ndarray]:
+    return [c * a for a in v[0]], c * v[1] if isinstance(v[1], np.ndarray) else [c * b for b in v[1]]
 
 
 def _separation(x: Sequence, p: Sequence, pair: tuple[int, int]):
@@ -239,17 +237,16 @@ def _stage(
     s: Sequence[float],
     nq: int,
     rates: Sequence[float],
-    arrays: bool,
     pair: tuple[int, int] | None,
 ) -> tuple[tuple[list, list], float, tuple[list, list]]:
     """The velocities d/dt at (x, p), the clock factor c = dt/dsigma of the
     step variable sigma, and the velocities d/dsigma = c d/dt: c is 1 in t,
     and the gap of ``pair`` in the tail's tau."""
-    v = _velocities(x, p, s, nq, rates, arrays)
+    v = _velocities(x, p, s, nq, rates)
     if pair is None:
         return v, 1.0, v
     c = abs(_separation(x, p, pair))
-    return v, c, _scale(v, c, arrays)
+    return v, c, _scale(v, c)
 
 
 def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, tuple[int, int] | None]:
@@ -446,7 +443,8 @@ def evolve(
     or its step cap ``TRACK_CAP_COEFF`` d^2 no longer advances t; the step
     caps come from the survivors. A driving collision stops the evolution
     and is reported as a time bracket: in t, from the last state's time to
-    that plus the gap.
+    that plus the gap. The marked points and observers are a list or, as
+    ``_on_arrays`` decides at the start, an array for the whole flow.
 
     With ``tol`` the step size is error-controlled and ``dt`` is the largest
     step. The velocities at the end of a step, which the next step reuses as
@@ -462,15 +460,16 @@ def evolve(
     ``TAIL_SHARE`` of the time so far and before the next breakpoint or T,
     the closing pair is fixed and every later step is taken in tau, dt/dtau
     = d: each stage's velocities are scaled by its d, t is a component of
-    the state and of the error estimate, the t-step limits are divided by
-    d, and a step goes at most half the tau d has left, 1 / |d'|. A tau-step
-    that would end past the next breakpoint or T is refused, and the flow
-    leaves the tail for good and reaches it in t. In the tail the flow stops
-    at a gap under ``COLLISION_TOL``, and the bracket is the t where the gap
-    reaches 0, extrapolated linearly in tau, t + d / (2 |d'|), plus and
-    minus the summed error estimates of the accepted steps. The observers'
-    deaths and their caps stay as in t. ``Evolution.tail`` records each tail
-    state's tau and dt/dtau, and ``tau_steps`` counts the tail's steps.
+    the state and of the error estimate, dt, the observer caps and the
+    step at the switch are divided by d, and a step goes at most half the
+    tau d has left, 1 / |d'|. A tau-step that would end past the next
+    breakpoint or T is refused, and the flow leaves the tail for good and
+    reaches it in t. In the tail the flow stops at a gap under
+    ``COLLISION_TOL``, and the bracket is the t where the gap reaches 0,
+    extrapolated linearly in tau, t + d / (2 |d'|), plus and minus the
+    summed error estimates of the accepted steps. The observers' deaths
+    stay as in t. ``Evolution.tail`` records each tail state's tau
+    and dt/dtau.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
@@ -506,8 +505,8 @@ def evolve(
 
     death_times: list[float | None] = [None] * len(tracked)
     live = list(range(len(tracked)))
-    # the marked points, then the live observers: an array on the array
-    # path, which only a death can leave
+    # the marked points, then the live observers: a list or, for the whole
+    # flow, an array
     arrays = _on_arrays(len(x), len(live))
     p = np.array(q + list(tracked), dtype=complex) if arrays else q + list(tracked)
     shift, rk4, near_of = (_shift_array, _rk4_array, _near_array) if arrays else (_shift, _rk4, _near)
@@ -518,7 +517,7 @@ def evolve(
     h_next = math.inf  # the step size the error control proposes, in the step variable
     rates = nu.rates(t)
     # the velocities d/dt at the latest state: its dx, and the next step's k1
-    vel = _velocities(x, p, s, nq, rates, arrays)
+    vel = _velocities(x, p, s, nq, rates)
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
     collision = collision_note = None
     # the Sundman tail: the closing pair, whose gap is dt/dtau from the
@@ -527,18 +526,20 @@ def evolve(
     left = False  # the tail ended short of its collision, never to return
     clock = 1.0  # dt/dsigma at the latest state, sigma the step variable
     err_sum = 0.0  # the accepted steps' error estimates, summed
-    tail_start, tail_states, tau_steps = 0, [], 0
+    tail_start, tail_states = 0, []
 
     while t < T:
         gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
+        # one rule in the step variable sigma: dt and the observer caps bound
+        # t-steps, so in sigma they are divided by the clock dt/dsigma
+        h = min(h_next, dt / clock)
+        for d, _ in near:
+            if d < 1.0:
+                h = min(h, TRACK_CAP_COEFF * d * d / clock)
         if closing is None:
-            h = min(dt, h_next, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)))
-            for d, _ in near:
-                if d < 1.0:
-                    h = min(h, TRACK_CAP_COEFF * d * d)
-            h = min(h, remaining)
+            h = min(h, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)), remaining)
             if h < remaining and remaining - h < 1e-6 * h:
                 h = remaining  # absorb the rounding tail into the step that reaches stop
             if gap < COLLISION_TOL or t + h == t:
@@ -552,7 +553,7 @@ def evolve(
                 rate = _closing_rate(x, q, vel, pair)
                 # a gap that closes as sqrt(t* - t) reaches 0 at t + gap / (2 |rate|)
                 if rate < 0.0 and -0.5 * gap / rate < min(remaining, TAIL_SHARE * t):
-                    closing, clock, h_next = pair, gap, h / gap
+                    closing, clock, h = pair, gap, h / gap
                     tail_start, tail_states = len(states) - 1, [(0.0, gap)]
         if closing is not None:
             if gap < COLLISION_TOL:
@@ -563,13 +564,8 @@ def evolve(
                 collision = (t_star - err_sum, t_star + err_sum)
                 collision_note = f"collision at t={t_star:.12g}: {_pair_note(x, q, pair)}"
                 break
-            # the t-step limits in tau, and at most half the tau the
-            # closing gap has left, gap / |d gap/dtau| = 1 / |rate|
+            # at most half the tau the closing gap has left, gap / |d gap/dtau|
             rate = _closing_rate(x, q, vel, closing)
-            h = min(h_next, dt / clock)
-            for d, _ in near:
-                if d < 1.0:
-                    h = min(h, TRACK_CAP_COEFF * d * d / clock)
             if rate < 0.0:
                 h = min(h, 0.5 / -rate)
         steps += 1
@@ -580,16 +576,16 @@ def evolve(
             )
 
         h2 = h / 2
-        c1, k1 = clock, vel if closing is None else _scale(vel, clock, arrays)
+        c1, k1 = clock, vel if closing is None else _scale(vel, clock)
         x2, p2 = _shift(x, k1[0], h2), shift(p, k1[1], h2)
-        _, c2, k2 = _stage(x2, p2, s, nq, rates, arrays, closing)
+        _, c2, k2 = _stage(x2, p2, s, nq, rates, closing)
         x3, p3 = _shift(x, k2[0], h2), shift(p, k2[1], h2)
-        _, c3, k3 = _stage(x3, p3, s, nq, rates, arrays, closing)
+        _, c3, k3 = _stage(x3, p3, s, nq, rates, closing)
         x4, p4 = _shift(x, k3[0], h), shift(p, k3[1], h)
-        _, c4, k4 = _stage(x4, p4, s, nq, rates, arrays, closing)
+        _, c4, k4 = _stage(x4, p4, s, nq, rates, closing)
         x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
         p1 = rk4(p, k1[1], k2[1], k3[1], k4[1], h)
-        v5, c5, k5 = _stage(x1, p1, s, nq, rates, arrays, closing)
+        v5, c5, k5 = _stage(x1, p1, s, nq, rates, closing)
         # NaN fails every comparison, so neither a collision nor a rejection
         # would see it; a finite new state has finite stages k1 to k4
         if arrays:
@@ -617,9 +613,8 @@ def evolve(
                 diff = float(diff)
             else:
                 diff = max(abs(a - b) for a, b in zip(k4[0] + k4[1], k5[0] + k5[1]))
-            if closing is not None:
-                diff = max(diff, abs(c4 - c5))  # t is a component of the tail's state
-            err = h / 6.0 * diff
+            # t is a component of the tail's state; in t, c4 = c5 = 1.0
+            err = h / 6.0 * max(diff, abs(c4 - c5))
             scale = 0.9 * (tol / err) ** 0.25 if err > 0.0 else 5.0
             if err > tol:
                 rejected += 1
@@ -634,7 +629,6 @@ def evolve(
         history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), 2 if at_break else 1))
         x, p, q, vel, clock = x1, p1, p1[:nq].tolist() if arrays else p1[:nq], v5, c5
         if closing is not None:
-            tau_steps += 1
             tail_states.extend([(tail_states[-1][0] + h, clock)] * (2 if at_break else 1))
         near = near_of(x, p[nq:], live)
         dead = [i for d, i in near if d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1]
@@ -648,10 +642,6 @@ def evolve(
             near = [e for e in near if death_times[e[1]] is None]
             if arrays:
                 p, vp = p[rows], vel[1][rows]
-                # both paths give the same bits: only the cost decides
-                if not _on_arrays(len(x), len(live)):
-                    arrays, p, vp = False, p.tolist(), vp.tolist()
-                    shift, rk4, near_of = _shift, _rk4, _near
             else:
                 p, vp = [p[i] for i in rows], [vel[1][i] for i in rows]
             vel = (vel[0], vp)
@@ -661,7 +651,7 @@ def evolve(
             # the end-of-step velocities are the left side of the breakpoint
             states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
             rates = nu.rates(t1)
-            vel = _velocities(x, p, s, nq, rates, arrays)
+            vel = _velocities(x, p, s, nq, rates)
         states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
     history.flush(live, nq)
@@ -678,7 +668,6 @@ def evolve(
         rejected,
         tail_start,
         tail_states,
-        tau_steps,
     )
 
 

@@ -25,6 +25,7 @@ MAX_TURN = 0.2
 REGROW_TURN = 0.05
 DOMAIN_MARGIN = 1e-6  # how far past the boundary a trace may step before it stops
 TRACE_FAR_TOL = 1e-16  # bound on a far step's 4th-order error estimate h |sum e_i k_i|
+TRACE_BUDGET = 1_000_000  # points per trajectory
 # Dormand-Prince 5(4) (Hairer-Norsett-Wanner, Solving ODEs I, II.5): the
 # rows a_2..a_6 of the stages, the 5th-order weights b of the step, and
 # e = b - b_hat against the embedded 4th-order solution, whose 7th stage
@@ -119,7 +120,7 @@ def trace(
     Beyond 2 rho the arc length is the integration parameter, and a
     trajectory that exhausts its budget there ends at exactly
     ``max_arc_length``. A step within 2 rho that rounding keeps from moving
-    z raises ``StepBudgetError``.
+    z, or a step past ``TRACE_BUDGET`` points, raises ``StepBudgetError``.
     """
     if initial_dir == 0:
         raise LaunchError("initial direction must be nonzero")
@@ -173,6 +174,10 @@ def trace(
         if arc >= params.max_arc_length:
             terminal = Terminal("exhausted_arc_length")
             break
+        if len(points) >= TRACE_BUDGET:
+            raise StepBudgetError(
+                f"trace from {format_complex(start)} exceeded its budget of {TRACE_BUDGET} points at arc length {arc:.6g}"
+            )
         zr, zi = z.real, z.imag
         far = abs(z) > far_radius
         if far:

@@ -19,7 +19,7 @@ from conftest import disk_divisor, distinct_reals, half_plane_divisor, nan_after
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from slezero import conformal, loewner, runner
+from slezero import conformal, loewner, runner, tracing
 from slezero.cli import main
 from slezero.divisors import SpherePoint, SymmetricDivisor, as_charge, format_complex, parse_point
 from slezero.errors import ConfigError, DegenerateConfigurationError, InversionFailureError, SleZeroError
@@ -437,6 +437,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 3
         assert "integration failure: 1000001 states of 1024 observers exceed the history budget" in stderr
+        assert not out.exists()
+
+    def test_trace_over_its_point_budget_exits_3_without_artifacts(self, tmp_path, capsys, monkeypatch):
+        # an arc of 1e300 in far steps of about 100: without a point budget
+        # the trace runs for ever
+        monkeypatch.setattr(tracing, "TRACE_BUDGET", 3000)
+        cfg = tmp_path / "ray.yaml"
+        cfg.write_text(SINGLE.replace("max_arc_length: 5.0", "max_arc_length: 1e300"))
+        out = tmp_path / "out"
+        code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+        assert code == 3
+        assert [line for line in stderr.splitlines() if line.startswith("integration failure:")] == [
+            "integration failure: trace from 0.0 exceeded its budget of 3000 points at arc length 127192"
+        ]
+        assert "Traceback" not in stderr
         assert not out.exists()
 
     def test_flow_state_that_is_not_finite_exits_3_without_artifacts(self, tmp_path, capsys, monkeypatch):

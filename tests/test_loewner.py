@@ -8,6 +8,8 @@ import random
 import numpy as np
 import pytest
 from conftest import half_plane_divisor, nan_after
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slezero import divisors, loewner
 from slezero.conformal import transport
@@ -502,12 +504,12 @@ class TestObservers:
                 assert [r.alive for r in reports] == [False, True, True, False]
                 assert report_bits(reports) == scalar_reports(ev)
 
-    def test_a_flow_that_leaves_the_array_path_matches_the_scalar_loop_bit_for_bit(self, monkeypatch):
+    def test_a_flow_that_starts_on_arrays_stays_on_them_bit_for_bit(self, monkeypatch):
         # 18 observers of 10 curves run on arrays; two start just outside the
         # collision tolerance above a driving point and die before t = 1e-15,
-        # which leaves 16, and the flow goes on with lists. Curve 0 doubles
-        # its rate at a breakpoint, and some observers start below height 1,
-        # where the observer cap applies
+        # which leaves 16, too few to start on arrays, and the flow stays on
+        # them. Curve 0 doubles its rate at a breakpoint, and some observers
+        # start below height 1, where the observer cap applies
         div = half_plane_divisor(random.Random(5), max_growth=10)
         x = [p.value.real for p in div.growth]
         rng = random.Random(2)
@@ -526,8 +528,8 @@ class TestObservers:
             rows, death = scalar_flow(div, 0.02, 2e-4, nu, tracked, tol)
             before = dict(calls)
             ev = evolve(div, 0.02, 2e-4, nu, tracked, tol)
-            # the field ran on arrays for a part of the evaluations only
-            assert 0 < calls["_reverse_velocity"] - before["_reverse_velocity"] < calls["dlog_Z"] - before["dlog_Z"]
+            # the field ran on arrays for every evaluation
+            assert 0 < calls["_reverse_velocity"] - before["_reverse_velocity"] == calls["dlog_Z"] - before["dlog_Z"]
             assert ev.death_times == death
             assert plain_numbers(ev)
             assert death[16] < 1e-15 and death[17] < 1e-15 and death[:16] == [None] * 16
@@ -535,14 +537,47 @@ class TestObservers:
             assert history_bits([st.t for st in ev.states], ev.g, ev.log_gprime) == history_bits(*zip(*rows))
             assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.booleans(),
+        st.sampled_from([None, 1e-12]),
+        st.one_of(st.none(), st.floats(0.001, 0.019)),
+    )
+    def test_lists_and_arrays_give_the_same_flow(self, seed, observers, dying, tol, breakpoint):
+        # the choice between lists and arrays costs time, never bits: up to
+        # 10 curves, observers below height 1, where the caps apply, and
+        # perhaps one above a driving point that dies in the first steps
+        rng = random.Random(seed)
+        div = half_plane_divisor(rng, max_growth=10)
+        x = [p.value.real for p in div.growth]
+        tracked = tuple(complex(rng.uniform(-4.0, 4.0), rng.uniform(0.05, 3.0)) for _ in range(observers))
+        if dying:
+            tracked += (complex(rng.choice(x), 3e-8),)
+        nu = None
+        if breakpoint is not None:
+            nu = Parametrization(tuple(((0.0, 1.0), (breakpoint, 2.0)) if j == 0 else ((0.0, 1.0),) for j in range(len(x))))
+        flows = []
+        with pytest.MonkeyPatch.context() as mp:
+            for threshold in (0, 10**9):
+                mp.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
+                flows.append(evolve(div, 0.02, 2e-4, nu, tracked, tol))
+        on_arrays, on_lists = flows
+        assert on_arrays.states == on_lists.states and on_arrays.tail == on_lists.tail
+        assert on_arrays.death_times == on_lists.death_times and on_arrays.rejected == on_lists.rejected
+        assert on_arrays.collision == on_lists.collision
+        assert on_arrays.g.tobytes() == on_lists.g.tobytes()
+        assert on_arrays.log_gprime.tobytes() == on_lists.log_gprime.tobytes()
+
     def test_a_zero_field_has_the_sign_of_the_scalar_sum(self):
         # the real part at -0.0 + 4i and the imaginary part at 2 are sums of
         # zeros, whose sign the arrays must take from CPython's sum: it
         # starts from 0j, which turns -0.0 into 0.0
         points = [complex(-0.0, 4.0), complex(2.0, 0.0), complex(2.0, -0.0), 1 + 1j, -3 - 0.5j]
         on_arrays, scalar = (
-            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], p, [], 0, [1.0], arrays)[1]]
-            for p, arrays in ((np.array(points), True), (points, False))
+            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], p, [], 0, [1.0])[1]]
+            for p in (np.array(points), points)
         )
         assert on_arrays == scalar
 
@@ -709,7 +744,7 @@ class TestSundmanTail:
         # x = sqrt(1 - 4t) for driving point 1, -x for point 0, which meets
         # the marked point at 0 at t = 1/4
         ev = evolve(colliding_pair(), 0.3, 0.3, tol=3e-16)
-        assert ev.tau_steps > 0
+        assert len(ev.tail) - 1 > 0
         assert len(ev.states) - ev.tail_start < 100
         # x(t) has infinite slope at the collision, so each state's distance
         # from the closed form is taken along t
@@ -733,7 +768,7 @@ class TestSundmanTail:
         ev, fine = fig1_tail_flow, fig1_fine_flow
         # t-steps to the end took 1,789 states, 896 of them in the last 1% of t*
         assert len(ev.states) <= 1100
-        assert ev.tau_steps > 0
+        assert len(ev.tail) - 1 > 0
         # the switch comes after t = 0.045, where the bench reads x
         assert ev.states[ev.tail_start].t > 0.045
         lo, hi = ev.collision
@@ -771,7 +806,7 @@ class TestSundmanTail:
             monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
             flows.append(evolve(div, lo.T, lo.dt, sc.rates, tracked, lo.tol))
         on_arrays, on_lists = flows
-        assert on_arrays.tau_steps == on_lists.tau_steps > 0
+        assert len(on_arrays.tail) - 1 == len(on_lists.tail) - 1 > 0
         assert plain_numbers(on_arrays)
         assert on_arrays.states == on_lists.states
         assert on_arrays.tail == on_lists.tail and on_arrays.collision == on_lists.collision
@@ -787,22 +822,22 @@ class TestSundmanTail:
         div, _ = transport(sc.divisor, HALF_PLANE)
         T = 0.048652
         ev = evolve(div, T, lo.dt, sc.rates, lo.tracked, lo.tol)
-        assert ev.tau_steps > 0 and ev.collision is None
+        assert len(ev.tail) - 1 > 0 and ev.collision is None
         assert ev.final.t == T
         monkeypatch.setattr(loewner, "TAIL_SHARE", 0.0)
         t_only = evolve(div, T, lo.dt, sc.rates, lo.tracked, lo.tol)
-        assert t_only.tau_steps == 0
+        assert t_only.tail == []
         assert max(abs(a - b) for a, b in zip(ev.final.x, t_only.final.x)) < 1e-10
         assert abs(ev.g[-1, 0] - t_only.g[-1, 0]) < 1e-14
 
     def test_flows_without_a_closing_gap_take_no_tau_steps(self, fig1_flow):
         # fixed steps, as in fig1_flow, never switch
-        assert fig1_flow.tau_steps == 0 and fig1_flow.collision is not None
+        assert fig1_flow.tail == [] and fig1_flow.collision is not None
         for sc in (preset("fig2"), preset("fig3"), single_curve_scene()):
             lo = sc.loewner
             div = sc.divisor if sc.divisor.domain == HALF_PLANE else transport(sc.divisor, HALF_PLANE)[0]
             ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
-            assert ev.tau_steps == 0 and ev.tail == []
+            assert ev.tail == []
 
 
 class TestHull:

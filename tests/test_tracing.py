@@ -12,8 +12,8 @@ import pytest
 from conftest import random_real_locus, real_locus
 
 from slezero import quadratic, tracing
-from slezero.divisors import HALF_PLANE, SymmetricDivisor
-from slezero.errors import LaunchError, WindingUndefinedError
+from slezero.divisors import DISK, HALF_PLANE, SymmetricDivisor
+from slezero.errors import LaunchError, StepBudgetError, WindingUndefinedError
 from slezero.outputs import analysis_payload, report_text
 from slezero.quadratic import QuadDifferential, build_Q
 from slezero.scene import PRESET_NAMES, preset
@@ -118,6 +118,35 @@ class TestTrace:
         assert last.imag < 1e-6
         assert last.real == pytest.approx(0.55, abs=2e-3)
         assert 2 * last.real * (last.imag + 1) == pytest.approx(1.1, abs=1e-9)
+
+    def test_a_stage_on_a_factor_point_ends_the_trace_there(self):
+        # a step of 1e-3 towards the pole from just outside its capture disk
+        # lands a stage within 1e-9 of it
+        qd = QuadDifferential(DISK, ((0j, -2),), 0)
+        traj = trace(qd, 1.000001e-3, -1, TraceParams(step=1e-3, capture_radius=1e-3))
+        assert traj.points == (1.000001e-3,)
+        assert traj.terminal == Terminal("reached_singularity", 0j)
+
+    def test_a_near_step_lost_to_rounding_is_refused(self):
+        # next to 1e300, where a step of 1e-3 does not move z
+        qd = QuadDifferential(HALF_PLANE, ((1e300 + 0j, 2),), 1)
+        with pytest.raises(StepBudgetError, match="cannot advance: a step of 0.001 is lost to rounding"):
+            trace(qd, math.nextafter(1e300, math.inf), 1)
+
+    def test_a_trace_stops_at_its_point_budget(self, monkeypatch):
+        # far steps of about 100 along the ray of one growth point: an arc of
+        # 1e300 would take about 1e298 of them
+        qd = build_Q(SymmetricDivisor.half_plane([0.0], [("inf", -3)]))
+        params = TraceParams(max_arc_length=1e4)
+        n = len(trace(qd, 0j, 1j, params).points)
+        monkeypatch.setattr(tracing, "TRACE_BUDGET", n)
+        assert len(trace(qd, 0j, 1j, params).points) == n
+        monkeypatch.setattr(tracing, "TRACE_BUDGET", n - 1)
+        with pytest.raises(StepBudgetError, match=rf"trace from 0\.0 exceeded its budget of {n - 1} points at arc length 9\d{{3}}\.\d"):
+            trace(qd, 0j, 1j, params)
+        monkeypatch.setattr(tracing, "TRACE_BUDGET", 3000)
+        with pytest.raises(StepBudgetError, match="exceeded its budget of 3000 points"):
+            trace(qd, 0j, 1j, TraceParams(max_arc_length=1e300))
 
     def test_windings_recorded_per_marked_point(self):
         qd = QuadDifferential(HALF_PLANE, ((-1j, 2),), 0)
@@ -394,6 +423,10 @@ class TestWindingAngle:
 
 
 class TestAnalyze:
+    def test_a_trace_that_ends_on_its_pole_approaches_along_its_last_segment(self):
+        traj = Trajectory((1 + 1j, 0.5 + 0.5j, 0j), (0.0, 0.7, 1.4), Terminal("reached_singularity", 0j), 1 + 1j, -1 - 1j)
+        assert tracing._approach_direction(traj, 0j) == (-0.5 - 0.5j) / abs(-0.5 - 0.5j)
+
     def test_fig1_has_no_asymptotic_findings(self, figure_runs):
         qd, trajs = figure_runs["fig1"]
         report = analyze(trajs, qd)
