@@ -38,9 +38,9 @@ flow takes the rest in Sundman's clock tau, dt = d dtau, in which d falls
 about linearly and the flow is smooth up to t*: the same RK4 step with a
 clock factor, 1 in t and d in tau, on (t, x, marked points, observers).
 
-Hull tips come from the reverse flow, integrated in the variable sqrt(s)
-of the reverse time s, in which its square-root start off the boundary is
-smooth, with steps sized by the same embedded error estimate.
+Hull tips come from the reverse flow, integrated from the boundary in the
+variable sqrt(s) of the reverse time s, in which its square-root start is
+a line, with steps sized by the same embedded error estimate.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ GAP_CAP_SAFETY = 0.125  # of the gap^2/(8 sum nu) stiffness bound
 TRACK_CAP_COEFF = 0.004  # dt <= coeff * |g-x|^2 near a tracked-point death
 REVERSE_TOL = 1e-9  # local error per reverse step of trace_hull, in r = sqrt(s)
 REVERSE_BUDGET = 2_000_000  # reverse sweeps per trace_hull call, rejected steps included
-DEFAULT_LIFT = 1e-6
 STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones included
 BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
@@ -570,9 +569,10 @@ def evolve(
                 h = min(h, 0.5 / -rate)
         steps += 1
         if steps > STEP_BUDGET:
+            note = _pair_note(x, q, pair)
             raise StepBudgetError(
                 f"flow exceeded its budget of {STEP_BUDGET} steps at t={t:.12g} "
-                f"(step {h:.3g}, gap {gap:.3g}, {rejected} rejected)"
+                f"(step {h:.3g}, {rejected} rejected, gap {gap:.3g}{' between ' + note if note else ''})"
             )
 
         h2 = h / 2
@@ -783,24 +783,24 @@ class HullSample:
     point: complex
 
 
-def trace_hull(
-    evolution: Evolution,
-    times: Sequence[float],
-    lift: float = DEFAULT_LIFT,
-) -> list[HullSample]:
+# a stage on a driving point divides 0 by 0 (one near 1e300 swamps the
+# stages): the NaN reaches the sweep's finiteness check; err = 0 makes the
+# step's scale inf, which the growth cap bounds
+@np.errstate(invalid="ignore", divide="ignore")
+def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]:
     """Hull tips gamma_j(t) for each requested time and each curve.
 
-    gamma_j(t) is the preimage of x_j(t) + i*lift under the forward map,
-    found by integrating the reverse flow dz/ds = -sum_k 2 nu_k / (z - x_k)
-    at time t - s from s = 0 to s = t; the lift regularizes the boundary
-    start of the reverse solve.
+    gamma_j(t) is the preimage of x_j(t) under the forward map, found by
+    integrating the reverse flow dz/ds = -sum_k 2 nu_k / (z - x_k) at time
+    t - s from z = x_j(t) on the boundary, s = 0, to s = t.
 
-    Near its start the solve is the vertical slit z - x_j = i sqrt(lift^2 +
-    4 nu_j s), whose branch point at s = -lift^2 / (4 nu_j) makes it stiff
-    in s. It is integrated in r = sqrt(s) instead, dz/dr = 2r dz/ds from
-    r = 0 to sqrt(t), where the slit is smooth on the scale of the lift: the
-    first step is 0.1 lift / sqrt(2 sum nu), and the steps grow from there
-    under the error control of ``evolve``. The velocity at a step's end,
+    Near its start the solve is the vertical slit z - x_j = 2i sqrt(nu_j s),
+    whose square root makes it stiff in s. It is integrated in r = sqrt(s)
+    instead, dz/dr = 2r dz/ds from r = 0 to sqrt(t), where the slit is the
+    line z = x_j + 2i sqrt(nu_j) r: its velocity 2i sqrt(nu_j), with nu_j
+    the rate below t, is the first stage at r = 0. The first step proposes
+    the whole way to the breakpoint below, and the steps are sized from
+    there by the error control of ``evolve``. The velocity at a step's end,
     which the next step reuses as its first stage, forms with its fourth
     stage the embedded 3rd-order pair of the RK4 step, so the estimate
     |h/6 (k4 - k5)| costs no extra evaluation. A step whose estimate exceeds
@@ -816,8 +816,8 @@ def trace_hull(
     the bits of the same solve on Python complex numbers, whatever the
     other samples of the call.
 
-    More than ``REVERSE_BUDGET`` sweeps, a step that underflows, and an
-    estimate or state that is not finite raise ``InversionFailureError``.
+    More than ``REVERSE_BUDGET`` sweeps, a step that no longer moves r, and
+    an estimate or state that is not finite raise ``InversionFailureError``.
     """
     t_max = evolution.states[-1].t
     for t in times:
@@ -826,23 +826,22 @@ def trace_hull(
     n = len(evolution.states[0].x)
     paths = _DrivingPaths(evolution)
     starts, piece_rates = np.array(evolution.nu.starts), evolution.nu.piece_rates
-    # per piece: 2 nu_k, one row per driving point, and 2 sum nu for the first step
+    # per piece: 2 nu_k, one row per driving point
     coeffs = 2.0 * np.array(piece_rates).reshape(len(starts), n).T
-    twice_sums = np.array([2.0 * sum(r) for r in piece_rates])
 
     # one sample per (time, curve), in the order of the output
     t = np.repeat(np.array(times, dtype=float), n)
     m = len(t)
-    zr = paths.at(t)[np.tile(np.arange(n), len(times)), np.arange(m)]
-    zi = np.full(m, lift)
+    curve = np.tile(np.arange(n), len(times))
+    zr, zi = paths.at(t)[curve, np.arange(m)], np.zeros(m)
     # the piece below the sample time: a sample at a breakpoint starts on
     # the rates before it
     piece = np.maximum(starts.searchsorted(t) - 1, 0)
     r = np.zeros(m)
     r_stop = np.sqrt(t - starts.take(piece))  # where the piece ends below
-    h = 0.1 * lift / np.sqrt(twice_sums.take(piece))
-    # the first stage, 2r dz/ds, vanishes at r = 0
-    k1r, k1i = np.zeros(m), np.zeros(m)
+    h = r_stop
+    # the first stage: the slit's velocity 2i sqrt(nu_j) = i sqrt(2 coeff_j)
+    k1r, k1i = np.zeros(m), np.sqrt(2.0 * coeffs[curve, piece])
     index = np.arange(m)
     out_r, out_i = zr.copy(), zi.copy()
     sweeps = rejected = 0
@@ -898,8 +897,7 @@ def trace_hull(
             )
         accept = err <= REVERSE_TOL
         rejected += len(r) - int(np.count_nonzero(accept))
-        with np.errstate(divide="ignore"):
-            scale = 0.9 * np.sqrt(np.sqrt(REVERSE_TOL / err))
+        scale = 0.9 * np.sqrt(np.sqrt(REVERSE_TOL / err))
         h = h * np.where(accept, np.minimum(5.0, scale), np.maximum(0.2, scale))
         r = np.where(accept, r_end, r)
         zr, zi = np.where(accept, z1r, zr), np.where(accept, z1i, zi)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import conformal, divisors, loewner, outputs, quadratic, tracing
 from .divisors import HALF_PLANE, MoebiusMap, SymmetricDivisor, format_complex
-from .errors import DegenerateConfigurationError, PathError
+from .errors import DegenerateConfigurationError, PathError, UnsupportedChargeError
 from .loewner import Evolution, HullSample, MotionIntegralReport
 from .quadratic import QuadDifferential
 from .scene import SceneConfig
@@ -92,9 +92,7 @@ def run(scene: SceneConfig, out_dir: Path | str) -> RunResult:
             flow_divisor, lo.T, lo.dt, scene.rates, lo.tracked, lo.tol
         )
         if "hull_csv" in scene.outputs:
-            result.hull = loewner.trace_hull(
-                result.evolution, _hull_times(result.evolution.final.t), lo.lift
-            )
+            result.hull = loewner.trace_hull(result.evolution, _hull_times(result.evolution.final.t))
         if "motion_report" in scene.outputs:
             result.motion = loewner.motion_integral(result.evolution)
 
@@ -224,12 +222,9 @@ def _suite_motion(evolution: Evolution) -> list[Check]:
     return checks
 
 
-def _suite_equivalence(
-    scene: SceneConfig, flow_divisor: SymmetricDivisor, evolution: Evolution
-) -> list[Check]:
-    qd = quadratic.build_Q(flow_divisor)
+def _suite_equivalence(scene: SceneConfig, qd: QuadDifferential, evolution: Evolution) -> list[Check]:
     trajectories = tracing.launch_all(qd, scene.trace)
-    hull = loewner.trace_hull(evolution, _hull_times(evolution.final.t), scene.loewner.lift)
+    hull = loewner.trace_hull(evolution, _hull_times(evolution.final.t))
     # a curve that ends in a singularity ends at it: the last traced point
     # stops short of it, by up to the capture radius
     polylines = [
@@ -254,6 +249,14 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}")
     flow_divisor = _flow_divisor(scene)
+    if suite in ("all", "equivalence"):
+        # before any suite runs: a scene the equivalence suite cannot trace costs no work
+        try:
+            qd = quadratic.build_Q(flow_divisor)
+        except UnsupportedChargeError as exc:
+            raise UnsupportedChargeError(
+                f"{exc}: the equivalence suite traces trajectories, which need integer local exponents"
+            ) from None
     checks: list[Check] = []
     if suite in ("all", "invariance"):
         checks.extend(_suite_invariance(scene, flow_divisor, seed))
@@ -266,7 +269,7 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
         if suite in ("all", "motion"):
             checks.extend(_suite_motion(evolution))
         if suite in ("all", "equivalence"):
-            checks.extend(_suite_equivalence(scene, flow_divisor, evolution))
+            checks.extend(_suite_equivalence(scene, qd, evolution))
     lines = [c.line() for c in checks]
     gated = [c for c in checks if c.limit is not None]
     ok = all(c.ok for c in gated)

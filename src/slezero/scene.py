@@ -23,7 +23,6 @@ Schema (all keys optional unless noted):
       T: 0.1
       dt: 1e-4                  # the largest step when tol is set
       tol: 1e-13                # optional: error-controlled steps
-      lift: 1e-6
       tracked: ["2i"]           # observer points, half-plane coordinates
     outputs: [field_svg, trajectories_csv, hull_csv, motion_report,
               analysis_report]
@@ -49,7 +48,7 @@ from .divisors import (
     parse_point,
 )
 from .errors import ConfigError, DegenerateConfigurationError
-from .loewner import DEFAULT_LIFT, Parametrization
+from .loewner import Parametrization
 from .tracing import DOMAIN_MARGIN, TraceParams
 
 OUTPUT_KINDS = (
@@ -68,7 +67,6 @@ class LoewnerParams:
     T: float = 0.1
     dt: float = 1e-4
     tol: float | None = None  # local error bound per flow step; None: fixed steps
-    lift: float = DEFAULT_LIFT
     tracked: tuple[complex, ...] = ()
 
 

@@ -302,10 +302,9 @@ class TestVerify:
 
         monkeypatch.setattr(loewner, "evolve", counted("evolve", loewner.evolve))
         monkeypatch.setattr(conformal, "transport", counted("transport", conformal.transport))
-        # a short horizon and a large lift keep the flow cheap: only the
-        # call counts matter here
+        # a short horizon keeps the flow cheap: only the call counts matter here
         scene = preset("fig1")
-        scene = replace(scene, loewner=replace(scene.loewner, T=0.002, dt=1e-4, lift=1e-2))
+        scene = replace(scene, loewner=replace(scene.loewner, T=0.002, dt=1e-4))
         runner.verify(scene, "all")
         assert calls["evolve"] == 1
         assert calls["transport"] <= 1
@@ -349,6 +348,28 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert out.startswith("invariance/moebius_gap: ")
 
+    def test_a_scene_the_equivalence_suite_cannot_check_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # charges that are not half-integers: the flow takes them, the
+        # trajectories of the equivalence suite do not
+        cfg = tmp_path / "fractional.yaml"
+        cfg.write_text(
+            'domain: half_plane\ngrowth: ["0"]\nmarked:\n  - point: "1+1i"\n    charge: "-0.4"\n'
+            '  - point: "1-1i"\n    charge: "-0.4"\n  - point: inf\n    charge: "-2.2"\n'
+            "loewner: {T: 0.05, dt: 1e-3}\noutputs: [hull_csv, motion_report]\n"
+        )
+        code, out, _ = cli(capsys, "verify", "--config", str(cfg), "--suite", "motion")
+        assert code == 0 and out.endswith("ok: 1/1 checks passed\n")
+        calls = []
+        monkeypatch.setattr(loewner, "evolve", lambda *args, **kwargs: calls.append(args))
+        for suite in ("all", "equivalence"):
+            code, out, err = cli(capsys, "verify", "--config", str(cfg), "--suite", suite)
+            assert (code, out) == (1, "")
+            assert err == (
+                "invalid scene: charge -0.4 at 1.0+1.0i is not a half-integer: the equivalence suite "
+                "traces trajectories, which need integer local exponents\n"
+            )
+        assert calls == []
+
     def test_far_divisor_point_and_infinity_coincide(self, tmp_path, capsys):
         # about 2e-300 apart on the sphere: refused where the divisor is made,
         # not by the Moebius maps of the invariance suite
@@ -366,10 +387,11 @@ class TestVerify:
             assert err == "config error:\nline 2: invalid divisor: points 1e+300 and inf coincide\n"
         assert not (tmp_path / "out").exists()
 
-    def test_tolerance_breach_exits_2(self, tmp_path, capsys):
-        # an absurd boundary lift drags the hull samples off the curves
+    def test_tolerance_breach_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a limit below each of fig1's hull distances, the smallest 8.1e-8
+        monkeypatch.setattr(runner, "EQUIVALENCE_LIMIT", 1e-9)
         cfg = tmp_path / "scene.yaml"
-        cfg.write_text("preset: fig1\nloewner:\n  dt: 0.0001\n  lift: 0.3\n")
+        cfg.write_text("preset: fig1\n")
         code, stdout, _ = cli(
             capsys, "verify", "--config", str(cfg), "--suite", "equivalence"
         )
@@ -452,6 +474,22 @@ class TestExitCodes:
             "integration failure: trace from 0.0 exceeded its budget of 3000 points at arc length 127192"
         ]
         assert "Traceback" not in stderr
+        assert not out.exists()
+
+    def test_hull_tips_near_1e300_exit_3_without_artifacts(self, tmp_path, capsys):
+        # the ulp of the growth point 2.07e300 is 2.7e284, which swamps the
+        # reverse solve: a stage on the driving point divides 0 by 0, and the
+        # run ends there instead of writing tips off the slit
+        text = serialize_config(SceneConfig(curve_and_charge(random.Random(0)), outputs=OUTPUT_KINDS))
+        cfg, out = tmp_path / "far.yaml", tmp_path / "out"
+        cfg.write_text(_mutate(text, "far", 0))
+        assert 'growth:\n  - "2.0665311091502883e+300"' in cfg.read_text()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--T", "0.01")
+        assert code == 3
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("integration failure: reverse solve is not finite at s=")
         assert not out.exists()
 
     def test_flow_state_that_is_not_finite_exits_3_without_artifacts(self, tmp_path, capsys, monkeypatch):

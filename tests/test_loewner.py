@@ -65,12 +65,12 @@ def eight_curve_flow():
     return evolve(div, 0.01, 1e-3)
 
 
-def reverse_point(ev, t, j, lift):
+def reverse_point(ev, t, j):
     """Hull sample (t, j) solved alone on Python complex numbers, with the
     step rule of trace_hull for constant rates: the loop the sweep must
-    reproduce. It integrates dz/dr = 2r dz/ds in r = sqrt(s), with the
-    end-of-step velocity k5 reused as the next first stage and the step
-    sized by the embedded estimate |h/6 (k4 - k5)|."""
+    reproduce. It integrates dz/dr = 2r dz/ds in r = sqrt(s) from x_j(t),
+    with the end-of-step velocity k5 reused as the next first stage and the
+    step sized by the embedded estimate |h/6 (k4 - k5)|."""
     ts = [st.t for st in ev.states]
 
     def x_at(time):
@@ -99,9 +99,10 @@ def reverse_point(ev, t, j, lift):
 
     (rates,) = ev.nu.piece_rates
     tol = loewner.REVERSE_TOL
-    z, r, r_stop = complex(x_at(t)[j], lift), 0.0, math.sqrt(t)
-    h = 0.1 * lift / math.sqrt(2.0 * sum(rates))
-    k1 = 0j
+    z, r, r_stop = complex(x_at(t)[j], 0.0), 0.0, math.sqrt(t)
+    # the first step goes the whole way; the first stage is the velocity
+    # 2i sqrt(nu_j) of the slit z = x_j + 2i sqrt(nu_j) r
+    h, k1 = r_stop, complex(0.0, 2.0 * math.sqrt(rates[j]))
     while r < r_stop:
         h = min(h, r_stop - r)
         r_end = r_stop if h == r_stop - r else r + h
@@ -327,28 +328,22 @@ class TestSingleCurve:
         assert probe.real == pytest.approx(2 * 1.0 * 0.1, abs=1e-6)
 
     def test_hull_is_a_vertical_slit(self):
+        # from the boundary the reverse solve is the line 2i sqrt(nu) r in
+        # r = sqrt(s), which RK4 follows to rounding: the tips are 2i sqrt(t)
         ev = evolve(single_curve(), 1.0, 1e-3)
-        times = [k / 20 for k in range(21)]
-        samples = trace_hull(ev, times)
+        samples = trace_hull(ev, [k / 20 for k in range(21)])
         assert len(samples) == 21
         worst = max(abs(s.point - 2j * math.sqrt(s.t)) for s in samples)
-        assert worst < 5e-6  # floored by the boundary lift
-
-    def test_hull_is_the_lift_exact_slit(self):
-        # the reverse solve from i*lift has the closed form i sqrt(4t + lift^2)
-        ev = evolve(single_curve(), 1.0, 1e-3)
-        samples = trace_hull(ev, [k / 20 for k in range(21)], 1e-6)
-        worst = max(abs(s.point - 1j * math.sqrt(4.0 * s.t + 1e-12)) for s in samples)
-        assert worst < 1e-10
+        assert worst < 1e-14
 
     def test_hull_across_a_rate_breakpoint_is_the_exact_slit(self):
         # with the rate 1 before 0.35 and 2 after it, the slit is
-        # i sqrt(4 int_0^t nu + lift^2); the rates of the wrong side of
-        # the breakpoint would miss it by 0.1
+        # 2i sqrt(int_0^t nu); the rates of the wrong side of the
+        # breakpoint would miss it by 0.1
         ev = evolve(single_curve(), 1.0, 1e-3, Parametrization((((0.0, 1.0), (0.35, 2.0)),)))
-        samples = trace_hull(ev, [k / 20 for k in range(21)], 1e-6)
+        samples = trace_hull(ev, [k / 20 for k in range(21)])
         area = [min(s.t, 0.35) + 2.0 * max(0.0, s.t - 0.35) for s in samples]
-        worst = max(abs(s.point - 1j * math.sqrt(4.0 * a + 1e-12)) for s, a in zip(samples, area))
+        worst = max(abs(s.point - 2j * math.sqrt(a)) for s, a in zip(samples, area))
         # below the breakpoint the slit is curved in sqrt(s): 3.0e-9 at the
         # reverse tolerance 1e-9
         assert worst < 1e-8
@@ -777,21 +772,22 @@ class TestSundmanTail:
         # flows; the flow that took t-steps to the end was 9.886e-13 from
         # the fine one at most, measured the same way
         times = [ev.final.t * i / 32 for i in range(32)]
-        got, want = trace_hull(ev, times, 1e-6), trace_hull(fine, times, 1e-6)
+        got, want = trace_hull(ev, times), trace_hull(fine, times)
         assert max(abs(a.point - b.point) for a, b in zip(got, want)) <= 9.9e-13
         # curves 1 and 2 at the fine flow's last time: 1.06e-14 with t-steps
         # to the end, and rounding moves it by 1e-16 (8 Newton steps to tau
         # instead of 6 give 1.095e-14 here instead of 1.107e-14)
-        got, want = trace_hull(ev, [fine.final.t], 1e-6), trace_hull(fine, [fine.final.t], 1e-6)
+        got, want = trace_hull(ev, [fine.final.t]), trace_hull(fine, [fine.final.t])
         assert max(abs(a.point - b.point) for a, b in zip(got[1:], want[1:])) <= 1.2e-14
-        # curve 0 at t_final is the tip at the collision: the flow that
-        # stopped at gap 2.6e-8 left it 1.79e-6 from the tip of a flow
-        # closed to gap 1e-10 (the fine flow's own is 1.77e-6 away)
-        (tip,) = [s.point for s in trace_hull(ev, [ev.final.t], 1e-6) if s.curve == 0]
+        # curve 0 at t_final is the tip at the collision: against the tip
+        # of a flow closed to gap 1e-10, the tail's (gap 2.6e-8) is 3.00e-6
+        # off and the fine fixed-step flow's 8.57e-6
+        (tip,) = [s.point for s in trace_hull(ev, [ev.final.t]) if s.curve == 0]
+        (fine_tip,) = [s.point for s in trace_hull(fine, [fine.final.t]) if s.curve == 0]
         monkeypatch.setattr(loewner, "COLLISION_TOL", 1e-10)
         closed = evolve(ev.divisor, 0.1, 1e-2, ev.nu, ev.tracked, 1e-16)
-        (limit,) = [s.point for s in trace_hull(closed, [closed.final.t], 1e-6) if s.curve == 0]
-        assert abs(tip - limit) <= 6e-7
+        (limit,) = [s.point for s in trace_hull(closed, [closed.final.t]) if s.curve == 0]
+        assert abs(tip - limit) < abs(fine_tip - limit)
 
     def test_fig1_tail_on_arrays_has_the_bits_of_the_tail_on_lists(self, monkeypatch):
         # the tail scales each stage's velocities by its gap; with three
@@ -848,26 +844,24 @@ class TestHull:
         ev = eight_curve_flow
         times = [0.004, ev.final.t]
         want = [
-            HullSample(t, j, reverse_point(ev, t, j, 1e-3)) for t in times for j in range(8)
+            HullSample(t, j, reverse_point(ev, t, j)) for t in times for j in range(8)
         ]
-        assert bits(trace_hull(ev, times, 1e-3)) == bits(want)
+        assert bits(trace_hull(ev, times)) == bits(want)
 
-    @pytest.mark.parametrize(
-        "flow, lift", [("fig1_flow", 1e-6), ("fig1_tail_flow", 1e-6), ("eight_curve_flow", 1e-3)]
-    )
-    def test_batch_equals_one_call_per_time(self, flow, lift, request):
+    @pytest.mark.parametrize("flow", ["fig1_flow", "fig1_tail_flow", "eight_curve_flow"])
+    def test_batch_equals_one_call_per_time(self, flow, request):
         ev = request.getfixturevalue(flow)
         # the samples retire at different sweeps; fig1's last time is its collision
         times = [ev.final.t * k / 4 for k in range(5)]
-        singles = [sample for t in times for sample in trace_hull(ev, [t], lift)]
-        assert bits(trace_hull(ev, times, lift)) == bits(singles)
+        singles = [sample for t in times for sample in trace_hull(ev, [t])]
+        assert bits(trace_hull(ev, times)) == bits(singles)
 
     def test_reverse_steps_end_on_rate_breakpoints(self, monkeypatch):
         ev = evolve(repelling_pair(), 0.25, 1e-3, BREAK_RATES)
         runs = []
         for tol in (1e-9, 1e-11, 1e-13):
             monkeypatch.setattr(loewner, "REVERSE_TOL", tol)
-            runs.append([s.point for s in trace_hull(ev, [0.2, 0.25], 1e-2)])
+            runs.append([s.point for s in trace_hull(ev, [0.2, 0.25])])
         moves = [max(abs(a - b) for a, b in zip(r0, r1)) for r0, r1 in zip(runs, runs[1:])]
         # steps that straddle the breakpoint, mixing both rates, move by 5e-4
         assert moves[1] <= 1e-9, moves
@@ -878,9 +872,9 @@ class TestHull:
         div, _ = transport(sc.divisor, HALF_PLANE)
         ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
         times = [ev.final.t * i / 32 for i in range(33)]
-        got = trace_hull(ev, times, lo.lift)
+        got = trace_hull(ev, times)
         monkeypatch.setattr(loewner, "REVERSE_TOL", loewner.REVERSE_TOL * 1e-4)
-        want = trace_hull(ev, times, lo.lift)
+        want = trace_hull(ev, times)
         # the error of the former gap-capped step, 2.8e-9
         assert max(abs(a.point - b.point) for a, b in zip(got, want)) <= 3e-9
 
@@ -916,10 +910,21 @@ class TestHull:
     def test_no_times_no_samples(self):
         assert trace_hull(evolve(single_curve(), 0.5, 1e-3), []) == []
 
-    def test_zero_lift_stalls(self):
+    def test_a_step_below_the_rounding_of_r_stalls(self, monkeypatch):
+        # past r = 0.5 the velocity jumps by 2e300 between stages, so every
+        # step beyond it is rejected until r + h rounds to r
         ev = evolve(single_curve(), 0.5, 1e-3)
-        with pytest.raises(InversionFailureError, match=r"reverse solve stalled at s=0\.000e\+00 \(gap 0\.000e\+00\)"):
-            trace_hull(ev, [0.1], lift=0.0)
+        velocity = loewner._reverse_velocity
+        calls = [0]
+
+        def jumping(zr, zi, x, coeff, w):
+            calls[0] += 1
+            vr, vi = velocity(zr, zi, x, coeff, w)
+            return vr + np.where(w > 1.0, (-1.0) ** calls[0] * 1e300, 0.0), vi
+
+        monkeypatch.setattr(loewner, "_reverse_velocity", jumping)
+        with pytest.raises(InversionFailureError, match=r"reverse solve stalled at s=2\.500e-01 \(gap 1\.000e\+00\)"):
+            trace_hull(ev, [0.5])
 
 
 class TestCollision:
@@ -1017,6 +1022,21 @@ class TestEvolveValidation:
         monkeypatch.setattr(loewner, "STEP_BUDGET", 100)
         with pytest.raises(StepBudgetError, match="exceeded its budget of 100 steps"):
             evolve(colliding_pair(), 0.3, 0.01)
+
+    def test_a_flow_out_of_steps_names_its_closing_pair(self, monkeypatch):
+        # the -1/2 pair's images land on the real axis between the driving
+        # points, and the gap from driving point 0 to one of them shrinks
+        # about as 1/steps under the gap cap: the flow stalls near t = 0.44
+        pairs = [(0.9844424318703551, 1.7535047917821798, -2), (0.6211575795120048, 1.2290588108127198, -0.5)]
+        marked = [(complex(a, sign * b), c) for a, b, c in pairs for sign in (1, -1)] + [("inf", 1)]
+        div = SymmetricDivisor.half_plane([1.3548293702548504, 0.34332355459222175], marked)
+        monkeypatch.setattr(loewner, "STEP_BUDGET", 2000)
+        with pytest.raises(
+            StepBudgetError,
+            match=r"exceeded its budget of 2000 steps at t=0\.4\d+ \(step \S+, \d+ rejected, "
+            r"gap \S+ between driving point 0 and marked point 0\.97\d+\+\S+i\)$",
+        ):
+            evolve(div, 0.5, 1e-3)
 
     def test_rate_count_must_match(self):
         with pytest.raises(ValueError, match="one rate schedule"):

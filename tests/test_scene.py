@@ -69,7 +69,6 @@ def scenes(draw):
             T=draw(POSITIVE),
             dt=draw(POSITIVE),
             tol=draw(st.none() | POSITIVE),
-            lift=draw(POSITIVE),
             tracked=tuple(draw(st.lists(st.complex_numbers(allow_infinity=False, allow_nan=False), max_size=3))),
         ),
         rates=draw(st.none() | st.lists(schedule, min_size=n, max_size=n).map(lambda s: Parametrization(tuple(s)))),
@@ -326,7 +325,7 @@ class TestPresets:
         scene = SceneConfig(
             divisor=base.divisor,
             trace=TraceParams(step=0.002),
-            loewner=LoewnerParams(T=0.3, dt=1e-3, lift=1e-5, tracked=(2j, 3 + 0.5j), tol=1e-12),
+            loewner=LoewnerParams(T=0.3, dt=1e-3, tracked=(2j, 3 + 0.5j), tol=1e-12),
             rates=Parametrization((((0.0, 1.0), (0.25, 2.0)),)),
             outputs=("hull_csv",),
             name="custom",
