@@ -336,6 +336,15 @@ class TestSingleCurve:
         worst = max(abs(s.point - 2j * math.sqrt(s.t)) for s in samples)
         assert worst < 1e-14
 
+    def test_hull_is_the_lift_exact_slit(self):
+        # the closed form i sqrt(4t + lift^2) of the reverse solve from
+        # x + i*lift, with the lift zero now that the solve starts on the
+        # boundary; at times between the steps of the evolution too
+        ev = evolve(single_curve(), 1.0, 1e-3)
+        samples = trace_hull(ev, [0.0123 + k * 0.0457 for k in range(21)])
+        worst = max(abs(s.point - 1j * math.sqrt(4.0 * s.t)) for s in samples)
+        assert worst < 1e-14
+
     def test_hull_across_a_rate_breakpoint_is_the_exact_slit(self):
         # with the rate 1 before 0.35 and 2 after it, the slit is
         # 2i sqrt(int_0^t nu); the rates of the wrong side of the
