@@ -109,6 +109,27 @@ def _points_close(a: SpherePoint, b: SpherePoint, tol: float) -> bool:
     return abs(a.value - b.value) <= tol
 
 
+def _partners(domain: str, marked: Sequence[MarkedPoint]) -> list[int | None]:
+    """The index of each marked point's symmetry partner: itself within
+    ``SYMMETRY_TOL`` of its own mirror, else the first later unmatched point
+    within it of the mirror with the same charge, or None."""
+    partner: list[int | None] = [None] * len(marked)
+    for i, (q, s) in enumerate(marked):
+        if partner[i] is not None:
+            continue
+        mirror = _reflect(domain, q)
+        if _points_close(q, mirror, SYMMETRY_TOL):
+            partner[i] = i
+            continue
+        for j in range(i + 1, len(marked)):
+            m, c = marked[j]
+            matches = _points_close(m, mirror, SYMMETRY_TOL) and abs(float(c) - float(s)) <= SYMMETRY_TOL
+            if partner[j] is None and matches:
+                partner[i], partner[j] = j, i
+                break
+    return partner
+
+
 def _chordal_distance(a: SpherePoint, b: SpherePoint) -> float:
     """The chordal distance on the Riemann sphere, 2 |a - b| / (sqrt(1 +
     |a|^2) sqrt(1 + |b|^2)), and 2 / sqrt(1 + |a|^2) from a to infinity: a
@@ -168,18 +189,11 @@ class SymmetricDivisor:
             # Marked multiset must be closed under the domain reflection, with
             # matching charges; growth points must be fixed by it (they sit on
             # the boundary, checked above).
-            unmatched = list(self.marked)
-            while unmatched:
-                q, s = unmatched.pop(0)
-                mirror = _reflect(self.domain, q)
-                if _points_close(q, mirror, SYMMETRY_TOL):
-                    continue
-                for m in unmatched:
-                    if _points_close(m[0], mirror, SYMMETRY_TOL) and abs(float(m[1]) - float(s)) <= SYMMETRY_TOL:
-                        unmatched.remove(m)
-                        break
-                else:
-                    problems.append(f"marked point {q} (charge {s}) has no symmetry partner")
+            problems.extend(
+                f"marked point {q} (charge {s}) has no symmetry partner"
+                for (q, s), k in zip(self.marked, _partners(self.domain, self.marked))
+                if k is None
+            )
 
         total = self.charge_sum()
         if total != -2 if isinstance(total, Fraction) else abs(total + 2.0) > NEUTRALITY_TOL:
@@ -211,8 +225,18 @@ class SymmetricDivisor:
         return pts
 
     def finite_marked(self) -> tuple[list[complex], list[float]]:
-        """Positions and float charges of the finite marked points, in order."""
-        finite = [(q.value, float(s)) for q, s in self.marked if q.finite]
+        """Positions and float charges of the finite marked points, in order;
+        on the half-plane exact mirrors, as the flow keeps them: a point its
+        own mirror is real, the lower point of a pair the conjugate of the
+        upper one."""
+        points = [q.value for q, _ in self.marked]
+        if self.domain == HALF_PLANE:
+            for i, k in enumerate(_partners(self.domain, self.marked)):
+                if k == i:
+                    points[i] = complex(points[i].real)
+                elif k is not None and points[i].imag < points[k].imag:
+                    points[i] = points[k].conjugate()
+        finite = [(z, float(s)) for z, (q, s) in zip(points, self.marked) if q.finite]
         return [q for q, _ in finite], [s for _, s in finite]
 
     def charge_sum(self) -> Fraction | float:

@@ -14,15 +14,17 @@ and log g'(z) by its derivative flow.
 The driving points are a list of floats; the marked points and the live
 observers, which the common field carries, are a list of Python complex
 numbers or, where that costs less, one complex array for the whole flow
-(``_on_arrays``). On arrays the whole step is array operations, and scalar
-code (``dlog_Z``, the closing gap, the states) reads the marked points out
-as Python numbers. Both paths give the same bits: numpy's complex sums,
-real-scalar products and ``np.hypot(re, im)`` round as CPython's complex
-arithmetic and ``abs``, quotients are CPython's (``_quotients``) and sums
-run in its order. ``np.abs`` of a complex array is not ``abs`` (it differs
-in the last place for about a third of random values), so it is not used.
-The motion integral's logarithms and phases are numpy's, not libm's: an ulp
-apart on some arguments, depending on the machine (``_drifts``).
+(``_on_arrays``). Array code holds complex numbers as complex arrays, with
+one field kernel (``_common_field``), one RK4 combination (``_rk4_array``)
+and one cubic Hermite (``_hermite``); scalar code (``dlog_Z``, the closing
+gap, the states) reads the marked points out as Python numbers. Both paths
+give the same bits: numpy's complex sums, real-scalar products and
+``np.hypot(re, im)`` round as CPython's complex arithmetic and ``abs``,
+quotients are CPython's (``_quotients``) and sums run in its order.
+``np.abs`` of a complex array is not ``abs`` (it differs in the last place
+for about a third of random values), so it is not used. The motion
+integral's logarithms and phases are numpy's, not libm's: an ulp apart on
+some arguments, depending on the machine (``_drifts``).
 
 The points are integrated together with a classical 4th-order step, of
 fixed size or sized by its free embedded error estimate; the step size is
@@ -170,11 +172,8 @@ def _velocities(
     dx = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s, rates)
     c = [2.0 * r for r in rates]
     if arrays:
-        re, im = _reverse_velocity(p.real, p.imag, np.array(x)[:, None], np.array(c)[:, None], -1.0)
-        dp = np.empty(len(p), dtype=complex)
         # the scalar sum starts from 0j, which turns a zero sum's -0.0 into 0.0
-        dp.real, dp.imag = 0.0 + re, 0.0 + im
-        return dx, dp
+        return dx, 0.0 + _common_field(p, np.array(x)[:, None], np.array(c)[:, None])
     dp = []
     for z in p:
         total = 0j
@@ -306,13 +305,10 @@ def _near_array(x: Sequence[float], g: np.ndarray, live: Sequence[int]) -> list[
     return list(zip(d.tolist(), [live[i] for i in low.tolist()]))
 
 
-def _quotients(
-    a: np.ndarray, br: np.ndarray, bi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The real part and the negated imaginary part of a / (br + i bi) for
-    real ``a``, with the bits of CPython's real over complex division
-    (Smith's method: scale by the larger part of the denominator, then
-    divide)."""
+def _quotients(a: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    """The complex a / (br + i bi) for real ``a``, with the bits of CPython's
+    real over complex division (Smith's method: scale by the larger part of
+    the denominator, then divide)."""
     swap = np.abs(br) < np.abs(bi)
     big = np.where(swap, bi, br)
     small = np.where(swap, br, bi)
@@ -323,7 +319,10 @@ def _quotients(
     ratio *= a
     ratio /= den
     plain = np.divide(a, den, out=big)
-    return np.where(swap, ratio, plain), np.where(swap, plain, ratio)
+    q = np.empty(plain.shape, dtype=complex)
+    q.real = np.where(swap, ratio, plain)
+    q.imag = -np.where(swap, plain, ratio)
+    return q
 
 
 class _ObserverHistory:
@@ -378,10 +377,9 @@ class _ObserverHistory:
         g[:, live] = np.repeat(points[:, 4], reps, axis=0)
         # an overflow shows as a value that is not finite, checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            dws = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4], np.array(clocks))
-            for part, dw in zip((w.real, w.imag), dws):
-                # w_{i+1} = w_i + dw_i, summed in sequence from the last row
-                part[:, live] = np.repeat(np.cumsum(np.vstack((part[:1, live], dw)), axis=0)[1:], reps, axis=0)
+            dw = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4], np.array(clocks))
+            # w_{i+1} = w_i + dw_i, summed in sequence from the last row
+            w[:, live] = np.repeat(np.cumsum(np.vstack((w[:1, live], dw)), axis=0)[1:], reps, axis=0)
         # a value that is not finite stays so down the sums: the last row shows it
         bad = ~np.isfinite(w[-1, live])
         if bad.any():
@@ -398,12 +396,12 @@ def _check_history(rows: int, cols: int) -> None:
 
 def _log_gprime_steps(
     h: np.ndarray, coeffs: np.ndarray, xs: np.ndarray, gs: np.ndarray, clocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary RK4 increments of log g' over a block of steps, one
-    row per step and one column per observer: the steps' sizes ``h``, their
-    2 nu_k (one row per step), stage driving points ``xs`` and stage
-    observer images ``gs`` (stages along axis 1), and the stages' clock
-    factors dt/dsigma, which weight each stage (1.0 in t, exactly)."""
+) -> np.ndarray:
+    """The RK4 increments of log g' over a block of steps, one row per step
+    and one column per observer: the steps' sizes ``h``, their 2 nu_k (one
+    row per step), stage driving points ``xs`` and stage observer images
+    ``gs`` (stages along axis 1), and the stages' clock factors dt/dsigma,
+    which weight each stage (1.0 in t, exactly)."""
     gr, gi = gs.real, gs.imag
     gi2 = gi * gi
     for k in range(xs.shape[2]):
@@ -411,16 +409,11 @@ def _log_gprime_steps(
         # 2 nu_k / (g - x_k)^2, the square as CPython multiplies: its
         # imaginary part dr gi + gi dr is a sum of two equal products
         cross = dr * gi
-        re, neg_im = _quotients(coeffs[:, k, None, None], dr * dr - gi2, cross + cross)
-        if k == 0:
-            sum_re, sum_neg_im = re, neg_im
-        else:
-            sum_re, sum_neg_im = sum_re + re, sum_neg_im + neg_im
-    # the velocity is minus the sum of the quotients
-    h6 = h[:, None] / 6.0
-    c = clocks[:, :, None]
-    re, im = (h6 * (b[:, 0] + 2.0 * b[:, 1] + 2.0 * b[:, 2] + b[:, 3]) for b in (-sum_re * c, sum_neg_im * c))
-    return re, im
+        q = _quotients(coeffs[:, k, None, None], dr * dr - gi2, cross + cross)
+        total = q if k == 0 else total + q
+    # minus the sum of the quotients; 0.0 + drops a zero's sign, which no sum from log g' = 0 keeps
+    b = -total * clocks[:, :, None]
+    return _rk4_array(0.0, b[:, 0], b[:, 1], b[:, 2], b[:, 3], h[:, None])
 
 
 def evolve(
@@ -599,7 +592,7 @@ def evolve(
         if closing is None:
             t1 = t + h
         else:
-            t1 = t + h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            t1 = _rk4_array(t, c1, c2, c3, c4, h)
             if t1 > stop:
                 # a tau-step cannot end on a given time: the flow leaves the
                 # tail and reaches stop in t
@@ -671,6 +664,16 @@ def evolve(
     )
 
 
+def _hermite(
+    u: np.ndarray, h: np.ndarray, x0: np.ndarray, d0: np.ndarray, x1: np.ndarray, d1: np.ndarray
+) -> np.ndarray:
+    """The cubic Hermite interpolant at u in [0, 1] of an interval of length
+    ``h`` with end values x0, x1 and end slopes d0, d1."""
+    v2 = (1.0 - u) * (1.0 - u)
+    u2 = u * u
+    return (1.0 + 2.0 * u) * v2 * x0 + h * (u * v2) * d0 + u2 * (3.0 - 2.0 * u) * x1 + h * (u2 * (u - 1.0)) * d1
+
+
 class _DrivingPaths:
     """Cubic Hermite interpolation of the driving paths on the state grid,
     held constant outside it.
@@ -688,7 +691,7 @@ class _DrivingPaths:
         self.t_first, self.t_last = states[0].t, states[-1].t
         # one row per driving point; the last state is repeated so that
         # column i + 1 exists for every i, with a placeholder step of 1.0
-        # (a lookup at t_last lands there with tau = 0)
+        # (a lookup at t_last lands there with u = 0)
         self.hs = np.append(np.diff(self.ts), 1.0)
         self.xs = np.array([st.x for st in states] + [states[-1].x]).T.copy()
         self.dxs = np.array([st.dx for st in states] + [states[-1].dx]).T.copy()
@@ -707,16 +710,8 @@ class _DrivingPaths:
         # interval after it
         i = self.ts.searchsorted(t, "right") - 1
         h = self.hs.take(i)
-        tau = (t - self.ts.take(i)) / h
-        u2 = (1.0 - tau) * (1.0 - tau)
-        tau2 = tau * tau
-        j = i + 1
-        x = (
-            (1.0 + 2.0 * tau) * u2 * self.xs.take(i, 1)
-            + h * (tau * u2) * self.dxs.take(i, 1)
-            + tau2 * (3.0 - 2.0 * tau) * self.xs.take(j, 1)
-            + h * (tau2 * (tau - 1.0)) * self.dxs.take(j, 1)
-        )
+        u = (t - self.ts.take(i)) / h
+        x = _hermite(u, h, self.xs.take(i, 1), self.dxs.take(i, 1), self.xs.take(i + 1, 1), self.dxs.take(i + 1, 1))
         if self.count > 0:
             k = i - self.first
             inside = (k >= 0) & (k < self.count)
@@ -741,39 +736,30 @@ class _DrivingPaths:
             value = s0 * u * v * v + dt * u * u * (3.0 - 2.0 * u) + s1 * u * u * (u - 1.0)
             slope = s0 * v * (1.0 - 3.0 * u) + 6.0 * dt * u * v + s1 * u * (3.0 * u - 2.0)
             u = np.clip(u - (value - target) / slope, 0.0, 1.0)
-        v = 1.0 - u
-        return (
-            (1.0 + 2.0 * u) * v * v * self.tail_xs.take(k, 1)
-            + h * (u * v * v) * self.tail_dxs.take(k, 1)
-            + u * u * (3.0 - 2.0 * u) * self.tail_xs.take(k + 1, 1)
-            + h * (u * u * (u - 1.0)) * self.tail_dxs.take(k + 1, 1)
-        )
+        xs, dxs = self.tail_xs, self.tail_dxs
+        return _hermite(u, h, xs.take(k, 1), dxs.take(k, 1), xs.take(k + 1, 1), dxs.take(k + 1, 1))
 
 
-def _reverse_velocity(
-    zr: np.ndarray, zi: np.ndarray, x: np.ndarray, coeff: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of -w sum_k coeff_k / (z - x_k), with one
-    column per z and one row per driving point in ``x`` and ``coeff``.
+def _common_field(z: np.ndarray, x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_k coeff_k / (z - x_k) on a complex array ``z``, with one column
+    per z and one row per driving point in ``x`` and ``coeff``.
 
-    Each quotient is CPython's real over complex division (Smith's method:
-    scale by the larger part of the denominator, then divide), and the sum
-    runs over the driving points in order, so that a column gets the bits
-    of the same sum over Python complex numbers. The forward common field
-    of ``evolve`` is the case w = -1.
+    Each quotient is CPython's (``_quotients``), and the sum runs over the
+    driving points in order, so that a column gets the bits of the same sum
+    over Python complex numbers. The forward flow and the reverse flow of
+    ``trace_hull`` each apply their own factor.
 
     From 4 rows and 2 columns numpy's axis-0 reduction adds the rows in
     order; from -0.0, which changes no addend, it is the loop's sum (one
     column it would sum pairwise, and below 4 rows the loop is cheaper).
     """
-    re, im = _quotients(coeff, zr - x, zi)
-    if len(x) > 3 and re.shape[1] > 1:
-        return -w * re.sum(axis=0, initial=-0.0), w * im.sum(axis=0, initial=-0.0)
-    tr, ti = re[0], im[0]
+    q = _quotients(coeff, z.real - x, z.imag)
+    if len(x) > 3 and q.shape[1] > 1:
+        return q.sum(axis=0, initial=complex(-0.0, -0.0))
+    total = q[0]
     for k in range(1, len(x)):
-        tr = tr + re[k]
-        ti = ti + im[k]
-    return -w * tr, w * ti
+        total = total + q[k]
+    return total
 
 
 @dataclass(frozen=True)
@@ -833,7 +819,7 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
     t = np.repeat(np.array(times, dtype=float), n)
     m = len(t)
     curve = np.tile(np.arange(n), len(times))
-    zr, zi = paths.at(t)[curve, np.arange(m)], np.zeros(m)
+    z = paths.at(t)[curve, np.arange(m)].astype(complex)
     # the piece below the sample time: a sample at a breakpoint starts on
     # the rates before it
     piece = np.maximum(starts.searchsorted(t) - 1, 0)
@@ -841,18 +827,16 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
     r_stop = np.sqrt(t - starts.take(piece))  # where the piece ends below
     h = r_stop
     # the first stage: the slit's velocity 2i sqrt(nu_j) = i sqrt(2 coeff_j)
-    k1r, k1i = np.zeros(m), np.sqrt(2.0 * coeffs[curve, piece])
+    k1 = 1j * np.sqrt(2.0 * coeffs[curve, piece])
     index = np.arange(m)
-    out_r, out_i = zr.copy(), zi.copy()
+    out = z.copy()
     sweeps = rejected = 0
     while True:
         live = r < r_stop
         if not live.all():
             done = ~live
-            out_r[index[done]], out_i[index[done]] = zr[done], zi[done]
-            index, t, r, r_stop, h, zr, zi, k1r, k1i, piece = (
-                a[live] for a in (index, t, r, r_stop, h, zr, zi, k1r, k1i, piece)
-            )
+            out[index[done]] = z[done]
+            index, t, r, r_stop, h, z, k1, piece = (a[live] for a in (index, t, r, r_stop, h, z, k1, piece))
         if not index.size:
             break
         sweeps += 1
@@ -868,7 +852,7 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
         if stalled.any():
             k = int(stalled.argmax())
             x_here = paths.at(t[k : k + 1] - r[k] * r[k])[:, 0]
-            gap = np.hypot(zr[k] - x_here, zi[k]).min()
+            gap = np.hypot(z[k].real - x_here, z[k].imag).min()
             raise InversionFailureError(
                 f"reverse solve stalled at s={r[k] * r[k]:.3e} (gap {gap:.3e})"
             )
@@ -876,19 +860,19 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
         r_mid = r + h2
         x_stages = paths.at(np.concatenate((t - r_mid * r_mid, t - r_end * r_end)))
         x_mid, x_end = x_stages[:, : len(r)], x_stages[:, len(r) :]
-        w_mid, w_end = 2.0 * r_mid, 2.0 * r_end
+        # dz/dr = 2r dz/ds = -2r times the common field
+        f_mid, f_end = -2.0 * r_mid, -2.0 * r_end
         coeff = coeffs.take(piece, 1)
-        k2r, k2i = _reverse_velocity(zr + h2 * k1r, zi + h2 * k1i, x_mid, coeff, w_mid)
-        k3r, k3i = _reverse_velocity(zr + h2 * k2r, zi + h2 * k2i, x_mid, coeff, w_mid)
-        k4r, k4i = _reverse_velocity(zr + h * k3r, zi + h * k3i, x_end, coeff, w_end)
-        h6 = h / 6.0
-        z1r = zr + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        z1i = zi + h6 * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-        k5r, k5i = _reverse_velocity(z1r, z1i, x_end, coeff, w_end)
-        err = h6 * np.hypot(k4r - k5r, k4i - k5i)
+        k2 = f_mid * _common_field(z + h2 * k1, x_mid, coeff)
+        k3 = f_mid * _common_field(z + h2 * k2, x_mid, coeff)
+        k4 = f_end * _common_field(z + h * k3, x_end, coeff)
+        z1 = _rk4_array(z, k1, k2, k3, k4, h)
+        k5 = f_end * _common_field(z1, x_end, coeff)
+        d = k4 - k5
+        err = h / 6.0 * np.hypot(d.real, d.imag)
         # NaN fails every comparison, so neither a rejection nor the end of
         # the solve would see it
-        bad = ~np.isfinite(err + z1r + z1i)
+        bad = ~np.isfinite(err + z1.real + z1.imag)
         if bad.any():
             k = int(bad.argmax())
             raise InversionFailureError(
@@ -900,19 +884,16 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
         scale = 0.9 * np.sqrt(np.sqrt(REVERSE_TOL / err))
         h = h * np.where(accept, np.minimum(5.0, scale), np.maximum(0.2, scale))
         r = np.where(accept, r_end, r)
-        zr, zi = np.where(accept, z1r, zr), np.where(accept, z1i, zi)
-        k1r, k1i = np.where(accept, k5r, k1r), np.where(accept, k5i, k1i)
+        z, k1 = np.where(accept, z1, z), np.where(accept, k5, k1)
         # a step that reached its breakpoint hands the sample to the piece
         # below, whose rates give the first stage of its next step
         below = accept & (r == r_stop) & (piece > 0)
         if below.any():
             piece = piece - below
             r_stop = np.sqrt(t - starts.take(piece))
-            k1r[below], k1i[below] = _reverse_velocity(
-                zr[below], zi[below], x_end[:, below], coeffs.take(piece[below], 1), w_end[below]
-            )
+            k1[below] = f_end[below] * _common_field(z[below], x_end[:, below], coeffs.take(piece[below], 1))
     return [
-        HullSample(tk, j, complex(out_r[k * n + j], out_i[k * n + j]))
+        HullSample(tk, j, complex(out[k * n + j]))
         for k, tk in enumerate(times)
         for j in range(n)
     ]

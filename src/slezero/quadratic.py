@@ -226,18 +226,12 @@ def build_Q(divisor: SymmetricDivisor) -> QuadDifferential:
     return replace(qd, phase=normalize_phase(qd))
 
 
-def direction_field(
-    qd: QuadDifferential, z: complex, prev_dir: complex | None = None
-) -> complex:
-    """Unit vector of the horizontal line field at z.
-
-    Of the two antipodal solutions of Q(z) u^2 > 0, returns the one with
-    Re(u * conj(prev_dir)) >= 0 when prev_dir is given, else the one with
-    argument in [0, pi).
-    """
-    ref = 0j if prev_dir is None else prev_dir
-    _, ur, ui = qd.field(z.real, z.imag, ref.real, ref.imag)
-    if prev_dir is None and (ui < 0 or (ui == 0 and ur < 0)):
+def direction_field(qd: QuadDifferential, z: complex) -> complex:
+    """Unit vector of the horizontal line field at z: of the two antipodal
+    solutions of Q(z) u^2 > 0, the one with argument in [0, pi). (``qd.field``
+    signs it towards a reference direction instead.)"""
+    _, ur, ui = qd.field(z.real, z.imag, 0.0, 0.0)
+    if ui < 0 or (ui == 0 and ur < 0):
         ur, ui = -ur, -ui
     return complex(ur, ui)
 

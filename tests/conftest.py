@@ -191,6 +191,13 @@ def q_value(qd, z: complex) -> complex:
     return value
 
 
+def signed_field(qd, z: complex, ref: complex) -> complex:
+    """The unit line-field direction at z with a non-negative inner product
+    with ``ref``: the sign rule the tracer steps by."""
+    _, ur, ui = qd.field(z.real, z.imag, ref.real, ref.imag)
+    return complex(ur, ui)
+
+
 def nan_after(monkeypatch, calls: int) -> None:
     """Makes ``divisors.dlog_Z`` return NaN from its call number ``calls`` on."""
     from slezero import divisors

@@ -17,6 +17,7 @@ from conftest import (
     half_plane_divisor,
     mod_pi_gap,
     random_moebius,
+    signed_field,
 )
 from slezero import runner
 from slezero.divisors import (
@@ -244,7 +245,7 @@ def test_criterion_9_property_suites():
     z, prev = 0.1 + 0.2j, None
     held = 0
     while held < 200:
-        u = direction_field(qd2, z, prev)
+        u = direction_field(qd2, z) if prev is None else signed_field(qd2, z, prev)
         if prev is not None:
             assert u.real * prev.real + u.imag * prev.imag > 0.0
         prev = u

@@ -135,14 +135,14 @@ def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
     sc = scene.preset("fig1")
     lo = sc.loewner
     ev = evolve(runner._flow_divisor(sc), lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
-    velocity = loewner._reverse_velocity
+    field = loewner._common_field
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return velocity(*args)
+        return field(*args)
 
-    monkeypatch.setattr(loewner, "_reverse_velocity", counted)
+    monkeypatch.setattr(loewner, "_common_field", counted)
     loewner.trace_hull(ev, runner._hull_times(ev.final.t))
     assert calls[0] <= 4 * 792 / 3
 
@@ -151,14 +151,14 @@ def test_many_observers_and_only_they_take_the_array_field(monkeypatch):
     # the observers' common field runs on arrays from ARRAY_QUOTIENTS
     # driving point x observer quotients: never for a preset's one observer,
     # once per velocity evaluation for the 10 x 128 of a many-curves scene
-    velocity = loewner._reverse_velocity
+    field = loewner._common_field
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return velocity(*args)
+        return field(*args)
 
-    monkeypatch.setattr(loewner, "_reverse_velocity", counted)
+    monkeypatch.setattr(loewner, "_common_field", counted)
     fig1 = scene.preset("fig1")
     lo = fig1.loewner
     evolve(runner._flow_divisor(fig1), lo.T, lo.dt, fig1.rates, lo.tracked, lo.tol)

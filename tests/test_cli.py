@@ -23,7 +23,8 @@ from slezero import conformal, loewner, runner, tracing
 from slezero.cli import main
 from slezero.divisors import SpherePoint, SymmetricDivisor, as_charge, format_complex, parse_point
 from slezero.errors import ConfigError, DegenerateConfigurationError, InversionFailureError, SleZeroError
-from slezero.scene import OUTPUT_KINDS, SceneConfig, parse_config, preset, serialize_config
+from slezero.loewner import Parametrization
+from slezero.scene import OUTPUT_KINDS, LoewnerParams, SceneConfig, parse_config, preset, serialize_config
 
 SINGLE = """\
 domain: half_plane
@@ -79,6 +80,44 @@ marked:
   - point: "-0.6394905061257551"
     charge: "-3"
 loewner: {T: 0.01, dt: 0.01, tol: 1e-16, tracked: ["i"]}
+"""
+
+
+# conjugate marked pairs and a point on the axis that the divisor accepts
+# within SYMMETRY_TOL: a flow that read them as given would not see exact
+# mirrors, and near a driving point the imaginary parts of their dlog_Z terms
+# would leave a residue above IMAG_RESIDUE_TOL (a disk pair transported 1 ulp
+# apart, here at t = 0.006; the point 1e-11 off the axis, at t = 0)
+ROUNDED_DISK_PAIRS = """\
+domain: disk
+growth: ["0.09737742805927783-0.9952475252441275i", "0.6073788313527111+0.7944123332530878i"]
+marked:
+  - point: "0.03148876511652399-0.7940693352162977i"
+    charge: "-3/2"
+  - point: "0.04986047157086642-1.2573586600597566i"
+    charge: "-3/2"
+  - point: "-0.3285235050310926+0.4713793614203107i"
+    charge: "-1"
+  - point: "-0.9951452180391407+1.4278762713047568i"
+    charge: "-1"
+  - point: "-0.9896766326078114-0.14331839683049466i"
+    charge: "1"
+rates:
+  - [[0, 2.478888882781153], [0.02685894090945175, 1.9112115917787194]]
+  - [[0, 1.2109284014216861], [0.032134848441433515, 0.4912086377711624]]
+loewner: {T: 0.05, dt: 0.01, tol: 1e-12}
+outputs: [field_svg, trajectories_csv, hull_csv, motion_report, analysis_report]
+"""
+NEAR_AXIS_POINT = """\
+domain: half_plane
+growth: ["0"]
+marked:
+  - point: "0.3+1e-11i"
+    charge: "-1/2"
+  - point: inf
+    charge: "-5/2"
+loewner: {T: 0.01, dt: 0.001, tracked: ["2i"]}
+outputs: [field_svg, trajectories_csv, hull_csv, motion_report, analysis_report]
 """
 
 
@@ -492,6 +531,27 @@ class TestExitCodes:
         assert stderr.startswith("integration failure: reverse solve is not finite at s=")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, note",
+        [
+            # bracketed in [0.00597758837, 0.00597758952]
+            pytest.param(ROUNDED_DISK_PAIRS, "note: driving collision bracketed in [0.005977588", id="disk-pairs"),
+            pytest.param(NEAR_AXIS_POINT, None, id="near-axis"),
+        ],
+    )
+    def test_flows_on_rounded_mirrors_run_and_verify(self, tmp_path, capsys, text, note):
+        cfg, out = tmp_path / "scene.yaml", tmp_path / "out"
+        cfg.write_text(text)
+        code, stdout, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out))
+        assert (code, stderr) == (0, "")
+        notes = [line for line in stdout.splitlines() if line.startswith("note:")]
+        if note is None:
+            assert notes == []
+        else:
+            assert len(notes) == 1 and notes[0].startswith(note), notes
+        code, stdout, stderr = cli(capsys, "verify", "--config", str(cfg))
+        assert (code, stderr) == (0, ""), stdout
+
     def test_flow_state_that_is_not_finite_exits_3_without_artifacts(self, tmp_path, capsys, monkeypatch):
         nan_after(monkeypatch, 30)
         cfg = tmp_path / "fig2.yaml"
@@ -700,6 +760,46 @@ def curve_and_charge(rng: random.Random) -> SymmetricDivisor:
     """One curve and a charge -3 on the real line: no point at infinity."""
     x, q = distinct_reals(rng, 2)
     return SymmetricDivisor.half_plane([x], [(q, -3)])
+
+
+def whole_scene(generator, seed: int) -> str:
+    """A scene with every output: a generated divisor, per-curve rates with
+    at most one breakpoint, 0-3 observers, and fixed or error-controlled
+    flow steps."""
+    rng = random.Random(seed)
+    div = generator(rng)
+    T = 0.05
+    schedules = []
+    for _ in div.growth:
+        schedules.append(((0.0, rng.uniform(0.2, 3.0)),))
+        if rng.random() < 0.5:
+            schedules[-1] += ((rng.uniform(0.001, T), rng.uniform(0.2, 3.0)),)
+    tracked = tuple(complex(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)) for _ in range(rng.randint(0, 3)))
+    lo = LoewnerParams(T=T, dt=0.01, tol=rng.choice((None, 1e-12)), tracked=tracked)
+    return serialize_config(SceneConfig(div, loewner=lo, rates=Parametrization(tuple(schedules)), outputs=OUTPUT_KINDS))
+
+
+class TestWholeScenes:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None,
+              report_multiple_bugs=False, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.builds(whole_scene, st.sampled_from((half_plane_divisor, disk_divisor)), st.integers(0, 2**32)))
+    @example(ROUNDED_DISK_PAIRS)
+    @example(NEAR_AXIS_POINT)
+    def test_every_scene_ends_in_artifacts_or_its_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            # a conjugate pair swallowed between two driving points stalls the
+            # flow; at this budget it ends in exit 3 in about 2 s
+            patch.setattr(loewner, "STEP_BUDGET", 20_000)
+            cfg, out = Path(tmp) / "scene.yaml", Path(tmp) / "out"
+            cfg.write_text(text)
+            for argv in (["run", "--config", str(cfg), "--out", str(out)], ["verify", "--config", str(cfg)]):
+                err = io.StringIO()
+                # a traceback or a numpy warning fails the test
+                with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+                assert code in ((0, 1, 3) if argv[0] == "run" else (0, 1, 2, 3)), err.getvalue()
+                assert _one_line_after_its_prefix(code, err.getvalue()), err.getvalue()
 
 
 class TestDivisorMutations:

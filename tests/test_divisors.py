@@ -12,6 +12,8 @@ from conftest import (
     random_moebius,
     real_moebius,
 )
+from slezero import runner
+from slezero.conformal import transport
 from slezero.divisors import (
     DISK,
     HALF_PLANE,
@@ -29,6 +31,7 @@ from slezero.divisors import (
     partition_Z_log_abs,
 )
 from slezero.errors import DegenerateConfigurationError
+from slezero.scene import PRESET_NAMES, preset
 
 
 def product_oracle(points):
@@ -113,8 +116,6 @@ class TestValidate:
     breaks a rule cannot be made."""
 
     def test_presets_are_admissible(self):
-        from slezero.scene import PRESET_NAMES, preset
-
         for name in PRESET_NAMES:
             preset(name)
 
@@ -139,6 +140,27 @@ class TestValidate:
         with pytest.raises(DegenerateConfigurationError, match=r"marked point 1\.0\+1\.0i \(charge -1\) has no symmetry partner"):
             SymmetricDivisor.half_plane([0.0], [(1 + 1j, -1), ("inf", -2)])
         SymmetricDivisor.half_plane([0.0], [(1 + 1j, -1), (1 - 1j, -1), ("inf", -1)])
+
+    def test_the_flow_reads_exact_mirrors(self):
+        # a point on the axis within SYMMETRY_TOL reads as real, and of a pair
+        # conjugate within it the point below reads as the conjugate of the
+        # one above, whichever comes first
+        div = SymmetricDivisor.half_plane(
+            [0.0], [(1.0 - 0.5j, -1), (0.3 + 1e-11j, "-1/2"), (1.0 + 0.5000000000000001j, -1), ("inf", "-1/2")]
+        )
+        q, s = div.finite_marked()
+        assert q == [1.0 - 0.5000000000000001j, 0.3, 1.0 + 0.5000000000000001j] and s == [-1.0, -0.5, -1.0]
+        assert q[1].imag == 0.0 and q[0] == q[2].conjugate()
+        # fig3's disk pair -1/3, -3 comes out of the transport 1 ulp off
+        flow = runner._flow_divisor(preset("fig3"))
+        assert [p.value for p, _ in flow.marked][:2] == [0.5000000000000001j, -0.5j]
+        assert flow.finite_marked()[0][:2] == [0.5000000000000001j, -0.5000000000000001j]
+        rng = random.Random(404)
+        for _ in range(20):
+            q, _ = transport(disk_divisor(rng), HALF_PLANE)[0].finite_marked()
+            assert sorted(q, key=lambda z: (z.real, z.imag)) == sorted(
+                (z.conjugate() for z in q), key=lambda z: (z.real, z.imag)
+            )
 
     def test_disk_inversion_pairs(self):
         q = 0.5 + 0.25j

@@ -521,8 +521,8 @@ class TestObservers:
         tracked += (complex(x[2], 2e-8), complex(x[7], 3e-8))
         assert loewner._on_arrays(10, 18) and not loewner._on_arrays(10, 16)
         nu = Parametrization(tuple(((0.0, 1.0), (0.0123, 2.0)) if j == 0 else ((0.0, 1.0),) for j in range(10)))
-        calls = {"_reverse_velocity": 0, "dlog_Z": 0}
-        for module, name in ((loewner, "_reverse_velocity"), (divisors, "dlog_Z")):
+        calls = {"_common_field": 0, "dlog_Z": 0}
+        for module, name in ((loewner, "_common_field"), (divisors, "dlog_Z")):
             def counted(*args, f=getattr(module, name), name=name):
                 calls[name] += 1
                 return f(*args)
@@ -533,7 +533,7 @@ class TestObservers:
             before = dict(calls)
             ev = evolve(div, 0.02, 2e-4, nu, tracked, tol)
             # the field ran on arrays for every evaluation
-            assert 0 < calls["_reverse_velocity"] - before["_reverse_velocity"] == calls["dlog_Z"] - before["dlog_Z"]
+            assert 0 < calls["_common_field"] - before["_common_field"] == calls["dlog_Z"] - before["dlog_Z"]
             assert ev.death_times == death
             assert plain_numbers(ev)
             assert death[16] < 1e-15 and death[17] < 1e-15 and death[:16] == [None] * 16
@@ -889,15 +889,15 @@ class TestHull:
 
     def test_a_reverse_state_that_is_not_finite_stops_the_solve(self, monkeypatch):
         ev = evolve(repelling_pair(), 0.25, 1e-3)
-        velocity = loewner._reverse_velocity
+        field = loewner._common_field
         calls = [0]
 
         def poisoned(*args):
             calls[0] += 1
-            vr, vi = velocity(*args)
-            return (vr, vi) if calls[0] < 10 else (vr * math.nan, vi)
+            v = field(*args)
+            return v if calls[0] < 10 else v * math.nan
 
-        monkeypatch.setattr(loewner, "_reverse_velocity", poisoned)
+        monkeypatch.setattr(loewner, "_common_field", poisoned)
         with pytest.raises(InversionFailureError, match="reverse solve is not finite at s="):
             trace_hull(ev, [0.1, 0.2])
 
@@ -920,18 +920,18 @@ class TestHull:
         assert trace_hull(evolve(single_curve(), 0.5, 1e-3), []) == []
 
     def test_a_step_below_the_rounding_of_r_stalls(self, monkeypatch):
-        # past r = 0.5 the velocity jumps by 2e300 between stages, so every
-        # step beyond it is rejected until r + h rounds to r
+        # past r = 0.5, where the slit z = 2i r reaches height 1, the field
+        # jumps by 2e300 between stages, so every step beyond it is rejected
+        # until r + h rounds to r
         ev = evolve(single_curve(), 0.5, 1e-3)
-        velocity = loewner._reverse_velocity
+        field = loewner._common_field
         calls = [0]
 
-        def jumping(zr, zi, x, coeff, w):
+        def jumping(z, x, coeff):
             calls[0] += 1
-            vr, vi = velocity(zr, zi, x, coeff, w)
-            return vr + np.where(w > 1.0, (-1.0) ** calls[0] * 1e300, 0.0), vi
+            return field(z, x, coeff) + np.where(z.imag > 1.0, (-1.0) ** calls[0] * 1e300, 0.0)
 
-        monkeypatch.setattr(loewner, "_reverse_velocity", jumping)
+        monkeypatch.setattr(loewner, "_common_field", jumping)
         with pytest.raises(InversionFailureError, match=r"reverse solve stalled at s=2\.500e-01 \(gap 1\.000e\+00\)"):
             trace_hull(ev, [0.5])
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import disk_divisor, half_plane_divisor, mod_pi_gap, q_value
+from conftest import disk_divisor, half_plane_divisor, mod_pi_gap, q_value, signed_field
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import (
     DegenerateConfigurationError,
@@ -171,8 +171,8 @@ class TestDirectionField:
 
     def test_previous_direction_resolves_sign(self):
         qd = single_curve_qd()
-        assert direction_field(qd, 1j, prev_dir=-1j) == pytest.approx(-1j, abs=1e-12)
-        assert direction_field(qd, 1j, prev_dir=1j) == pytest.approx(1j, abs=1e-12)
+        assert signed_field(qd, 1j, -1j) == pytest.approx(-1j, abs=1e-12)
+        assert signed_field(qd, 1j, 1j) == pytest.approx(1j, abs=1e-12)
 
     def test_sign_continuity_along_paths(self):
         rng = random.Random(222)
@@ -184,7 +184,7 @@ class TestDirectionField:
                 u = None
                 for _ in range(40):
                     try:
-                        u_new = direction_field(qd, z, prev_dir=u)
+                        u_new = direction_field(qd, z) if u is None else signed_field(qd, z, u)
                     except SingularityProximityError:
                         break
                     if u is not None:
