@@ -50,18 +50,13 @@ def _largest_gap_rotation(points: list[SpherePoint]) -> float:
     return -best_mid
 
 
-def _snap_to_real_axis(p: SpherePoint) -> SpherePoint:
-    if p.finite and 0 < abs(p.value.imag) <= 1e-12 * max(1.0, abs(p.value)):
-        return SpherePoint(complex(p.value.real))
-    return p
-
-
 def transport(divisor: SymmetricDivisor, target: str) -> tuple[SymmetricDivisor, MoebiusMap]:
     """A disk divisor carried to the half-plane ``target``, with the map used.
 
     The map is deterministic and keeps growth points off its pole. Charges
-    are kept; images within rounding of the real axis are snapped onto it so
-    the result is admissible exactly.
+    are kept, and images are as the map rounds them: growth points and
+    self-mirrors may sit within rounding off the real axis, where the flow
+    reads only their real parts (``finite_marked()``).
     """
     if divisor.domain != DISK or target != HALF_PLANE:
         raise InvalidReferenceError(
@@ -72,6 +67,6 @@ def transport(divisor: SymmetricDivisor, target: str) -> tuple[SymmetricDivisor,
     pole = SpherePoint(-m.d / m.c)
     if any(divisors._points_close(p, pole, POLE_TOL) for p in points):
         m = _disk_to_half_plane(_largest_gap_rotation(points))
-    growth = tuple(_snap_to_real_axis(m.apply(p)) for p in divisor.growth)
-    marked = tuple((_snap_to_real_axis(m.apply(q)), s) for q, s in divisor.marked)
+    growth = tuple(m.apply(p) for p in divisor.growth)
+    marked = tuple((m.apply(q), s) for q, s in divisor.marked)
     return SymmetricDivisor(HALF_PLANE, growth, marked), m

@@ -31,7 +31,6 @@ DISTINCT_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
 NEUTRALITY_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
 
 HALF_PLANE = "half_plane"
 DISK = "disk"
@@ -227,16 +226,17 @@ class SymmetricDivisor:
     def finite_marked(self) -> tuple[list[complex], list[float]]:
         """Positions and float charges of the finite marked points, in order;
         on the half-plane exact mirrors, as the flow keeps them: a point its
-        own mirror is real, the lower point of a pair the conjugate of the
-        upper one."""
+        own mirror is real, and the lower point of a pair is the conjugate of
+        the upper one, with its charge."""
         points = [q.value for q, _ in self.marked]
+        charges = [float(s) for _, s in self.marked]
         if self.domain == HALF_PLANE:
             for i, k in enumerate(_partners(self.domain, self.marked)):
                 if k == i:
                     points[i] = complex(points[i].real)
                 elif k is not None and points[i].imag < points[k].imag:
-                    points[i] = points[k].conjugate()
-        finite = [(z, float(s)) for z, (q, s) in zip(points, self.marked) if q.finite]
+                    points[i], charges[i] = points[k].conjugate(), charges[k]
+        finite = [(z, s) for z, s, (q, _) in zip(points, charges, self.marked) if q.finite]
         return [q for q, _ in finite], [s for _, s in finite]
 
     def charge_sum(self) -> Fraction | float:
@@ -279,15 +279,15 @@ def dlog_Z(
 
     Component j is sum_{k != j} 2/(x_j - x_k) + sum_l 2 s_l/(x_j - q_l), each
     term the derivative of the corresponding log factor of Z, for finite
-    marked points ``q`` with charges ``s``. The result must be real for
-    boundary configurations: an imaginary residue above ``IMAG_RESIDUE_TOL``
-    is an error, below it is truncated.
+    marked points ``q`` with charges ``s``. On the exact mirrors of
+    ``finite_marked()`` the terms of a conjugate pair are conjugates and a
+    real point's term is real, so the sum is real: each marked term adds its
+    real part, which is the real part of the complex sum in the same order.
 
     Each sum runs over k, then l, in order. A pair's difference is taken
     once, for j < k: its quotients are both rows' terms, since
-    c/(x_k - x_j) is the exact negative of c/(x_j - x_k). The pair terms
-    add up on a float, which takes the complex marked terms the way the
-    complex sum 0j + ... would, and with no marked point the sum is real.
+    c/(x_k - x_j) is the exact negative of c/(x_j - x_k). Every term adds
+    up on a float.
     """
     c = [0.0] * len(x) if rates is None else [2.0 * r for r in rates]
     out = [0.0] * len(x)  # the pair terms of row j from k < j, added at k
@@ -303,19 +303,14 @@ def dlog_Z(
             out[k] -= v
             across += c[k] / d
             inter[k] -= cj / d
-        if q:
+        if q:  # a flow with no finite marked point skips the empty loop
             for ql, sl in zip(q, s):
                 d = xj - ql
                 if abs(d) <= DISTINCT_TOL:
                     raise DegenerateConfigurationError(
                         f"growth point {xj} hits marked point {format_complex(ql)}"
                     )
-                total += 2.0 * sl / d
-            if abs(total.imag) > IMAG_RESIDUE_TOL:
-                raise DegenerateConfigurationError(
-                    f"dlog_Z imaginary residue {total.imag:.3e} exceeds {IMAG_RESIDUE_TOL:.0e}"
-                )
-            total = total.real
+                total += (2.0 * sl / d).real
         out[j] = total if rates is None else rates[j] * total + across
     return out
 

@@ -110,6 +110,15 @@ class TestDlogZ:
         with pytest.raises(DegenerateConfigurationError):
             dlog_Z((0.0, 1e-13), (), ())
 
+    def test_a_pair_listed_apart_sums_its_real_parts(self):
+        # the pair 3e-7 from a driving point: its terms are about 1e7, so their
+        # imaginary parts leave a residue of rounding in a complex sum unless
+        # they are added next to each other
+        x, s, rates = [0.5000001, -2.0], [-1.0] * 4, [1.0, 1.0]
+        apart = dlog_Z(x, [0.5 + 3e-7j, 3 + 1j, 0.5 - 3e-7j, 3 - 1j], s, rates)
+        adjacent = dlog_Z(x, [0.5 + 3e-7j, 0.5 - 3e-7j, 3 + 1j, 3 - 1j], s, rates)
+        assert apart == pytest.approx(adjacent, rel=1e-12, abs=0)
+
 
 class TestValidate:
     """Admissibility is checked where a divisor is made: a divisor that
@@ -151,6 +160,9 @@ class TestValidate:
         q, s = div.finite_marked()
         assert q == [1.0 - 0.5000000000000001j, 0.3, 1.0 + 0.5000000000000001j] and s == [-1.0, -0.5, -1.0]
         assert q[1].imag == 0.0 and q[0] == q[2].conjugate()
+        # and it takes the charge of the one above
+        div = SymmetricDivisor.half_plane([0.0], [(1.0 - 0.5j, -1.0 - 4e-11), (1.0 + 0.5j, -1.0 + 4e-11), ("inf", -1)])
+        assert div.finite_marked() == ([1.0 - 0.5j, 1.0 + 0.5j], [-1.0 + 4e-11] * 2)
         # fig3's disk pair -1/3, -3 comes out of the transport 1 ulp off
         flow = runner._flow_divisor(preset("fig3"))
         assert [p.value for p, _ in flow.marked][:2] == [0.5000000000000001j, -0.5j]

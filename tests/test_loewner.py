@@ -4,6 +4,7 @@ import bisect
 import cmath
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from conftest import half_plane_divisor, nan_after
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slezero import divisors, loewner
+from slezero import divisors, loewner, runner
 from slezero.conformal import transport
 from slezero.divisors import HALF_PLANE, SymmetricDivisor
 from slezero.errors import DegenerateConfigurationError, InversionFailureError, StepBudgetError
 from slezero.loewner import HullSample, Parametrization, evolve, motion_integral, trace_hull
-from slezero.scene import preset, single_curve_scene
+from slezero.scene import LoewnerParams, SceneConfig, parse_config, preset, single_curve_scene
 
 
 def single_curve() -> SymmetricDivisor:
@@ -977,6 +978,39 @@ class TestEquivariance:
             for a, b in zip(s1.x, reversed(s2.x)):
                 assert abs(a + b) < 1e-12
             assert abs(g2 + g1.conjugate()) < 1e-12
+
+
+class TestExactMirrors:
+    """``finite_marked()`` hands the flow exact mirrors, and the flow keeps
+    them exact on its own: no later layer checks or mends the symmetry."""
+
+    # fig3 and many-curves pool scene 12 have two pairs each; the near-axis
+    # point is its own mirror
+    @pytest.mark.parametrize("name, pairs", [("fig3", 2), ("many-12", 2), ("near-axis", 0)])
+    def test_every_state_holds_exact_mirrors(self, name, pairs, monkeypatch):
+        if name == "many-12":
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+            import scenes
+
+            sc = parse_config(scenes.many_scene(12))
+        elif name == "near-axis":
+            div = SymmetricDivisor.half_plane([0.0], [(0.3 + 1e-11j, "-1/2"), ("inf", "-5/2")])
+            sc = SceneConfig(div, loewner=LoewnerParams(T=0.01, dt=1e-3, tracked=(2j,)))
+        else:
+            sc = preset(name)
+        div = runner._flow_divisor(sc)
+        finite = [i for i, (q, _) in enumerate(div.marked) if q.finite]
+        partners = [finite.index(divisors._partners(HALF_PLANE, div.marked)[i]) for i in finite]
+        assert sum(k > i for i, k in enumerate(partners)) == pairs
+        lo = sc.loewner
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
+            ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+            assert loewner._on_arrays(len(div.growth), len(lo.tracked)) == (threshold == 0)
+            # the lower point of a pair is the conjugate of the upper one, and
+            # a point its own mirror is real
+            broken = [st.t for st in ev.states if tuple(st.q[k].conjugate() for k in partners) != st.q]
+            assert broken == [] and len(ev.states) > 10
 
 
 class TestFigureFlows:
