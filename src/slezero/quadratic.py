@@ -118,12 +118,6 @@ class QuadDifferential:
     def marked_factors(self) -> tuple[Factor, ...]:
         return self.factors[self.n_growth :]
 
-    def order_at(self, point: complex) -> int:
-        for p, order in self.factors:
-            if p == point:
-                return order
-        raise KeyError(f"{point} is not a singular point")
-
     @cached_property
     def field(self) -> LineField:
         """Evaluator of the horizontal line field (see ``line_field``)."""

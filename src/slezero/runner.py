@@ -183,15 +183,18 @@ def _moebius_check(divisor: SymmetricDivisor, seed: int) -> Check:
 
 def _dlog_fd_check(divisor: SymmetricDivisor) -> Check:
     x = [p.value.real for p in divisor.growth]
-    exact = divisors.dlog_Z(x, *divisor.finite_marked())
+    q, s = divisor.finite_marked()
+    exact = divisors.dlog_Z(x, q, s)
     points = divisor.weighted_points()
 
     def log_z(j: int, h: float) -> float:
         return divisors.partition_Z_log_abs(points[:j] + [(x[j] + h, 1.0)] + points[j + 1 :])
 
     worst = 0.0
-    for j in range(len(x)):
-        fd = (log_z(j, FD_STEP) - log_z(j, -FD_STEP)) / (2.0 * FD_STEP)
+    for j, xj in enumerate(x):
+        # a step below the gap to the nearest other finite point
+        h = FD_STEP * min([1.0] + [abs(xj - p) for p in x[:j] + x[j + 1 :] + q])
+        fd = (log_z(j, h) - log_z(j, -h)) / (2.0 * h)
         worst = max(worst, abs(fd - exact[j]) / max(1.0, abs(exact[j])))
     return Check("invariance/dlog_fd", worst, FD_LIMIT)
 

@@ -5,8 +5,9 @@ quadratic differential, traced in arc length: with the classical 4th-order
 one-step method near the factor points, and far from all of them with
 error-controlled long steps of the Dormand-Prince 5(4) pair (see ``trace``).
 The field is only defined up to sign, so every stage evaluation is aligned
-with the direction of the previous step; launches from growth points start
-on a separatrix, offset by the capture radius.
+with the direction of the previous step; a launch from a zero starts along
+the given direction, within ``SEPARATRIX_TOL`` of a separatrix, offset by
+the capture radius.
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ class Trajectory:
     points: tuple[complex, ...]
     arc_lengths: tuple[float, ...]
     terminal: Terminal
-    start: complex
     initial_dir: complex
+
+    @property
+    def start(self) -> complex:
+        return self.points[0]
 
     @property
     def arc_length(self) -> float:
@@ -98,9 +102,10 @@ def trace(
 ) -> Trajectory:
     """Trace one horizontal trajectory from ``start``.
 
-    A start within the capture radius of a zero is treated as a launch from
-    that zero: the direction must lie within 1e-3 radians of one of its
-    separatrices and integration begins one capture radius out along it.
+    A start that is itself a point of ``qd.singularities`` is a launch from
+    it: a pole is refused, the direction must lie within ``SEPARATRIX_TOL``
+    radians of one of the zero's separatrices, and integration begins one
+    capture radius out along the direction.
     The trace stops on entering the capture disk of any other singularity,
     on leaving the domain by more than ``DOMAIN_MARGIN``, or on exhausting
     the arc length budget.
@@ -127,35 +132,26 @@ def trace(
     direction = initial_dir / abs(initial_dir)
     capture = params.capture_radius
 
-    launch_point: complex | None = None
-    for info in qd.singularities:
-        if abs(start - info.point) <= capture:
-            if info.order <= 0:
-                raise LaunchError(f"cannot launch from the pole at {info.point}")
-            want = cmath.phase(direction)
-            gap = min(
-                abs((want - theta + math.pi) % TWO_PI - math.pi) for theta in info.angles
+    launch = next((info for info in qd.singularities if info.point == start), None)
+    if launch is not None:
+        if launch.order <= 0:
+            raise LaunchError(f"cannot launch from the pole at {launch.point}")
+        want = cmath.phase(direction)
+        gap = min(abs((want - theta + math.pi) % TWO_PI - math.pi) for theta in launch.angles)
+        if gap > SEPARATRIX_TOL:
+            raise LaunchError(
+                f"direction {want:.6f} rad is {gap:.2e} rad off every separatrix of {launch.point}"
             )
-            if gap > SEPARATRIX_TOL:
-                raise LaunchError(
-                    f"direction {want:.6f} rad is {gap:.2e} rad off every separatrix of {info.point}"
-                )
-            launch_point = info.point
-            break
-
-    singular = [p for p, _ in qd.factors]
-
-    if launch_point is not None:
-        z = launch_point + capture * direction
-        points = [launch_point, z]
-        arcs = [0.0, abs(z - launch_point)]
-        escaped = False
+        z = launch.point + capture * direction
+        points = [launch.point, z]
+        arcs = [0.0, abs(z - launch.point)]
     else:
         z = start
         points = [z]
         arcs = [0.0]
-        escaped = True
+    escaped = launch is None
 
+    singular = [p for p, _ in qd.factors]
     field = qd.field
     h = params.step
     h_min = params.step * 2.0**-20
@@ -279,10 +275,10 @@ def trace(
             h *= 2.0
         elif turn < REGROW_TURN and h < params.step:
             h = min(2.0 * h, params.step)
-        if not escaped and abs(z - launch_point) > 2.0 * capture:
+        if not escaped and abs(z - start) > 2.0 * capture:
             escaped = True
         for p in singular:
-            if p == launch_point and not escaped:
+            if not escaped and p == start:
                 continue
             if abs(z - p) <= capture:
                 terminal = Terminal("reached_singularity", p)
@@ -294,7 +290,6 @@ def trace(
         points=tuple(points),
         arc_lengths=tuple(arcs),
         terminal=terminal,
-        start=start,
         initial_dir=direction,
     )
 
@@ -371,10 +366,11 @@ def analyze(trajectories: Sequence[Trajectory], qd: QuadDifferential) -> Asympto
     nonzero increments over the last 75% of its steps share one sign). Each
     winding is summed once, here: the report lists the same total it tests.
     """
+    poles = {info.point for info in qd.singularities if info.order <= -3}
     by_terminal: dict[complex, list[int]] = {}
     for i, traj in enumerate(trajectories):
         t = traj.terminal
-        if t.kind == "reached_singularity" and qd.order_at(t.point) <= -3:
+        if t.kind == "reached_singularity" and t.point in poles:
             by_terminal.setdefault(t.point, []).append(i)
 
     pairs = []

@@ -134,6 +134,17 @@ loewner: {T: 0.05, dt: 0.001, tol: 1e-12}
 outputs: [hull_csv, motion_report]
 """
 
+# two growth points 5e-4 apart, inside each other's capture radius of 1e-3
+CLOSE = """\
+domain: half_plane
+growth: ["0", "0.0005"]
+marked:
+  - point: inf
+    charge: "-4"
+trace: {max_arc_length: 2}
+loewner: {T: 0.01, dt: 0.001, tol: 1e-12}
+"""
+
 
 def cli(capsys, *argv):
     code = main(list(argv))
@@ -332,6 +343,19 @@ class TestVerify:
         assert lines[-1].endswith("checks passed")
         assert any("PASS" in l for l in lines[:-1])
         assert not any("FAIL " in l for l in lines)
+
+    def test_growth_points_within_the_capture_radius_run_and_verify(self, tmp_path, capsys):
+        # each curve leaves its own growth point, and the finite-difference
+        # step of dlog_fd stays below the points' gap
+        cfg = tmp_path / "close.yaml"
+        cfg.write_text(CLOSE)
+        out = tmp_path / "out"
+        assert cli(capsys, "run", "--config", str(cfg), "--out", str(out))[0] == 0
+        first, second = ((out / f"trajectory_{i}.csv").read_text() for i in (0, 1))
+        assert second.splitlines()[1] == "0,0.0,0.0005,0.0"
+        assert first != second
+        code, stdout, _ = cli(capsys, "verify", "--config", str(cfg))
+        assert code == 0, stdout
 
     def test_invariance_suite_with_seed(self, capsys):
         code, stdout, _ = cli(capsys, "verify", "--suite", "invariance", "--seed", "7")

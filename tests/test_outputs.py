@@ -1,8 +1,8 @@
-"""Artifact writers: byte-determinism, exact formats, golden image."""
+"""Artifact writers: byte-determinism and exact formats (the golden fig1
+image is checked in test_acceptance)."""
 
 import json
 import math
-import pathlib
 
 import pytest
 
@@ -20,15 +20,12 @@ from slezero.quadratic import build_Q
 from slezero.scene import preset
 from slezero.tracing import Terminal, TraceParams, Trajectory, analyze, launch_all
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
 
 def tiny_trajectory() -> Trajectory:
     return Trajectory(
         points=(0j, 1 + 1j),
         arc_lengths=(0.0, math.sqrt(2.0)),
         terminal=Terminal("exhausted_arc_length"),
-        start=0j,
         initial_dir=1 + 0j,
     )
 
@@ -118,7 +115,6 @@ class TestFieldSvg:
             points=pts,
             arc_lengths=tuple(k * 1e-3 for k in range(len(pts))),
             terminal=Terminal("exhausted_arc_length"),
-            start=pts[0],
             initial_dir=1 + 0j,
         )
         qd = build_Q(SymmetricDivisor.half_plane([0.0], [("inf", -3)]))
@@ -127,9 +123,3 @@ class TestFieldSvg:
         coords = poly.split('points="')[1].rstrip('"/>')
         n_points = coords.count(" ") + 1
         assert n_points <= POLYLINE_LIMIT + 1
-
-    def test_golden_fig1_image(self):
-        sc = preset("fig1")
-        qd = build_Q(sc.divisor)
-        svg = field_svg(qd, launch_all(qd, sc.trace))
-        assert svg == (GOLDEN / "fig1.svg").read_text()

@@ -61,7 +61,8 @@ class TestAssembly:
         qd = build_Q(preset("fig1").divisor)
         assert qd.n_growth == 3
         assert [o for _, o in qd.factors] == [2, 2, 2, -2, -8]
-        assert qd.order_at(-1.0 + 0j) == -8
+        assert [info.order for info in qd.singularities] == [2, 2, 2, -2, -8]
+        assert qd.singularities[4].point == -1.0
         assert qd.infinity_order == 0
         assert len(qd.growth_points) == 3
         assert len(qd.marked_factors) == 2
@@ -70,10 +71,6 @@ class TestAssembly:
         # the line field at each factor point leaves only that point's own factor out
         with pytest.raises(DegenerateConfigurationError, match="0.0 and 1e-11"):
             QuadDifferential(HALF_PLANE, ((0j, 2), (1e-11 + 0j, 2)), 2)
-
-    def test_order_at_regular_point_raises(self):
-        with pytest.raises(KeyError):
-            single_curve_qd().order_at(5.0 + 0j)
 
     def test_marked_point_at_infinity_has_no_factor(self):
         qd = single_curve_qd()

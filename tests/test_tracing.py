@@ -33,7 +33,6 @@ def winding_about(points, base: complex) -> float:
         points=tuple(points),
         arc_lengths=tuple(float(k) for k in range(len(points))),
         terminal=Terminal("exhausted_arc_length"),
-        start=points[0],
         initial_dir=1 + 0j,
     )
     qd = QuadDifferential(HALF_PLANE, ((complex(base), -1),), 0)
@@ -358,10 +357,12 @@ class TestLaunch:
         with pytest.raises(LaunchError, match="separatrix"):
             trace(qd, 0.0, cmath.exp(1j * (math.pi / 2 + 0.3)))
 
-    def test_launch_direction_snaps_to_separatrix(self):
+    def test_launch_direction_within_tolerance_is_kept(self):
         qd = build_Q(SymmetricDivisor.half_plane([0.0], [("inf", -3)]))
-        traj = trace(qd, 0.0, cmath.exp(1j * (math.pi / 2 + 5e-4)), TraceParams(max_arc_length=1.0))
+        direction = cmath.exp(1j * (math.pi / 2 + 5e-4))
+        traj = trace(qd, 0.0, direction, TraceParams(max_arc_length=1.0))
         assert traj.points[0] == 0.0
+        assert traj.points[1] == 1e-3 * direction
         assert traj.terminal.kind == "exhausted_arc_length"
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -371,6 +372,23 @@ class TestLaunch:
         for traj, info in zip(trajs, qd.singularities):
             assert traj.start == info.point
             assert traj.terminal.kind == "reached_singularity"
+
+    @pytest.mark.parametrize(
+        "growth, marked",
+        [
+            # growth points 5e-4 apart, inside each other's capture radius
+            ([0.0, 5e-4], [("inf", -4)]),
+            # a scene with unit spacing, scaled by 1e-4
+            (
+                [1e-4 * x for x in (-1.2, 0.3, 1.9)],
+                [(1e-4 * (0.4 + 0.9j), -1), (1e-4 * (0.4 - 0.9j), -1), ("inf", -3)],
+            ),
+        ],
+    )
+    def test_every_curve_starts_on_its_own_growth_point(self, growth, marked):
+        qd = build_Q(SymmetricDivisor.half_plane(growth, marked))
+        trajs = launch_all(qd, TraceParams(max_arc_length=1e-2))
+        assert [t.points[0] for t in trajs] == list(qd.growth_points)
 
     def test_one_singularity_table_per_differential(self, monkeypatch):
         # the table is built with the differential, not once per traced curve
@@ -421,7 +439,7 @@ class TestWindingAngle:
 
 class TestAnalyze:
     def test_a_trace_that_ends_on_its_pole_approaches_along_its_last_segment(self):
-        traj = Trajectory((1 + 1j, 0.5 + 0.5j, 0j), (0.0, 0.7, 1.4), Terminal("reached_singularity", 0j), 1 + 1j, -1 - 1j)
+        traj = Trajectory((1 + 1j, 0.5 + 0.5j, 0j), (0.0, 0.7, 1.4), Terminal("reached_singularity", 0j), -1 - 1j)
         assert tracing._approach_direction(traj, 0j) == (-0.5 - 0.5j) / abs(-0.5 - 0.5j)
 
     def test_fig1_has_no_asymptotic_findings(self, figure_runs):
