@@ -39,6 +39,11 @@ shrink geometrically towards a collision. Near one the error-controlled
 flow takes the rest in Sundman's clock tau, dt = d dtau, in which d falls
 about linearly and the flow is smooth up to t*: the same RK4 step with a
 clock factor, 1 in t and d in tau, on (t, x, marked points, observers).
+The gap between an observer and the driving point x_c that swallows it
+closes the same way, and the flow takes its death in tau too. There
+log g' ~ -log d is not smooth, so the history carries W = log g' +
+log(g - x_c) for that observer instead, in which the 1/d^2 terms cancel,
+and rebuilds log g' from it.
 
 Hull tips come from the reverse flow, integrated from the boundary in the
 variable sqrt(s) of the reverse time s, in which its square-root start is
@@ -69,7 +74,7 @@ BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
 HISTORY_BUDGET = 10_000_000  # observer history values (rows x tracked) per evolution
 ARRAY_QUOTIENTS = 300  # (driving points + 8) x live observers from which the flow runs on arrays
-TAIL_SHARE = 0.01  # of the time so far: a collision predicted within it switches the flow to tau
+TAIL_SHARE = 0.01  # of the time so far: a collision or death predicted within it switches the flow to tau
 TAIL_NEWTON = 6  # Newton steps that map a time to tau on a tail interval (rounding after 4)
 
 
@@ -134,8 +139,9 @@ class Evolution:
     time each was swallowed (None while alive). ``g`` and ``log_gprime`` are
     the observers' history: one row per state, one column per observer,
     frozen from its death on. ``rejected`` counts the steps the error
-    control retried shorter. ``tail`` holds (tau, dt/dtau) for each state
-    of the Sundman tail, from ``states[tail_start]`` on.
+    control retried shorter. ``tail`` holds the segments of the flow in
+    Sundman's clock tau, each as the index of its first state and the
+    (tau, dt/dtau) of each of its states from there on, tau from 0.
     """
 
     divisor: SymmetricDivisor
@@ -148,8 +154,7 @@ class Evolution:
     collision: tuple[float, float] | None = None
     collision_note: str | None = None
     rejected: int = 0
-    tail_start: int = 0
-    tail: list[tuple[float, float]] = field(default_factory=list)
+    tail: list[tuple[int, list[tuple[float, float]]]] = field(default_factory=list)
 
     @property
     def final(self) -> LoewnerState:
@@ -216,9 +221,10 @@ def _scale(v: tuple[list, list | np.ndarray], c: float) -> tuple[list, list | np
 
 
 def _separation(x: Sequence, p: Sequence, pair: tuple[int, int]):
-    """Driving point j minus the other point of ``pair`` (as ``_min_gap``
-    names it; the finite marked points lead ``p``, a list or an array). On
-    the velocities, its rate."""
+    """Driving point j minus the other point of ``pair``: a driving point or
+    a point of ``p``, a list or an array that the finite marked points lead
+    (``_min_gap`` names pairs so), then the live observers. On the
+    velocities, its rate."""
     j, k = pair
     return x[j] - (x[k] if k < len(x) else complex(p[k - len(x)]))
 
@@ -335,8 +341,12 @@ class _ObserverHistory:
     on a whole block as arrays. Its quotients are CPython's, its sums run
     over the driving points in order and along time in sequence, so each
     observer gets the bits of the same quadrature on Python complex numbers.
-    The rows live in arrays with room for ``rows`` states, doubled when more
-    come; more than ``HISTORY_BUDGET`` values raise ``StepBudgetError``.
+    An observer that dies in the Sundman tail (``dying``) has W = log g' +
+    log(g - x_c) integrated instead, on Python numbers, from the recorded
+    stage velocities of its closing driving point x_c, and log g' rebuilt
+    from it. The rows live in arrays with room for ``rows`` states, doubled
+    when more come; more than ``HISTORY_BUDGET`` values raise
+    ``StepBudgetError``.
     """
 
     def __init__(self, g: Sequence[complex], rows: int):
@@ -347,16 +357,28 @@ class _ObserverHistory:
         self.rows = 1
         # per step: its size and rates, its four stage driving points, its
         # four stage marked and observer points and those at its end, its
-        # four stage clock factors dt/dsigma, and the number of states it
-        # records
+        # four stage clock factors dt/dsigma, the number of states it
+        # records, and in a dying observer's tail the four stage velocities
+        # d/dt of its closing driving point and that point at the step's end
         self.steps: list[tuple] = []
+        # (observer, closing driving point) of a death in the tail, and its W
+        self.dying: tuple[int, int] | None = None
+        self.w = 0j
+
+    def carry(self, i: int, c: int, xc: float) -> None:
+        """From the next recorded step on, integrates observer ``i``'s W =
+        log g' + log(g - x_c), with x_c its closing driving point ``c``, now
+        at ``xc``, instead of its log g'. The steps before must be flushed."""
+        self.dying = (i, c)
+        row = self.rows - 1
+        self.w = complex(self.log_gprime[row, i]) + cmath.log(complex(self.g[row, i]) - xc)
 
     def flush(self, live: Sequence[int], nq: int) -> None:
         """Integrates the recorded steps, all taken with the observers
         ``live`` alive, onto the history."""
         if not self.steps:
             return
-        h, rates, xs, ps, clocks, reps = zip(*self.steps)
+        h, rates, xs, ps, clocks, reps, dying_steps = zip(*self.steps)
         self.steps = []
         start, end = self.rows, self.rows + sum(reps)
         if end > len(self.g):
@@ -380,11 +402,39 @@ class _ObserverHistory:
             dw = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4], np.array(clocks))
             # w_{i+1} = w_i + dw_i, summed in sequence from the last row
             w[:, live] = np.repeat(np.cumsum(np.vstack((w[:1, live], dw)), axis=0)[1:], reps, axis=0)
+        if self.dying is not None:
+            i, c = self.dying
+            col = nq + live.index(i)
+            rows = []
+            for hk, rk, xk, pk, ck, rep, (vc, xc) in zip(h, rates, xs, ps, clocks, reps, dying_steps):
+                coeffs = [2.0 * r for r in rk]
+                b = [[ck[j] * _w_rate(complex(pk[j][col]), xk[j], coeffs, c, vc[j])] for j in range(4)]
+                (self.w,) = _rk4([self.w], *b, hk)
+                # log g' on the branch that W carries: log(g - x_c) is continuous above the axis
+                rows += [self.w - cmath.log(complex(pk[4][col]) - xc)] * rep
+            w[:, i] = rows
         # a value that is not finite stays so down the sums: the last row shows it
         bad = ~np.isfinite(w[-1, live])
         if bad.any():
             z = complex(self.g[0, live[int(bad.argmax())]])
             raise InversionFailureError(f"observer history is not finite for tracked point {format_complex(z)}")
+
+
+def _w_rate(g: complex, x: Sequence[float], coeffs: Sequence[float], c: int, dxc: float) -> complex:
+    """dW/dt for W = log g' + log(g - x_c) of an observer at ``g``, x_c the
+    driving point ``c`` with velocity ``dxc`` and ``coeffs`` the 2 nu_k:
+
+        -sum_{k != c} 2 nu_k / (g - x_k)^2 + (sum_{k != c} 2 nu_k / (g - x_k) - dxc) / (g - x_c),
+
+    as the 1/(g - x_c)^2 terms of d log g'/dt and d log(g - x_c)/dt cancel.
+    The clock factor |g - x_c| of the tail leaves its dW/dtau bounded."""
+    square = near = 0j
+    for k, (xk, ck) in enumerate(zip(x, coeffs)):
+        if k != c:
+            d = g - xk
+            square += ck / (d * d)
+            near += ck / d
+    return (near - dxc) / (g - x[c]) - square
 
 
 def _check_history(rows: int, cols: int) -> None:
@@ -432,11 +482,12 @@ def evolve(
     tolerance of a driving point or of a finite marked point is refused.
     At every recorded state after that, an observer dies, and is frozen from
     there on, when it is within the collision tolerance of a driving point
-    or its step cap ``TRACK_CAP_COEFF`` d^2 no longer advances t; the step
-    caps come from the survivors. A driving collision stops the evolution
-    and is reported as a time bracket: in t, from the last state's time to
-    that plus the gap. The marked points and observers are a list or, as
-    ``_on_arrays`` decides at the start, an array for the whole flow.
+    or its step cap ``TRACK_CAP_COEFF`` d^2 no longer advances t, unless the
+    flow takes its death in tau (below); the step caps come from the
+    survivors. A driving collision stops the evolution and is reported as a
+    time bracket: in t, from the last state's time to that plus the gap.
+    The marked points and observers are a list or, as ``_on_arrays``
+    decides at the start, an array for the whole flow.
 
     With ``tol`` the step size is error-controlled and ``dt`` is the largest
     step. The velocities at the end of a step, which the next step reuses as
@@ -447,21 +498,33 @@ def evolve(
     proposes the next step size. Without ``tol`` every step is accepted.
 
     With ``tol`` the flow also switches to the Sundman tail. At a state
-    where the smallest gap d closes at the rate d' < 0, a gap that closes as
-    sqrt(t* - t) reaches 0 at t + d / (2 |d'|); when that lies within
-    ``TAIL_SHARE`` of the time so far and before the next breakpoint or T,
-    the closing pair is fixed and every later step is taken in tau, dt/dtau
-    = d: each stage's velocities are scaled by its d, t is a component of
-    the state and of the error estimate, dt, the observer caps and the
-    step at the switch are divided by d, and a step goes at most half the
-    tau d has left, 1 / |d'|. A tau-step that would end past the next
-    breakpoint or T is refused, and the flow leaves the tail for good and
-    reaches it in t. In the tail the flow stops at a gap under
+    where the smallest driving gap d closes at the rate d' < 0, a gap that
+    closes as sqrt(t* - t) reaches 0 at t + d / (2 |d'|); when that lies
+    within ``TAIL_SHARE`` of the time so far and before the next breakpoint
+    or T, the closing pair is fixed and every later step is taken in tau,
+    dt/dtau = d: each stage's velocities are scaled by its d, t is a
+    component of the state and of the error estimate, dt, the observer caps
+    and the step at the switch are divided by d, and a step goes at most
+    half the tau d has left, 1 / |d'|. A tau-step that would end past the
+    next breakpoint or T is refused, and the flow leaves the tail for good
+    and reaches it in t. In the tail the flow stops at a gap under
     ``COLLISION_TOL``, and the bracket is the t where the gap reaches 0,
     extrapolated linearly in tau, t + d / (2 |d'|), plus and minus the
-    summed error estimates of the accepted steps. The observers' deaths
-    stay as in t. ``Evolution.tail`` records each tail state's tau
-    and dt/dtau.
+    summed error estimates of the accepted steps.
+
+    The same rule, checked where the nearest observer's cap is in force
+    (d < 1), takes that observer's predicted death in tau, with d its gap
+    to its nearest driving point x_c and the step sized anew in tau: the
+    other observers' caps and the driving gap's cap are divided by d, and
+    its own cap is the half of the tau d has left. Its history carries W =
+    log g' + log(g - x_c) (``_ObserverHistory``). It dies at a gap under
+    ``COLLISION_TOL``, at the extrapolated t + d / (2 |d'|), and the flow
+    returns to t; it returns to t too when the gap stops closing, and
+    leaves the tail for good as above when a tau-step would pass the next
+    breakpoint or T. A later closing may start another tail.
+    ``Evolution.tail`` records each segment in tau: its first state and
+    each of its states' tau and dt/dtau. Without ``tol``, every observer
+    dies as in t.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
@@ -503,6 +566,7 @@ def evolve(
     p = np.array(q + list(tracked), dtype=complex) if arrays else q + list(tracked)
     shift, rk4, near_of = (_shift_array, _rk4_array, _near_array) if arrays else (_shift, _rk4, _near)
     near = near_of(x, p[nq:], live)
+    n = len(x)
     next_break = 0
     t = 0.0
     steps = rejected = 0
@@ -513,42 +577,65 @@ def evolve(
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
     collision = collision_note = None
     # the Sundman tail: the closing pair, whose gap is dt/dtau from the
-    # switch on, and the (tau, dt/dtau) of each state from the switch on
-    closing = None
-    left = False  # the tail ended short of its collision, never to return
+    # switch on, and its observer when an observer dies in it
+    closing = dying = None
+    left = False  # a tail ended short of its collision or death, never to return
     clock = 1.0  # dt/dsigma at the latest state, sigma the step variable
     err_sum = 0.0  # the accepted steps' error estimates, summed
-    tail_start, tail_states = 0, []
+    # per tau segment: its first state and the (tau, dt/dtau) of its states
+    tail: list[tuple[int, list[tuple[float, float]]]] = []
 
     while t < T:
         gap, pair = _min_gap(x, q)
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
-        # one rule in the step variable sigma: dt and the observer caps bound
-        # t-steps, so in sigma they are divided by the clock dt/dsigma
+        # one rule in the step variable sigma: dt and the caps bound t-steps,
+        # so in sigma they are divided by the clock dt/dsigma. The observer
+        # cap comes from the nearest observer but one dying in the tail
         h = min(h_next, dt / clock)
-        for d, _ in near:
-            if d < 1.0:
-                h = min(h, TRACK_CAP_COEFF * d * d / clock)
+        d_near, i_near = 1.0, None
+        for d, i in near:
+            if d < d_near and i != dying:
+                d_near, i_near = d, i
+        if i_near is not None:
+            h = min(h, TRACK_CAP_COEFF * d_near * d_near / clock)
+        gap_cap = GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates))
         if closing is None:
-            h = min(h, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)), remaining)
+            h = min(h, gap_cap, remaining)
             if h < remaining and remaining - h < 1e-6 * h:
                 h = remaining  # absorb the rounding tail into the step that reaches stop
-            if gap < COLLISION_TOL or t + h == t:
+        elif dying is not None:
+            h = min(h, gap_cap / clock)
+        if closing is None or dying is not None:
+            if gap < COLLISION_TOL or (closing is None and t + h == t):
                 # the driving gap is closed, or its cap has collapsed below time
                 # resolution (every surviving observer's cap advances t): a
                 # collision is here
                 collision = (t, t + gap)
                 collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
                 break
-            if tol is not None and pair is not None and not left:
+        if tol is not None and closing is None and not left:
+            # a gap that closes as sqrt(t* - t) reaches 0 at t + gap / (2 |rate|)
+            if pair is not None:
                 rate = _closing_rate(x, q, vel, pair)
-                # a gap that closes as sqrt(t* - t) reaches 0 at t + gap / (2 |rate|)
                 if rate < 0.0 and -0.5 * gap / rate < min(remaining, TAIL_SHARE * t):
                     closing, clock, h = pair, gap, h / gap
-                    tail_start, tail_states = len(states) - 1, [(0.0, gap)]
+                    tail.append((len(states) - 1, [(0.0, gap)]))
+            if closing is None and i_near is not None:
+                # the nearest observer's cap is in force: its gap to the
+                # nearest driving point c
+                pos = nq + live.index(i_near)
+                z = complex(p[pos])
+                c = min(range(n), key=lambda k: abs(z - x[k]))
+                rate = _closing_rate(x, p, vel, (c, n + pos))
+                if rate < 0.0 and -0.5 * d_near / rate < min(remaining, TAIL_SHARE * t):
+                    history.flush(live, nq)
+                    history.carry(i_near, c, x[c])
+                    closing, dying, clock, h_next = (c, n + pos), i_near, d_near, math.inf
+                    tail.append((len(states) - 1, [(0.0, d_near)]))
+                    continue  # the step is sized anew in tau
         if closing is not None:
-            if gap < COLLISION_TOL:
+            if dying is None and gap < COLLISION_TOL:
                 rate = _closing_rate(x, q, vel, pair)
                 # the gap reaches 0 at the t extrapolated in tau, where it
                 # falls linearly: t + gap / (2 |rate|)
@@ -557,9 +644,15 @@ def evolve(
                 collision_note = f"collision at t={t_star:.12g}: {_pair_note(x, q, pair)}"
                 break
             # at most half the tau the closing gap has left, gap / |d gap/dtau|
-            rate = _closing_rate(x, q, vel, closing)
+            rate = _closing_rate(x, p, vel, closing)
             if rate < 0.0:
                 h = min(h, 0.5 / -rate)
+            elif dying is not None:
+                # the observer's gap reopens: the flow returns to t
+                history.flush(live, nq)
+                history.dying = None
+                closing, dying, h_next, clock = None, None, h_next * clock, 1.0
+                continue
         steps += 1
         if steps > STEP_BUDGET:
             note = _pair_note(x, q, pair)
@@ -571,11 +664,11 @@ def evolve(
         h2 = h / 2
         c1, k1 = clock, vel if closing is None else _scale(vel, clock)
         x2, p2 = _shift(x, k1[0], h2), shift(p, k1[1], h2)
-        _, c2, k2 = _stage(x2, p2, s, nq, rates, closing)
+        v2, c2, k2 = _stage(x2, p2, s, nq, rates, closing)
         x3, p3 = _shift(x, k2[0], h2), shift(p, k2[1], h2)
-        _, c3, k3 = _stage(x3, p3, s, nq, rates, closing)
+        v3, c3, k3 = _stage(x3, p3, s, nq, rates, closing)
         x4, p4 = _shift(x, k3[0], h), shift(p, k3[1], h)
-        _, c4, k4 = _stage(x4, p4, s, nq, rates, closing)
+        v4, c4, k4 = _stage(x4, p4, s, nq, rates, closing)
         x1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h)
         p1 = rk4(p, k1[1], k2[1], k3[1], k4[1], h)
         v5, c5, k5 = _stage(x1, p1, s, nq, rates, closing)
@@ -597,7 +690,9 @@ def evolve(
                 # a tau-step cannot end on a given time: the flow leaves the
                 # tail and reaches stop in t
                 rejected += 1
-                closing, left, clock, h_next = None, True, 1.0, t1 - t
+                history.flush(live, nq)
+                history.dying = None
+                closing, dying, left, clock, h_next = None, None, True, 1.0, t1 - t
                 continue
         if tol is not None:
             if arrays:
@@ -619,16 +714,29 @@ def evolve(
         if at_break:
             t1 = stop
             next_break += 1
-        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), 2 if at_break else 1))
+        reps = 2 if at_break else 1
+        dying_step = None
+        if dying is not None:
+            c = closing[0]
+            dying_step = ((vel[0][c], v2[0][c], v3[0][c], v4[0][c]), x1[c])
+        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), reps, dying_step))
         x, p, q, vel, clock = x1, p1, p1[:nq].tolist() if arrays else p1[:nq], v5, c5
         if closing is not None:
-            tail_states.extend([(tail_states[-1][0] + h, clock)] * (2 if at_break else 1))
+            segment = tail[-1][1]
+            segment.extend([(segment[-1][0] + h, clock)] * reps)
         near = near_of(x, p[nq:], live)
-        dead = [i for d, i in near if d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1]
+        dead = {i: t1 for d, i in near if i != dying and (d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1)}
+        if dying is not None and clock < COLLISION_TOL:
+            # the dying observer's gap, linear in tau, reaches 0 at t + gap / (2 |rate|)
+            rate = _closing_rate(x, p, vel, closing)
+            dead[dying] = t1 + 0.5 * clock / -rate if rate < 0.0 else t1
         if dead:
             history.flush(live, nq)
-            for i in dead:
-                death_times[i] = t1
+            for i, death in dead.items():
+                death_times[i] = death
+            if dying in dead:
+                history.dying = None
+                closing, dying, clock, h_next = None, None, 1.0, math.inf
             keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
             rows = list(range(nq)) + [nq + pos for pos in keep]
             live = [live[pos] for pos in keep]
@@ -638,6 +746,8 @@ def evolve(
             else:
                 p, vp = [p[i] for i in rows], [vel[1][i] for i in rows]
             vel = (vel[0], vp)
+            if dying is not None:
+                closing = (closing[0], n + nq + live.index(dying))
         elif len(history.steps) * (len(x) + len(p)) >= BLOCK_VALUES:
             history.flush(live, nq)
         if at_break:
@@ -659,8 +769,7 @@ def evolve(
         collision,
         collision_note,
         rejected,
-        tail_start,
-        tail_states,
+        tail,
     )
 
 
@@ -695,13 +804,16 @@ class _DrivingPaths:
         self.hs = np.append(np.diff(self.ts), 1.0)
         self.xs = np.array([st.x for st in states] + [states[-1].x]).T.copy()
         self.dxs = np.array([st.dx for st in states] + [states[-1].dx]).T.copy()
-        # the tail's intervals, from states[tail_start] on
-        self.first, self.count = evolution.tail_start, len(evolution.tail) - 1
-        if self.count > 0:
-            self.taus, self.clocks = (np.array(c) for c in zip(*evolution.tail))
-            rows = slice(self.first, self.first + self.count + 1)
-            self.tail_ts = self.ts[rows]
-            self.tail_xs, self.tail_dxs = self.xs[:, rows], self.dxs[:, rows] * self.clocks
+        # the tail's intervals: the one from state i is number slot[i] (-1
+        # off the tail), with its tau step and its end clocks dt/dtau
+        ends = [(first + j, a, b) for first, seg in evolution.tail for j, (a, b) in enumerate(zip(seg, seg[1:]))]
+        self.count = len(ends)
+        if self.count:
+            rows, left, right = zip(*ends)
+            (tau0, self.c0), (tau1, self.c1) = np.array(left).T, np.array(right).T
+            self.steps = tau1 - tau0
+            self.slot = np.full(len(states), -1)
+            self.slot[list(rows)] = np.arange(self.count)
 
     def at(self, t: np.ndarray) -> np.ndarray:
         """The driving positions at the times ``t``, one row per point."""
@@ -712,23 +824,24 @@ class _DrivingPaths:
         h = self.hs.take(i)
         u = (t - self.ts.take(i)) / h
         x = _hermite(u, h, self.xs.take(i, 1), self.dxs.take(i, 1), self.xs.take(i + 1, 1), self.dxs.take(i + 1, 1))
-        if self.count > 0:
-            k = i - self.first
-            inside = (k >= 0) & (k < self.count)
+        if self.count:
+            k = self.slot.take(i)
+            inside = k >= 0
             if inside.any():
-                x[:, inside] = self._in_tail(t[inside], k[inside])
+                x[:, inside] = self._in_tail(t[inside], i[inside], k[inside])
         return x
 
-    def _in_tail(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The driving positions at the times ``t`` on the tail's intervals
-        ``k``."""
-        h = self.taus.take(k + 1) - self.taus.take(k)
-        t0 = self.tail_ts.take(k)
-        dt = self.tail_ts.take(k + 1) - t0
+    def _in_tail(self, t: np.ndarray, i: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The driving positions at the times ``t`` on the intervals from
+        the states ``i``, the tail's intervals ``k``."""
+        h = self.steps.take(k)
+        c0, c1 = self.c0.take(k), self.c1.take(k)
+        t0 = self.ts.take(i)
+        dt = self.ts.take(i + 1) - t0
         # t - t0 on the interval as a cubic in u = (tau - tau_k) / h: its end
         # slopes h dt/dtau, at most three times the secant dt
-        s0 = np.minimum(h * self.clocks.take(k), 3.0 * dt)
-        s1 = np.minimum(h * self.clocks.take(k + 1), 3.0 * dt)
+        s0 = np.minimum(h * c0, 3.0 * dt)
+        s1 = np.minimum(h * c1, 3.0 * dt)
         target = t - t0
         u = target / dt
         for _ in range(TAIL_NEWTON):
@@ -736,8 +849,8 @@ class _DrivingPaths:
             value = s0 * u * v * v + dt * u * u * (3.0 - 2.0 * u) + s1 * u * u * (u - 1.0)
             slope = s0 * v * (1.0 - 3.0 * u) + 6.0 * dt * u * v + s1 * u * (3.0 * u - 2.0)
             u = np.clip(u - (value - target) / slope, 0.0, 1.0)
-        xs, dxs = self.tail_xs, self.tail_dxs
-        return _hermite(u, h, xs.take(k, 1), dxs.take(k, 1), xs.take(k + 1, 1), dxs.take(k + 1, 1))
+        xs, dxs = self.xs, self.dxs
+        return _hermite(u, h, xs.take(i, 1), dxs.take(i, 1) * c0, xs.take(i + 1, 1), dxs.take(i + 1, 1) * c1)
 
 
 def _common_field(z: np.ndarray, x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
