@@ -33,17 +33,16 @@ approached geometrically instead of being overshot, and steps end exactly
 on the breakpoints of the rates. log g' feeds nothing back into the steps,
 so its RK4 quadrature runs behind them, on blocks of recorded stage values.
 
-A closing gap d between two driving points, or a driving and a marked
-point, behaves like sqrt(t* - t), so the t-steps of the error control
-shrink geometrically towards a collision. Near one the error-controlled
-flow takes the rest in Sundman's clock tau, dt = d dtau, in which d falls
-about linearly and the flow is smooth up to t*: the same RK4 step with a
-clock factor, 1 in t and d in tau, on (t, x, marked points, observers).
-The gap between an observer and the driving point x_c that swallows it
-closes the same way, and the flow takes its death in tau too. There
-log g' ~ -log d is not smooth, so the history carries W = log g' +
-log(g - x_c) for that observer instead, in which the 1/d^2 terms cancel,
-and rebuilds log g' from it.
+A closing gap d, between two driving points, a driving and a marked point,
+or a driving point and an observer it swallows, behaves like
+sqrt(t* - t), so the t-steps of the error control shrink geometrically
+towards its end. Near one the error-controlled flow takes the rest in
+Sundman's clock tau, dt = d dtau, in which d falls about linearly and the
+flow is smooth up to t*: the same RK4 step with a clock factor, 1 in t and
+d in tau, on (t, x, marked points, observers). A dying observer's
+log g' ~ -log d is not smooth there, so the step carries its W = log g' +
+log(g - x_c) instead, x_c the driving point that swallows it, in which the
+1/d^2 terms cancel, and log g' is rebuilt from it.
 
 Hull tips come from the reverse flow, integrated from the boundary in the
 variable sqrt(s) of the reverse time s, in which its square-root start is
@@ -172,7 +171,8 @@ def _velocities(
     common field: the ``nq`` finite marked points, with charges ``s``, then
     the live observers. If ``p`` is a complex array, so are its velocities
     and the field is one array pass; if it is a list, the field is a loop
-    on Python numbers, with the same bits."""
+    on Python numbers, with the same bits. A point on a driving point gets
+    NaN velocities on both."""
     arrays = isinstance(p, np.ndarray)
     dx = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s, rates)
     c = [2.0 * r for r in rates]
@@ -180,11 +180,15 @@ def _velocities(
         # the scalar sum starts from 0j, which turns a zero sum's -0.0 into 0.0
         return dx, 0.0 + _common_field(p, np.array(x)[:, None], np.array(c)[:, None])
     dp = []
-    for z in p:
-        total = 0j
-        for xk, ck in zip(x, c):
-            total += ck / (z - xk)
-        dp.append(total)
+    try:
+        for z in p:
+            total = 0j
+            for xk, ck in zip(x, c):
+                total += ck / (z - xk)
+            dp.append(total)
+    except ZeroDivisionError:
+        # the arrays' 0/0, for the flow's finiteness check
+        return dx, [complex(math.nan, math.nan)] * len(p)
     return dx, dp
 
 
@@ -341,12 +345,11 @@ class _ObserverHistory:
     on a whole block as arrays. Its quotients are CPython's, its sums run
     over the driving points in order and along time in sequence, so each
     observer gets the bits of the same quadrature on Python complex numbers.
-    An observer that dies in the Sundman tail (``dying``) has W = log g' +
-    log(g - x_c) integrated instead, on Python numbers, from the recorded
-    stage velocities of its closing driving point x_c, and log g' rebuilt
-    from it. The rows live in arrays with room for ``rows`` states, doubled
-    when more come; more than ``HISTORY_BUDGET`` values raise
-    ``StepBudgetError``.
+    A step may bring one observer's log g' at its end, computed by the step
+    loop, which replaces that observer's quadrature; the steps of a block
+    bring it all or none. The rows live in arrays with room for ``rows``
+    states, doubled when more come; more than ``HISTORY_BUDGET`` values
+    raise ``StepBudgetError``.
     """
 
     def __init__(self, g: Sequence[complex], rows: int):
@@ -358,27 +361,15 @@ class _ObserverHistory:
         # per step: its size and rates, its four stage driving points, its
         # four stage marked and observer points and those at its end, its
         # four stage clock factors dt/dsigma, the number of states it
-        # records, and in a dying observer's tail the four stage velocities
-        # d/dt of its closing driving point and that point at the step's end
+        # records, and (observer, log g') at its end, or None
         self.steps: list[tuple] = []
-        # (observer, closing driving point) of a death in the tail, and its W
-        self.dying: tuple[int, int] | None = None
-        self.w = 0j
-
-    def carry(self, i: int, c: int, xc: float) -> None:
-        """From the next recorded step on, integrates observer ``i``'s W =
-        log g' + log(g - x_c), with x_c its closing driving point ``c``, now
-        at ``xc``, instead of its log g'. The steps before must be flushed."""
-        self.dying = (i, c)
-        row = self.rows - 1
-        self.w = complex(self.log_gprime[row, i]) + cmath.log(complex(self.g[row, i]) - xc)
 
     def flush(self, live: Sequence[int], nq: int) -> None:
         """Integrates the recorded steps, all taken with the observers
         ``live`` alive, onto the history."""
         if not self.steps:
             return
-        h, rates, xs, ps, clocks, reps, dying_steps = zip(*self.steps)
+        h, rates, xs, ps, clocks, reps, known = zip(*self.steps)
         self.steps = []
         start, end = self.rows, self.rows + sum(reps)
         if end > len(self.g):
@@ -402,17 +393,8 @@ class _ObserverHistory:
             dw = _log_gprime_steps(np.array(h), 2.0 * np.array(rates), np.array(xs), points[:, :4], np.array(clocks))
             # w_{i+1} = w_i + dw_i, summed in sequence from the last row
             w[:, live] = np.repeat(np.cumsum(np.vstack((w[:1, live], dw)), axis=0)[1:], reps, axis=0)
-        if self.dying is not None:
-            i, c = self.dying
-            col = nq + live.index(i)
-            rows = []
-            for hk, rk, xk, pk, ck, rep, (vc, xc) in zip(h, rates, xs, ps, clocks, reps, dying_steps):
-                coeffs = [2.0 * r for r in rk]
-                b = [[ck[j] * _w_rate(complex(pk[j][col]), xk[j], coeffs, c, vc[j])] for j in range(4)]
-                (self.w,) = _rk4([self.w], *b, hk)
-                # log g' on the branch that W carries: log(g - x_c) is continuous above the axis
-                rows += [self.w - cmath.log(complex(pk[4][col]) - xc)] * rep
-            w[:, i] = rows
+        if known[0] is not None:
+            w[:, known[0][0]] = np.repeat([v for _, v in known], reps)
         # a value that is not finite stays so down the sums: the last row shows it
         bad = ~np.isfinite(w[-1, live])
         if bad.any():
@@ -466,6 +448,8 @@ def _log_gprime_steps(
     return _rk4_array(0.0, b[:, 0], b[:, 1], b[:, 2], b[:, 3], h[:, None])
 
 
+# a stage on a driving point divides by zero: the NaN reaches the finiteness check
+@np.errstate(divide="ignore", invalid="ignore")
 def evolve(
     divisor: SymmetricDivisor,
     T: float,
@@ -497,34 +481,28 @@ def evolve(
     step whose estimate exceeds ``tol`` is retried shorter; an accepted one
     proposes the next step size. Without ``tol`` every step is accepted.
 
-    With ``tol`` the flow also switches to the Sundman tail. At a state
-    where the smallest driving gap d closes at the rate d' < 0, a gap that
-    closes as sqrt(t* - t) reaches 0 at t + d / (2 |d'|); when that lies
-    within ``TAIL_SHARE`` of the time so far and before the next breakpoint
-    or T, the closing pair is fixed and every later step is taken in tau,
-    dt/dtau = d: each stage's velocities are scaled by its d, t is a
-    component of the state and of the error estimate, dt, the observer caps
-    and the step at the switch are divided by d, and a step goes at most
-    half the tau d has left, 1 / |d'|. A tau-step that would end past the
-    next breakpoint or T is refused, and the flow leaves the tail for good
-    and reaches it in t. In the tail the flow stops at a gap under
-    ``COLLISION_TOL``, and the bracket is the t where the gap reaches 0,
-    extrapolated linearly in tau, t + d / (2 |d'|), plus and minus the
-    summed error estimates of the accepted steps.
-
-    The same rule, checked where the nearest observer's cap is in force
-    (d < 1), takes that observer's predicted death in tau, with d its gap
-    to its nearest driving point x_c and the step sized anew in tau: the
-    other observers' caps and the driving gap's cap are divided by d, and
-    its own cap is the half of the tau d has left. Its history carries W =
-    log g' + log(g - x_c) (``_ObserverHistory``). It dies at a gap under
-    ``COLLISION_TOL``, at the extrapolated t + d / (2 |d'|), and the flow
-    returns to t; it returns to t too when the gap stops closing, and
-    leaves the tail for good as above when a tau-step would pass the next
-    breakpoint or T. A later closing may start another tail.
-    ``Evolution.tail`` records each segment in tau: its first state and
-    each of its states' tau and dt/dtau. Without ``tol``, every observer
-    dies as in t.
+    With ``tol`` the flow also takes the end of a closing gap d in
+    Sundman's clock tau, dt/dtau = d: the smallest driving gap, or else the
+    gap from the nearest observer whose cap is in force (d < 1) to its
+    nearest driving point x_c. At a state where d closes at the rate d' < 0,
+    a gap that closes as sqrt(t* - t) reaches 0 at t + d / (2 |d'|); when
+    that lies within ``TAIL_SHARE`` of the time so far and before the next
+    breakpoint or T, the pair is fixed and the steps are taken in tau: each
+    stage's velocities are scaled by its d, t is a component of the state
+    and of the error estimate, and dt, the caps and the proposed step are
+    divided by d, but the closing pair's cap is half the tau d has left,
+    1 / |d'|. The flow returns to t, with the proposal times d, when the gap
+    stops closing, and for good when a tau-step would end past the next
+    breakpoint or T, which is refused. At a gap under ``COLLISION_TOL`` the
+    tail ends at the t where the gap reaches 0, extrapolated linearly in
+    tau, t + d / (2 |d'|): a driving collision is bracketed there, plus and
+    minus the summed error estimates of the accepted steps; an observer dies
+    there, and the flow returns to t with a fresh proposal. The dying
+    observer's W = log g' + log(g - x_c) takes the RK4 step of dW/dt at its
+    stages (``_w_rate``), weighted by their clocks, and its history rows get
+    log g' = W - log(g - x_c). A later closing may start another tail;
+    ``Evolution.tail`` records each segment: its first state and each of
+    its states' tau and dt/dtau.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
@@ -577,9 +555,9 @@ def evolve(
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
     collision = collision_note = None
     # the Sundman tail: the closing pair, whose gap is dt/dtau from the
-    # switch on, and its observer when an observer dies in it
-    closing = dying = None
-    left = False  # a tail ended short of its collision or death, never to return
+    # switch on, the observer that dies in it, if any, and that one's W
+    closing, dying, w = None, None, 0j
+    left = False  # a tail passed stop, never to return
     clock = 1.0  # dt/dsigma at the latest state, sigma the step variable
     err_sum = 0.0  # the accepted steps' error estimates, summed
     # per tau segment: its first state and the (tau, dt/dtau) of its states
@@ -590,8 +568,8 @@ def evolve(
         stop = breaks[next_break] if next_break < len(breaks) else T
         remaining = stop - t
         # one rule in the step variable sigma: dt and the caps bound t-steps,
-        # so in sigma they are divided by the clock dt/dsigma. The observer
-        # cap comes from the nearest observer but one dying in the tail
+        # so in sigma they are divided by the clock dt/dsigma; the closing
+        # pair's cap is the tau its gap has left (below)
         h = min(h_next, dt / clock)
         d_near, i_near = 1.0, None
         for d, i in near:
@@ -599,60 +577,53 @@ def evolve(
                 d_near, i_near = d, i
         if i_near is not None:
             h = min(h, TRACK_CAP_COEFF * d_near * d_near / clock)
-        gap_cap = GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates))
+        if pair != closing:
+            h = min(h, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)) / clock)
         if closing is None:
-            h = min(h, gap_cap, remaining)
+            h = min(h, remaining)
             if h < remaining and remaining - h < 1e-6 * h:
                 h = remaining  # absorb the rounding tail into the step that reaches stop
-        elif dying is not None:
-            h = min(h, gap_cap / clock)
-        if closing is None or dying is not None:
-            if gap < COLLISION_TOL or (closing is None and t + h == t):
-                # the driving gap is closed, or its cap has collapsed below time
-                # resolution (every surviving observer's cap advances t): a
-                # collision is here
-                collision = (t, t + gap)
-                collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
-                break
+        if gap < COLLISION_TOL or (closing is None and t + h == t):
+            # the driving gap is closed, or its cap has collapsed below time
+            # resolution (every surviving observer's cap advances t): a
+            # collision is here
+            collision = (t, t + gap)
+            collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
+            break
         if tol is not None and closing is None and not left:
-            # a gap that closes as sqrt(t* - t) reaches 0 at t + gap / (2 |rate|)
-            if pair is not None:
-                rate = _closing_rate(x, q, vel, pair)
-                if rate < 0.0 and -0.5 * gap / rate < min(remaining, TAIL_SHARE * t):
-                    closing, clock, h = pair, gap, h / gap
-                    tail.append((len(states) - 1, [(0.0, gap)]))
-            if closing is None and i_near is not None:
-                # the nearest observer's cap is in force: its gap to the
-                # nearest driving point c
+            # the driving gap, then the gap from the nearest observer whose
+            # cap is in force to its nearest driving point
+            trials = [] if pair is None else [(gap, pair)]
+            if i_near is not None:
                 pos = nq + live.index(i_near)
                 z = complex(p[pos])
-                c = min(range(n), key=lambda k: abs(z - x[k]))
-                rate = _closing_rate(x, p, vel, (c, n + pos))
-                if rate < 0.0 and -0.5 * d_near / rate < min(remaining, TAIL_SHARE * t):
+                trials.append((d_near, (min(range(n), key=lambda k: abs(z - x[k])), n + pos)))
+            for d, trial in trials:
+                # a gap that closes as sqrt(t* - t) reaches 0 at t + d / (2 |rate|)
+                rate = _closing_rate(x, p, vel, trial)
+                if rate < 0.0 and -0.5 * d / rate < min(remaining, TAIL_SHARE * t):
+                    closing, clock, h_next = trial, d, h_next / d
+                    break
+            if closing is not None:
+                if closing[1] >= n + nq:
+                    # the observer carries W = log g' + log(g - x_c) from here
+                    dying = i_near
                     history.flush(live, nq)
-                    history.carry(i_near, c, x[c])
-                    closing, dying, clock, h_next = (c, n + pos), i_near, d_near, math.inf
-                    tail.append((len(states) - 1, [(0.0, d_near)]))
-                    continue  # the step is sized anew in tau
-        if closing is not None:
-            if dying is None and gap < COLLISION_TOL:
-                rate = _closing_rate(x, q, vel, pair)
-                # the gap reaches 0 at the t extrapolated in tau, where it
-                # falls linearly: t + gap / (2 |rate|)
-                t_star = t + 0.5 * gap / -rate if rate < 0.0 else t
-                collision = (t_star - err_sum, t_star + err_sum)
-                collision_note = f"collision at t={t_star:.12g}: {_pair_note(x, q, pair)}"
-                break
-            # at most half the tau the closing gap has left, gap / |d gap/dtau|
-            rate = _closing_rate(x, p, vel, closing)
-            if rate < 0.0:
-                h = min(h, 0.5 / -rate)
-            elif dying is not None:
-                # the observer's gap reopens: the flow returns to t
-                history.flush(live, nq)
-                history.dying = None
-                closing, dying, h_next, clock = None, None, h_next * clock, 1.0
+                    w = complex(history.log_gprime[history.rows - 1, dying]) + cmath.log(z - x[closing[0]])
+                tail.append((len(states) - 1, [(0.0, clock)]))
                 continue
+        if closing is not None:
+            rate = _closing_rate(x, p, vel, closing)
+            if rate >= 0.0 or left:
+                # the gap stops closing, or a tau-step passed stop: the flow
+                # returns to t, where it reaches stop. The tail's steps are
+                # flushed, as a block's steps bring a dying observer's log g'
+                # all or none
+                history.flush(live, nq)
+                closing, dying, clock, h_next = None, None, 1.0, h_next * clock
+                continue
+            # at most half the tau the closing gap has left, gap / |d gap/dtau|
+            h = min(h, 0.5 / -rate)
         steps += 1
         if steps > STEP_BUDGET:
             note = _pair_note(x, q, pair)
@@ -687,12 +658,10 @@ def evolve(
         else:
             t1 = _rk4_array(t, c1, c2, c3, c4, h)
             if t1 > stop:
-                # a tau-step cannot end on a given time: the flow leaves the
-                # tail and reaches stop in t
+                # a tau-step cannot end on a given time: it is refused, and
+                # the flow returns to t (above)
                 rejected += 1
-                history.flush(live, nq)
-                history.dying = None
-                closing, dying, left, clock, h_next = None, None, True, 1.0, t1 - t
+                left, h_next = True, (t1 - t) / clock
                 continue
         if tol is not None:
             if arrays:
@@ -715,27 +684,39 @@ def evolve(
             t1 = stop
             next_break += 1
         reps = 2 if at_break else 1
-        dying_step = None
+        known = None
         if dying is not None:
-            c = closing[0]
-            dying_step = ((vel[0][c], v2[0][c], v3[0][c], v4[0][c]), x1[c])
-        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), reps, dying_step))
+            # W steps as t does: RK4 on its rates at the four stages, each
+            # weighted by its clock; log g' is rebuilt from it on the branch
+            # that W carries, as log(g - x_c) is continuous above the axis
+            c, pos = closing[0], closing[1] - n
+            coeffs = [2.0 * r for r in rates]
+            stages = zip((c1, c2, c3, c4), (p, p2, p3, p4), (x, x2, x3, x4), (vel, v2, v3, v4))
+            b = [[ck * _w_rate(complex(pk[pos]), xk, coeffs, c, vk[0][c])] for ck, pk, xk, vk in stages]
+            (w,) = _rk4([w], *b, h)
+            known = (dying, w - cmath.log(complex(p1[pos]) - x1[c]))
+        history.steps.append((h, rates, (x, x2, x3, x4), (p, p2, p3, p4, p1), (c1, c2, c3, c4), reps, known))
         x, p, q, vel, clock = x1, p1, p1[:nq].tolist() if arrays else p1[:nq], v5, c5
         if closing is not None:
             segment = tail[-1][1]
             segment.extend([(segment[-1][0] + h, clock)] * reps)
         near = near_of(x, p[nq:], live)
         dead = {i: t1 for d, i in near if i != dying and (d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1)}
-        if dying is not None and clock < COLLISION_TOL:
-            # the dying observer's gap, linear in tau, reaches 0 at t + gap / (2 |rate|)
+        if closing is not None and clock < COLLISION_TOL:
+            # the closing gap, linear in tau, reaches 0 at t + gap / (2 |rate|):
+            # a collision, bracketed by the summed error estimates, or a death
             rate = _closing_rate(x, p, vel, closing)
-            dead[dying] = t1 + 0.5 * clock / -rate if rate < 0.0 else t1
+            t_star = t1 + 0.5 * clock / -rate if rate < 0.0 else t1
+            if dying is None:
+                collision = (t_star - err_sum, t_star + err_sum)
+                collision_note = f"collision at t={t_star:.12g}: {_pair_note(x, q, closing)}"
+            else:
+                dead[dying] = t_star
         if dead:
             history.flush(live, nq)
             for i, death in dead.items():
                 death_times[i] = death
             if dying in dead:
-                history.dying = None
                 closing, dying, clock, h_next = None, None, 1.0, math.inf
             keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
             rows = list(range(nq)) + [nq + pos for pos in keep]
@@ -757,6 +738,8 @@ def evolve(
             vel = _velocities(x, p, s, nq, rates)
         states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
+        if collision is not None:
+            break
     history.flush(live, nq)
     return Evolution(
         divisor,

@@ -450,8 +450,8 @@ def single_curve_scene() -> SceneConfig:
         trace=TraceParams(max_arc_length=5.0),
         # dt is the largest step; tol keeps the observer at 2i at least as
         # close to its closed forms g = 2i sqrt(1-t), log g' = -log(1-t)/2
-        # as fixed dt = 1e-4 steps, in 1,712 states instead of 11,690, and
-        # takes its death at t = 1 in 25 tau-steps, where t-steps took 3,081
+        # as fixed dt = 1e-4 steps, in 1,715 states instead of 11,690, and
+        # takes its death at t = 1 in 28 tau-steps, where t-steps took 3,081
         # of 4,766 states (the presets' 3e-14, with the death in t, took
         # 2,376 but left g's error 40 times theirs)
         loewner=LoewnerParams(T=1.0, dt=1e-2, tol=1e-16, tracked=(2j,)),

@@ -118,6 +118,16 @@ marked:
 loewner: {T: 0.01, dt: 0.001, tracked: ["2i"]}
 outputs: [field_svg, trajectories_csv, hull_csv, motion_report, analysis_report]
 """
+# an RK stage of the first step lands on the driving point: exit 3, not a traceback
+STAGE_ON_DRIVING_POINT = """\
+domain: half_plane
+growth: ["0"]
+marked:
+  - point: inf
+    charge: "-3"
+loewner: {T: 0.5, dt: 0.5, tol: 1e-13, tracked: ["i"]}
+outputs: [field_svg, trajectories_csv, hull_csv, motion_report, analysis_report]
+"""
 PAIRS_APART = """\
 domain: half_plane
 growth: ["0"]
@@ -831,6 +841,7 @@ class TestWholeScenes:
     @example(ROUNDED_DISK_PAIRS)
     @example(NEAR_AXIS_POINT)
     @example(PAIRS_APART)
+    @example(STAGE_ON_DRIVING_POINT)
     def test_every_scene_ends_in_artifacts_or_its_exit_code(self, text):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             # a conjugate pair swallowed between two driving points stalls the

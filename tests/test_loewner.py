@@ -4,6 +4,7 @@ import bisect
 import cmath
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,7 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
             at = live.index(i_near)
             rate = closing_rate(x[c_near], g0[at], v1[0][c_near], v1[2][at])
             if rate < 0.0 and -0.5 * d_near / rate < min(remaining, loewner.TAIL_SHARE * t):
-                dying, c, clock, h_next = i_near, c_near, d_near, math.inf
+                dying, c, clock, h_next = i_near, c_near, d_near, h_next / d_near
                 big_w = w[dying] + cmath.log(g[dying] - x[c])
                 continue
         if dying is not None:
@@ -582,7 +583,9 @@ class TestObservers:
                 assert ev.rejected == (0 if tol is None else 1)
                 assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
-    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
+    # the shipped block size, and blocks of one step, which flush inside a tail
+    @pytest.mark.parametrize("block", [loewner.BLOCK_VALUES, 1])
+    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch, block):
         # i reaches the driving point at t = 1/4, and 0.001i at t = 2.5e-7.
         # With fixed steps i is frozen when its step cap collapses and 0.001i
         # when it comes within the collision tolerance; with tol each dies
@@ -590,6 +593,7 @@ class TestObservers:
         tracked = (1j, 4j, 2 + 0.5j, 0.001j)
         # dt = T leaves the step size to the error control
         for dt, tol in ((1e-3, None), (0.5, 1e-13)):
+            monkeypatch.setattr(loewner, "BLOCK_VALUES", block)
             for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.5, dt, None, tracked, tol):
                 assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
                 assert ev.death_times[1:3] == [None, None]
@@ -813,6 +817,15 @@ class TestErrorControl:
 
     @pytest.mark.parametrize("tol", [None, 1e-13])
     def test_a_state_that_is_not_finite_stops_the_flow(self, monkeypatch, tol):
+        # the third stage of a first step of 0.5 from i lands on the driving
+        # point, 1j + 0.25 (-4j) = 0: on lists a division by zero, on arrays
+        # a 0/0, and neither may escape as such or warn
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InversionFailureError, match="flow state is not finite at t=0 "):
+                    evolve(single_curve(), 0.5, 0.5, tracked=(1j,), tol=tol)
         nan_after(monkeypatch, 30)
         with pytest.raises(InversionFailureError, match="flow state is not finite at t="):
             evolve(repelling_pair(), 0.25, 1e-3, tol=tol)
