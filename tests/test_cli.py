@@ -181,8 +181,13 @@ class TestRun:
             assert str(out / name) in stdout
 
     def test_motion_report_counts_states_and_rejected_steps(self, tmp_path):
-        # fixed steps reject nothing; the presets' error control does
-        for text in (SINGLE, "preset: fig2\noutputs: [motion_report]\n"):
+        # fixed steps reject nothing; the error control of the repelling
+        # pair x = +-sqrt(1 + 4t) does (the presets' steps no longer do)
+        repelling = (
+            'domain: half_plane\ngrowth: ["-1", "1"]\nmarked:\n  - point: inf\n    charge: "-4"\n'
+            "loewner: {T: 0.25, dt: 0.25, tol: 1e-13}\noutputs: [motion_report]\n"
+        )
+        for text in (SINGLE, repelling):
             result = runner.run(parse_config(text), tmp_path)
             payload = json.loads((tmp_path / "motion_report.json").read_text())
             assert payload["states"] == len(result.evolution.states)
@@ -563,31 +568,38 @@ class TestExitCodes:
         assert "Traceback" not in stderr
         assert not out.exists()
 
-    def test_hull_tips_near_1e300_exit_3_without_artifacts(self, tmp_path, capsys):
-        # the ulp of the growth point 2.07e300 is 2.7e284, which swamps the
-        # reverse solve: a stage on the driving point divides 0 by 0, and the
-        # run ends there instead of writing tips off the slit
+    def test_hull_tips_near_1e300_lie_on_the_slit(self, tmp_path, capsys):
+        # the ulp of the growth point 2.07e300 is 2.7e284. Its path does not
+        # move, and the cubic Hermite, written as x0 plus the moves, reads it
+        # exactly, so each reverse solve runs on the slit x + 2i sqrt(t);
+        # read as a sum of the two ends it was off by ulps at most stages,
+        # which swamped the solve (RK4 stages divided 0 by 0, and DOP853
+        # steps crawled on, rejected)
         text = serialize_config(SceneConfig(curve_and_charge(random.Random(0)), outputs=OUTPUT_KINDS))
         cfg, out = tmp_path / "far.yaml", tmp_path / "out"
         cfg.write_text(_mutate(text, "far", 0))
         assert 'growth:\n  - "2.0665311091502883e+300"' in cfg.read_text()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, stderr = cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--T", "0.01")
-        assert code == 3
-        assert len(stderr.splitlines()) == 1
-        assert stderr.startswith("integration failure: reverse solve is not finite at s=")
-        assert not out.exists()
+            code, _, _ = cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--T", "0.01")
+        assert code == 0
+        rows = [line.split(",") for line in (out / "hull.csv").read_text().splitlines()[1:]]
+        assert len(rows) == runner.HULL_SAMPLES
+        for t, _, re_, im in rows:
+            assert float(re_) == 2.0665311091502883e300
+            assert abs(float(im) - 2.0 * math.sqrt(float(t))) <= 1e-15
 
     @pytest.mark.parametrize(
         "text, note",
         [
-            # bracketed in [0.00597758837, 0.00597758952]
+            # bracketed in [0.00597758893, 0.00597758895] (RK4
+            # steps: [0.00597758837, 0.00597758952])
             pytest.param(ROUNDED_DISK_PAIRS, "note: driving collision bracketed in [0.005977588", id="disk-pairs"),
             pytest.param(NEAR_AXIS_POINT, None, id="near-axis"),
-            # bracketed in [0.00253172765, 0.00253172799], as with the pairs
-            # listed adjacent
-            pytest.param(PAIRS_APART, "note: driving collision bracketed in [0.0025317276", id="pairs-apart"),
+            # bracketed in [0.00253172782, 0.00253172782], 3.8e-12 wide, as
+            # with the pairs listed adjacent; RK4 steps' estimates summed to
+            # [0.00253172765, 0.00253172799]
+            pytest.param(PAIRS_APART, "note: driving collision bracketed in [0.0025317278", id="pairs-apart"),
         ],
     )
     def test_flows_on_rounded_mirrors_run_and_verify(self, tmp_path, capsys, text, note):
