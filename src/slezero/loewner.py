@@ -9,17 +9,17 @@ while marked points and tracked observers z are carried by the common field
 
     dz/dt = sum_j 2 nu_j / (z - x_j),
 
-and log g'(z) by its derivative flow.
+and log g'(z) by its derivative flow, d log g'/dt = -sum_j 2 nu_j / (g - x_j)^2.
 
-The driving points are a list of floats; the marked points and the live
-observers, which the common field carries, are a list of Python complex
-numbers or, where that costs less, one complex array for the whole flow
-(``_on_arrays``). Array code holds complex numbers as complex arrays, with
-one field kernel (``_common_field``), the stage combinations of the two
-steps (``_rk4_array``, ``_weighted``) and one cubic Hermite (``_hermite``);
-scalar code (``dlog_Z``, the closing gap, the states) reads the marked
-points out as Python numbers. Both paths
-give the same bits: numpy's complex sums, real-scalar products and
+The driving points are a list of floats; the marked points, the live
+observers, which the common field carries, and the observers' log g' are a
+list of Python complex numbers or, where that costs less, one complex array
+for the whole flow (``_on_arrays``). Array code holds complex numbers as
+complex arrays, with one quotient kernel (``_quotients``, summed by
+``_in_order``), the stage combinations of the two steps (``_rk4_array``,
+``_weighted``) and one cubic Hermite (``_hermite``); scalar code
+(``dlog_Z``, the closing gap, the states) reads the marked points out as
+Python numbers. Both paths give the same bits: numpy's complex sums, real-scalar products and
 ``np.hypot(re, im)`` round as CPython's complex arithmetic and ``abs``,
 quotients are CPython's (``_quotients``) and sums run in its order.
 ``np.abs`` of a complex array is not ``abs`` (it differs in the last place
@@ -33,8 +33,8 @@ Norsett and Wanner, Solving ODEs I, II.10), sized by their combined 5th-
 and 3rd-order estimate; the step size is capped quadratically in the
 smallest point gap so that collisions are approached geometrically instead
 of being overshot, and steps end exactly on the breakpoints of the rates.
-log g' feeds nothing back into the steps, so its quadrature runs behind
-them, on blocks of recorded stage values, with the step's own weights. The
+The observers' log g' is stepped with them, a component of the same state,
+so the error estimate and the dense output cover it as they cover g. The
 states of an error-controlled flow are recorded at its step ends and,
 where the cubic Hermite between those would stray, at interior points of
 the step's 7th-order dense output (II.6).
@@ -45,10 +45,10 @@ sqrt(t* - t), so the t-steps of the error control shrink geometrically
 towards its end. Near one the error-controlled flow takes the rest in
 Sundman's clock tau, dt = d dtau, in which d falls about linearly and the
 flow is smooth up to t*: the same step with a clock factor per stage, 1 in
-t and d in tau, on (t, x, marked points, observers). A dying observer's
-log g' ~ -log d is not smooth there, so the step carries its W = log g' +
-log(g - x_c) instead, x_c the driving point that swallows it, in which the
-1/d^2 terms cancel, and log g' is rebuilt from it.
+t and d in tau, on (t, x, marked points, observers, log g'). A dying
+observer's log g' ~ -log d is not smooth there, so its component carries
+W = log g' + log(g - x_c) instead, x_c the driving point that swallows it,
+in which the 1/d^2 terms cancel, and log g' is rebuilt from it.
 
 Hull tips come from the reverse flow, integrated from the boundary in the
 variable sqrt(s) of the reverse time s, in which its square-root start is
@@ -77,7 +77,6 @@ TRACK_CAP_COEFF = 0.004  # dt <= coeff * |g-x|^2 near a tracked-point death
 REVERSE_TOL = 1e-9  # local error per reverse step of trace_hull, in r = sqrt(s)
 REVERSE_BUDGET = 2_000_000  # reverse sweeps per trace_hull call, rejected steps included
 STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones included
-BLOCK_VALUES = 2048  # stage values recorded per block of the log g' quadrature
 OBSERVER_BLOCK = 16  # history columns per block of motion_integral
 HISTORY_BUDGET = 10_000_000  # observer history values (rows x tracked) per evolution
 ARRAY_QUOTIENTS = 300  # (driving points + 8) x live observers from which the flow runs on arrays
@@ -226,7 +225,8 @@ class Evolution:
     ``tracked`` holds the observers' start points and ``death_times`` the
     time each was swallowed (None while alive). ``g`` and ``log_gprime`` are
     the observers' history: one row per state, one column per observer,
-    frozen from its death on. ``steps`` counts the accepted steps, which may
+    each the state's own values (log g' is stepped with g), frozen from the
+    observer's death on. ``steps`` counts the accepted steps, which may
     record interior states too, and ``rejected`` the steps the error
     control retried shorter. ``tail`` holds the segments of the flow in
     Sundman's clock tau, each as the index of its first state and the
@@ -257,40 +257,66 @@ def _velocities(
     s: Sequence[float],
     nq: int,
     rates: Sequence[float],
+    m: int,
 ) -> tuple[list[float], list[complex] | np.ndarray]:
-    """d/dt of the driving points and of the points ``p`` carried by the
-    common field: the ``nq`` finite marked points, with charges ``s``, then
-    the live observers. If ``p`` is a complex array, so are its velocities
-    and the field is one array pass; if it is a list, the field is a loop
-    on Python numbers, with the same bits. A point on a driving point gets
-    NaN velocities on both."""
+    """d/dt of the driving points and of the components ``p``: the points
+    the common field carries, the ``nq`` finite marked points (charges
+    ``s``) first and the ``m`` live observers last, then the observers'
+    log g', whose rate is -sum_k 2 nu_k / (g - x_k)^2. If ``p`` is a
+    complex array, so are its velocities and each sum is one array pass;
+    if it is a list, the sums are loops on Python numbers, with the same
+    bits. A point on a driving point gets NaN velocities on both."""
     arrays = isinstance(p, np.ndarray)
     dx = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s, rates)
     c = [2.0 * r for r in rates]
+    field_end = len(p) - m
+    observers = field_end - m
     if arrays:
-        # the scalar sum starts from 0j, which turns a zero sum's -0.0 into 0.0
-        return dx, 0.0 + _common_field(p, np.array(x)[:, None], np.array(c)[:, None])
-    dp = []
+        # one column per point of the field, then one per observer's square
+        # (g - x_k)^2, as CPython multiplies: its imaginary part dr gi + gi dr
+        # is a sum of two equal products
+        z = p[:field_end]
+        br, bi = z.real - np.array(x)[:, None], z.imag
+        if m:
+            gr, gi = br[:, observers:], bi[observers:]
+            cross = gr * gi
+            br = np.concatenate((br, gr * gr - gi * gi), axis=1)
+            bi = np.empty_like(br)
+            bi[:, :field_end] = z.imag
+            np.add(cross, cross, out=bi[:, field_end:])
+        # the scalar sums start from 0j, which turns a zero sum's -0.0 into 0.0
+        dp = 0.0 + _in_order(_quotients(np.array(c)[:, None], br, bi))
+        np.negative(dp[field_end:], out=dp[field_end:])
+        return dx, dp
+    dp, log_rates = [], []
     try:
-        for z in p:
+        for z in p[:observers]:
             total = 0j
             for xk, ck in zip(x, c):
                 total += ck / (z - xk)
             dp.append(total)
+        for z in p[observers:field_end]:
+            total = square = 0j
+            for xk, ck in zip(x, c):
+                d = z - xk
+                total += ck / d
+                square += ck / (d * d)
+            dp.append(total)
+            log_rates.append(-square)
     except ZeroDivisionError:
         # the arrays' 0/0, for the flow's finiteness check
         return dx, [complex(math.nan, math.nan)] * len(p)
-    return dx, dp
+    return dx, dp + log_rates
 
 
 def _on_arrays(n: int, observers: int) -> bool:
     """Whether the flow of ``n`` driving points and ``observers`` live
-    observers runs on arrays. Per observer, the loop pays n quotients per
-    field evaluation and about 8 more in the shifts and the RK4 sum; the
-    arrays pay per step. On 60-step flows (median of 15 interleaved pairs,
-    2-vCPU x86-64, two runs) the arrays win from about 32, 30, 29, 24 and
-    15 observers at 1, 2, 3, 5 and 10 driving points; this switches at 34,
-    30, 28, 24 and 17."""
+    observers runs on arrays. Per observer, the loop pays n quotients for
+    its field and n for the rate of its log g' per evaluation, and more in
+    the shifts and the RK4 sum; the arrays pay per evaluation. On 60-step
+    flows (median of 15 interleaved pairs, 2-vCPU x86-64, two runs) the
+    arrays win from about 34, 28, 26, 22 and 14 observers at 1, 2, 3, 5 and
+    10 driving points; this switches at 34, 30, 28, 24 and 17."""
     return (n + 8) * observers >= ARRAY_QUOTIENTS
 
 
@@ -360,11 +386,10 @@ def _combine(y, ks: list, terms: tuple, h: float):
     return y + h * total if isinstance(y, np.ndarray) else [a + h * b for a, b in zip(y, total)]
 
 
-def _finite(x: list[float], p) -> bool:
-    """Whether the driving points (or velocities) ``x`` and the points ``p``
-    of the common field (or theirs), a list or an array, are finite."""
-    ok = bool(np.isfinite(p).all()) if isinstance(p, np.ndarray) else cmath.isfinite(sum(p))
-    return ok and math.isfinite(sum(x))
+def _finite(*parts) -> bool:
+    """Whether every component of ``parts`` is finite: each a list of
+    floats or complex numbers, or a complex array."""
+    return all(bool(np.isfinite(a).all()) if isinstance(a, np.ndarray) else cmath.isfinite(sum(a)) for a in parts)
 
 
 def _not_finite(t: float, h: float, gap: float) -> InversionFailureError:
@@ -420,20 +445,16 @@ def _pieces(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _rk4_step(x: list[float], p, vel: tuple, h: float, s: Sequence[float], nq: int, rates: Sequence[float]):
-    """A classical RK4 step of size h in t from (x, p), whose velocities are
-    ``vel``: its four stage driving points and points, and its end."""
+def _rk4_step(x: list[float], p, vel: tuple, h: float, s: Sequence[float], nq: int, rates: Sequence[float], m: int):
+    """The end of a classical RK4 step of size h in t from (x, p), whose
+    velocities are ``vel``."""
     shift, rk4 = (_shift_array, _rk4_array) if isinstance(p, np.ndarray) else (_shift, _rk4)
     h2 = h / 2
     k1 = vel
-    x2, p2 = _shift(x, k1[0], h2), shift(p, k1[1], h2)
-    k2 = _velocities(x2, p2, s, nq, rates)
-    x3, p3 = _shift(x, k2[0], h2), shift(p, k2[1], h2)
-    k3 = _velocities(x3, p3, s, nq, rates)
-    x4, p4 = _shift(x, k3[0], h), shift(p, k3[1], h)
-    k4 = _velocities(x4, p4, s, nq, rates)
-    x1, p1 = _rk4(x, k1[0], k2[0], k3[0], k4[0], h), rk4(p, k1[1], k2[1], k3[1], k4[1], h)
-    return (x, x2, x3, x4), (p, p2, p3, p4), x1, p1
+    k2 = _velocities(_shift(x, k1[0], h2), shift(p, k1[1], h2), s, nq, rates, m)
+    k3 = _velocities(_shift(x, k2[0], h2), shift(p, k2[1], h2), s, nq, rates, m)
+    k4 = _velocities(_shift(x, k3[0], h), shift(p, k3[1], h), s, nq, rates, m)
+    return _rk4(x, k1[0], k2[0], k3[0], k4[0], h), rk4(p, k1[1], k2[1], k3[1], k4[1], h)
 
 
 # the stages' rows, the end's and the estimates', by their nonzero weights
@@ -444,22 +465,38 @@ _B_TERMS, _E5_TERMS, _E3_TERMS = _STAGE_TERMS[11], _terms(DOP_E5), _terms(DOP_E3
 class _Dop853Step:
     """One DOP853 step of size h in the step variable sigma from the state
     (t, x, p), whose velocities d/dt ``vel`` and clock dt/dsigma ``clock``
-    are its stage 0; ``pair`` names the closing pair in tau, or is None in
-    t. Stages 1 to 11 and the end (t1, x1, p1) are taken at once, the end's
+    are its stage 0; p holds the nq marked points, the m live observers and
+    their log g'. ``pair`` names the closing pair in tau, or is None in t.
+    Stages 1 to 11 and the end (t1, x1, p1) are taken at once, the end's
     velocities (stage 12) by ``finish`` and the dense output's three stages
     by ``extend``. The stages carry one state y: x, then p, then in tau t,
-    a list or, with p an array, a complex array. Each keeps its state,
-    velocities d/dt and clock, and its velocities d/dsigma, dt/dsigma
-    being the clock."""
+    a list or, with p an array, a complex array. Each keeps its state and
+    its velocities d/dsigma, dt/dsigma being the clock. Where ``pair``
+    holds an observer, that one dies in the tail and its log g' component
+    carries W = log g' + log(g - x_c), whose rate is ``_w_rate``."""
 
-    def __init__(self, t: float, x: list[float], p, vel: tuple, clock: float, h: float, s, nq, rates, pair):
+    def __init__(self, t: float, x: list[float], p, vel: tuple, clock: float, h: float, s, nq, rates, m, pair):
         self.t, self.h, self.n = t, h, len(x)
-        self.args = (s, nq, rates, pair)
+        self.args = (s, nq, rates, m, pair)
         self.arrays = isinstance(p, np.ndarray)
         # t's component in tau
         self.tail = [] if pair is None else [-1]
-        self.ys, self.vs, self.cs, self.ks = [], [], [], []
-        self._add(self._join(x, p, t), vel, clock)
+        # the dying observer's g and W in y, its driving point c and the 2 nu_k
+        self.dying = None
+        if pair is not None and pair[1] >= self.n + nq:
+            self.dying = (pair[1], pair[1] + m, pair[0], [2.0 * r for r in rates])
+        # the estimate's factor per component: an observer's log g' is held to
+        # tol / d, d < 1 its distance to the nearest driving point, the error
+        # that tol in g gives log(g - x_k); 1 elsewhere, W included
+        self.scale = [1.0] * (len(x) + len(p) + len(self.tail))
+        for d, pos in (_near_array if self.arrays else _near)(x, p[nq : nq + m], range(m)):
+            slot = self.n + nq + m + pos
+            if d < 1.0 and (self.dying is None or slot != self.dying[1]):
+                self.scale[slot] = d
+        if self.arrays:
+            self.scale = np.array(self.scale)
+        self.ys, self.ks = [], []
+        self._add(self._join(x, p, t), x, vel, clock)
         for terms in _STAGE_TERMS[:11]:
             self._stage(_combine(self.ys[0], self.ks, terms, h))
         self.y1 = _combine(self.ys[0], self.ks, _B_TERMS, h)
@@ -474,23 +511,23 @@ class _Dop853Step:
         n, end = self.n, len(y) - len(self.tail)
         return (y[:n].real.tolist(), y[n:end]) if self.arrays else (y[:n], y[n:end])
 
-    def _stage(self, y) -> None:
-        """Evaluates the stage at the state ``y``: its velocities and clock,
-        the gap of the closing pair in tau."""
+    def _stage(self, y) -> tuple[tuple, float]:
+        """Evaluates the stage at the state ``y``: its velocities d/dt and
+        its clock, the gap of the closing pair in tau."""
         x, p = self._split(y)
-        s, nq, rates, pair = self.args
-        self._add(y, _velocities(x, p, s, nq, rates), 1.0 if pair is None else abs(_separation(x, p, pair)))
+        s, nq, rates, m, pair = self.args
+        v = _velocities(x, p, s, nq, rates, m)
+        c = 1.0 if pair is None else abs(_separation(x, p, pair))
+        self._add(y, x, v, c)
+        return v, c
 
-    def _add(self, y, v: tuple, c: float) -> None:
+    def _add(self, y, x: list[float], v: tuple, c: float) -> None:
         self.ys.append(y)
-        self.vs.append(v)
-        self.cs.append(c)
         k = self._join(*v, 1.0)
+        if self.dying is not None:
+            g, w, j, coeffs = self.dying
+            k[w] = _w_rate(complex(y[g]), x, coeffs, j, v[0][j])
         self.ks.append(k if not self.tail else c * k if self.arrays else [c * a for a in k])
-
-    def stages(self) -> tuple[list, list]:
-        """The stages' driving points and points of p."""
-        return tuple(zip(*(self._split(y) for y in self.ys)))
 
     def _gauged(self, y) -> list[float]:
         """The driving points of ``y`` and, in tau, t."""
@@ -498,9 +535,12 @@ class _Dop853Step:
         return y[index].real.tolist() if self.arrays else [y[i] for i in index]
 
     def _size(self, terms: tuple) -> float:
-        """The largest |sum_i c_i k_i| over the components."""
+        """The largest |sum_i c_i k_i| over the components, each times its
+        factor in ``scale``."""
         d = _weighted(self.ks, terms)
-        return float(np.hypot(d.real, d.imag).max()) if self.arrays else max(abs(v) for v in d)
+        if self.arrays:
+            return float((np.hypot(d.real, d.imag) * self.scale).max())
+        return max(map(operator.mul, map(abs, d), self.scale))
 
     def error(self) -> float:
         """The combined estimate h e5^2 / sqrt(e5^2 + e3^2 / 100) of the
@@ -513,8 +553,7 @@ class _Dop853Step:
 
     def finish(self) -> tuple[tuple, float]:
         """The velocities d/dt and the clock at the end: stage 12."""
-        self._stage(self.y1)
-        return self.vs[12], self.cs[12]
+        return self._stage(self.y1)
 
     def extend(self) -> None:
         """Stages 13 to 15, which only the dense output reads."""
@@ -559,15 +598,6 @@ class _Dop853Step:
         if not self.tail:
             return self.t + us * h, x, p, slope[:, :n], np.ones_like(us)
         return y[:, -1].real, x, p, slope[:, :n] / slope[:, -1:], slope[:, -1]
-
-    def w_rates(self, pos: int, c: int, coeffs: Sequence[float]) -> list[list[complex]]:
-        """dW/dsigma of the observer at ``pos`` of the points of p, dying
-        into driving point ``c``, at each stage (``_w_rate`` times the
-        clock)."""
-        return [
-            [ck * _w_rate(complex(y[self.n + pos]), self._split(y)[0], coeffs, c, v[0][c])]
-            for ck, y, v in zip(self.cs, self.ys, self.vs)
-        ]
 
 
 def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, tuple[int, int] | None]:
@@ -648,49 +678,27 @@ def _quotients(a: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
     return q
 
 
-class _ObserverHistory:
-    """The observers' g and log g' rows, one per state, filled a block of
-    steps at a time.
+class _History:
+    """The observers' g and log g' rows of ``Evolution``: one per state, one
+    column per observer, frozen from its death on.
 
-    log g' feeds nothing back into the step loop, so the loop only records
-    each step's size, rates, stage driving points, stage points and clocks,
-    its weight rows and the points of its states, and the quadrature of
-    d log g'/dt = -sum_k 2 nu_k / (g - x_k)^2 runs on a whole block as
-    arrays: RK4's combination, or each state's row of DOP853 weights (its
-    dense output's at an interior state, b at the end) applied to the
-    stage rates. Its quotients are CPython's, its sums run over the driving
-    points and the stages in order and along time in sequence, so each
-    observer gets the bits of the same quadrature on Python complex numbers.
-    A step may bring one observer's log g' at its states, computed by the
-    step loop, which replaces that observer's quadrature; the steps of a
-    block bring it all or none. The rows live in arrays with room for
-    ``rows`` states, doubled when more come; more than ``HISTORY_BUDGET``
-    values raise ``StepBudgetError``.
+    The step loop adds the rows of each step's states, the live observers'
+    g and then log g', as its state holds them. The rows live in arrays
+    with room for ``rows`` states, doubled when more come; more than
+    ``HISTORY_BUDGET`` values raise ``StepBudgetError``.
     """
 
-    def __init__(self, g: Sequence[complex], rows: int):
-        _check_history(rows, len(g))
-        self.g = np.empty((rows, len(g)), dtype=complex)
+    def __init__(self, tracked: Sequence[complex], rows: int):
+        _check_history(rows, len(tracked))
+        self.g = np.empty((rows, len(tracked)), dtype=complex)
         self.log_gprime = np.empty_like(self.g)
-        self.g[0], self.log_gprime[0] = g, 0.0
+        self.g[0], self.log_gprime[0] = tracked, 0.0
         self.rows = 1
-        # per step: its size and rates, its stage driving points, stage
-        # points (marked, then observers) and stage clocks dt/dsigma, its
-        # weight rows (None for RK4), the points at its states, and
-        # (observer, log g' at its states), or None
-        self.steps: list[tuple] = []
 
-    def flush(self, live: Sequence[int], nq: int) -> None:
-        """Integrates the recorded steps, all taken with the observers
-        ``live`` alive, onto the history."""
-        if not self.steps:
-            return
-        h, rates, xs, ps, clocks, weights, points, known = zip(*self.steps)
-        self.steps = []
-        counts = [len(rows) for rows in points]
-        start, end = self.rows, self.rows + sum(counts)
+    def add(self, live: list[int], values: list) -> None:
+        start, end = self.rows, self.rows + len(values)
+        cols = self.g.shape[1]
         if end > len(self.g):
-            cols = self.g.shape[1]
             size = max(end, min(2 * len(self.g), HISTORY_BUDGET // max(cols, 1)))
             _check_history(size, cols)
             for name in ("g", "log_gprime"):
@@ -698,40 +706,13 @@ class _ObserverHistory:
                 grown[:start] = getattr(self, name)[:start]
                 setattr(self, name, grown)
         self.rows = end
-        g, w = self.g[start:end], self.log_gprime[start:end]
-        g[:], w[:] = self.g[start - 1], self.log_gprime[start - 1]
-        if not live:
-            return
-        g[:, live] = np.array([z for rows in points for z in rows])[:, nq:]
-        # the step of each state
-        step = np.repeat(np.arange(len(h)), counts)
-        h = np.array(h)
-        # an overflow shows as a value that is not finite, checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            # one row per step: stages along axis 1, then the live observers
-            b = _log_gprime_rates(2.0 * np.array(rates), np.array(xs), np.array(ps)[:, :, nq:], np.array(clocks))
-            if weights[0] is None:
-                # 0.0 + drops a zero's sign, which no sum from log g' = 0 keeps
-                dw = _rk4_array(0.0, b[:, 0], b[:, 1], b[:, 2], b[:, 3], h[:, None])[step]
+        values = np.asarray(values, dtype=complex).reshape(end - start, 2 * len(live))
+        for rows, part in ((self.g, values[:, : len(live)]), (self.log_gprime, values[:, len(live) :])):
+            if len(live) < cols:
+                rows[start:end] = rows[start - 1]
+                rows[start:end, live] = part
             else:
-                rows = np.array([row for step_rows in weights for row in step_rows])
-                b = b[step]
-                total = rows[:, :1] * b[:, 0]
-                for i in range(1, rows.shape[1]):
-                    total = total + rows[:, i : i + 1] * b[:, i]
-                dw = h[step, None] * total
-            # a step starts from the end of the one before, its last state:
-            # w_{i+1} = w_i + dw_i, summed in sequence from the last row
-            ends = dw[np.cumsum(counts) - 1]
-            first = np.cumsum(np.vstack((w[:1, live], ends)), axis=0)[:-1]
-            w[:, live] = first[step] + dw
-        if known[0] is not None:
-            w[:, known[0][0]] = [v for _, values in known for v in values]
-        # a value that is not finite stays so down the sums: the last row shows it
-        bad = ~np.isfinite(w[-1, live])
-        if bad.any():
-            z = complex(self.g[0, live[int(bad.argmax())]])
-            raise InversionFailureError(f"observer history is not finite for tracked point {format_complex(z)}")
+                rows[start:end] = part
 
 
 def _w_rate(g: complex, x: Sequence[float], coeffs: Sequence[float], c: int, dxc: float) -> complex:
@@ -751,6 +732,18 @@ def _w_rate(g: complex, x: Sequence[float], coeffs: Sequence[float], c: int, dxc
     return (near - dxc) / (g - x[c]) - square
 
 
+def _carried(p, x: Sequence[float], closing: tuple[int, int], n: int, m: int, sign: int):
+    """A copy of the components ``p`` of a state with driving points ``x``
+    in which the dying observer of the closing pair (c, n + its position in
+    p), one of the ``m`` live observers, goes from log g' to W = log g' +
+    log(g - x_c) (``sign`` 1) or back (-1)."""
+    c, j = closing[0], closing[1] - n
+    out = p.copy() if isinstance(p, np.ndarray) else list(p)
+    log = cmath.log(complex(p[j]) - x[c])
+    out[j + m] = complex(p[j + m]) + log if sign > 0 else complex(p[j + m]) - log
+    return out
+
+
 def _check_history(rows: int, cols: int) -> None:
     if rows * cols > HISTORY_BUDGET:
         raise StepBudgetError(
@@ -758,26 +751,9 @@ def _check_history(rows: int, cols: int) -> None:
         )
 
 
-def _log_gprime_rates(coeffs: np.ndarray, xs: np.ndarray, gs: np.ndarray, clocks: np.ndarray) -> np.ndarray:
-    """d log g'/dsigma = -sum_k 2 nu_k / (g - x_k)^2 times the clock, over a
-    block of steps: one row per step, its stages along axis 1 and one
-    column per observer, from the steps' 2 nu_k (one row per step), stage
-    driving points ``xs``, stage observer images ``gs`` and stage clocks
-    dt/dsigma (1.0 in t, exactly)."""
-    gr, gi = gs.real, gs.imag
-    gi2 = gi * gi
-    for k in range(xs.shape[2]):
-        dr = gr - xs[:, :, k, None]
-        # 2 nu_k / (g - x_k)^2, the square as CPython multiplies: its
-        # imaginary part dr gi + gi dr is a sum of two equal products
-        cross = dr * gi
-        q = _quotients(coeffs[:, k, None, None], dr * dr - gi2, cross + cross)
-        total = q if k == 0 else total + q
-    return -total * clocks[:, :, None]
-
-
-# a stage on a driving point divides by zero: the NaN reaches the finiteness check
-@np.errstate(divide="ignore", invalid="ignore")
+# a stage on a driving point divides by zero, and the square in a log g'
+# rate may overflow: the NaN reaches the finiteness check
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def evolve(
     divisor: SymmetricDivisor,
     T: float,
@@ -798,15 +774,21 @@ def evolve(
     flow takes its death in tau (below); the step caps come from the
     survivors. A driving collision stops the evolution and is reported as a
     time bracket: in t, from the last state's time to that plus the gap.
-    The marked points and observers are a list or, as ``_on_arrays``
-    decides at the start, an array for the whole flow.
+    Each live observer's log g' is a component of the state, stepped with
+    its g; the marked points, observers and log g' are a list or, as
+    ``_on_arrays`` decides at the start, an array for the whole flow.
 
     Without ``tol`` the steps are classical RK4 of size ``dt``, or shorter
     where a cap binds. With ``tol`` they are DOP853 steps (``_Dop853Step``)
     and ``dt`` is the largest step. The velocities at the end of a step are
     its 13th stage and the next step's first; the combined 5th/3rd-order
-    estimate, the largest over the driving points, marked points and live
-    observers, needs no more. A step whose estimate exceeds ``tol`` is
+    estimate, the largest over the components, needs no more. It holds an
+    observer's log g' to tol / d, d < 1 the observer's distance to its
+    nearest driving point: an error tol in g moves log(g - x_k) by tol / d,
+    and the rounding of g - x_k alone puts a relative noise of about
+    2e-16 |g| / d on the rate of log g', which an estimate held to tol would
+    chase into steps below the resolution of t. A step whose estimate
+    exceeds ``tol`` is
     retried with h max(0.2, 0.9 (tol/err)^(1/8)); an accepted one proposes
     h min(5, 0.9 (tol/err)^(1/8)). An accepted step also takes the three
     stages of its 7th-order dense output, and records interior states at
@@ -814,9 +796,9 @@ def evolve(
     driving points between recorded states, which ``_DrivingPaths`` reads,
     within max(tol, the summed estimates so far) of the dense output: an
     interpolated driving point is no further from the flow than the flow's
-    own error bound. Each interior state's velocities are the slope of the
-    dense output, and its observers' log g' the dense output of their
-    quadrature. Against a flow at tol 1e-17, the cubic Hermite of the
+    own error bound. Each interior state is the dense output, log g'
+    included, and its velocities are the dense output's slope. Against a
+    flow at tol 1e-17, the cubic Hermite of the
     presets' records is then off by at most 1.5e-13 (fig1, before its tail),
     3.3e-14 (fig2) and 6.7e-14 (fig3), where step ends alone are 1e-7 off.
 
@@ -838,17 +820,20 @@ def evolve(
     tail ends at the t where the gap reaches 0, extrapolated linearly in
     tau, t + d / (2 |d'|): a driving collision is bracketed there, plus and
     minus the summed error estimates of the accepted steps; an observer dies
-    there, and the flow returns to t with a fresh proposal. The dying
-    observer's W = log g' + log(g - x_c) takes the step's weights on dW/dt at
-    its stages (``_w_rate``), times their clocks, and its history rows get
-    log g' = W - log(g - x_c). A later closing may start another tail;
+    there, and the flow returns to t with a fresh proposal. From the switch
+    the dying observer's component carries W = log g' + log(g - x_c), whose
+    rate is ``_w_rate`` (held to tol by the estimate), its rows get
+    log g' = W - log(g - x_c), and where the flow returns to t with the
+    observer alive its component goes back to log g'. A later closing may
+    start another tail;
     ``Evolution.tail`` records each segment: its first state and each of
     its states' tau and dt/dtau.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
-    of more than ``HISTORY_BUDGET`` values; a state, estimate or observer
-    history that is not finite raises ``InversionFailureError``.
+    of more than ``HISTORY_BUDGET`` values (states x observers); a state
+    that is not finite in any component, log g' included, raises
+    ``InversionFailureError`` before its estimate is read.
     """
     if divisor.domain != HALF_PLANE:
         raise DegenerateConfigurationError(
@@ -875,16 +860,19 @@ def evolve(
     # the rates change at these times only; one at or after T never applies
     breaks = [b for b in nu.starts[1:] if b < T]
     # room for the states of T/dt steps, two at each breakpoint
-    history = _ObserverHistory(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
+    history = _History(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
 
     death_times: list[float | None] = [None] * len(tracked)
     live = list(range(len(tracked)))
-    # the marked points, then the live observers: a list or, for the whole
-    # flow, an array
-    arrays = _on_arrays(len(x), len(live))
-    p = np.array(q + list(tracked), dtype=complex) if arrays else q + list(tracked)
+    m = len(live)
+    # the marked points, the live observers, then their log g': a list or,
+    # for the whole flow, an array
+    arrays = _on_arrays(len(x), m)
+    p = q + list(tracked) + [0j] * m
+    if arrays:
+        p = np.array(p, dtype=complex)
     near_of = _near_array if arrays else _near
-    near = near_of(x, p[nq:], live)
+    near = near_of(x, p[nq : nq + m], live)
     n = len(x)
     next_break = 0
     t = 0.0
@@ -892,12 +880,13 @@ def evolve(
     h_next = math.inf  # the step size the error control proposes, in the step variable
     rates = nu.rates(t)
     # the velocities d/dt at the latest state: its dx, and the next step's k1
-    vel = _velocities(x, p, s, nq, rates)
+    vel = _velocities(x, p, s, nq, rates, m)
     states = [LoewnerState(t, tuple(x), tuple(vel[0]), tuple(q))]
     collision = collision_note = None
     # the Sundman tail: the closing pair, whose gap is dt/dtau from the
-    # switch on, the observer that dies in it, if any, and that one's W
-    closing, dying, w = None, None, 0j
+    # switch on, and the observer that dies in it, if any, whose log g'
+    # component carries its W meanwhile
+    closing, dying = None, None
     clock = 1.0  # dt/dsigma at the latest state, sigma the step variable
     err_sum = 0.0  # the accepted steps' error estimates, summed
     # per tau segment: its first state and the (tau, dt/dtau) of its states
@@ -948,17 +937,15 @@ def evolve(
                 if closing[1] >= n + nq:
                     # the observer carries W = log g' + log(g - x_c) from here
                     dying = i_near
-                    history.flush(live, nq)
-                    w = complex(history.log_gprime[history.rows - 1, dying]) + cmath.log(z - x[closing[0]])
+                    p = _carried(p, x, closing, n, m, 1)
                 tail.append((len(states) - 1, [(0.0, clock)]))
                 continue
         if closing is not None:
             rate = _closing_rate(x, p, vel, closing)
             if rate >= 0.0:
-                # the gap stops closing: the flow returns to t. The tail's
-                # steps are flushed, as a block's steps bring a dying
-                # observer's log g' all or none
-                history.flush(live, nq)
+                # the gap stops closing: the flow returns to t
+                if dying is not None:
+                    p = _carried(p, x, closing, n, m, -1)
                 closing, dying, clock, h_next = None, None, 1.0, h_next * clock
                 continue
             # at most half the tau the closing gap has left, gap / |d gap/dtau|
@@ -972,19 +959,21 @@ def evolve(
             )
 
         if tol is None:
-            xs, ps, x1, p1 = _rk4_step(x, p, vel, h, s, nq, rates)
-            v1 = _velocities(x1, p1, s, nq, rates)
+            x1, p1 = _rk4_step(x, p, vel, h, s, nq, rates, m)
+            v1 = _velocities(x1, p1, s, nq, rates, m)
             # NaN fails every comparison, so a collision would not see it; a
             # finite new state has finite stages
-            if not (_finite(x1, p1) and _finite(*v1)):
+            if not _finite(x1, p1, *v1):
                 raise _not_finite(t, h, gap)
-            t1, c1, cs, weights, inner, end = t + h, 1.0, (1.0,) * 4, None, None, 1.0
+            t1, c1, inner, end = t + h, 1.0, None, 1.0
         else:
-            step = _Dop853Step(t, x, p, vel, clock, h, s, nq, rates, closing)
+            step = _Dop853Step(t, x, p, vel, clock, h, s, nq, rates, m, closing)
             x1, p1, t1 = step.x1, step.p1, step.t1
             # NaN fails every comparison, so neither a collision nor a
-            # rejection would see it; a finite new state has finite stages
-            if not _finite(x1, p1):
+            # rejection would see it: every component of the end, log g' and
+            # t included, is checked before the estimate is read; a finite
+            # new state has finite stages
+            if not _finite(x1, p1, [t1]):
                 raise _not_finite(t, h, gap)
             err = step.error()
             scale = 0.9 * (tol / err) ** 0.125 if err > 0.0 else 5.0
@@ -996,51 +985,36 @@ def evolve(
             err_sum += err
             v1, c1 = step.finish()
             step.extend()
-            if not all(_finite(*v) for v in step.vs[12:]):
+            if not _finite(*step.ks[12:]):
                 raise _not_finite(t, h, gap)
-            end, end_row = 1.0, DOP_B16
+            end = 1.0
             if closing is not None and t1 > stop:
                 # a tau-step passed stop: it ends there instead, on its
                 # dense output, with the velocities evaluated there
                 end = step.cut(stop)
-                end_row, slopes = _dense_weights(np.array([end]))
-                _, x1, p1, _, c1 = (a[0] for a in step.dense(np.array([end]), end_row, slopes))
-                x1, c1, end_row = x1.tolist(), float(c1), end_row[0].tolist()
+                _, x1, p1, _, c1 = (a[0] for a in step.dense(np.array([end]), *_dense_weights(np.array([end]))))
+                x1, c1 = x1.tolist(), float(c1)
                 p1 = p1 if arrays else p1.tolist()
-                t1, v1 = stop, _velocities(x1, p1, s, nq, rates)
+                t1, v1 = stop, _velocities(x1, p1, s, nq, rates, m)
             us, rows, slopes = _pieces(step.pieces(max(tol, err_sum)))
             if end < 1.0:
                 before = us < end
                 us, rows, slopes = us[before], rows[before], slopes[before]
             inner = step.dense(us, rows, slopes) if len(us) else None
-            (xs, ps), cs = step.stages(), step.cs
-            weights = list(rows)
         accepted += 1
         at_break = stop < T and (t1 >= stop or (closing is None and h == remaining))
         if at_break:
             t1 = stop
             next_break += 1
         reps = 2 if at_break else 1
-        known = None
+        # the live observers' g and log g' at the step's states, the dying
+        # one's log g' = W - log(g - x_c) on the branch that W carries, as
+        # log(g - x_c) is continuous above the axis
+        recorded = ([] if inner is None else list(inner[2])) + [p1] * reps
         if dying is not None:
-            # W steps as t does, on its rates at the stages, each times its
-            # clock; log g' is rebuilt from it on the branch that W carries,
-            # as log(g - x_c) is continuous above the axis
-            c, pos = closing[0], closing[1] - n
-            b = step.w_rates(pos, c, [2.0 * r for r in rates])
-            values = []
-            if inner is not None:
-                _, xi, pi, _, _ = inner
-                values = [
-                    complex(v) - cmath.log(complex(pk[pos]) - xk[c])
-                    for v, pk, xk in zip(w + h * _on_stages(rows, np.array(b))[:, 0], pi, xi.tolist())
-                ]
-            (w,) = _combine([w], b, _terms(end_row), h)
-            known = (dying, values + [w - cmath.log(complex(p1[pos]) - x1[c])] * reps)
-        if weights is not None:
-            weights += [end_row] * reps
-        points = ([] if inner is None else list(inner[2])) + [p1] * reps
-        history.steps.append((h, rates, xs, ps, cs, weights, points, known))
+            xs = ([] if inner is None else inner[1].tolist()) + [x1] * reps
+            recorded = [_carried(pk, xk, closing, n, m, -1) for pk, xk in zip(recorded, xs)]
+        history.add(live, [pk[nq:] for pk in recorded])
         if inner is not None:
             ti, xi, pi, dxi = (a.tolist() for a in inner[:4])
             states.extend(
@@ -1053,7 +1027,7 @@ def evolve(
             if inner is not None:
                 segment.extend((tau + u * h, ck) for u, ck in zip(us.tolist(), inner[4].tolist()))
             segment.extend([(tau + end * h, clock)] * reps)
-        near = near_of(x, p[nq:], live)
+        near = near_of(x, p[nq : nq + m], live)
         # the dying observer too where its tail ended at stop, in t
         dead = {
             i: t1
@@ -1071,14 +1045,14 @@ def evolve(
             else:
                 dead[dying] = t_star
         if dead:
-            history.flush(live, nq)
             for i, death in dead.items():
                 death_times[i] = death
             if dying in dead:
                 closing, dying, clock, h_next = None, None, 1.0, math.inf
             keep = [pos for pos, i in enumerate(live) if death_times[i] is None]
-            rows = list(range(nq)) + [nq + pos for pos in keep]
+            rows = list(range(nq)) + [nq + pos for pos in keep] + [nq + m + pos for pos in keep]
             live = [live[pos] for pos in keep]
+            m = len(live)
             near = [e for e in near if death_times[e[1]] is None]
             if arrays:
                 p, vp = p[rows], vel[1][rows]
@@ -1087,22 +1061,20 @@ def evolve(
             vel = (vel[0], vp)
             if dying is not None:
                 closing = (closing[0], n + nq + live.index(dying))
-        elif len(history.steps) * (len(x) + len(p)) >= BLOCK_VALUES:
-            history.flush(live, nq)
         if end < 1.0 and closing is not None:
             # the tail ended at stop, where the flow returns to t
-            history.flush(live, nq)
+            if dying is not None:
+                p = _carried(p, x, closing, n, m, -1)
             closing, dying, clock, h_next = None, None, 1.0, h_next * clock
         if at_break:
             # the end-of-step velocities are the left side of the breakpoint
             states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
             rates = nu.rates(t1)
-            vel = _velocities(x, p, s, nq, rates)
+            vel = _velocities(x, p, s, nq, rates, m)
         states.append(LoewnerState(t1, tuple(x), tuple(vel[0]), tuple(q)))
         t = t1
         if collision is not None:
             break
-    history.flush(live, nq)
     return Evolution(
         divisor,
         nu,
@@ -1209,19 +1181,23 @@ def _common_field(z: np.ndarray, x: np.ndarray, coeff: np.ndarray) -> np.ndarray
     per z and one row per driving point in ``x`` and ``coeff``.
 
     Each quotient is CPython's (``_quotients``), and the sum runs over the
-    driving points in order, so that a column gets the bits of the same sum
-    over Python complex numbers. The forward flow and the reverse flow of
-    ``trace_hull`` each apply their own factor.
-
-    From 4 rows and 2 columns numpy's axis-0 reduction adds the rows in
-    order; from -0.0, which changes no addend, it is the loop's sum (one
-    column it would sum pairwise, and below 4 rows the loop is cheaper).
+    driving points in order (``_in_order``), so that a column gets the bits
+    of the same sum over Python complex numbers. The reverse flow of
+    ``trace_hull`` applies its own factor; the forward flow sums the same
+    quotients, with those of the observers' log g' rates, in ``_velocities``.
     """
-    q = _quotients(coeff, z.real - x, z.imag)
-    if len(x) > 3 and q.shape[1] > 1:
+    return _in_order(_quotients(coeff, z.real - x, z.imag))
+
+
+def _in_order(q: np.ndarray) -> np.ndarray:
+    """The sum of the rows of ``q``, in order: from 4 rows and 2 columns
+    numpy's axis-0 reduction adds the rows in order; from -0.0, which
+    changes no addend, it is the loop's sum (one column it would sum
+    pairwise, and below 4 rows the loop is cheaper)."""
+    if len(q) > 3 and q.shape[1] > 1:
         return q.sum(axis=0, initial=complex(-0.0, -0.0))
     total = q[0]
-    for k in range(1, len(x)):
+    for k in range(1, len(q)):
         total = total + q[k]
     return total
 

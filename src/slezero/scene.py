@@ -450,7 +450,7 @@ def single_curve_scene() -> SceneConfig:
         trace=TraceParams(max_arc_length=5.0),
         # dt is the largest step; tol keeps the observer at 2i within 3e-12
         # of its closed forms g = 2i sqrt(1-t), log g' = -log(1-t)/2 up to
-        # t = 0.9999, where fixed dt = 1e-4 steps were 4.9e-9 off, in 302
+        # t = 0.9999, where fixed dt = 1e-4 steps were 4.9e-9 off, in 304
         # states instead of 11,690, and takes its death at t = 1 in 27
         # tau-steps, where RK4 t-steps took 3,081 of 4,766 states
         loewner=LoewnerParams(T=1.0, dt=1e-2, tol=1e-16, tracked=(2j,)),

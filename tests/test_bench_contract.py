@@ -194,17 +194,18 @@ def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
 
 
 def test_many_observers_and_only_they_take_the_array_field(monkeypatch):
-    # the observers' common field runs on arrays from ARRAY_QUOTIENTS
-    # driving point x observer quotients: never for a preset's one observer,
-    # once per velocity evaluation for the 10 x 128 of a many-curves scene
-    field = loewner._common_field
+    # the observers' common field and log g' rates run on arrays from
+    # ARRAY_QUOTIENTS driving point x observer quotients, all in one array
+    # of quotients: never for a preset's one observer, once per velocity
+    # evaluation for the 10 x 128 of a many-curves scene
+    quotients = loewner._quotients
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return field(*args)
+        return quotients(*args)
 
-    monkeypatch.setattr(loewner, "_common_field", counted)
+    monkeypatch.setattr(loewner, "_quotients", counted)
     fig1 = scene.preset("fig1")
     lo = fig1.loewner
     evolve(runner._flow_divisor(fig1), lo.T, lo.dt, fig1.rates, lo.tracked, lo.tol)

@@ -727,41 +727,58 @@ def _finite_only(value):
 class TestObserverPlacements:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.lists(placements, min_size=1, max_size=3), st.sampled_from(FLOW_OUTPUTS))
+    @given(st.lists(placements, min_size=1, max_size=3), st.sampled_from(FLOW_OUTPUTS), st.sampled_from((None, 1e-12)))
     # a hull alone needs the observers checked too
-    @example([-1.0], ["hull_csv"])
-    # (g - x)^2 overflows in the log g' quadrature
-    @example([1e200 + 1e200j], ["motion_report"])
-    def test_every_placement_ends_in_artifacts_or_its_exit_code(self, tracked, outputs):
-        cfg_text = (
-            PLACEMENT_SCENE
-            + f"loewner:\n  T: 0.01\n  dt: 1.0e-3\n  tracked: {[_literal(z) for z in tracked]}\n"
-            + f"outputs: {outputs}\n"
-        ).replace("'", '"')
-        starts_on_one = any(
-            math.hypot((z - w).real, (z - w).imag) < loewner.COLLISION_TOL for z in tracked for w in SINGULAR
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg, out = Path(tmp) / "scene.yaml", Path(tmp) / "out"
-            cfg.write_text(cfg_text)
-            err = io.StringIO()
-            # a traceback or a numpy warning fails the test
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                code = main(["run", "--config", str(cfg), "--out", str(out)])
-            assert (code == 1) == starts_on_one, err.getvalue()
-            assert code in (0, 1, 3), err.getvalue()
-            if code:
-                assert not out.exists()
-            if code == 3:
-                assert err.getvalue().startswith("integration failure:")
-            if code == 0:
-                assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[o] for o in outputs)
-                if "motion_report" in outputs:
-                    json.loads((out / "motion_report.json").read_text(), parse_constant=_finite_only)
-                if "hull_csv" in outputs:
-                    rows = (out / "hull.csv").read_text().splitlines()[1:]
-                    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    @example([-1.0], ["hull_csv"], None)
+    # (g - x)^2 overflows in the rate of log g', a component of the flow
+    # state: the state is not finite, in a fixed step and, before its
+    # estimate is read, in an error-controlled one
+    @example([1e200 + 1e200j], ["motion_report"], None)
+    @example([1e200 + 1e200j], ["motion_report"], 1e-12)
+    def test_every_placement_ends_in_artifacts_or_its_exit_code(self, tracked, outputs, tol):
+        run_placement(tracked, outputs, tol)
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_an_observer_whose_log_gprime_overflows_exits_3(self, tol):
+        code, stderr = run_placement([1e200 + 1e200j], ["motion_report"], tol)
+        assert code == 3 and stderr.startswith("integration failure: flow state is not finite at t=0 "), stderr
+
+
+def run_placement(tracked, outputs, tol):
+    """Runs the placement scene with observers ``tracked``, asks for
+    ``outputs``, and checks that it ends in its artifacts or its exit code:
+    (exit code, stderr)."""
+    tol_line = "" if tol is None else f"  tol: {tol}\n"
+    cfg_text = (
+        PLACEMENT_SCENE
+        + f"loewner:\n  T: 0.01\n  dt: 1.0e-3\n{tol_line}  tracked: {[_literal(z) for z in tracked]}\n"
+        + f"outputs: {outputs}\n"
+    ).replace("'", '"')
+    starts_on_one = any(
+        math.hypot((z - w).real, (z - w).imag) < loewner.COLLISION_TOL for z in tracked for w in SINGULAR
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "scene.yaml", Path(tmp) / "out"
+        cfg.write_text(cfg_text)
+        err = io.StringIO()
+        # a traceback or a numpy warning fails the test
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert (code == 1) == starts_on_one, err.getvalue()
+        assert code in (0, 1, 3), err.getvalue()
+        if code:
+            assert not out.exists()
+        if code == 3:
+            assert err.getvalue().startswith("integration failure:")
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[o] for o in outputs)
+            if "motion_report" in outputs:
+                json.loads((out / "motion_report.json").read_text(), parse_constant=_finite_only)
+            if "hull_csv" in outputs:
+                rows = (out / "hull.csv").read_text().splitlines()[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    return code, err.getvalue()
 
 
 # the prefixes of the README's exit-code table, each followed by one line

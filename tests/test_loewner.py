@@ -148,14 +148,15 @@ def reverse_point(ev, t, j):
 
 
 def scalar_flow(div, T, dt, nu, tracked, tol=None):
-    """Times and the observers' g and log g' rows of the flow with every
-    observer stepped on Python numbers inside the step loop, with evolve's
-    step rules: RK4 of size dt without tol; with tol DOP853 steps, the
-    interior states of their dense output, and the tail in tau for an
-    observer's predicted death. In that tail the dying observer carries
+    """Times and the observers' g and log g' rows of the flow stepped on
+    Python numbers, with evolve's step rules: RK4 of size dt without tol;
+    with tol DOP853 steps, the interior states of their dense output, and
+    the tail in tau for an observer's predicted death. Each observer's
+    log g' is a component of the state, stepped with its g, and held by
+    the estimate to tol / d, d < 1 the observer's distance to its nearest
+    driving point. In the tail the dying observer's component carries
     W = log g' + log(g - x_c), x_c its nearest driving point, and its rows
-    hold W - log(g - x_c). This is the loop whose bits evolve's history
-    must have."""
+    hold W - log(g - x_c). This is the loop whose bits evolve must have."""
     x = [p.value.real for p in div.growth]
     q, s = div.finite_marked()
     g, w = list(tracked), [0j] * len(tracked)
@@ -188,9 +189,9 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
                 near += 2.0 * rk / d
         return (near - dxc) / (z - x[c]) - square
 
-    def velocities(x, q, g, rates, pos):
-        """d/dt of x, q, g and w, and the clock at the state; the observer
-        at ``pos`` of ``g`` is the dying one."""
+    def velocities(x, q, g, w, rates, pos):
+        """d/dt of x, q, g and their log g' (W for the dying observer at
+        ``pos`` of ``g``), and the clock at the state."""
         dlog = divisors.dlog_Z(x, q, s)
         dx = []
         for j, xj in enumerate(x):
@@ -231,13 +232,6 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
             out.append(total)
         return out
 
-    def quadrature(w0, rates_at, row, h):
-        # log g' at a state of the step: its weight row on all 16 stages
-        total = row[0] * rates_at[0]
-        for wi, r in zip(row[1:], rates_at[1:]):
-            total = total + wi * r
-        return w0 + h * total
-
     breaks = [b for b in nu.starts[1:] if b < T]
     t, rates, h_next = 0.0, nu.rates(0.0), math.inf
     rows = [(t, list(g), list(w))]
@@ -260,7 +254,7 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
             break
         g0 = [g[i] for i in live]
         w0 = [big_w if i == dying else w[i] for i in live]
-        v1, c1 = velocities(x, q, g0, rates, pos)
+        v1, c1 = velocities(x, q, g0, w0, rates, pos)
         if dying is None and tol is not None and d_near < 1.0:
             c_near = min(range(len(x)), key=lambda k: abs(g[i_near] - x[k]))
             at = live.index(i_near)
@@ -278,33 +272,36 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
         # the interior states (t, g, w) and the end, which a tau-step that
         # passes stop takes at u = end of its dense output
         inner, end = [], 1.0
+        y0 = (x, q, g0, w0)
         if tol is None:
-            v2, _ = velocities(*(shift(y, k, h / 2) for y, k in zip((x, q, g0), v1)), rates, pos)
-            v3, _ = velocities(*(shift(y, k, h / 2) for y, k in zip((x, q, g0), v2)), rates, pos)
-            v4, _ = velocities(*(shift(y, k, h) for y, k in zip((x, q, g0), v3)), rates, pos)
-            x1, q1, g1, w1 = (rk4(y, v1[i], v2[i], v3[i], v4[i], h) for i, y in enumerate((x, q, g0, w0)))
-            v_end, c_end = velocities(x1, q1, g1, rates, pos)
+            v2, _ = velocities(*(shift(y, k, h / 2) for y, k in zip(y0, v1)), rates, pos)
+            v3, _ = velocities(*(shift(y, k, h / 2) for y, k in zip(y0, v2)), rates, pos)
+            v4, _ = velocities(*(shift(y, k, h) for y, k in zip(y0, v3)), rates, pos)
+            x1, q1, g1, w1 = (rk4(y, v1[i], v2[i], v3[i], v4[i], h) for i, y in enumerate(y0))
+            v_end, c_end = velocities(x1, q1, g1, w1, rates, pos)
             t1 = t + h
         else:
-            states, vs, cs, ks = [(x, q, g0)], [v1], [c1], [scaled(v1, c1)]
+            vs, cs, ks = [v1], [c1], [scaled(v1, c1)]
+            # the estimate's factor on each log g' component
+            scales = [1.0 if i == pos else min(1.0, min(abs(z - xj) for xj in x)) for i, z in enumerate(g0)]
 
             def stage(y):
                 v, cl = velocities(*y, rates, pos)
-                states.append(y)
                 vs.append(v)
                 cs.append(cl)
                 ks.append(scaled(v, cl))
 
             def at(row):
-                return tuple(combine(part, [k[i] for k in ks], row, h) for i, part in enumerate((x, q, g0)))
+                return tuple(combine(part, [k[i] for k in ks], row, h) for i, part in enumerate(y0))
 
             for row in loewner.DOP_A[1:12]:
                 stage(at(row))
-            x1, q1, g1 = at(loewner.DOP_B)
+            x1, q1, g1, w1 = at(loewner.DOP_B)
             clocks = [[cl] for cl in cs]
             t1 = t + h if dying is None else combine([t], clocks, loewner.DOP_B, h)[0]
             e5, e3 = (
                 max([abs(v) for i in range(3) for v in weighted([k[i] for k in ks], row)]
+                    + [abs(v) * sc for v, sc in zip(weighted([k[3] for k in ks], row), scales)]
                     + ([] if dying is None else [abs(weighted(clocks, row)[0])]))
                 for row in (loewner.DOP_E5, loewner.DOP_E3)
             )
@@ -315,11 +312,11 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
                 continue
             h_next = h * min(5.0, scale)
             err_sum += err
-            stage((x1, q1, g1))
+            stage((x1, q1, g1, w1))
             for row in loewner.DOP_A[13:]:
                 stage(at(row))
             clocks = [[cl] for cl in cs]
-            kx, kq, kg = ([k[i] for k in ks] for i in range(3))
+            kx = [k[0] for k in ks]
             # the equal pieces that keep the cubic Hermite of x (and, in
             # tau, t) within the bound of the dense output
             mids = weighted(kx, mid)
@@ -330,13 +327,13 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
             count = max(1, math.ceil((gap_mid / max(tol, err_sum)) ** 0.25))
 
             def dense(u, weights, slopes):
-                # t, x, q, g and the clock at u of the dense output
-                xu, qu, gu = ([a + h * b for a, b in zip(part, on_stages(weights, kp))] for part, kp in zip((x, q, g0), (kx, kq, kg)))
+                # t, x, q, g, their log g' and the clock at u of the dense output
+                xu, qu, gu, wu = ([a + h * b for a, b in zip(part, on_stages(weights, [k[i] for k in ks]))] for i, part in enumerate(y0))
                 if dying is None:
-                    return t + u * h, xu, qu, gu, 1.0
-                return t + h * on_stages(weights, clocks)[0], xu, qu, gu, on_stages(slopes, clocks)[0]
+                    return t + u * h, xu, qu, gu, wu, 1.0
+                return t + h * on_stages(weights, clocks)[0], xu, qu, gu, wu, on_stages(slopes, clocks)[0]
 
-            end_row, c_end, v_end = loewner.DOP_B16, cs[12], vs[12]
+            c_end, v_end = cs[12], vs[12]
             if dying is not None and t1 > stop:
                 u = (stop - t) / (t1 - t)
                 for _ in range(loewner.TAIL_NEWTON):
@@ -345,24 +342,16 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
                     u = min(max(u - (tu - stop) / (h * on_stages(slopes, clocks)[0]), 0.0), 1.0)
                 end = u
                 end_row, slopes = (a[0].tolist() for a in loewner._dense_weights(np.array([end])))
-                _, x1, q1, g1, c_end = dense(end, end_row, slopes)
-                t1, v_end = stop, velocities(x1, q1, g1, rates, pos)[0]
-            # the log g' rates of every stage, each times its clock, and
-            # the dying observer's rates of W
-            rates_at = [[cl * log_gprime_field(z, st[0], rates) for z in st[2]] for st, cl in zip(states, cs)]
-            w_rates = None if dying is None else [[cl * w_field(st[2][pos], st[0], rates, v[0][c])] for st, cl, v in zip(states, cs, vs)]
+                _, x1, q1, g1, w1, c_end = dense(end, end_row, slopes)
+                t1, v_end = stop, velocities(x1, q1, g1, w1, rates, pos)[0]
             us, weight_rows, slope_rows = loewner._pieces(count)
             for u, weights, slopes in zip(us.tolist(), weight_rows.tolist(), slope_rows.tolist()):
                 if u >= end:
                     break
-                tu, xu, _, gu, _ = dense(u, weights, slopes)
-                wu = [quadrature(a, [r[m] for r in rates_at], weights, h) for m, a in enumerate(w0)]
+                tu, xu, _, gu, wu, _ = dense(u, weights, slopes)
                 if dying is not None:
-                    wu[pos] = big_w + h * on_stages(weights, w_rates)[0] - cmath.log(gu[pos] - xu[c])
+                    wu[pos] -= cmath.log(gu[pos] - xu[c])
                 inner.append((tu, gu, wu))
-            w1 = [quadrature(a, [r[m] for r in rates_at], end_row, h) for m, a in enumerate(w0)]
-            if dying is not None:
-                w1[pos] = combine([big_w], w_rates, end_row, h)[0]
         x, q, clock = x1, q1, c_end
         at_break = stop < T and ((dying is None and h == remaining) or t1 >= stop)
         if at_break:
@@ -659,9 +648,9 @@ def report_bits(reports):
 
 
 class TestObservers:
-    """The observers' history, integrated in blocks behind the step loop,
-    and their reports, computed in one pass. Each flow runs with the
-    observers' field on arrays and on Python numbers."""
+    """The observers' history, log g' stepped with g in the flow state, and
+    their reports, computed in one pass. Each flow runs with the observers'
+    field on arrays and on Python numbers."""
 
     def test_ten_curves_and_32_observers_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
         div = half_plane_divisor(random.Random(5), max_growth=10)
@@ -671,8 +660,6 @@ class TestObservers:
         tracked = tuple(complex(rng.uniform(-4.0, 4.0), rng.uniform(0.05, 3.0)) for _ in range(32))
         for tol in (None, 1e-12):
             for ev in evolve_matching_the_scalar_loop(monkeypatch, div, 0.02, 2e-4, None, tracked, tol):
-                # several quadrature blocks
-                assert (len(ev.states) - 1) * (len(div.growth) + len(tracked)) > 2 * loewner.BLOCK_VALUES
                 assert ev.rejected == 0
                 assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
@@ -699,9 +686,7 @@ class TestObservers:
                 assert ev.rejected == 0
                 assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
-    # the shipped block size, and blocks of one step, which flush inside a tail
-    @pytest.mark.parametrize("block", [loewner.BLOCK_VALUES, 1])
-    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch, block):
+    def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
         # i reaches the driving point at t = 1/4, and 0.001i at t = 2.5e-7.
         # With fixed steps i is frozen when its step cap collapses and 0.001i
         # when it comes within the collision tolerance; with tol each dies
@@ -709,7 +694,6 @@ class TestObservers:
         tracked = (1j, 4j, 2 + 0.5j, 0.001j)
         # dt = T leaves the step size to the error control
         for dt, tol in ((1e-3, None), (0.5, 1e-13)):
-            monkeypatch.setattr(loewner, "BLOCK_VALUES", block)
             for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.5, dt, None, tracked, tol):
                 assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
                 assert ev.death_times[1:3] == [None, None]
@@ -744,8 +728,8 @@ class TestObservers:
         tracked += (complex(x[2], 2e-8), complex(x[7], 3e-8))
         assert loewner._on_arrays(10, 18) and not loewner._on_arrays(10, 16)
         nu = Parametrization(tuple(((0.0, 1.0), (0.0123, 2.0)) if j == 0 else ((0.0, 1.0),) for j in range(10)))
-        calls = {"_common_field": 0, "dlog_Z": 0}
-        for module, name in ((loewner, "_common_field"), (divisors, "dlog_Z")):
+        calls = {"_quotients": 0, "dlog_Z": 0}
+        for module, name in ((loewner, "_quotients"), (divisors, "dlog_Z")):
             def counted(*args, f=getattr(module, name), name=name):
                 calls[name] += 1
                 return f(*args)
@@ -756,7 +740,7 @@ class TestObservers:
             before = dict(calls)
             ev = evolve(div, 0.02, 2e-4, nu, tracked, tol)
             # the field ran on arrays for every evaluation
-            assert 0 < calls["_common_field"] - before["_common_field"] == calls["dlog_Z"] - before["dlog_Z"]
+            assert 0 < calls["_quotients"] - before["_quotients"] == calls["dlog_Z"] - before["dlog_Z"]
             assert ev.death_times == death
             assert plain_numbers(ev)
             assert death[16] < 1e-15 and death[17] < 1e-15 and death[:16] == [None] * 16
@@ -803,10 +787,18 @@ class TestObservers:
         # starts from 0j, which turns -0.0 into 0.0
         points = [complex(-0.0, 4.0), complex(2.0, 0.0), complex(2.0, -0.0), 1 + 1j, -3 - 0.5j]
         on_arrays, scalar = (
-            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], p, [], 0, [1.0])[1]]
+            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], p, [], 0, [1.0], 0)[1]]
             for p in (np.array(points), points)
         )
         assert on_arrays == scalar
+        # and so is the rate of log g', with the points as observers: at
+        # -0.0 + 4i its imaginary part is a sum of zeros too
+        on_arrays, scalar = (
+            [(v.real.hex(), v.imag.hex()) for v in loewner._velocities([0.0], p, [], 0, [1.0], 5)[1]]
+            for p in (np.array(points + [0j] * 5), points + [0j] * 5)
+        )
+        field = loewner._velocities([0.0], points, [], 0, [1.0], 0)[1]
+        assert on_arrays == scalar and scalar[:5] == [(v.real.hex(), v.imag.hex()) for v in field]
 
 
 class TestTwoSlit:
@@ -911,8 +903,8 @@ class TestErrorControl:
         left, right = ev.states[i], ev.states[i + 1]
         assert left.x == right.x
         # the left state carries the old rates' velocities, the right the new
-        assert list(left.dx) == loewner._velocities(list(left.x), [], [], 0, (1.0, 1.0))[0]
-        assert list(right.dx) == loewner._velocities(list(right.x), [], [], 0, (2.0, 1.0))[0]
+        assert list(left.dx) == loewner._velocities(list(left.x), [], [], 0, (1.0, 1.0), 0)[0]
+        assert list(right.dx) == loewner._velocities(list(right.x), [], [], 0, (2.0, 1.0), 0)[0]
         assert max(abs(a - b) for a, b in zip(ev.final.x, break_reference.final.x)) < 1e-9
 
     def test_rejected_steps_count_against_the_budget(self, monkeypatch):
