@@ -73,7 +73,9 @@ from .errors import DegenerateConfigurationError, InversionFailureError, StepBud
 
 COLLISION_TOL = 1e-8
 GAP_CAP_SAFETY = 0.125  # of the gap^2/(8 sum nu) stiffness bound
-TRACK_CAP_COEFF = 0.004  # dt <= coeff * |g-x|^2 near a tracked-point death
+# dt <= coeff * |g-x|^2 for the nearest observer: its step cap (with tol, where its gap
+# opens only), with tol its tau switch where the gap closes, and its death rule in t
+TRACK_CAP_COEFF = 0.004
 REVERSE_TOL = 1e-9  # local error per reverse step of trace_hull, in r = sqrt(s)
 REVERSE_BUDGET = 2_000_000  # reverse sweeps per trace_hull call, rejected steps included
 STEP_BUDGET = 1_000_000  # flow steps per evolution, capped and rejected ones included
@@ -603,19 +605,25 @@ class _Dop853Step:
 def _min_gap(x: Sequence[float], q: Sequence[complex]) -> tuple[float, tuple[int, int] | None]:
     """The smallest distance from a driving point to another one or to a
     finite marked point, and its pair: (j, k) for driving points j < k,
-    (j, len(x) + l) for driving point j and marked point l."""
+    (j, len(x) + l) for driving point j and marked point l. A tie goes to
+    the smaller j, then to a driving pair, then to the smaller k or l."""
     best = math.inf
     pair = None
     n = len(x)
-    for j, xj in enumerate(x):
+    for j in range(n - 1):
+        xj = x[j]
         for k in range(j + 1, n):
             d = abs(xj - x[k])
             if d < best:
                 best, pair = d, (j, k)
-        for l, ql in enumerate(q):
-            d = abs(xj - ql)
-            if d < best:
-                best, pair = d, (j, n + l)
+    for l, ql in enumerate(q):
+        # |x_j - q_l| >= |Im q_l|, rounded too: a marked point higher than
+        # the best gap is no nearer
+        if abs(ql.imag) <= best:
+            for j, xj in enumerate(x):
+                d = abs(xj - ql)
+                if d < best or (d == best and pair is not None and j < pair[0]):
+                    best, pair = d, (j, n + l)
     return best, pair
 
 
@@ -772,15 +780,17 @@ def evolve(
     there on, when it is within the collision tolerance of a driving point
     or its step cap ``TRACK_CAP_COEFF`` d^2 no longer advances t, unless the
     flow takes its death in tau (below); the step caps come from the
-    survivors. A driving collision stops the evolution and is reported as a
-    time bracket: in t, from the last state's time to that plus the gap.
+    survivors, and with ``tol`` only from an observer whose gap to its
+    nearest driving point opens. A driving collision stops the evolution
+    and is reported as a time bracket: in t, from the last state's time to
+    that plus the gap.
     Each live observer's log g' is a component of the state, stepped with
     its g; the marked points, observers and log g' are a list or, as
     ``_on_arrays`` decides at the start, an array for the whole flow.
 
     Without ``tol`` the steps are classical RK4 of size ``dt``, or shorter
-    where a cap binds. With ``tol`` they are DOP853 steps (``_Dop853Step``)
-    and ``dt`` is the largest step. The velocities at the end of a step are
+    where a cap binds, the nearest observer's included. With ``tol`` they
+    are DOP853 steps (``_Dop853Step``) and ``dt`` is the largest step. The velocities at the end of a step are
     its 13th stage and the next step's first; the combined 5th/3rd-order
     estimate, the largest over the components, needs no more. It holds an
     observer's log g' to tol / d, d < 1 the observer's distance to its
@@ -804,10 +814,12 @@ def evolve(
 
     With ``tol`` the flow also takes the end of a closing gap d in
     Sundman's clock tau, dt/dtau = d: the smallest driving gap, or else the
-    gap from the nearest observer whose cap is in force (d < 1) to its
+    gap from the nearest observer within 1 of the real line (d < 1) to its
     nearest driving point x_c. At a state where d closes at the rate d' < 0,
     a gap that closes as sqrt(t* - t) reaches 0 at t + d / (2 |d'|); when
-    that lies within ``TAIL_SHARE`` of the time so far, the pair is fixed
+    that lies within ``TAIL_SHARE`` of the time so far, or, for the
+    observer's gap, where its cap is below the step the other rules allow
+    and that end comes before a closing driving gap's, the pair is fixed
     and the steps are taken in tau: each stage's velocities are scaled by
     its d, t is a component of the state, of the error estimate and of the
     interior states' rule, and dt, the caps and the proposed step are
@@ -904,8 +916,20 @@ def evolve(
         for d, i in near:
             if d < d_near and i != dying:
                 d_near, i_near = d, i
+        # with tol, the gap from the nearest observer within 1 of the real
+        # line to its nearest driving point, and that gap's rate: where it
+        # closes the observer's cap bounds no step, but where the cap would
+        # bind it may switch the flow to tau (below)
+        watched = None
         if i_near is not None:
-            h = min(h, TRACK_CAP_COEFF * d_near * d_near / clock)
+            cap = TRACK_CAP_COEFF * d_near * d_near / clock
+            if tol is not None:
+                pos = nq + live.index(i_near)
+                z = complex(p[pos])
+                watched = (min(range(n), key=lambda k: abs(z - x[k])), n + pos)
+                watched_rate = _closing_rate(x, p, vel, watched)
+            if watched is None or watched_rate >= 0.0:
+                h = min(h, cap)
         if pair != closing:
             h = min(h, GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)) / clock)
         if closing is None:
@@ -920,24 +944,25 @@ def evolve(
             collision_note = f"collision at t={t:.12g}: {_pair_note(x, q, pair)}"
             break
         if tol is not None and closing is None:
-            # the driving gap, then the gap from the nearest observer whose
-            # cap is in force to its nearest driving point
-            trials = [] if pair is None else [(gap, pair)]
-            if i_near is not None:
-                pos = nq + live.index(i_near)
-                z = complex(p[pos])
-                trials.append((d_near, (min(range(n), key=lambda k: abs(z - x[k])), n + pos)))
-            for d, trial in trials:
-                # a gap that closes as sqrt(t* - t) reaches 0 at t + d / (2 |rate|)
-                rate = _closing_rate(x, p, vel, trial)
-                if rate < 0.0 and -0.5 * d / rate < TAIL_SHARE * t:
-                    closing, clock, h_next = trial, d, h_next / d
-                    break
-            if closing is not None:
-                if closing[1] >= n + nq:
+            # a gap that closes as sqrt(t* - t) reaches 0 at t + d / (2 |rate|):
+            # the driving gap switches where that lies within TAIL_SHARE of
+            # the time so far; the watched observer's gap there too, or where
+            # its cap would bind and it ends before a closing driving gap
+            gap_end = math.inf
+            if pair is not None:
+                rate = _closing_rate(x, p, vel, pair)
+                if rate < 0.0:
+                    gap_end = -0.5 * gap / rate
+                    if gap_end < TAIL_SHARE * t:
+                        closing, clock = pair, gap
+            if closing is None and watched is not None and watched_rate < 0.0:
+                watched_end = -0.5 * d_near / watched_rate
+                if watched_end < TAIL_SHARE * t or (cap < h and watched_end < gap_end):
                     # the observer carries W = log g' + log(g - x_c) from here
-                    dying = i_near
+                    closing, dying, clock = watched, i_near, d_near
                     p = _carried(p, x, closing, n, m, 1)
+            if closing is not None:
+                h_next /= clock
                 tail.append((len(states) - 1, [(0.0, clock)]))
                 continue
         if closing is not None:

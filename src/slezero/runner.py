@@ -264,8 +264,9 @@ def verify(scene: SceneConfig, suite: str = "all", seed: int = 1234) -> tuple[bo
     if suite in ("all", "invariance"):
         checks.extend(_suite_invariance(scene, flow_divisor, seed))
     if suite in ("all", "motion", "equivalence"):
-        # one evolution serves both suites; the observers ride along, and
-        # their step cap can only refine the grid the hull interpolates
+        # one evolution serves both suites; the observers ride along and
+        # change only the time grid the hull interpolates: by their caps,
+        # their share of the error estimate and their tails in tau
         lo = scene.loewner
         tracked = lo.tracked or (_fallback_observer(flow_divisor),)
         evolution = loewner.evolve(flow_divisor, lo.T, lo.dt, scene.rates, tracked, lo.tol)

@@ -238,31 +238,55 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
     while t < T:
         live = [i for i, d in enumerate(death) if d is None]
         pos = None if dying is None else live.index(dying)
-        gap = min([abs(a - b) for j, a in enumerate(x) for b in x[j + 1 :]] + [abs(a - b) for a in x for b in q], default=math.inf)
+        # the smallest driving gap, the first in the order of driving point
+        # j, then the driving points after it (part 0), then the marked
+        # points (part 1)
+        pairs = [
+            (abs(x[j] - y[k]), j, part, k)
+            for j in range(len(x))
+            for part, y in ((0, x), (1, q))
+            for k in range(j + 1 if part == 0 else 0, len(y))
+        ]
+        gap, j_gap, part, k_gap = min(pairs, key=lambda e: e[0], default=(math.inf, None, None, None))
         stop = next((b for b in breaks if b > t), T)
         remaining = stop - t
         h = min(dt / clock, h_next, loewner.GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)) / clock)
         dists = [(min(abs(g[i] - xj) for xj in x), i) for i in live if i != dying]
         d_near, i_near = min(dists, default=(1.0, None))
+        g0 = [g[i] for i in live]
+        w0 = [big_w if i == dying else w[i] for i in live]
+        v1, c1 = velocities(x, q, g0, w0, rates, pos)
         if d_near < 1.0:
-            h = min(h, loewner.TRACK_CAP_COEFF * d_near * d_near / clock)
+            cap = loewner.TRACK_CAP_COEFF * d_near * d_near / clock
+            c_near = min(range(len(x)), key=lambda k: abs(g[i_near] - x[k]))
+            at = live.index(i_near)
+            rate_near = closing_rate(x[c_near], g0[at], v1[0][c_near], v1[2][at])
+            # with tol the cap bounds the steps of an opening gap only
+            if tol is None or rate_near >= 0.0:
+                h = min(h, cap)
         if dying is None:
             h = min(h, remaining)
             if h < remaining and remaining - h < 1e-6 * h:
                 h = remaining
         if gap < loewner.COLLISION_TOL or (dying is None and t + h == t):
             break
-        g0 = [g[i] for i in live]
-        w0 = [big_w if i == dying else w[i] for i in live]
-        v1, c1 = velocities(x, q, g0, w0, rates, pos)
-        if dying is None and tol is not None and d_near < 1.0:
-            c_near = min(range(len(x)), key=lambda k: abs(g[i_near] - x[k]))
-            at = live.index(i_near)
-            rate = closing_rate(x[c_near], g0[at], v1[0][c_near], v1[2][at])
-            if rate < 0.0 and -0.5 * d_near / rate < loewner.TAIL_SHARE * t:
-                dying, c, clock, h_next = i_near, c_near, d_near, h_next / d_near
-                big_w = w[dying] + cmath.log(g[dying] - x[c])
-                continue
+        if dying is None and tol is not None:
+            # this loop takes no driving tail: a flow that would switch to
+            # one is not a flow it can check
+            gap_end = math.inf
+            if j_gap is not None:
+                rate = closing_rate(x[j_gap], (x, q)[part][k_gap], v1[0][j_gap], v1[part][k_gap])
+                if rate < 0.0:
+                    gap_end = -0.5 * gap / rate
+                    assert not gap_end < loewner.TAIL_SHARE * t
+            if d_near < 1.0 and rate_near < 0.0:
+                # the observer's death is predicted soon, or its cap would
+                # bind and the driving gap does not close first
+                end = -0.5 * d_near / rate_near
+                if end < loewner.TAIL_SHARE * t or (cap < h and end < gap_end):
+                    dying, c, clock, h_next = i_near, c_near, d_near, h_next / d_near
+                    big_w = w[dying] + cmath.log(g[dying] - x[c])
+                    continue
         if dying is not None:
             rate = closing_rate(x[c], g0[pos], v1[0][c], v1[2][pos])
             if rate >= 0.0:
@@ -571,14 +595,15 @@ class TestSingleCurve:
 
     def test_an_observer_whose_gap_reopens_returns_to_t(self):
         # 1e-6 + 1.5i passes the slit's tip near t = 0.5625 at a gap of about
-        # 2e-3: the tail its closing predicts ends when the gap reopens, and
-        # the observer lives on in t. t-steps all the way took 6,445 states,
-        # with drifts of 4.80e-11 and 5.08e-11
+        # 2e-3: the tail that starts where its closing gap's cap would bind
+        # (t = 0.314) runs past the closest approach and ends when the gap
+        # reopens, and the observer lives on in t. t-steps all the way took
+        # 6,445 states, with drifts of 4.80e-11 and 5.08e-11
         scene = single_curve_scene()
         lo = scene.loewner
         ev = evolve(scene.divisor, lo.T, lo.dt, scene.rates, (1e-6 + 1.5j,), lo.tol)
-        ((first, _),) = ev.tail
-        assert 0.55 < ev.states[first].t < 0.5625 and tau_steps(ev) > 0
+        ((first, seg),) = ev.tail
+        assert 0.31 < ev.states[first].t < 0.5625 < ev.states[first + len(seg) - 1].t and tau_steps(ev) > 0
         (rep,) = motion_integral(ev)
         assert rep.alive and ev.final.t == 1.0
         assert len(ev.states) <= 6445
@@ -683,7 +708,7 @@ class TestObservers:
         for tol in (None, 1e-12):
             for ev in evolve_matching_the_scalar_loop(monkeypatch, repelling_pair(), 0.25, 1e-3, BREAK_RATES, tracked, tol):
                 assert [st.t for st in ev.states].count(BREAK) == 2
-                assert ev.rejected == 0
+                assert ev.rejected == (0 if tol is None else 5)
                 assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
     def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
@@ -698,21 +723,22 @@ class TestObservers:
                 assert ev.death_times[0] == pytest.approx(0.25, abs=1e-9)
                 assert ev.death_times[1:3] == [None, None]
                 assert ev.death_times[3] == pytest.approx(2.5e-7, rel=1e-6)
-                assert ev.rejected == (0 if tol is None else 1)
-                # t-steps to both deaths took 3,637 states
+                assert ev.rejected == (0 if tol is None else 3)
+                # t-steps to both deaths took 3,637 states, and capped
+                # DOP853 steps 617
                 assert len(ev.tail) == (0 if tol is None else 2)
-                assert tol is None or ev.steps < 1000
+                assert tol is None or ev.steps < 100
                 reports = motion_integral(ev)
                 assert [r.alive for r in reports] == [False, True, True, False]
                 assert report_bits(reports) == scalar_reports(ev)
 
     def test_a_tail_cut_at_the_horizon_matches_the_scalar_loop_bit_for_bit(self, monkeypatch):
         # 1.41421357i reaches the driving point at t = 0.50000001, past T:
-        # its tail's last tau-step ends at T on its dense output, and the
-        # observer lives
+        # its tail, from where its cap would bind (t = 0.256), has its last
+        # tau-step end at T on its dense output, and the observer lives
         for ev in evolve_matching_the_scalar_loop(monkeypatch, single_curve(), 0.5, 0.5, None, (1.41421357j,), 1e-13):
             ((first, seg),) = ev.tail
-            assert ev.states[first].t > 0.495 and first + len(seg) == len(ev.states)
+            assert ev.states[first].t > 0.25 and first + len(seg) == len(ev.states)
             assert ev.final.t == 0.5 and ev.death_times == [None]
 
     def test_a_flow_that_starts_on_arrays_stays_on_them_bit_for_bit(self, monkeypatch):
@@ -1001,14 +1027,15 @@ class TestSundmanTail:
         assert np.array_equal(x0, -x1)
 
     def test_an_observer_tail_and_a_collision_tail_in_one_flow(self):
-        # 0.98 + 0.2i passes close by curve 1's tip near t = 0.01: the tail
-        # that its closing gap starts ends when the gap reopens, and the
-        # collision at 1/4 takes a tail of its own. On the intervals of
-        # both, the driving paths keep to x = sqrt(1 - 4t)
+        # 0.98 + 0.2i passes close by curve 1's tip near t = 0.01: its
+        # closing gap's cap would bind from the start, where it starts a
+        # tail that ends when the gap reopens, and the collision at 1/4
+        # takes a tail of its own. On the intervals of both, the driving
+        # paths keep to x = sqrt(1 - 4t)
         ev = evolve(colliding_pair(), 0.3, 0.3, tracked=(0.98 + 0.2j,), tol=1e-12)
         (first, near_miss), (second, _) = ev.tail
         last = first + len(near_miss) - 1
-        assert 0.0099 < ev.states[first].t < ev.states[last].t < 0.0101
+        assert ev.states[first].t == 0.0 and 0.0099 < ev.states[last].t < 0.0101
         # the closest approach lies inside the tail, which ends on a step
         # where the gap opens again
         gaps = [abs(z - st.x[1]) for st, z in zip(ev.states, ev.g[:, 0])]
@@ -1108,12 +1135,32 @@ class TestSundmanTail:
             div = transport(sc.divisor, HALF_PLANE)[0]
             ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
             assert ev.tail == []
-        # the built-in scene's observer dies: its gap closes, in tau
+        # the built-in scene's observer dies: its gap closes, in tau from
+        # where its cap would bind
         sc = single_curve_scene()
         lo = sc.loewner
         ev = evolve(sc.divisor, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
         ((first, _),) = ev.tail
-        assert 0 < tau_steps(ev) < 30 and ev.states[first].t > 0.99
+        assert 0 < tau_steps(ev) < 50 and ev.states[first].t > 0.75
+
+    def test_a_closing_observer_goes_into_tau_where_its_cap_would_bind(self):
+        # under tol the observer cap bounds the steps of an opening gap only.
+        # With it on both sides the built-in scene took 303 steps (drift
+        # 1.4e-14), and the near miss, fig1 with one more observer at its
+        # curve-0 hull tip at t = 0.005, 7,972 states (drift 8.0e-8)
+        sc = single_curve_scene()
+        lo = sc.loewner
+        ev = evolve(sc.divisor, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+        assert ev.steps < 200 and abs(ev.death_times[0] - 1.0) <= 1e-13
+        assert motion_integral(ev)[0].max_rel_drift <= 1.4e-14
+        sc = preset("fig1")
+        lo = sc.loewner
+        div, _ = transport(sc.divisor, HALF_PLANE)
+        ev = evolve(div, lo.T, lo.dt, sc.rates, lo.tracked + (0.3760522265392442 + 0.13911529328758238j,), lo.tol)
+        assert len(ev.states) < 3000
+        start, end = ev.collision
+        assert start <= 0.0486540451248 <= end
+        assert motion_integral(ev)[-1].max_rel_drift < 1.2e-7
 
 
 class TestHull:
@@ -1223,7 +1270,23 @@ class TestHull:
             trace_hull(ev, [0.5])
 
 
+COORDS = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
 class TestCollision:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(COORDS, min_size=1, max_size=5), st.lists(st.builds(complex, COORDS, COORDS), max_size=4))
+    def test_the_smallest_gap_names_the_first_pair_at_it(self, x, q):
+        # _min_gap skips the marked points above the best gap, yet names the
+        # pair that a scan of every pair finds first, ties included: by j,
+        # then its driving points k > j, then the marked points, n + l
+        best, pair = math.inf, None
+        for j in range(len(x)):
+            for k, other in enumerate(x[j + 1 :] + q, j + 1):
+                if abs(x[j] - other) < best:
+                    best, pair = abs(x[j] - other), (j, k)
+        assert loewner._min_gap(x, q) == (best, pair)
+
     def test_bracketed_at_quarter(self):
         ev = evolve(colliding_pair(), 0.3, 1e-4)
         assert ev.collision is not None
