@@ -16,10 +16,10 @@ observers, which the common field carries, and the observers' log g' are a
 list of Python complex numbers or, where that costs less, one complex array
 for the whole flow (``_on_arrays``). Array code holds complex numbers as
 complex arrays, with one quotient kernel (``_quotients``, summed by
-``_in_order``), the stage combinations of the two steps (``_rk4_array``,
-``_weighted``) and one cubic Hermite (``_hermite``); scalar code
-(``dlog_Z``, the closing gap, the states) reads the marked points out as
-Python numbers. Both paths give the same bits: numpy's complex sums, real-scalar products and
+``_in_order``), one stage combination (``_weighted``) and one cubic
+Hermite (``_hermite``); scalar code (``dlog_Z``, the closing gap, the
+states) reads the marked points out as Python numbers. Both paths give
+the same bits: numpy's complex sums, real-scalar products and
 ``np.hypot(re, im)`` round as CPython's complex arithmetic and ``abs``,
 quotients are CPython's (``_quotients``) and sums run in its order.
 ``np.abs`` of a complex array is not ``abs`` (it differs in the last place
@@ -27,12 +27,13 @@ for about a third of random values), so it is not used. The motion
 integral's logarithms and phases are numpy's, not libm's: an ulp apart on
 some arguments, depending on the machine (``_drifts``).
 
-The points are integrated together with a fixed-size classical 4th-order
-step, or, with an error bound, with Dormand-Prince 8(5,3) steps (Hairer,
-Norsett and Wanner, Solving ODEs I, II.10), sized by their combined 5th-
-and 3rd-order estimate; the step size is capped quadratically in the
-smallest point gap so that collisions are approached geometrically instead
-of being overshot, and steps end exactly on the breakpoints of the rates.
+The points are integrated together by one Runge-Kutta step on the rows of
+a tableau: fixed-size classical 4th-order steps (Hairer, Norsett and
+Wanner, Solving ODEs I, II.1) or, with an error bound, Dormand-Prince
+8(5,3) steps (II.10), sized by their combined 5th- and 3rd-order
+estimate; the step size is capped quadratically in the smallest point gap
+so that collisions are approached geometrically instead of being
+overshot, and steps end exactly on the breakpoints of the rates.
 The observers' log g' is stepped with them, a component of the same state,
 so the error estimate and the dense output cover it as they cover g. The
 states of an error-controlled flow are recorded at its step ends and,
@@ -165,6 +166,10 @@ _DENSE = np.array((
 ))
 # the stages whose dense-output weights are not all zero
 _DENSE_STAGES = tuple(np.flatnonzero(_DENSE.any(axis=0)).tolist())
+# classical RK4 (Solving ODEs I, II.1), rows as DOP_A's; its end row is
+# taken with the step h / 6.0, as the weights 1/6, 1/3 would round apart
+RK4_A = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+RK4_B = (1.0, 2.0, 2.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,6 @@ def _velocities(
     bits. A point on a driving point gets NaN velocities on both."""
     arrays = isinstance(p, np.ndarray)
     dx = divisors.dlog_Z(x, p[:nq].tolist() if arrays else p[:nq], s, rates)
-    c = [2.0 * r for r in rates]
     field_end = len(p) - m
     observers = field_end - m
     if arrays:
@@ -286,11 +290,11 @@ def _velocities(
             bi = np.empty_like(br)
             bi[:, :field_end] = z.imag
             np.add(cross, cross, out=bi[:, field_end:])
-        # the scalar sums start from 0j, which turns a zero sum's -0.0 into 0.0
-        dp = 0.0 + _in_order(_quotients(np.array(c)[:, None], br, bi))
+        # from 0j, as the scalar sums start
+        dp = _in_order(_quotients(_column(tuple(rates)), br, bi), 0j)
         np.negative(dp[field_end:], out=dp[field_end:])
         return dx, dp
-    dp, log_rates = [], []
+    dp, log_rates, c = [], [], [2.0 * r for r in rates]
     try:
         for z in p[:observers]:
             total = 0j
@@ -311,32 +315,23 @@ def _velocities(
     return dx, dp + log_rates
 
 
+@functools.lru_cache(maxsize=64)
+def _column(rates: tuple[float, ...]) -> np.ndarray:
+    """The 2 nu_k of ``rates`` as a column, read only: every call shares it."""
+    column = np.array([2.0 * r for r in rates])[:, None]
+    column.setflags(write=False)
+    return column
+
+
 def _on_arrays(n: int, observers: int) -> bool:
     """Whether the flow of ``n`` driving points and ``observers`` live
     observers runs on arrays. Per observer, the loop pays n quotients for
     its field and n for the rate of its log g' per evaluation, and more in
-    the shifts and the RK4 sum; the arrays pay per evaluation. On 60-step
+    the stage combinations; the arrays pay per evaluation. On 60-step
     flows (median of 15 interleaved pairs, 2-vCPU x86-64, two runs) the
     arrays win from about 34, 28, 26, 22 and 14 observers at 1, 2, 3, 5 and
     10 driving points; this switches at 34, 30, 28, 24 and 17."""
     return (n + 8) * observers >= ARRAY_QUOTIENTS
-
-
-def _shift(y: list, k: list, h: float) -> list:
-    return [a + h * b for a, b in zip(y, k)]
-
-
-def _rk4(y: list, k1: list, k2: list, k3: list, k4: list, h: float) -> list:
-    h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
-def _shift_array(y: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
-    return y + h * k
-
-
-def _rk4_array(y: np.ndarray, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray, h: float) -> np.ndarray:
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _separation(x: Sequence, p: Sequence, pair: tuple[int, int]):
@@ -356,42 +351,48 @@ def _closing_rate(x: Sequence[float], p: Sequence[complex], vel: tuple[list, lis
 
 def _terms(row: Sequence[float]) -> tuple:
     """The stages of a weight row whose weight is not zero, its first
-    weight, the others, and all of them as a column."""
+    weight, the others, all of them as a column, and the stages as an
+    index of an array of them: a slice where they follow each other."""
     index = tuple(i for i, c in enumerate(row) if c)
     weights = [row[i] for i in index]
-    return index, weights[0], tuple(weights[1:]), np.array(weights)[:, None]
+    rows = slice(index[0], index[-1] + 1) if index == tuple(range(index[0], index[-1] + 1)) else list(index)
+    return index, weights[0], tuple(weights[1:]), np.array(weights)[:, None], rows
 
 
 def _weighted(ks, terms: tuple):
     """sum_i c_i k_i over the stages ``ks`` and the ``_terms`` of a weight
     row, in stage order: a list if the stages are lists, else an array.
     ``ks`` is a list of stages or, for arrays, one array of them."""
-    index, c0, rest, column = terms
-    k0 = ks[index[0]]
-    if not isinstance(k0, np.ndarray):
+    index, c0, rest, column, rows = terms
+    if isinstance(ks, list):
         # each sum starts from its first term, as the arrays' do
         return [sum(map(operator.mul, rest, v[1:]), c0 * v[0]) for v in zip(*[ks[i] for i in index])]
-    if len(index) > 3 and k0.size > 1:
+    if len(index) > 3 and ks.shape[1] > 1:
         # from 4 rows and 2 columns the axis-0 sum adds the rows in order,
         # and -0.0 changes no addend (``_common_field``)
-        rows = ks[list(index)] if isinstance(ks, np.ndarray) else np.array([ks[i] for i in index])
-        return (column * rows).sum(axis=0, initial=complex(-0.0, -0.0))
-    total = c0 * k0
+        return (column * ks[rows]).sum(axis=0, initial=complex(-0.0, -0.0))
+    total = c0 * ks[index[0]]
     for c, i in zip(rest, index[1:]):
         total = total + c * ks[i]
     return total
 
 
 def _combine(y, ks: list, terms: tuple, h: float):
-    """y + h sum_i c_i k_i, on a list or an array ``y``."""
-    total = _weighted(ks, terms)
+    """y + h sum_i c_i k_i, on a list or an array ``y``. A row of one
+    weight that is a power of two, as RK4's stages, takes y + (h c) k, as
+    the classical step writes y + h/2 k: the same bits, one pass fewer."""
+    index, c0, rest = terms[:3]
+    if not rest and math.frexp(c0)[0] == 0.5:
+        h, total = h * c0, ks[index[0]]
+    else:
+        total = _weighted(ks, terms)
     return y + h * total if isinstance(y, np.ndarray) else [a + h * b for a, b in zip(y, total)]
 
 
 def _finite(*parts) -> bool:
-    """Whether every component of ``parts`` is finite: each a list of
-    floats or complex numbers, or a complex array."""
-    return all(bool(np.isfinite(a).all()) if isinstance(a, np.ndarray) else cmath.isfinite(sum(a)) for a in parts)
+    """Whether every component of ``parts``, each a list of floats or complex
+    numbers or a complex array, is finite; tested alone, as sums overflow."""
+    return all(bool(np.isfinite(a).all()) if isinstance(a, np.ndarray) else all(map(cmath.isfinite, a)) for a in parts)
 
 
 def _not_finite(t: float, h: float, gap: float) -> InversionFailureError:
@@ -447,39 +448,40 @@ def _pieces(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _rk4_step(x: list[float], p, vel: tuple, h: float, s: Sequence[float], nq: int, rates: Sequence[float], m: int):
-    """The end of a classical RK4 step of size h in t from (x, p), whose
-    velocities are ``vel``."""
-    shift, rk4 = (_shift_array, _rk4_array) if isinstance(p, np.ndarray) else (_shift, _rk4)
-    h2 = h / 2
-    k1 = vel
-    k2 = _velocities(_shift(x, k1[0], h2), shift(p, k1[1], h2), s, nq, rates, m)
-    k3 = _velocities(_shift(x, k2[0], h2), shift(p, k2[1], h2), s, nq, rates, m)
-    k4 = _velocities(_shift(x, k3[0], h), shift(p, k3[1], h), s, nq, rates, m)
-    return _rk4(x, k1[0], k2[0], k3[0], k4[0], h), rk4(p, k1[1], k2[1], k3[1], k4[1], h)
-
-
 # the stages' rows, the end's and the estimates', by their nonzero weights
 _STAGE_TERMS = tuple(_terms(row) for row in DOP_A[1:])
 _B_TERMS, _E5_TERMS, _E3_TERMS = _STAGE_TERMS[11], _terms(DOP_E5), _terms(DOP_E3)
+# the tableaux of _Step: the stages' rows, the end's row and the divisor of
+# h that the end is taken with, and the dense output's extra stages
+_RK4 = (tuple(_terms(row) for row in RK4_A[1:]), _terms(RK4_B), 6.0, ())
+_DOP853 = (_STAGE_TERMS[:11], _B_TERMS, 1.0, _STAGE_TERMS[12:])
 
 
-class _Dop853Step:
-    """One DOP853 step of size h in the step variable sigma from the state
-    (t, x, p), whose velocities d/dt ``vel`` and clock dt/dsigma ``clock``
-    are its stage 0; p holds the nq marked points, the m live observers and
-    their log g'. ``pair`` names the closing pair in tau, or is None in t.
-    Stages 1 to 11 and the end (t1, x1, p1) are taken at once, the end's
-    velocities (stage 12) by ``finish`` and the dense output's three stages
-    by ``extend``. The stages carry one state y: x, then p, then in tau t,
-    a list or, with p an array, a complex array. Each keeps its state and
-    its velocities d/dsigma, dt/dsigma being the clock. Where ``pair``
-    holds an observer, that one dies in the tail and its log g' component
-    carries W = log g' + log(g - x_c), whose rate is ``_w_rate``."""
+def _estimate(h, e5, e3):
+    """DOP853's combined estimate h e5 / sqrt(1 + 0.01 (e3 / e5)^2) of the
+    local error from its largest 5th- and 3rd-order estimates e5 and e3,
+    floats or arrays of them; 0 where e5 = 0, whose ratio is e3 / 1."""
+    ratio = e3 / (e5 + (e5 == 0.0))
+    return h * e5 / np.sqrt(1.0 + 0.01 * ratio * ratio)
 
-    def __init__(self, t: float, x: list[float], p, vel: tuple, clock: float, h: float, s, nq, rates, m, pair):
-        self.t, self.h, self.n = t, h, len(x)
-        self.args = (s, nq, rates, m, pair)
+
+class _Step:
+    """One Runge-Kutta step of size h in the step variable sigma on the rows
+    of ``tableau`` (``_RK4`` or ``_DOP853``) from the state (t, x, p), whose
+    velocities d/dt ``vel`` and clock dt/dsigma ``clock`` are its stage 0; p
+    holds the nq marked points, the m live observers and their log g', and
+    ``pair`` names the closing pair in tau (None in t). The stages and the
+    end (t1, x1, p1) come at once, the end's velocities from ``finish`` and
+    DOP853's dense-output stages from ``extend``. Each stage's state y is x,
+    p and in tau t, a list or a complex array, its velocities d/dsigma a row
+    of ``ks``. Where ``pair`` holds an observer, that one dies in the tail
+    and its log g' component carries W = log g' + log(g - x_c) (``_w_rate``)."""
+
+    def __init__(self, tableau, t: float, x: list[float], p, vel: tuple, clock: float, h: float, s, nq, rates, m, pair):
+        stages, end, divisor, self.extra = tableau
+        self.t, self.h, self.n, self.pair = t, h, len(x), pair
+        # p's end in y, and the arguments of _velocities after x and p
+        self.end, self.evaluation = len(x) + len(p), (s, nq, rates, m)
         self.arrays = isinstance(p, np.ndarray)
         # t's component in tau
         self.tail = [] if pair is None else [-1]
@@ -487,80 +489,85 @@ class _Dop853Step:
         self.dying = None
         if pair is not None and pair[1] >= self.n + nq:
             self.dying = (pair[1], pair[1] + m, pair[0], [2.0 * r for r in rates])
-        # the estimate's factor per component: an observer's log g' is held to
-        # tol / d, d < 1 its distance to the nearest driving point, the error
-        # that tol in g gives log(g - x_k); 1 elsewhere, W included
-        self.scale = [1.0] * (len(x) + len(p) + len(self.tail))
-        for d, pos in (_near_array if self.arrays else _near)(x, p[nq : nq + m], range(m)):
-            slot = self.n + nq + m + pos
-            if d < 1.0 and (self.dying is None or slot != self.dying[1]):
-                self.scale[slot] = d
-        if self.arrays:
-            self.scale = np.array(self.scale)
-        self.ys, self.ks = [], []
-        self._add(self._join(x, p, t), x, vel, clock)
-        for terms in _STAGE_TERMS[:11]:
-            self._stage(_combine(self.ys[0], self.ks, terms, h))
-        self.y1 = _combine(self.ys[0], self.ks, _B_TERMS, h)
+        self.y0 = y0 = self._join(x, p, t)
+        # the end's velocities are row ``last`` of ks
+        self.last, self.filled = len(stages) + 1, 0
+        rows = self.last + 1 + len(self.extra)
+        self.ks = np.empty((rows, len(y0)), dtype=complex) if self.arrays else [None] * rows
+        self._stage(y0, (x, p), vel, clock)
+        for terms in stages:
+            self._stage(_combine(y0, self.ks, terms, h))
+        self.y1 = _combine(y0, self.ks, end, h / divisor)
         self.x1, self.p1 = self._split(self.y1)
         self.t1 = t + h if pair is None else float(self.y1[-1].real)
 
     def _join(self, x: list, p, t: float):
-        y = (x, p, [t][: len(self.tail)])
-        return np.concatenate(y) if self.arrays else x + p + y[2]
+        if not self.arrays:
+            return x + p + [t][: len(self.tail)]
+        return np.concatenate((x, p, [t]) if self.tail else (x, p))
 
     def _split(self, y) -> tuple:
-        n, end = self.n, len(y) - len(self.tail)
-        return (y[:n].real.tolist(), y[n:end]) if self.arrays else (y[:n], y[n:end])
+        n = self.n
+        return y[:n].real.tolist() if self.arrays else y[:n], y[n : self.end]
 
-    def _stage(self, y) -> tuple[tuple, float]:
-        """Evaluates the stage at the state ``y``: its velocities d/dt and
-        its clock, the gap of the closing pair in tau."""
-        x, p = self._split(y)
-        s, nq, rates, m, pair = self.args
-        v = _velocities(x, p, s, nq, rates, m)
-        c = 1.0 if pair is None else abs(_separation(x, p, pair))
-        self._add(y, x, v, c)
-        return v, c
-
-    def _add(self, y, x: list[float], v: tuple, c: float) -> None:
-        self.ys.append(y)
-        k = self._join(*v, 1.0)
+    def _stage(self, y, parts: tuple | None = None, v: tuple | None = None, c: float = 1.0) -> tuple[tuple, float]:
+        """The stage at the state ``y`` (x and p: ``parts``): its velocities
+        d/dt ``v`` and clock ``c`` (the closing gap in tau) unless given, and
+        their product, the next row of ``ks``."""
+        x, p = parts or self._split(y)
+        if v is None:
+            v = _velocities(x, p, *self.evaluation)
+            c = 1.0 if self.pair is None else abs(_separation(x, p, self.pair))
+        if self.arrays:
+            k = self.ks[self.filled]
+            k[: self.n], k[self.n : self.end] = v
+        else:
+            k = self.ks[self.filled] = self._join(*v, 1.0)
         if self.dying is not None:
             g, w, j, coeffs = self.dying
             k[w] = _w_rate(complex(y[g]), x, coeffs, j, v[0][j])
-        self.ks.append(k if not self.tail else c * k if self.arrays else [c * a for a in k])
+        if self.tail and self.arrays:
+            k[-1] = 1.0
+            k *= c
+        elif self.tail:
+            self.ks[self.filled] = [c * a for a in k]
+        self.filled += 1
+        return v, c
 
     def _gauged(self, y) -> list[float]:
         """The driving points of ``y`` and, in tau, t."""
         index = list(range(self.n)) + self.tail
         return y[index].real.tolist() if self.arrays else [y[i] for i in index]
 
-    def _size(self, terms: tuple) -> float:
+    def _size(self, terms: tuple, scale) -> float:
         """The largest |sum_i c_i k_i| over the components, each times its
         factor in ``scale``."""
         d = _weighted(self.ks, terms)
         if self.arrays:
-            return float((np.hypot(d.real, d.imag) * self.scale).max())
-        return max(map(operator.mul, map(abs, d), self.scale))
+            return float((np.hypot(d.real, d.imag) * scale).max())
+        return max(map(operator.mul, map(abs, d), scale))
 
-    def error(self) -> float:
-        """The combined estimate h e5^2 / sqrt(e5^2 + e3^2 / 100) of the
-        local error, e5 and e3 the largest 5th- and 3rd-order estimates."""
-        e5, e3 = self._size(_E5_TERMS), self._size(_E3_TERMS)
-        if e5 == 0.0:
-            return 0.0
-        ratio = e3 / e5
-        return self.h * e5 / math.sqrt(1.0 + 0.01 * ratio * ratio)
+    def error(self, near: np.ndarray) -> float:
+        """The combined estimate (``_estimate``) of the local error over the
+        components. An observer's log g' is held to tol / d, d < 1 its
+        distance to its nearest driving point (``near``): the error that tol
+        in g gives log(g - x_k); every other component, W included, to tol."""
+        s, nq, rates, m = self.evaluation
+        scale = [1.0] * len(self.y0)
+        scale[self.n + nq + m : self.end] = np.minimum(near, 1.0).tolist()
+        if self.dying is not None:
+            scale[self.dying[1]] = 1.0
+        scale = np.array(scale) if self.arrays else scale
+        return float(_estimate(self.h, self._size(_E5_TERMS, scale), self._size(_E3_TERMS, scale)))
 
     def finish(self) -> tuple[tuple, float]:
-        """The velocities d/dt and the clock at the end: stage 12."""
-        return self._stage(self.y1)
+        """The velocities d/dt and the clock at the end."""
+        return self._stage(self.y1, (self.x1, self.p1))
 
     def extend(self) -> None:
-        """Stages 13 to 15, which only the dense output reads."""
-        for terms in _STAGE_TERMS[12:]:
-            self._stage(_combine(self.ys[0], self.ks, terms, self.h))
+        """The dense output's extra stages, which only it reads."""
+        for terms in self.extra:
+            self._stage(_combine(self.y0, self.ks, terms, self.h))
 
     def cut(self, stop: float) -> float:
         """The fraction u of this tau-step at which its dense output
@@ -578,7 +585,7 @@ class _Dop853Step:
         ``bound`` of it. Its gap at the step's midpoint, over the driving
         points and, in tau, t, falls as the fourth power of the piece."""
         h = self.h
-        ends = (self.ys[0], self.y1, self.ks[0], self.ks[12], _weighted(self.ks, _MIDPOINT))
+        ends = (self.y0, self.y1, self.ks[0], self.ks[self.last], _weighted(self.ks, _MIDPOINT))
         # the cubic Hermite at u = 1/2 is the mean of the ends plus h/8 times
         # the difference of their slopes
         gap = max(
@@ -593,8 +600,8 @@ class _Dop853Step:
         and the clocks dt/dsigma, the velocities and the clocks from its
         slope."""
         n, h = self.n, self.h
-        ks = np.array(self.ks, dtype=complex)
-        y = np.asarray(self.ys[0], dtype=complex) + h * _on_stages(weights, ks)
+        ks = np.asarray(self.ks, dtype=complex)
+        y = np.asarray(self.y0, dtype=complex) + h * _on_stages(weights, ks)
         slope = _on_stages(slopes, ks).real
         x, p = y[:, :n].real, y[:, n : y.shape[1] - len(self.tail)]
         if not self.tail:
@@ -643,27 +650,18 @@ def starts_on(z: complex, point: complex) -> bool:
     return math.hypot((z - point).real, (z - point).imag) < COLLISION_TOL
 
 
-def _near(
-    x: Sequence[float], g: Sequence[complex], live: Sequence[int]
-) -> list[tuple[float, int]]:
-    """(distance to the nearest driving point, observer) for each live
-    observer ``live[i]`` at ``g[i]`` within height 1 of the real line.
-
-    The others are at least 1 away from every (real) driving point, where
-    neither the observer cap nor a death can concern them.
-    """
-    return [(min(abs(z - xj) for xj in x), i) for i, z in zip(live, g) if abs(z.imag) < 1.0]
-
-
-def _near_array(x: Sequence[float], g: np.ndarray, live: Sequence[int]) -> list[tuple[float, int]]:
-    """``_near`` for observer images ``g`` in an array: the same distances,
-    as hypot(Re z - x_j, Im z) is abs(z - x_j)."""
-    low = np.flatnonzero(np.abs(g.imag) < 1.0)
-    if not low.size:
-        return []
-    z = g[low]
-    d = np.hypot(z.real - np.array(x)[:, None], z.imag).min(axis=0)
-    return list(zip(d.tolist(), [live[i] for i in low.tolist()]))
+def _near_array(x: Sequence[float], g) -> np.ndarray:
+    """The distance abs(z - x_j) = hypot(Re z - x_j, Im z) from each live
+    observer at z = ``g[i]`` (a list or an array) to its nearest driving
+    point; inf at height 1 or more, where neither the observer cap nor a
+    death can concern it."""
+    z = np.asarray(g, dtype=complex)
+    d = np.full(len(z), math.inf)
+    low = (np.abs(z.imag) < 1.0).nonzero()[0]
+    if low.size:
+        z = z[low]
+        d[low] = np.hypot(z.real - np.array(x)[:, None], z.imag).min(axis=0)
+    return d
 
 
 def _quotients(a: np.ndarray, br: np.ndarray, bi: np.ndarray) -> np.ndarray:
@@ -788,27 +786,28 @@ def evolve(
     its g; the marked points, observers and log g' are a list or, as
     ``_on_arrays`` decides at the start, an array for the whole flow.
 
-    Without ``tol`` the steps are classical RK4 of size ``dt``, or shorter
-    where a cap binds, the nearest observer's included. With ``tol`` they
-    are DOP853 steps (``_Dop853Step``) and ``dt`` is the largest step. The velocities at the end of a step are
-    its 13th stage and the next step's first; the combined 5th/3rd-order
-    estimate, the largest over the components, needs no more. It holds an
-    observer's log g' to tol / d, d < 1 the observer's distance to its
+    Each step is one ``_Step`` on the rows of a tableau, its end's
+    velocities the next step's first stage. Without ``tol`` the rows are
+    classical RK4's and the step is ``dt``, or shorter where a cap binds,
+    the nearest observer's included; with ``tol`` they are DOP853's and
+    ``dt`` is the largest step, and ``tol`` gates the error estimate, the
+    rejections and the dense record, which fixed steps do without. The
+    combined 5th/3rd-order estimate, the largest over the components, holds
+    an observer's log g' to tol / d, d < 1 the observer's distance to its
     nearest driving point: an error tol in g moves log(g - x_k) by tol / d,
     and the rounding of g - x_k alone puts a relative noise of about
     2e-16 |g| / d on the rate of log g', which an estimate held to tol would
     chase into steps below the resolution of t. A step whose estimate
-    exceeds ``tol`` is
-    retried with h max(0.2, 0.9 (tol/err)^(1/8)); an accepted one proposes
-    h min(5, 0.9 (tol/err)^(1/8)). An accepted step also takes the three
-    stages of its 7th-order dense output, and records interior states at
-    equal fractions of it, as many as keep the cubic Hermite of the
-    driving points between recorded states, which ``_DrivingPaths`` reads,
-    within max(tol, the summed estimates so far) of the dense output: an
-    interpolated driving point is no further from the flow than the flow's
-    own error bound. Each interior state is the dense output, log g'
-    included, and its velocities are the dense output's slope. Against a
-    flow at tol 1e-17, the cubic Hermite of the
+    exceeds ``tol`` is retried with h max(0.2, 0.9 (tol/err)^(1/8)); an
+    accepted one proposes h min(5, 0.9 (tol/err)^(1/8)). An accepted step
+    also takes the three stages of its 7th-order dense output, and records
+    interior states at equal fractions of it, as many as keep the cubic
+    Hermite of the driving points between recorded states, which
+    ``_DrivingPaths`` reads, within max(tol, the summed estimates so far)
+    of the dense output: an interpolated driving point is no further from
+    the flow than the flow's own error bound. Each interior state is the
+    dense output, log g' included, and its velocities are the dense
+    output's slope. Against a flow at tol 1e-17, the cubic Hermite of the
     presets' records is then off by at most 1.5e-13 (fig1, before its tail),
     3.3e-14 (fig2) and 6.7e-14 (fig3), where step ends alone are 1e-7 off.
 
@@ -828,29 +827,27 @@ def evolve(
     stops closing, and where a tau-step passes the next breakpoint or T: the
     step ends there instead, at the tau where its dense output reaches it,
     and its dying observer, if any, is held to the death rule in t. At a gap
-    under ``COLLISION_TOL`` the
-    tail ends at the t where the gap reaches 0, extrapolated linearly in
-    tau, t + d / (2 |d'|): a driving collision is bracketed there, plus and
-    minus the summed error estimates of the accepted steps; an observer dies
-    there, and the flow returns to t with a fresh proposal. From the switch
-    the dying observer's component carries W = log g' + log(g - x_c), whose
-    rate is ``_w_rate`` (held to tol by the estimate), its rows get
-    log g' = W - log(g - x_c), and where the flow returns to t with the
-    observer alive its component goes back to log g'. A later closing may
-    start another tail;
-    ``Evolution.tail`` records each segment: its first state and each of
-    its states' tau and dt/dtau.
+    under ``COLLISION_TOL`` the tail ends at the t where the gap reaches 0,
+    extrapolated linearly in tau, t + d / (2 |d'|): a driving collision is
+    bracketed there, plus and minus the summed error estimates of the
+    accepted steps; an observer dies there, and the flow returns to t with
+    a fresh proposal. From the switch the dying observer's component
+    carries W = log g' + log(g - x_c), whose rate is ``_w_rate`` (held to
+    tol by the estimate), its rows get log g' = W - log(g - x_c), and where
+    the flow returns to t with the observer alive its component goes back
+    to log g'. A later closing may start another tail; ``Evolution.tail``
+    records each segment: its first state and each of its states' tau and
+    dt/dtau.
 
     More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
     and rejections, raise ``StepBudgetError``, as does an observer history
-    of more than ``HISTORY_BUDGET`` values (states x observers); a state
+    of more than ``HISTORY_BUDGET`` values (states x observers); a step end
     that is not finite in any component, log g' included, raises
-    ``InversionFailureError`` before its estimate is read.
+    ``InversionFailureError`` before any estimate is read, and so do
+    velocities from the end's on that are not.
     """
     if divisor.domain != HALF_PLANE:
-        raise DegenerateConfigurationError(
-            "evolution runs on the half-plane; transport the divisor first"
-        )
+        raise DegenerateConfigurationError("evolution runs on the half-plane; transport the divisor first")
     if nu is None:
         nu = Parametrization.constant([1.0] * len(divisor.growth))
     if nu.n_curves != len(divisor.growth):
@@ -883,11 +880,9 @@ def evolve(
     p = q + list(tracked) + [0j] * m
     if arrays:
         p = np.array(p, dtype=complex)
-    near_of = _near_array if arrays else _near
-    near = near_of(x, p[nq : nq + m], live)
+    near = _near_array(x, p[nq : nq + m])
     n = len(x)
-    next_break = 0
-    t = 0.0
+    next_break, t = 0, 0.0
     steps = accepted = rejected = 0
     h_next = math.inf  # the step size the error control proposes, in the step variable
     rates = nu.rates(t)
@@ -912,19 +907,23 @@ def evolve(
         # so in sigma they are divided by the clock dt/dsigma; the closing
         # pair's cap is the tau its gap has left (below)
         h = min(h_next, dt / clock)
+        # the nearest observer within 1 of the real line, the first of a
+        # tie, the dying one left out
         d_near, i_near = 1.0, None
-        for d, i in near:
-            if d < d_near and i != dying:
-                d_near, i_near = d, i
-        # with tol, the gap from the nearest observer within 1 of the real
-        # line to its nearest driving point, and that gap's rate: where it
-        # closes the observer's cap bounds no step, but where the cap would
-        # bind it may switch the flow to tau (below)
+        if m:
+            dist = near if dying is None else np.where(np.arange(m) == live.index(dying), math.inf, near)
+            at = int(dist.argmin())
+            if dist[at] < 1.0:
+                d_near, i_near = float(dist[at]), live[at]
+        # with tol, the gap from that observer to its nearest driving point,
+        # and that gap's rate: where it closes the observer's cap bounds no
+        # step, but where the cap would bind it may switch the flow to tau
+        # (below)
         watched = None
         if i_near is not None:
             cap = TRACK_CAP_COEFF * d_near * d_near / clock
             if tol is not None:
-                pos = nq + live.index(i_near)
+                pos = nq + at
                 z = complex(p[pos])
                 watched = (min(range(n), key=lambda k: abs(z - x[k])), n + pos)
                 watched_rate = _closing_rate(x, p, vel, watched)
@@ -983,24 +982,17 @@ def evolve(
                 f"(step {h:.3g}, {rejected} rejected, gap {gap:.3g}{' between ' + note if note else ''})"
             )
 
-        if tol is None:
-            x1, p1 = _rk4_step(x, p, vel, h, s, nq, rates, m)
-            v1 = _velocities(x1, p1, s, nq, rates, m)
-            # NaN fails every comparison, so a collision would not see it; a
-            # finite new state has finite stages
-            if not _finite(x1, p1, *v1):
-                raise _not_finite(t, h, gap)
-            t1, c1, inner, end = t + h, 1.0, None, 1.0
-        else:
-            step = _Dop853Step(t, x, p, vel, clock, h, s, nq, rates, m, closing)
-            x1, p1, t1 = step.x1, step.p1, step.t1
-            # NaN fails every comparison, so neither a collision nor a
-            # rejection would see it: every component of the end, log g' and
-            # t included, is checked before the estimate is read; a finite
-            # new state has finite stages
-            if not _finite(x1, p1, [t1]):
-                raise _not_finite(t, h, gap)
-            err = step.error()
+        step = _Step(_RK4 if tol is None else _DOP853, t, x, p, vel, clock, h, s, nq, rates, m, closing)
+        x1, p1, t1 = step.x1, step.p1, step.t1
+        # NaN fails every comparison, so neither a collision nor a rejection
+        # would see it: every component of the end, log g' and, in tau, t
+        # included, is checked before an estimate is read, and the
+        # velocities from the end's on once taken; a finite new state has
+        # finite stages
+        if not _finite(step.y1):
+            raise _not_finite(t, h, gap)
+        if tol is not None:
+            err = step.error(near)
             scale = 0.9 * (tol / err) ** 0.125 if err > 0.0 else 5.0
             if err > tol:
                 rejected += 1
@@ -1008,11 +1000,13 @@ def evolve(
                 continue
             h_next = h * min(5.0, scale)
             err_sum += err
-            v1, c1 = step.finish()
+        v1, c1 = step.finish()
+        if tol is not None:
             step.extend()
-            if not _finite(*step.ks[12:]):
-                raise _not_finite(t, h, gap)
-            end = 1.0
+        if not _finite(*step.ks[step.last :]):
+            raise _not_finite(t, h, gap)
+        inner, end = None, 1.0
+        if tol is not None:
             if closing is not None and t1 > stop:
                 # a tau-step passed stop: it ends there instead, on its
                 # dense output, with the velocities evaluated there
@@ -1052,13 +1046,17 @@ def evolve(
             if inner is not None:
                 segment.extend((tau + u * h, ck) for u, ck in zip(us.tolist(), inner[4].tolist()))
             segment.extend([(tau + end * h, clock)] * reps)
-        near = near_of(x, p[nq : nq + m], live)
-        # the dying observer too where its tail ended at stop, in t
-        dead = {
-            i: t1
-            for d, i in near
-            if (i != dying or end < 1.0) and (d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1)
-        }
+        near = _near_array(x, p[nq : nq + m])
+        # the death rule in t: within the collision tolerance of a driving
+        # point, or a cap that no longer advances t; for the dying observer
+        # only where its tail ended at stop. It is monotone in the distance:
+        # none dies unless the nearest does
+        dead, d = {}, float(near.min()) if m else math.inf
+        if d < COLLISION_TOL or t1 + TRACK_CAP_COEFF * d * d == t1:
+            doomed = (near < COLLISION_TOL) | (t1 + TRACK_CAP_COEFF * near * near == t1)
+            if dying is not None and end == 1.0:
+                doomed[live.index(dying)] = False
+            dead = {live[pos]: t1 for pos in np.flatnonzero(doomed).tolist()}
         if closing is not None and clock < COLLISION_TOL:
             # the closing gap, linear in tau, reaches 0 at t + gap / (2 |rate|):
             # a collision, bracketed by the summed error estimates, or a death
@@ -1078,7 +1076,7 @@ def evolve(
             rows = list(range(nq)) + [nq + pos for pos in keep] + [nq + m + pos for pos in keep]
             live = [live[pos] for pos in keep]
             m = len(live)
-            near = [e for e in near if death_times[e[1]] is None]
+            near = near[keep]
             if arrays:
                 p, vp = p[rows], vel[1][rows]
             else:
@@ -1214,14 +1212,15 @@ def _common_field(z: np.ndarray, x: np.ndarray, coeff: np.ndarray) -> np.ndarray
     return _in_order(_quotients(coeff, z.real - x, z.imag))
 
 
-def _in_order(q: np.ndarray) -> np.ndarray:
-    """The sum of the rows of ``q``, in order: from 4 rows and 2 columns
-    numpy's axis-0 reduction adds the rows in order; from -0.0, which
-    changes no addend, it is the loop's sum (one column it would sum
-    pairwise, and below 4 rows the loop is cheaper)."""
+def _in_order(q: np.ndarray, start: complex | None = None) -> np.ndarray:
+    """The sum of the rows of ``q``, in order, from ``start`` or else from
+    the first row: from 4 rows and 2 columns numpy's axis-0 reduction adds
+    the rows in order, and from -0.0, which changes no addend, it is the
+    loop's sum (one column it would sum pairwise, and below 4 rows the loop
+    is cheaper)."""
     if len(q) > 3 and q.shape[1] > 1:
-        return q.sum(axis=0, initial=complex(-0.0, -0.0))
-    total = q[0]
+        return q.sum(axis=0, initial=complex(-0.0, -0.0) if start is None else start)
+    total = q[0] if start is None else start + q[0]
     for k in range(1, len(q)):
         total = total + q[k]
     return total
@@ -1337,8 +1336,7 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
         f_end = -2.0 * r_end
         k13 = f_end * _common_field(z1, x_end, coeff)
         e5, e3 = (np.hypot(d.real, d.imag) for d in (_weighted(ks, _E5_TERMS), _weighted(ks, _E3_TERMS)))
-        ratio = e3 / e5
-        err = np.where(e5 == 0.0, 0.0, h * e5 / np.sqrt(1.0 + 0.01 * ratio * ratio))
+        err = _estimate(h, e5, e3)
         # NaN fails every comparison, so neither a rejection nor the end of
         # the solve would see it
         bad = ~np.isfinite(err + z1.real + z1.imag)

@@ -741,6 +741,17 @@ class TestObservers:
             assert ev.states[first].t > 0.25 and first + len(seg) == len(ev.states)
             assert ev.final.t == 0.5 and ev.death_times == [None]
 
+    def test_a_fixed_step_collision_matches_the_scalar_loop_bit_for_bit(self, monkeypatch):
+        # driving point 1 meets the marked point at 0 at t = 1/4: the gap cap
+        # shrinks the fixed steps until they no longer advance t, and the
+        # collision is bracketed from the last state's time to that plus
+        # the smallest gap there
+        for ev in evolve_matching_the_scalar_loop(monkeypatch, colliding_pair(), 0.3, 1e-4, None, (2j,)):
+            last = ev.final
+            gap = min([abs(last.x[0] - last.x[1])] + [abs(xj - ql) for xj in last.x for ql in last.q])
+            assert ev.collision == (last.t, last.t + gap)
+            assert abs(last.t - 0.25) < 1e-9 and ev.rejected == 0 and ev.tail == []
+
     def test_a_flow_that_starts_on_arrays_stays_on_them_bit_for_bit(self, monkeypatch):
         # 18 observers of 10 curves run on arrays; two start just outside the
         # collision tolerance above a driving point and die before t = 1e-15,
@@ -1429,6 +1440,15 @@ class TestEvolveValidation:
             r"gap \S+ between driving point 0 and marked point 0\.97\d+\+\S+i\)$",
         ):
             evolve(div, 0.5, 1e-3)
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_huge_finite_observers_reach_the_horizon_on_lists_and_arrays(self, monkeypatch, tol):
+        # each component is finite, though their sum overflows
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(loewner, "ARRAY_QUOTIENTS", threshold)
+            ev = evolve(single_curve(), 0.01, 0.01, tracked=(1e308j, 1.5e308j), tol=tol)
+            assert ev.final.t == 0.01 and ev.death_times == [None, None]
+            assert [r.max_rel_drift for r in motion_integral(ev)] == [0.0, 0.0]
 
     def test_rate_count_must_match(self):
         with pytest.raises(ValueError, match="one rate schedule"):
