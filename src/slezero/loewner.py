@@ -789,12 +789,14 @@ def evolve(
     Each step is one ``_Step`` on the rows of a tableau, its end's
     velocities the next step's first stage. Without ``tol`` the rows are
     classical RK4's and the step is ``dt``, or shorter where a cap binds,
-    the nearest observer's included; with ``tol`` they are DOP853's and
-    ``dt`` is the largest step, and ``tol`` gates the error estimate, the
-    rejections and the dense record, which fixed steps do without. The
-    combined 5th/3rd-order estimate, the largest over the components, holds
-    an observer's log g' to tol / d, d < 1 the observer's distance to its
-    nearest driving point: an error tol in g moves log(g - x_k) by tol / d,
+    the nearest observer's included; with ``tol`` they are DOP853's, ``dt``
+    is the first step and that of a fresh start after a death in tau, where
+    no step has been proposed, the error control proposes every later one,
+    and ``tol`` gates the error estimate, the rejections and the dense
+    record, which fixed steps do without. The combined 5th/3rd-order
+    estimate, the largest over the components, holds an observer's log g'
+    to tol / d, d < 1 the observer's distance to its nearest driving
+    point: an error tol in g moves log(g - x_k) by tol / d,
     and the rounding of g - x_k alone puts a relative noise of about
     2e-16 |g| / d on the rate of log g', which an estimate held to tol would
     chase into steps below the resolution of t. A step whose estimate
@@ -839,9 +841,11 @@ def evolve(
     records each segment: its first state and each of its states' tau and
     dt/dtau.
 
-    More than ``STEP_BUDGET`` steps, asked for by T/dt or forced by the caps
-    and rejections, raise ``StepBudgetError``, as does an observer history
-    of more than ``HISTORY_BUDGET`` values (states x observers); a step end
+    More than ``STEP_BUDGET`` steps, asked for by T/dt (with ``tol`` too,
+    checked before the first step) or forced by the caps and rejections,
+    raise ``StepBudgetError``, as does an observer history
+    of more than ``HISTORY_BUDGET`` values (states x observers), asked for
+    by T/dt of fixed steps or grown by the states of either; a step end
     that is not finite in any component, log g' included, raises
     ``InversionFailureError`` before any estimate is read, and so do
     velocities from the end's on that are not.
@@ -868,8 +872,10 @@ def evolve(
         )
     # the rates change at these times only; one at or after T never applies
     breaks = [b for b in nu.starts[1:] if b < T]
-    # room for the states of T/dt steps, two at each breakpoint
-    history = _History(tracked, math.ceil(T / dt) + 2 * len(breaks) + 1)
+    # room for the states of T/dt fixed steps, two at each breakpoint; with
+    # tol, T/dt bounds no step count, and the rows grow as the states come
+    steps = math.ceil(T / dt) if tol is None else 0
+    history = _History(tracked, steps + 2 * len(breaks) + 1)
 
     death_times: list[float | None] = [None] * len(tracked)
     live = list(range(len(tracked)))
@@ -905,8 +911,10 @@ def evolve(
         remaining = stop - t
         # one rule in the step variable sigma: dt and the caps bound t-steps,
         # so in sigma they are divided by the clock dt/dsigma; the closing
-        # pair's cap is the tau its gap has left (below)
-        h = min(h_next, dt / clock)
+        # pair's cap is the tau its gap has left (below). dt is each fixed
+        # step; with tol it is the first step and a fresh start's, where no
+        # step has been proposed
+        h = dt / clock if tol is None or h_next == math.inf else h_next
         # the nearest observer within 1 of the real line, the first of a
         # tie, the dying one left out
         d_near, i_near = 1.0, None
@@ -1254,8 +1262,16 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
     reuses as its first stage, is its 13th stage, and a step whose combined
     5th/3rd-order estimate exceeds ``REVERSE_TOL`` is retried with
     h max(0.2, 0.9 (tol/err)^(1/8)); an accepted one proposes
-    h min(5, 0.9 (tol/err)^(1/8)). The driving points of the stages are read
-    from the recorded states (``_DrivingPaths``).
+    h min(5, 0.9 (tol/err)^(1/8)). A rejected first step from the slit,
+    r = 0, is retried with h 0.9 (tol/err)^(1/2) instead: there the
+    estimate falls about as h^2 (fig2's curve 2 at t = 0.05: 6.3e-4,
+    3.0e-5 and 1.8e-6 at h = 0.22, 0.045 and 0.011), and the h^8 rule took
+    about ten retries to an accepted step. A sample at the end of a
+    driving collision (t the last state's time, ``collision`` set) keeps
+    the h^8 rule: there its driving point moves linearly in r, so its
+    start is no slit and its estimate falls as h (fig1's curve 0). The
+    driving points of the stages are read from the recorded states
+    (``_DrivingPaths``).
 
     All samples advance together as arrays, one step each per sweep, and
     leave the sweep when they reach r = sqrt(t). A step ends exactly where
@@ -1273,6 +1289,8 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
     for t in times:
         if not 0 <= t <= t_max + 1e-12:
             raise InversionFailureError(f"time {t} outside the evolved range")
+    # from here on a driving collision's end: its samples leave the slit rule
+    t_collision = math.inf if evolution.collision is None else t_max
     n = len(evolution.states[0].x)
     paths = _DrivingPaths(evolution)
     starts, piece_rates = np.array(evolution.nu.starts), evolution.nu.piece_rates
@@ -1349,8 +1367,13 @@ def trace_hull(evolution: Evolution, times: Sequence[float]) -> list[HullSample]
         accept = err <= REVERSE_TOL
         rejected += len(r) - int(np.count_nonzero(accept))
         # (tol/err)^(1/8) by square roots, which round alike everywhere
-        scale = 0.9 * np.sqrt(np.sqrt(np.sqrt(REVERSE_TOL / err)))
-        h = h * np.where(accept, np.minimum(5.0, scale), np.maximum(0.2, scale))
+        root = np.sqrt(REVERSE_TOL / err)
+        scale = 0.9 * np.sqrt(np.sqrt(root))
+        # a first step from the slit is retried at the h^2 law its estimate
+        # follows there, except at a collision's end, which is no slit start
+        slit = (r == 0.0) & (t < t_collision)
+        retry = np.where(slit, 0.9 * root, np.maximum(0.2, scale))
+        h = h * np.where(accept, np.minimum(5.0, scale), retry)
         r = np.where(accept, r_end, r)
         z, k1 = np.where(accept, z1, z), np.where(accept, k13, k1)
         # a step that reached its breakpoint hands the sample to the piece

@@ -21,7 +21,7 @@ Schema (all keys optional unless noted):
       capture_radius: 1e-3      # must exceed tracing.DOMAIN_MARGIN = 1e-6
     loewner:
       T: 0.1
-      dt: 1e-4                  # the largest step when tol is set
+      dt: 1e-4                  # the step; the first one when tol is set
       tol: 1e-13                # optional: error-controlled steps
       tracked: ["2i"]           # observer points, half-plane coordinates
     outputs: [field_svg, trajectories_csv, hull_csv, motion_report,
@@ -434,7 +434,7 @@ def preset(name: str) -> SceneConfig:
     return SceneConfig(
         divisor=SymmetricDivisor.build(DISK, growth, marked),
         trace=trace,
-        # dt is the largest step; tol keeps each figure's final driving
+        # dt is the first step; tol keeps each figure's final driving
         # points and hull samples within 6e-13 of a dt = 2e-6 flow
         loewner=LoewnerParams(T=0.1, dt=1e-2, tol=3e-14, tracked=(2j,)),
         outputs=OUTPUT_KINDS,
@@ -448,11 +448,11 @@ def single_curve_scene() -> SceneConfig:
     return SceneConfig(
         divisor=SymmetricDivisor.build(HALF_PLANE, [0], [("inf", -3)]),
         trace=TraceParams(max_arc_length=5.0),
-        # dt is the largest step; tol keeps the observer at 2i within 3e-12
+        # dt is the first step; tol keeps the observer at 2i within 9e-13
         # of its closed forms g = 2i sqrt(1-t), log g' = -log(1-t)/2 up to
-        # t = 0.9999, where fixed dt = 1e-4 steps were 4.9e-9 off, in 124
-        # states instead of 11,690. From t = 0.753, where its step cap
-        # would bind, it takes its death at t = 1 in 47 tau-steps; RK4
+        # t = 0.9999, where fixed dt = 1e-4 steps were 4.9e-9 off, in 82
+        # states instead of 11,690. From t = 0.756, where its step cap
+        # would bind, it takes its death at t = 1 in 36 tau-steps; RK4
         # t-steps to the death took 4,766 states
         loewner=LoewnerParams(T=1.0, dt=1e-2, tol=1e-16, tracked=(2j,)),
         outputs=OUTPUT_KINDS,

@@ -174,11 +174,9 @@ def test_traced_presets_take_few_flow_states(tmp_path):
     assert metrics["divisors.dlog_Z_calls"] <= 8215 / 3
 
 
-def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
-    # the 33-time hull of a fig1 run takes 492 evaluations in DOP853 steps
-    # (560 in RK4 steps); a solve stepped in s took 792 sweeps of four
-    # evaluations each
-    sc = scene.preset("fig1")
+def hull_field_calls(name, monkeypatch):
+    """The ``_common_field`` calls of the 33-time hull of a preset run."""
+    sc = scene.preset(name)
     lo = sc.loewner
     ev = evolve(runner._flow_divisor(sc), lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
     field = loewner._common_field
@@ -190,7 +188,21 @@ def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
 
     monkeypatch.setattr(loewner, "_common_field", counted)
     loewner.trace_hull(ev, runner._hull_times(ev.final.t))
-    assert calls[0] <= 4 * 792 / 3
+    return calls[0]
+
+
+def test_fig1_hull_takes_few_reverse_evaluations(monkeypatch):
+    # the 33-time hull of a fig1 run takes 516 evaluations in DOP853 steps,
+    # 43 sweeps of twelve (560 in RK4 steps); a solve stepped in s took 792
+    # sweeps of four evaluations each
+    assert hull_field_calls("fig1", monkeypatch) <= 4 * 792 / 3
+
+
+def test_fig2_hull_sizes_its_slit_starts_by_their_h2_law(monkeypatch):
+    # twelve calls per sweep: 23 sweeps where a rejected first step from
+    # the slit is retried at 0.9 (tol/err)^(1/2); retried at the h^8 law,
+    # its samples rejected about ten times each, in 32 sweeps
+    assert hull_field_calls("fig2", monkeypatch) <= 12 * 24
 
 
 def test_many_observers_and_only_they_take_the_array_field(monkeypatch):

@@ -537,12 +537,13 @@ class TestExitCodes:
         assert "integration failure: T/dt = 1e+11 flow steps exceed the budget of 1000000" in stderr
 
     def test_observer_history_over_its_budget_exits_3_at_once(self, tmp_path, capsys):
-        # T/dt = 1e6 steps fit the step budget, but not with 1024 observers
+        # T/dt = 1e6 fixed steps fit the step budget, but not with 1024
+        # observers
         tracked = "".join(f'    - "{k / 100.0!r}+2i"\n' for k in range(1024))
         cfg = tmp_path / "crowd.yaml"
         cfg.write_text(
             'domain: half_plane\ngrowth: ["-1", "1"]\nmarked:\n  - point: inf\n    charge: "-4"\n'
-            f"loewner:\n  T: 1\n  dt: 1.0e-6\n  tol: 1.0e-10\n  tracked:\n{tracked}"
+            f"loewner:\n  T: 1\n  dt: 1.0e-6\n  tracked:\n{tracked}"
             "outputs: [motion_report]\n"
         )
         out = tmp_path / "out"

@@ -94,7 +94,8 @@ def reverse_point(ev, t, j):
     step rule of trace_hull for constant rates: the loop the sweep must
     reproduce. It takes DOP853 steps of dz/dr = 2r dz/ds in r = sqrt(s)
     from x_j(t), with the end-of-step velocity reused as the next first
-    stage and the step sized by the combined 5th/3rd-order estimate."""
+    stage and the step sized by the combined 5th/3rd-order estimate, a
+    rejected first step from the slit retried at 0.9 (tol/err)^(1/2)."""
     ts = [st.t for st in ev.states]
 
     def x_at(time):
@@ -123,6 +124,8 @@ def reverse_point(ev, t, j):
 
     (rates,) = ev.nu.piece_rates
     tol = loewner.REVERSE_TOL
+    # a sample at a collision's end keeps the rule (tol/err)^(1/8) from r = 0
+    exempt = ev.collision is not None and t >= ts[-1]
     z, r, r_stop = complex(x_at(t)[j], 0.0), 0.0, math.sqrt(t)
     # the first step goes the whole way; the first stage is the velocity
     # 2i sqrt(nu_j) of the slit z = x_j + 2i sqrt(nu_j) r
@@ -142,6 +145,9 @@ def reverse_point(ev, t, j):
         if err <= tol:
             r, z, k1 = r_end, z1, velocity(z1, x_at(t - r_end * r_end), r_end)
             h *= min(5.0, scale)
+        elif r == 0.0 and not exempt:
+            # from the slit the estimate falls as h^2
+            h *= 0.9 * math.sqrt(tol / err)
         else:
             h *= max(0.2, scale)
     return z
@@ -150,13 +156,14 @@ def reverse_point(ev, t, j):
 def scalar_flow(div, T, dt, nu, tracked, tol=None):
     """Times and the observers' g and log g' rows of the flow stepped on
     Python numbers, with evolve's step rules: RK4 of size dt without tol;
-    with tol DOP853 steps, the interior states of their dense output, and
-    the tail in tau for an observer's predicted death. Each observer's
-    log g' is a component of the state, stepped with its g, and held by
-    the estimate to tol / d, d < 1 the observer's distance to its nearest
-    driving point. In the tail the dying observer's component carries
-    W = log g' + log(g - x_c), x_c its nearest driving point, and its rows
-    hold W - log(g - x_c). This is the loop whose bits evolve must have."""
+    with tol DOP853 steps from a first step of dt, the interior states of
+    their dense output, and the tail in tau for an observer's predicted
+    death. Each observer's log g' is a component of the state, stepped with
+    its g, and held by the estimate to tol / d, d < 1 the observer's
+    distance to its nearest driving point. In the tail the dying observer's
+    component carries W = log g' + log(g - x_c), x_c its nearest driving
+    point, and its rows hold W - log(g - x_c). This is the loop whose bits
+    evolve must have."""
     x = [p.value.real for p in div.growth]
     q, s = div.finite_marked()
     g, w = list(tracked), [0j] * len(tracked)
@@ -250,7 +257,9 @@ def scalar_flow(div, T, dt, nu, tracked, tol=None):
         gap, j_gap, part, k_gap = min(pairs, key=lambda e: e[0], default=(math.inf, None, None, None))
         stop = next((b for b in breaks if b > t), T)
         remaining = stop - t
-        h = min(dt / clock, h_next, loewner.GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)) / clock)
+        # dt is each fixed step, and with tol the first one and a fresh start's
+        h = dt / clock if tol is None or h_next == math.inf else h_next
+        h = min(h, loewner.GAP_CAP_SAFETY * gap * gap / (8.0 * sum(rates)) / clock)
         dists = [(min(abs(g[i] - xj) for xj in x), i) for i in live if i != dying]
         d_near, i_near = min(dists, default=(1.0, None))
         g0 = [g[i] for i in live]
@@ -708,7 +717,7 @@ class TestObservers:
         for tol in (None, 1e-12):
             for ev in evolve_matching_the_scalar_loop(monkeypatch, repelling_pair(), 0.25, 1e-3, BREAK_RATES, tracked, tol):
                 assert [st.t for st in ev.states].count(BREAK) == 2
-                assert ev.rejected == (0 if tol is None else 5)
+                assert ev.rejected == (0 if tol is None else 8)
                 assert report_bits(motion_integral(ev)) == scalar_reports(ev)
 
     def test_observers_dying_mid_flow_match_the_scalar_loop_bit_for_bit(self, monkeypatch):
@@ -921,6 +930,27 @@ class TestErrorControl:
         assert errs[-1] < 1e-12
         # the fixed step of the same accuracy is 1e-4: 2500 steps
         assert counts[-1] < 0.1 * 0.25 / 1e-4, counts
+
+    def test_dt_sizes_the_first_step_and_the_estimate_the_rest(self, monkeypatch):
+        # with tol, dt is the first step, and later steps go past it where
+        # the estimate allows: the repelling pair took 250 steps when dt
+        # capped each, the built-in scene 123
+        sizes = []
+        step = loewner._Step
+
+        def recorded(tableau, t, x, p, vel, clock, h, *rest):
+            sizes.append(h)
+            return step(tableau, t, x, p, vel, clock, h, *rest)
+
+        monkeypatch.setattr(loewner, "_Step", recorded)
+        ev = evolve(repelling_pair(), 0.25, 1e-3, tracked=(2j,), tol=1e-13)
+        assert ev.rejected == 0 and ev.final.t == 0.25
+        assert sizes[0] == 1e-3 and min(sizes[1:-1]) > 1e-3 and ev.steps < 25
+        sizes.clear()
+        sc = single_curve_scene()
+        lo = sc.loewner
+        ev = evolve(sc.divisor, lo.T, lo.dt, sc.rates, lo.tracked, lo.tol)
+        assert sizes[0] == lo.dt and max(sizes) > lo.dt and ev.steps < lo.T / lo.dt
 
     def test_colliding_pair_is_bracketed_at_a_quarter(self):
         ev = evolve(colliding_pair(), 0.3, 0.3, tol=1e-12)
@@ -1202,6 +1232,19 @@ class TestHull:
             checks = runner._suite_equivalence(replace(sc, loewner=lo), qd, ev)
             assert max(c.value for c in checks) < 1e-6, (tol, [c.value for c in checks])
 
+    def test_samples_at_a_collision_keep_the_rule_from_the_slit(self, fig1_flow):
+        # at fig1's collision x_0(T - r^2) - x_0(T) is about 4.62 r, so curve
+        # 0's solve starts on no slit, and its estimate falls as h, not h^2:
+        # these samples keep the retry max(0.2, 0.9 (tol/err)^(1/8)), as the
+        # scalar loop does there. Without the bracket they take the h^2
+        # retry, which moves curve 0's tip by about 1e-6
+        ev = fig1_flow
+        assert ev.collision is not None
+        t = ev.final.t
+        for flow in (ev, replace(ev, collision=None)):
+            want = [HullSample(t, j, reverse_point(flow, t, j)) for j in range(3)]
+            assert bits(trace_hull(flow, [t])) == bits(want)
+
     @pytest.mark.parametrize("flow", ["fig1_flow", "fig1_tail_flow", "eight_curve_flow"])
     def test_batch_equals_one_call_per_time(self, flow, request):
         ev = request.getfixturevalue(flow)
@@ -1248,10 +1291,11 @@ class TestHull:
 
     def test_sweeps_past_the_budget_are_refused(self, monkeypatch):
         ev = evolve(repelling_pair(), 0.25, 1e-3)
-        monkeypatch.setattr(loewner, "REVERSE_BUDGET", 20)
+        # the four samples take 16 to 17 sweeps
+        monkeypatch.setattr(loewner, "REVERSE_BUDGET", 10)
         with pytest.raises(
             InversionFailureError,
-            match=r"exceeded its budget of 20 sweeps \(\d+ steps rejected, 4 samples unfinished\)",
+            match=r"exceeded its budget of 10 sweeps \(\d+ steps rejected, 4 samples unfinished\)",
         ):
             trace_hull(ev, [0.1, 0.2])
 
@@ -1408,10 +1452,18 @@ class TestEvolveValidation:
             SymmetricDivisor.half_plane([0.0], [("inf", -4)])
 
     def test_observer_history_over_its_budget_is_refused_at_once(self):
-        # 1024 observers over T/dt = 1e6 steps would take 2 x 16 GB
+        # 1024 observers over T/dt = 1e6 fixed steps would take 2 x 16 GB
         tracked = tuple(complex(k / 100.0, 2.0) for k in range(1024))
         with pytest.raises(StepBudgetError, match="1000001 states of 1024 observers exceed the history budget"):
-            evolve(repelling_pair(), 1.0, 1e-6, tracked=tracked, tol=1e-10)
+            evolve(repelling_pair(), 1.0, 1e-6, tracked=tracked)
+
+    def test_a_small_first_step_asks_for_no_history(self):
+        # with tol, dt = 1e-6 is only the first step: T/dt x 128 observers
+        # would pass the history budget, the states the flow takes do not
+        tracked = tuple(complex(k / 100.0, 2.0) for k in range(128))
+        assert 0.1 / 1e-6 * len(tracked) > loewner.HISTORY_BUDGET
+        ev = evolve(repelling_pair(), 0.1, 1e-6, tracked=tracked, tol=1e-10)
+        assert ev.final.t == 0.1 and len(ev.states) < 100
 
     def test_observer_history_grown_past_its_budget_is_refused(self, monkeypatch):
         # T/dt is 30 steps, but the approach to the collision at 1/4 takes more than 100
