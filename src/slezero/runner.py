@@ -226,8 +226,14 @@ def _suite_motion(evolution: Evolution) -> list[Check]:
 
 
 def _suite_equivalence(scene: SceneConfig, qd: QuadDifferential, evolution: Evolution) -> list[Check]:
-    trajectories = tracing.launch_all(qd, scene.trace)
     hull = loewner.trace_hull(evolution, _hull_times(evolution.final.t))
+    # the hull at T is the initial arc up to each curve's last tip (the
+    # samples come in time order): a curve is traced until it has passed
+    # through the EQUIVALENCE_LIMIT disk about that tip, or to its end if
+    # it never enters that disk
+    tips = {sample.curve: sample.point for sample in hull}
+    until = [(tips[j], EQUIVALENCE_LIMIT) for j in range(qd.n_growth)]
+    trajectories = tracing.launch_all(qd, scene.trace, until=until)
     # a curve that ends in a singularity ends at it: the last traced point
     # stops short of it, by up to the capture radius
     polylines = [

@@ -53,7 +53,9 @@ class TraceParams:
 
 @dataclass(frozen=True)
 class Terminal:
-    kind: str  # reached_singularity | left_domain | exhausted_arc_length
+    # reached_singularity | left_domain | exhausted_arc_length, or
+    # passed_target: a targeted trace left its target's disk (see ``trace``)
+    kind: str
     point: complex | None = None
 
 
@@ -99,6 +101,8 @@ def trace(
     start: complex,
     initial_dir: complex,
     params: TraceParams = TraceParams(),
+    *,
+    until: tuple[complex, float] | None = None,
 ) -> Trajectory:
     """Trace one horizontal trajectory from ``start``.
 
@@ -108,7 +112,11 @@ def trace(
     capture radius out along the direction.
     The trace stops on entering the capture disk of any other singularity,
     on leaving the domain by more than ``DOMAIN_MARGIN``, or on exhausting
-    the arc length budget.
+    the arc length budget. With a target ``until=(point, radius)`` it also
+    stops, as ``passed_target``, at the first step that ends outside the
+    disk of that radius about the point after some earlier point lay
+    inside it: the trace is then the same trace without a target, cut
+    after its first passage through the disk.
 
     Within twice the largest |p| over the factor points, rho, each step is
     a classical RK4 step of at most ``params.step``. Beyond it the field is
@@ -150,6 +158,7 @@ def trace(
         points = [z]
         arcs = [0.0]
     escaped = launch is None
+    entered = until is not None and any(abs(w - until[0]) <= until[1] for w in points)
 
     singular = [p for p, _ in qd.factors]
     field = qd.field
@@ -285,6 +294,11 @@ def trace(
                 break
         if terminal is None and not _inside(qd.domain, z):
             terminal = Terminal("left_domain")
+        if until is not None and terminal is None:
+            if abs(z - until[0]) <= until[1]:
+                entered = True
+            elif entered:
+                terminal = Terminal("passed_target")
 
     return Trajectory(
         points=tuple(points),
@@ -294,14 +308,21 @@ def trace(
     )
 
 
-def launch_all(qd: QuadDifferential, params: TraceParams = TraceParams()) -> list[Trajectory]:
+def launch_all(
+    qd: QuadDifferential,
+    params: TraceParams = TraceParams(),
+    *,
+    until: Sequence[tuple[complex, float]] | None = None,
+) -> list[Trajectory]:
     """One trajectory per growth point, along its interior separatrix.
 
-    The separatrix is chosen by positive inner product with the inward
-    boundary normal, ties broken by the smallest angle to it.
+    The separatrix is the one with the largest positive inner product with
+    the inward boundary normal: of separatrices within 1e-12 of that
+    product, the first in the point's ``angles`` order is kept. ``until``,
+    if given, holds one target per growth point, passed on to ``trace``.
     """
     out = []
-    for info in qd.singularities[: qd.n_growth]:
+    for j, info in enumerate(qd.singularities[: qd.n_growth]):
         p = info.point
         normal = 1j if qd.domain == HALF_PLANE else -p / abs(p)
         best = None
@@ -313,7 +334,7 @@ def launch_all(qd: QuadDifferential, params: TraceParams = TraceParams()) -> lis
                 best, best_dot = d, dot
         if best is None:
             raise LaunchError(f"no interior separatrix at growth point {p}")
-        out.append(trace(qd, p, best, params))
+        out.append(trace(qd, p, best, params, until=None if until is None else until[j]))
     return out
 
 

@@ -14,17 +14,26 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import disk_divisor, distinct_reals, half_plane_divisor, nan_after
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from slezero import conformal, loewner, runner, tracing
+from slezero import conformal, loewner, quadratic, runner, tracing
 from slezero.cli import main
 from slezero.divisors import SpherePoint, SymmetricDivisor, as_charge, format_complex, parse_point
 from slezero.errors import ConfigError, DegenerateConfigurationError, InversionFailureError, SleZeroError
 from slezero.loewner import Parametrization
-from slezero.scene import OUTPUT_KINDS, LoewnerParams, SceneConfig, parse_config, preset, serialize_config
+from slezero.scene import (
+    OUTPUT_KINDS,
+    LoewnerParams,
+    SceneConfig,
+    parse_config,
+    preset,
+    serialize_config,
+    single_curve_scene,
+)
 
 SINGLE = """\
 domain: half_plane
@@ -39,6 +48,17 @@ loewner:
   dt: 0.001
   tracked: ["2i"]
 outputs: [field_svg, trajectories_csv, hull_csv, motion_report, analysis_report]
+"""
+
+# Q < 0 on the boundary at the growth point 2: its curve's hull lies on a
+# trajectory of -Q, not on the traced curve of Q
+NEGATIVE_AT_GROWTH = """\
+domain: half_plane
+growth: ["0", "2"]
+marked:
+  - {point: "1", charge: "1/2"}
+  - {point: inf, charge: "-9/2"}
+loewner: {T: 0.05, dt: 0.01, tol: 1e-12}
 """
 
 # (marked section, tracked section, message) of scenes with a growth point
@@ -349,6 +369,18 @@ class TestRun:
         assert exc.value.code == 1
 
 
+def equivalence_inputs(sc: SceneConfig):
+    """What the equivalence suite reads on a scene, as ``verify`` builds it,
+    and each curve traced to its end: (qd, evolution, hull, trajectories)."""
+    div = runner._flow_divisor(sc)
+    qd = quadratic.build_Q(div)
+    lo = sc.loewner
+    tracked = lo.tracked or (runner._fallback_observer(div),)
+    ev = loewner.evolve(div, lo.T, lo.dt, sc.rates, tracked, lo.tol)
+    hull = loewner.trace_hull(ev, runner._hull_times(ev.final.t))
+    return qd, ev, hull, tracing.launch_all(qd, sc.trace)
+
+
 class TestVerify:
     def test_default_scene_all_suites_pass(self, capsys):
         code, stdout, _ = cli(capsys, "verify")
@@ -371,6 +403,35 @@ class TestVerify:
         assert first != second
         code, stdout, _ = cli(capsys, "verify", "--config", str(cfg))
         assert code == 0, stdout
+
+    @pytest.mark.parametrize(
+        "sc",
+        [preset("fig1"), preset("fig2"), preset("fig3"), single_curve_scene()],
+        ids=["fig1", "fig2", "fig3", "single"],
+    )
+    def test_equivalence_reads_what_whole_trajectories_read(self, sc):
+        # each curve is traced only through its last hull tip's disk; the
+        # reference traces it to its end and measures every tip against that
+        qd, ev, hull, whole = equivalence_inputs(sc)
+        worst = [0.0] * qd.n_growth
+        for sample in hull:
+            t = whole[sample.curve]
+            ends = (t.terminal.point,) if t.terminal.kind == "reached_singularity" else ()
+            d = runner._polyline_distance(sample.point, np.array(t.points + ends))
+            worst[sample.curve] = max(worst[sample.curve], d)
+        assert [c.value for c in runner._suite_equivalence(sc, qd, ev)] == worst
+
+    def test_a_curve_that_never_nears_its_last_tip_is_traced_whole(self):
+        sc = parse_config(NEGATIVE_AT_GROWTH)
+        qd, _, hull, whole = equivalence_inputs(sc)
+        tips = {s.curve: s.point for s in hull}
+        until = [(tips[j], runner.EQUIVALENCE_LIMIT) for j in range(2)]
+        targeted = tracing.launch_all(qd, sc.trace, until=until)
+        assert min(abs(z - tips[1]) for z in whole[1].points) > runner.EQUIVALENCE_LIMIT
+        assert targeted[1] == whole[1]
+        ok, lines = runner.verify(sc, "equivalence")
+        assert not ok
+        assert lines[1] == "equivalence/hull_distance[curve=1]: value=2.956e-01 limit=5.0e-03 FAIL"
 
     def test_invariance_suite_with_seed(self, capsys):
         code, stdout, _ = cli(capsys, "verify", "--suite", "invariance", "--seed", "7")

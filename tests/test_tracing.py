@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from conftest import random_real_locus, real_locus
 
-from slezero import quadratic, tracing
+from slezero import quadratic, runner, tracing
 from slezero.divisors import DISK, HALF_PLANE, SymmetricDivisor
 from slezero.errors import LaunchError, StepBudgetError, WindingUndefinedError
 from slezero.outputs import analysis_payload, report_text
 from slezero.quadratic import QuadDifferential, build_Q
-from slezero.scene import PRESET_NAMES, preset
+from slezero.scene import PRESET_NAMES, preset, single_curve_scene
 from slezero.tracing import (
     Terminal,
     TraceParams,
@@ -421,6 +421,50 @@ class TestLaunch:
         _, trajs = figure_runs[name]
         for traj, target in zip(trajs, expected):
             assert traj.terminal.point == pytest.approx(target, abs=1e-12)
+
+
+class TestTarget:
+    @pytest.fixture(scope="class")
+    def launches(self):
+        """Each curve of fig1-3 and of the single-curve scene, launched on
+        its flow divisor: (qd, growth point, direction, trace params,
+        untargeted trajectory)."""
+        out = []
+        for sc in [preset(name) for name in PRESET_NAMES] + [single_curve_scene()]:
+            qd = build_Q(runner._flow_divisor(sc))
+            for p, traj in zip(qd.growth_points, launch_all(qd, sc.trace)):
+                out.append((qd, p, traj.initial_dir, sc.trace, traj))
+        return out
+
+    @pytest.mark.parametrize("where", [0.2, 0.5, 0.9])
+    def test_a_targeted_trace_is_a_prefix_of_the_full_one(self, launches, where):
+        radius = runner.EQUIVALENCE_LIMIT
+        for qd, p, direction, params, full in launches:
+            target = full.points[int(where * (len(full.points) - 1))]
+            cut = trace(qd, p, direction, params, until=(target, radius))
+            n = len(cut.points)
+            assert cut.terminal.kind == "passed_target"
+            assert n < len(full.points)
+            assert cut.points == full.points[:n]
+            assert cut.arc_lengths == full.arc_lengths[:n]
+            # the first point out of the disk after one inside it
+            assert abs(cut.points[-1] - target) > radius
+            assert abs(cut.points[-2] - target) <= radius
+
+    def test_a_trace_that_ends_in_its_target_disk_or_never_nears_it_is_whole(self, launches):
+        for qd, p, direction, params, full in launches:
+            for target in (full.points[-1], 10.0 + 10.0j):
+                assert trace(qd, p, direction, params, until=(target, 1e-3)) == full
+
+    def test_launch_all_takes_one_target_per_growth_point(self, launches):
+        qd, _, _, params, _ = launches[0]
+        full = launch_all(qd, params)
+        targets = [(t.points[len(t.points) // 2], 1e-3) for t in full]
+        cut = launch_all(qd, params, until=targets)
+        for (target, _), a, b in zip(targets, cut, full):
+            assert a.terminal.kind == "passed_target"
+            assert a.points == b.points[: len(a.points)]
+            assert target in a.points
 
 
 class TestWindingAngle:
